@@ -11,7 +11,7 @@ interpretation stamps out many copies of nu and psi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -196,33 +196,42 @@ def _eval_raw(ctx: _Context, f: F.Formula) -> tuple[np.ndarray, tuple[F.Var, ...
     raise EvalError(f"not a formula: {f!r}")
 
 
+def truth_table(structure: Structure, phi: F.Formula,
+                axes: Sequence[F.Var]) -> np.ndarray:
+    """The table of ``phi`` with one axis per variable of ``axes``, in order.
+
+    Every free variable of ``phi`` must appear in ``axes``; the table is
+    constant along the axes of variables that are not free.  The result is a
+    read-only view of the structure's cache.
+    """
+    ctx = _context(structure)
+    axes = tuple(axes)
+    if len(set(axes)) != len(axes):
+        raise EvalError(f"repeated table axes: {[v.name for v in axes]}")
+    arr, free = _eval_node(ctx, phi)  # free: phi's free variables, in slot order
+    missing = [v.name for v in free if v not in axes]
+    if missing:
+        raise EvalError(f"unbound variables: {sorted(missing)}")
+    return np.broadcast_to(_expand(arr, free, axes, ctx.n), (ctx.n,) * len(axes))
+
+
 def eval_structure(structure: Structure, phi: F.Formula,
                    assignment: Optional[dict[F.Var, int]] = None) -> bool:
     """Standard semantics; free variables must be covered by the assignment."""
     assignment = assignment or {}
-    missing = F.free_vars(phi) - set(assignment)
-    if missing:
-        raise EvalError(f"unbound variables: {sorted(v.name for v in missing)}")
-    ctx = _context(structure)
-    got = F.formula_signature(phi)
-    if got is not None and got != ctx.signature:
-        raise EvalError(f"{got}-signature formula on a {ctx.signature} structure")
+    n = _context(structure).n
     for v, e in assignment.items():
-        if not 0 <= e < ctx.n:
+        if not 0 <= e < n:
             raise EvalError(f"assignment {v.name} -> {e} outside the domain")
-    arr, axes = _eval_node(ctx, phi)
-    if axes:
-        arr = arr[tuple(assignment[v] for v in axes)]
-    return bool(arr)
+    return bool(truth_table(structure, phi, assignment)[tuple(assignment.values())])
 
 
 def eval_slow(structure: Structure, phi: F.Formula,
               assignment: Optional[dict[F.Var, int]] = None) -> bool:
     """Direct recursive evaluator; oracle for the tensor evaluator."""
     ctx = _context(structure)
-    asg = dict(assignment or {})
 
-    def rec(g: F.Formula) -> bool:
+    def rec(g: F.Formula, asg: dict[F.Var, int]) -> bool:
         if isinstance(g, (F.Edge, F.Leq)):
             want = F.GRAPH if isinstance(g, F.Edge) else F.POSET
             if ctx.signature != want:
@@ -235,32 +244,21 @@ def eval_slow(structure: Structure, phi: F.Formula,
                 raise EvalError(f"undeclared label {g.name!r}")
             return bool(ctx.labels[g.name][asg[g.x]])
         if isinstance(g, F.Not):
-            return not rec(g.sub)
+            return not rec(g.sub, asg)
         if isinstance(g, F.And):
-            return rec(g.left) and rec(g.right)
+            return rec(g.left, asg) and rec(g.right, asg)
         if isinstance(g, F.Or):
-            return rec(g.left) or rec(g.right)
+            return rec(g.left, asg) or rec(g.right, asg)
         if isinstance(g, F.Implies):
-            return (not rec(g.left)) or rec(g.right)
+            return (not rec(g.left, asg)) or rec(g.right, asg)
+        # a binder shadows an outer value of its variable only in its scope
         if isinstance(g, F.Exists):
-            for e in range(ctx.n):
-                asg[g.var] = e
-                if rec(g.sub):
-                    del asg[g.var]
-                    return True
-            asg.pop(g.var, None)
-            return False
+            return any(rec(g.sub, {**asg, g.var: e}) for e in range(ctx.n))
         if isinstance(g, F.Forall):
-            for e in range(ctx.n):
-                asg[g.var] = e
-                if not rec(g.sub):
-                    del asg[g.var]
-                    return False
-            asg.pop(g.var, None)
-            return True
+            return all(rec(g.sub, {**asg, g.var: e}) for e in range(ctx.n))
         raise EvalError(f"not a formula: {g!r}")
 
-    return rec(phi)
+    return rec(phi, dict(assignment or {}))
 
 
 @dataclass

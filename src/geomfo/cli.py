@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fileio, formula as F
-from .checker import AgreementError, build_graph, model_check
+from .checker import AgreementError, EvalError, build_graph, model_check
 from .generators import (cliquewidth_family, consecutive_witness, efo_hardness_instance,
                          hardness_instance, terfan_polygon)
 from .geometry import GeometryError, Representation
@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
                 model_check(rep.cls, rep, phi)
         except AgreementError as exc:
             status, detail = "FAIL", str(exc)
-        except (GeometryError, PosetError, F.FormulaError) as exc:
+        except (GeometryError, PosetError, F.FormulaError, EvalError) as exc:
             status, detail = "ERROR", str(exc)
         if status != "PASS":
             failures += 1
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, fileio.FileFormatError, GeometryError, PosetError,
-            F.FormulaError, AgreementError) as exc:
+            F.FormulaError, EvalError, AgreementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,29 +60,83 @@ class Var:
 
 
 class Formula:
+    """A formula node.  Each node class derives from one of four bases (atom,
+    unary, binary, quantifier), which give the generic traversal pair:
+    ``children()`` lists the direct subformulas left to right, and
+    ``rebuild(kids)`` makes the same kind of node over new subformulas."""
+
     __slots__ = ()
 
+    def rebuild(self, kids) -> Formula:
+        return type(self)(*kids)
+
+    def variables(self) -> tuple[Var, ...]:
+        """The variables this node names itself: atom arguments or a binder."""
+        return ()
+
+
+class _Atom(Formula):
+    __slots__ = ()
+
+    def children(self) -> tuple[Formula, ...]:
+        return ()
+
+    def rebuild(self, kids) -> Formula:
+        return self
+
+    def variables(self) -> tuple[Var, ...]:
+        return (self.x, self.y)
+
+    def rename(self, env: dict[Var, Var]) -> Formula:
+        return type(self)(env.get(self.x, self.x), env.get(self.y, self.y))
+
+
+class _Unary(Formula):
+    __slots__ = ()
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
+
+class _Binary(Formula):
+    __slots__ = ()
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
+
+
+class _Quantifier(_Unary):
+    """A unary node that binds ``var`` in its subformula."""
+
+    __slots__ = ()
+
+    def rebuild(self, kids) -> Formula:
+        return type(self)(self.var, *kids)
+
+    def variables(self) -> tuple[Var, ...]:
+        return (self.var,)
+
 
 @dataclass(frozen=True)
-class Edge(Formula):
+class Edge(_Atom):
     x: Var
     y: Var
 
 
 @dataclass(frozen=True)
-class Leq(Formula):
+class Leq(_Atom):
     x: Var
     y: Var
 
 
 @dataclass(frozen=True)
-class Eq(Formula):
+class Eq(_Atom):
     x: Var
     y: Var
 
 
 @dataclass(frozen=True)
-class Label(Formula):
+class Label(_Atom):
     name: str
     x: Var
 
@@ -90,64 +144,66 @@ class Label(Formula):
         if self.name in RESERVED:
             raise FormulaError(f"label name {self.name!r} is reserved")
 
+    def variables(self) -> tuple[Var, ...]:
+        return (self.x,)
+
+    def rename(self, env: dict[Var, Var]) -> Formula:
+        return Label(self.name, env.get(self.x, self.x))
+
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Not(_Unary):
     sub: Formula
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class And(_Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Or(Formula):
+class Or(_Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
+class Implies(_Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Exists(Formula):
+class Exists(_Quantifier):
     var: Var
     sub: Formula
 
 
 @dataclass(frozen=True)
-class Forall(Formula):
+class Forall(_Quantifier):
     var: Var
     sub: Formula
+
+
+def _fold(op, parts: Iterable[Formula], if_empty: Optional[Formula]) -> Formula:
+    parts = list(parts)
+    if not parts:
+        if if_empty is None:
+            raise FormulaError(f"empty {'conjunction' if op is And else 'disjunction'}")
+        return if_empty
+    out = parts[0]
+    for p in parts[1:]:
+        out = op(out, p)
+    return out
 
 
 def big_and(parts: Iterable[Formula], if_empty: Optional[Formula] = None) -> Formula:
-    parts = list(parts)
-    if not parts:
-        if if_empty is None:
-            raise FormulaError("empty conjunction")
-        return if_empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return _fold(And, parts, if_empty)
 
 
 def big_or(parts: Iterable[Formula], if_empty: Optional[Formula] = None) -> Formula:
-    parts = list(parts)
-    if not parts:
-        if if_empty is None:
-            raise FormulaError("empty disjunction")
-        return if_empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return _fold(Or, parts, if_empty)
 
 
 def exists_many(vs: Iterable[Var], body: Formula) -> Formula:
@@ -157,41 +213,23 @@ def exists_many(vs: Iterable[Var], body: Formula) -> Formula:
 
 
 def walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from walk(f.sub)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from walk(f.left)
-        yield from walk(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from walk(f.sub)
+    """Every node of ``f`` in pre-order, left to right, without recursion."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(g.children()))
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, (Edge, Leq, Eq)):
-        return frozenset((f.x, f.y))
-    if isinstance(f, Label):
-        return frozenset((f.x,))
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.sub) - {f.var}
-    raise FormulaError(f"not a formula: {f!r}")
+    inner = frozenset().union(*map(free_vars, f.children()))
+    if isinstance(f, _Quantifier):
+        return inner - {f.var}
+    return inner.union(f.variables())
 
 
 def all_var_names(f: Formula) -> set[str]:
-    names: set[str] = set()
-    for node in walk(f):
-        if isinstance(node, (Edge, Leq, Eq)):
-            names.add(node.x.name)
-            names.add(node.y.name)
-        elif isinstance(node, Label):
-            names.add(node.x.name)
-        elif isinstance(node, (Exists, Forall)):
-            names.add(node.var.name)
-    return names
+    return {v.name for node in walk(f) for v in node.variables()}
 
 
 def label_names(f: Formula) -> frozenset[str]:
@@ -199,19 +237,12 @@ def label_names(f: Formula) -> frozenset[str]:
 
 
 def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Edge, Leq, Eq, Label)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, (Exists, Forall)):
-        return 1 + quantifier_depth(f.sub)
-    raise FormulaError(f"not a formula: {f!r}")
+    return (isinstance(f, _Quantifier)
+            + max(map(quantifier_depth, f.children()), default=0))
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(n, (Exists, Forall)) for n in walk(f))
+    return not any(isinstance(n, _Quantifier) for n in walk(f))
 
 
 def is_existential(f: Formula) -> bool:
@@ -223,8 +254,8 @@ def is_existential(f: Formula) -> bool:
 
 def formula_signature(f: Formula) -> Optional[str]:
     """GRAPH, POSET, or None when the formula fits both signatures."""
-    has_edge = any(isinstance(n, Edge) for n in walk(f))
-    has_leq = any(isinstance(n, Leq) for n in walk(f))
+    kinds = {type(n) for n in walk(f)}
+    has_edge, has_leq = Edge in kinds, Leq in kinds
     if has_edge and has_leq:
         raise SignatureError("formula mixes edge and <= atoms")
     if has_edge:
@@ -268,33 +299,13 @@ def instantiate(f: Formula, mapping: dict[Var, Var], fresh: FreshVars) -> Formul
     case analysis, at the cost of longer names in the output.
     """
 
-    def sub_var(v: Var, env: dict[Var, Var]) -> Var:
-        return env.get(v, v)
-
     def rec(g: Formula, env: dict[Var, Var]) -> Formula:
-        if isinstance(g, Edge):
-            return Edge(sub_var(g.x, env), sub_var(g.y, env))
-        if isinstance(g, Leq):
-            return Leq(sub_var(g.x, env), sub_var(g.y, env))
-        if isinstance(g, Eq):
-            return Eq(sub_var(g.x, env), sub_var(g.y, env))
-        if isinstance(g, Label):
-            return Label(g.name, sub_var(g.x, env))
-        if isinstance(g, Not):
-            return Not(rec(g.sub, env))
-        if isinstance(g, And):
-            return And(rec(g.left, env), rec(g.right, env))
-        if isinstance(g, Or):
-            return Or(rec(g.left, env), rec(g.right, env))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left, env), rec(g.right, env))
-        if isinstance(g, (Exists, Forall)):
+        if isinstance(g, _Atom):
+            return g.rename(env)
+        if isinstance(g, _Quantifier):
             nv = fresh.fresh(g.var.name.rstrip("_0123456789") or "z")
-            env2 = dict(env)
-            env2[g.var] = nv
-            body = rec(g.sub, env2)
-            return Exists(nv, body) if isinstance(g, Exists) else Forall(nv, body)
-        raise FormulaError(f"not a formula: {g!r}")
+            return type(g)(nv, rec(g.sub, {**env, g.var: nv}))
+        return g.rebuild([rec(k, env) for k in g.children()])
 
     return rec(f, dict(mapping))
 
@@ -350,21 +361,11 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
                 instantiate(interp.psi, {px: g.x, py: g.y}, fresh),
                 instantiate(interp.psi, {px: g.y, py: g.x}, fresh),
             ))
-        if isinstance(g, (Eq, Label)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.sub))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
         if isinstance(g, Exists):
             return Exists(g.var, And(instantiate(interp.nu, {interp.nu_var: g.var}, fresh), rec(g.sub)))
         if isinstance(g, Forall):
             return Forall(g.var, Implies(instantiate(interp.nu, {interp.nu_var: g.var}, fresh), rec(g.sub)))
-        raise FormulaError(f"not a formula: {g!r}")
+        return g.rebuild([rec(k) for k in g.children()])
 
     return rec(phi)
 
@@ -379,21 +380,7 @@ def complement_edges(phi: Formula) -> Formula:
     def rec(g: Formula) -> Formula:
         if isinstance(g, Edge):
             return And(Not(g), Not(Eq(g.x, g.y)))
-        if isinstance(g, (Leq, Eq, Label)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.sub))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, rec(g.sub))
-        if isinstance(g, Forall):
-            return Forall(g.var, rec(g.sub))
-        raise FormulaError(f"not a formula: {g!r}")
+        return g.rebuild([rec(k) for k in g.children()])
 
     return rec(phi)
 
@@ -404,8 +391,13 @@ def complement_edges(phi: Formula) -> Formula:
 _QUANT, _IMPL, _OR, _AND, _UNARY = range(5)
 
 
+# binary connective -> (infix, own level, left operand level, right operand level)
+_INFIX = {Implies: (" -> ", _IMPL, _OR, _IMPL), Or: (" | ", _OR, _OR, _AND),
+          And: (" & ", _AND, _AND, _UNARY)}
+
+
 def print_formula(f: Formula) -> str:
-    def atom(g: Formula) -> str:
+    def rec(g: Formula, level: int) -> str:
         if isinstance(g, Edge):
             return f"edge({g.x},{g.y})"
         if isinstance(g, Leq):
@@ -414,27 +406,15 @@ def print_formula(f: Formula) -> str:
             return f"{g.x}={g.y}"
         if isinstance(g, Label):
             return f"{g.name}({g.x})"
-        raise FormulaError(f"not an atom: {g!r}")
-
-    def rec(g: Formula, level: int) -> str:
-        if isinstance(g, (Edge, Leq, Eq, Label)):
-            return atom(g)
         if isinstance(g, Not):
             return "!" + rec(g.sub, _UNARY)
-        if isinstance(g, (Exists, Forall)):
+        if isinstance(g, _Quantifier):
             kw = "exists" if isinstance(g, Exists) else "forall"
-            s = f"{kw} {g.var}. {rec(g.sub, _QUANT)}"
-            return f"({s})" if level > _QUANT else s
-        if isinstance(g, Implies):
-            s = f"{rec(g.left, _OR)} -> {rec(g.right, _IMPL)}"
-            return f"({s})" if level > _IMPL else s
-        if isinstance(g, Or):
-            s = f"{rec(g.left, _OR)} | {rec(g.right, _AND)}"
-            return f"({s})" if level > _OR else s
-        if isinstance(g, And):
-            s = f"{rec(g.left, _AND)} & {rec(g.right, _UNARY)}"
-            return f"({s})" if level > _AND else s
-        raise FormulaError(f"not a formula: {g!r}")
+            s, own = f"{kw} {g.var}. {rec(g.sub, _QUANT)}", _QUANT
+        else:
+            infix, own, left, right = _INFIX[type(g)]
+            s = rec(g.left, left) + infix + rec(g.right, right)
+        return f"({s})" if level > own else s
 
     return rec(f, _QUANT)
 
@@ -617,24 +597,6 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-def _eval_qf(f: Formula, g, asg: dict[Var, int]) -> bool:
-    if isinstance(f, Edge):
-        return g.has_edge(asg[f.x], asg[f.y])
-    if isinstance(f, Eq):
-        return asg[f.x] == asg[f.y]
-    if isinstance(f, Label):
-        return asg[f.x] in g.labels.get(f.name, frozenset())
-    if isinstance(f, Not):
-        return not _eval_qf(f.sub, g, asg)
-    if isinstance(f, And):
-        return _eval_qf(f.left, g, asg) and _eval_qf(f.right, g, asg)
-    if isinstance(f, Or):
-        return _eval_qf(f.left, g, asg) or _eval_qf(f.right, g, asg)
-    if isinstance(f, Implies):
-        return (not _eval_qf(f.left, g, asg)) or _eval_qf(f.right, g, asg)
-    raise FormulaError(f"not quantifier-free: {f!r}")
-
-
 def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
     """All pattern graphs equivalent to an EFO sentence.
 
@@ -643,15 +605,12 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
     satisfies the matrix.  ``G |= phi`` iff some returned pattern embeds in
     ``G`` as an induced (label-respecting) subgraph.
     """
+    from .checker import eval_structure
+    from .generators import size_cap
     from .geometry import LabeledGraph
 
     if max_vars is None:
-        import os
-
-        try:
-            max_vars = int(os.environ.get("GEOMFO_SIZE_CAP", 6))
-        except ValueError:
-            max_vars = 6
+        max_vars = size_cap(6)
     vs: list[Var] = []
     body = phi
     while isinstance(body, Exists):
@@ -669,10 +628,7 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
     out = []
     for part in _set_partitions(list(range(len(vs)))):
         m = len(part)
-        cls = {}
-        for ci, block in enumerate(part):
-            for idx in block:
-                cls[vs[idx]] = ci
+        cls = {vs[idx]: ci for ci, block in enumerate(part) for idx in block}
         pairs = list(itertools.combinations(range(m), 2))
         for edge_bits in itertools.product((False, True), repeat=len(pairs)):
             edges = {p for p, b in zip(pairs, edge_bits) if b}
@@ -684,7 +640,7 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
                     for name, bits in zip(labels, label_bits)
                 }
                 cand = LabeledGraph(m, edges, lab)
-                if _eval_qf(body, cand, cls):
+                if eval_structure(cand, body, cls):
                     key = (m, frozenset(edges), tuple(sorted((k, v) for k, v in lab.items())))
                     if key not in seen:
                         seen.add(key)

@@ -256,17 +256,13 @@ def graph_interpretation(g: LabeledGraph, nu: Formula, psi: Formula,
                          psi_vars: tuple[Var, Var] = (Var("x"), Var("y")),
                          ) -> tuple[list[int], LabeledGraph]:
     """Evaluate an in-graph interpretation: vertex set of nu, edges of psi."""
-    from .checker import eval_structure
+    from .checker import truth_table
 
-    vs = [v for v in range(g.n) if eval_structure(g, nu, {nu_var: v})]
-    idx = {v: i for i, v in enumerate(vs)}
-    px, py = psi_vars
-    edges = set()
-    for a in vs:
-        for b in vs:
-            if a < b and (eval_structure(g, psi, {px: a, py: b})
-                          or eval_structure(g, psi, {px: b, py: a})):
-                edges.add((idx[a], idx[b]))
+    inside = truth_table(g, nu, (nu_var,)).tolist()
+    vs = [v for v in range(g.n) if inside[v]]
+    rel = truth_table(g, psi, psi_vars).tolist()
+    edges = {(i, j) for j, b in enumerate(vs) for i, a in enumerate(vs[:j])
+             if rel[a][b] or rel[b][a]}
     return vs, LabeledGraph(len(vs), edges)
 
 
@@ -302,31 +298,13 @@ def substitute_labels_and_equality(f: Formula, label_defs: dict[str, tuple[Formu
         fresh = FreshVars(used)
 
     def rec(g: Formula) -> Formula:
-        if isinstance(g, Label):
-            if g.name in label_defs:
-                df, dv = label_defs[g.name]
-                return instantiate(df, {dv: g.x}, fresh)
-            return g
+        if isinstance(g, Label) and g.name in label_defs:
+            df, dv = label_defs[g.name]
+            return instantiate(df, {dv: g.x}, fresh)
         if isinstance(g, Eq) and twin_eq is not None:
             tf, tx, ty = twin_eq
             return Or(g, instantiate(tf, {tx: g.x, ty: g.y}, fresh))
-        if isinstance(g, (Edge, Eq)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.sub))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, rec(g.sub))
-        if isinstance(g, Forall):
-            return Forall(g.var, rec(g.sub))
-        if isinstance(g, Leq):
-            return g
-        raise GeometryError(f"not a formula: {g!r}")
+        return g.rebuild([rec(k) for k in g.children()])
 
     return rec(f)
 

@@ -13,7 +13,7 @@ segments (shared endpoints are not an edge).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -43,6 +43,12 @@ def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _exact(obj) -> None:
+    """Store every field of a frozen coordinate object as a Fraction."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, rat(getattr(obj, f.name)))
+
+
 # ---------------------------------------------------------------------------
 # object types
 
@@ -52,6 +58,7 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
+        _exact(self)
         if not self.lo < self.hi:
             raise GeometryError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -73,6 +80,7 @@ class Arc:
     end: Fraction
 
     def __post_init__(self):
+        _exact(self)
         for p in (self.start, self.end):
             if not 0 <= p < 1:
                 raise GeometryError(f"arc endpoint {p} outside [0,1)")
@@ -98,6 +106,7 @@ class Chord:
     b: Fraction
 
     def __post_init__(self):
+        _exact(self)
         for p in (self.a, self.b):
             if not 0 <= p < 1:
                 raise GeometryError(f"chord endpoint {p} outside [0,1)")
@@ -109,6 +118,8 @@ class Chord:
 class PermSegment:
     top: Fraction
     bottom: Fraction
+
+    __post_init__ = _exact
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,8 @@ class Disk:
 
     cx: Fraction
     cy: Fraction
+
+    __post_init__ = _exact
 
 
 @dataclass(frozen=True)
@@ -587,7 +600,8 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = self.vertices
+        pts = tuple((rat(x), rat(y)) for x, y in self.vertices)
+        object.__setattr__(self, "vertices", pts)
         if len(pts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         if len(set(pts)) != len(pts):

@@ -10,6 +10,7 @@ uv is an edge iff the poset models psi(u,v) | psi(v,u).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,25 +37,19 @@ class InterpretationInstance:
 
     def interpreted_graph(self) -> LabeledGraph:
         """I(P) restricted to the mapped vertices, for roundtrip checks."""
-        from .checker import eval_structure
+        from .checker import truth_table
 
-        n = len(self.vertex_map)
-        px, py = self.interp.psi_vars
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                u, v = self.vertex_map[i], self.vertex_map[j]
-                if (eval_structure(self.poset, self.interp.psi, {px: u, py: v})
-                        or eval_structure(self.poset, self.interp.psi, {px: v, py: u})):
-                    edges.add((i, j))
-        return LabeledGraph(n, edges)
+        rel = truth_table(self.poset, self.interp.psi, self.interp.psi_vars).tolist()
+        vm = self.vertex_map
+        return LabeledGraph(len(vm), {
+            (i, j) for i in range(len(vm)) for j in range(i + 1, len(vm))
+            if rel[vm[i]][vm[j]] or rel[vm[j]][vm[i]]})
 
     def nu_set(self) -> set[int]:
-        from .checker import eval_structure
+        from .checker import truth_table
 
-        nv = self.interp.nu_var
-        return {e for e in range(self.poset.n)
-                if eval_structure(self.poset, self.interp.nu, {nv: e})}
+        inside = truth_table(self.poset, self.interp.nu, (self.interp.nu_var,))
+        return {e for e, b in enumerate(inside.tolist()) if b}
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +147,28 @@ def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # permutation graphs
 
-def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
-    """Maximum independent set = longest chain of pairwise non-crossing segments."""
+def _longest_chain(segments: Sequence[PermSegment], follows) -> int:
+    """Longest chain in top order whose bottoms compare by ``follows``, by O(n^2) DP."""
     order = sorted(range(len(segments)), key=lambda i: segments[i].top)
     best = [0] * len(segments)
     out = 0
     for pos, i in enumerate(order):
         best[i] = 1
         for j in order[:pos]:
-            if segments[j].bottom < segments[i].bottom:
+            if follows(segments[j].bottom, segments[i].bottom):
                 best[i] = max(best[i], best[j] + 1)
         out = max(out, best[i])
     return out
+
+
+def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
+    """Maximum independent set = longest chain of pairwise non-crossing segments."""
+    return _longest_chain(segments, operator.lt)
 
 
 def longest_crossing(segments: Sequence[PermSegment]) -> int:
     """Maximum clique = longest chain of pairwise crossing segments."""
-    order = sorted(range(len(segments)), key=lambda i: segments[i].top)
-    best = [0] * len(segments)
-    out = 0
-    for pos, i in enumerate(order):
-        best[i] = 1
-        for j in order[:pos]:
-            if segments[j].bottom > segments[i].bottom:
-                best[i] = max(best[i], best[j] + 1)
-        out = max(out, best[i])
-    return out
+    return _longest_chain(segments, operator.gt)
 
 
 def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo import formula as F
-from geomfo.checker import EvalError, eval_slow, eval_structure, model_check
+from geomfo.checker import EvalError, eval_slow, eval_structure, model_check, truth_table
 from geomfo.formula import GRAPH, Var, parse_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.poset import LabeledPoset
@@ -91,6 +91,46 @@ def test_tensor_matches_slow_evaluator():
                          {"red": {v for v in range(n) if rng.random() < 0.4}})
         phi = rand_sentence(rng, rng.randint(1, 4), labels=("red",))
         assert eval_structure(g, phi) == eval_slow(g, phi)
+
+
+def _drop_quantifiers(f, rng):
+    """Open up a sentence by removing each quantifier with probability 0.8."""
+    kids = [_drop_quantifiers(k, rng) for k in f.children()]
+    if isinstance(f, (F.Exists, F.Forall)) and rng.random() < 0.8:
+        return kids[0]
+    return f.rebuild(kids)
+
+
+def test_truth_table_matches_slow_evaluator():
+    rng = random.Random(12)
+    names = [Var(v) for v in ("x", "y", "z", "w")]
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        g = LabeledGraph(n, {(a, b) for a in range(n) for b in range(a + 1, n)
+                             if rng.random() < 0.4},
+                         {"red": {v for v in range(n) if rng.random() < 0.4}})
+        phi = _drop_quantifiers(rand_sentence(rng, rng.randint(2, 5), labels=("red",)), rng)
+        free = F.free_vars(phi)
+        # every free variable plus one that is not free, in a random order
+        axes = [v for v in names if v in free] + [v for v in names if v not in free][:1]
+        rng.shuffle(axes)
+        table = truth_table(g, phi, axes)
+        assert table.shape == (n,) * len(axes)
+        for point in itertools.product(range(n), repeat=len(axes)):
+            asg = dict(zip(axes, point))
+            assert bool(table[point]) == eval_slow(g, phi, asg)
+            assert eval_structure(g, phi, asg) == bool(table[point])
+
+
+def test_truth_table_errors():
+    g = LabeledGraph(2, {(0, 1)})
+    x, y = Var("x"), Var("y")
+    with pytest.raises(EvalError):
+        truth_table(g, F.Edge(x, y), [x])          # y unbound
+    with pytest.raises(EvalError):
+        truth_table(g, F.Edge(x, y), [x, y, x])    # repeated axis
+    table = truth_table(g, F.Edge(x, y), [y, x])
+    assert not table.flags.writeable
 
 
 def test_model_check_interval_example():

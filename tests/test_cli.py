@@ -166,3 +166,27 @@ def test_cli_verify_corpus(tmp_path, capsys):
     assert main(["verify", "--dir", str(cases)]) == 0
     out = capsys.readouterr().out
     assert "7/7 cases pass" in out
+
+
+def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):
+    rep = _write_interval_rep(tmp_path)
+    for text, message in (("edge(x,y)", "model checking needs a sentence"),
+                          ("exists x. red(x)", "undeclared label 'red'")):
+        assert main(["check", "--class", "interval", "--in", rep,
+                     "--formula", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
+def test_cli_verify_reports_evaluation_error_and_goes_on(tmp_path, capsys):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    for name in ("a", "b", "c"):
+        (cases / f"{name}.rep").write_text("class interval\ninterval 1 3\ninterval 2 4\n")
+    (cases / "a.formulas").write_text("edge(x,y)\n")
+    (cases / "b.formulas").write_text("exists x. red(x)\n")
+    assert main(["verify", "--dir", str(cases)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert "ERROR model checking needs a sentence" in rows[0]
+    assert "ERROR undeclared label 'red'" in rows[1]
+    assert "PASS" in rows[2] and rows[3] == "1/3 cases pass"

@@ -96,6 +96,31 @@ def test_print_parse_roundtrip_poset(phi):
     assert parse_formula(print_formula(phi), POSET) == phi
 
 
+def _preorder(f):
+    out = [f]
+    for kid in f.children():
+        out += _preorder(kid)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_formulas(GRAPH), _formulas(POSET)))
+def test_children_rebuild_and_walk(phi):
+    assert phi.rebuild(phi.children()) == phi
+    assert list(map(id, F.walk(phi))) == list(map(id, _preorder(phi)))
+
+
+def test_deep_chain_needs_no_recursion():
+    depth = 5000
+    phi = Edge(Var("x"), Var("y"))
+    for _ in range(depth):
+        phi = Not(phi)
+    assert sum(1 for _ in F.walk(phi)) == depth + 1
+    assert F.label_names(phi) == frozenset()
+    assert F.all_var_names(phi) == {"x", "y"}
+    assert F.formula_signature(phi) == GRAPH
+
+
 def _simple_interp():
     nu = parse_formula("!D(x)", POSET)
     psi = parse_formula("x<=y", POSET)

@@ -271,3 +271,24 @@ def test_scale_invariance_of_predicates():
         moved = Polygon(tuple((x * scale + 11, y * scale + Fr(5, 7))
                               for x, y in poly.vertices))
         assert visibility_graph(poly).edges == visibility_graph(moved).edges
+
+
+def test_integer_coordinates_stay_exact():
+    # int division in the edge-meeting test used to produce a float here
+    big = 10**20 + 1
+    poly = Polygon(((0, 0), (0, big), (big + 1, 0)))
+    twin = Polygon(((Fr(0), Fr(0)), (Fr(0), Fr(big)), (Fr(big + 1), Fr(0))))
+    assert poly == twin
+    assert all(type(c) is Fr for pt in poly.vertices for c in pt)
+    objs = (Interval(0, 1), Chord(0, Fr(1, 2)), PermSegment(1, 2), Disk(3, 4),
+            Box(Interval(0, 1), Interval(2, 3)))
+    assert all(type(v) is Fr for o in objs[:4] for v in vars(o).values())
+    assert type(objs[4].y.hi) is Fr
+
+
+def test_perturb_integer_endpoints_stay_exact():
+    rep = Representation("interval", (Interval(0, 2), Interval(2, 4)))
+    out = perturb_endpoints(rep)
+    ends = [e for it in out.objects for e in (it.lo, it.hi)]
+    assert len(set(ends)) == 4 and all(type(e) is Fr for e in ends)
+    assert build_intersection_graph("interval", out).edges == frozenset({(0, 1)})
