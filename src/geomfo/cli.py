@@ -246,6 +246,12 @@ def main(argv=None) -> int:
             F.FormulaError, EvalError, AgreementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

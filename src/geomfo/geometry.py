@@ -1,9 +1,11 @@
 """Exact-rational geometric representations and their graphs.
 
-Everything is computed over ``fractions.Fraction``; there is no floating
-point anywhere, so predicates are exact and scale-invariant.  Angular
-positions live in [0,1) turns measured clockwise from angle 0 (a half turn
-is exactly 1/2).
+The API takes and returns ``fractions.Fraction`` coordinates; there is no
+floating point anywhere.  The predicates themselves run on Python ints: a
+polygon or a representation is rescaled once by the lcm of its coordinates'
+denominators, and every test after that is integer arithmetic, so predicates
+are exact and scale-invariant.  Angular positions live in [0,1) turns
+measured clockwise from angle 0 (a half turn is exactly 1/2).
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
 and disks (tangency is an edge); strict crossing for chords and permutation
@@ -12,7 +14,7 @@ segments (shared endpoints are not an edge).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -305,49 +307,37 @@ def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 # ---------------------------------------------------------------------------
 # intersection graphs
 
-def _chords_cross(c1: Chord, c2: Chord) -> bool:
-    pts = {c1.a, c1.b, c2.a, c2.b}
-    if len(pts) < 4:
-        return False
-    lo, hi = min(c1.a, c1.b), max(c1.a, c1.b)
-    inside_a = lo < c2.a < hi
-    inside_b = lo < c2.b < hi
-    return inside_a != inside_b
+def _to_ints(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
+    """Rows of rationals scaled by the lcm of all their denominators."""
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows]
 
 
-def _segments_cross(s1: PermSegment, s2: PermSegment) -> bool:
-    return (s1.top - s2.top) * (s1.bottom - s2.bottom) < 0
+def _arc_has(arc: tuple[int, int], t: int) -> bool:
+    start, end = arc
+    return start <= t <= end if start < end else t >= start or t <= end
 
 
-def _arcs_intersect(a1: Arc, a2: Arc) -> bool:
-    return (a1.contains_point(a2.start) or a1.contains_point(a2.end)
-            or a2.contains_point(a1.start))
+def _segments_cross(s: tuple, t: tuple) -> bool:
+    return (s[0] - t[0]) * (s[1] - t[1]) < 0
 
 
-def _disks_intersect(d1: Disk, d2: Disk) -> bool:
-    return (d1.cx - d2.cx) ** 2 + (d1.cy - d2.cy) ** 2 <= 1
-
-
-def _boxes_intersect(b1: Box, b2: Box) -> bool:
-    return b1.x.overlaps(b2.x) and b1.y.overlaps(b2.y)
-
-
-_PAIR_PREDICATES = {
-    "interval": Interval.overlaps,
-    "circular_arc": _arcs_intersect,
-    "circle": _chords_cross,
-    "permutation": _segments_cross,
-    "box": _boxes_intersect,
-    "unit_disk": _disks_intersect,
-}
-
-_OBJECT_TYPES = {
-    "interval": Interval,
-    "circular_arc": Arc,
-    "circle": Chord,
-    "permutation": PermSegment,
-    "box": Box,
-    "unit_disk": Disk,
+# class -> (object type, the object's coordinates, intersection test on two
+# coordinate tuples after they are scaled to ints).  Two arcs meet iff one
+# holds the other's start.  A disk carries the unit length as a third
+# coordinate, so the diameter scales with its centre.
+_INTERSECTION_TESTS = {
+    "interval": (Interval, lambda o: (o.lo, o.hi),
+                 lambda p, q: p[0] <= q[1] and q[0] <= p[1]),
+    "circular_arc": (Arc, lambda o: (o.start, o.end),
+                     lambda p, q: _arc_has(p, q[0]) or _arc_has(q, p[0])),
+    "circle": (Chord, lambda o: (min(o.a, o.b), max(o.a, o.b)),
+               lambda p, q: p[0] < q[0] < p[1] < q[1] or q[0] < p[0] < q[1] < p[1]),
+    "permutation": (PermSegment, lambda o: (o.top, o.bottom), _segments_cross),
+    "box": (Box, lambda o: (o.x.lo, o.x.hi, o.y.lo, o.y.hi),
+            lambda p, q: p[0] <= q[1] and q[0] <= p[1] and p[2] <= q[3] and q[2] <= p[3]),
+    "unit_disk": (Disk, lambda o: (o.cx, o.cy, Fraction(1)),
+                  lambda p, q: (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= p[2] * q[2]),
 }
 
 
@@ -357,14 +347,13 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
         raise GeometryError(f"not an intersection class: {cls!r}")
     if rep.cls != cls:
         raise GeometryError(f"representation is of class {rep.cls!r}, not {cls!r}")
-    want = _OBJECT_TYPES[cls]
+    want, coords, meets = _INTERSECTION_TESTS[cls]
     for obj in rep.objects:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
-    pred = _PAIR_PREDICATES[cls]
-    objs = rep.objects
-    n = len(objs)
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if pred(objs[i], objs[j])}
+    pts = _to_ints([coords(obj) for obj in rep.objects])
+    n = len(pts)
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if meets(pts[i], pts[j])}
     return LabeledGraph(n, edges)
 
 
@@ -378,8 +367,13 @@ def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[Pe
     n = len(segs)
     if n == 0:
         return segs
-    before = {(i, j) for i in range(n) for j in range(i + 1, n)
-              if _segments_cross(segs[i], segs[j])}
+
+    def crossings(ss):
+        ends = [(s.top, s.bottom) for s in ss]
+        return {(i, j) for i in range(n) for j in range(i + 1, n)
+                if _segments_cross(ends[i], ends[j])}
+
+    before = crossings(segs)
 
     def spread(values, others):
         gaps = sorted(set(values))
@@ -398,9 +392,7 @@ def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[Pe
     tops = spread([s.top for s in segs], [s.bottom for s in segs])
     bots = spread([s.bottom for s in segs], tops)
     segs = [PermSegment(t, b) for t, b in zip(tops, bots)]
-    after = {(i, j) for i in range(n) for j in range(i + 1, n)
-             if _segments_cross(segs[i], segs[j])}
-    if after != before:
+    if crossings(segs) != before:
         raise GeometryError("coordinate separation changed the crossing graph")
     return segs
 
@@ -594,45 +586,39 @@ class Polygon:
     """Simple polygon, vertices clockwise; first vertex is u, last is v.
 
     The closing edge v->u is the distinguished edge (the weak-visibility
-    edge for the theorems that need one).
+    edge for the theorems that need one).  ``_grid`` holds the vertices
+    scaled once to a common denominator; the predicates run on it.
     """
 
     vertices: tuple[Point, ...]
+    _grid: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((rat(x), rat(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", pts)
+        grid = tuple(_to_ints(pts))
+        object.__setattr__(self, "_grid", grid)
         if len(pts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         if len(set(pts)) != len(pts):
             raise GeometryError("repeated polygon vertex")
         n = len(pts)
         for i in range(n):
-            if orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == 0:
+            if orient(grid[i - 1], grid[i], grid[(i + 1) % n]) == 0:
                 raise GeometryError(f"three consecutive collinear vertices at index {i}")
-        area2 = sum(pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1]
+        area2 = sum(grid[i][0] * grid[(i + 1) % n][1] - grid[(i + 1) % n][0] * grid[i][1]
                     for i in range(n))
         if area2 >= 0:
             raise GeometryError("polygon vertices must be listed clockwise")
+        # Adjacent edges share one vertex and, as no three consecutive
+        # vertices are collinear, meet nowhere else; only the rest can touch.
         for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            for j in range(i + 1, n):
-                c, d = pts[j], pts[(j + 1) % n]
-                adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-                if adjacent:
-                    shared = {a, b} & {c, d}
-                    meet = _segment_meet_params(a, b, c, d)
-                    if len(meet) > 1 or _properly_cross(a, b, c, d):
-                        raise GeometryError("adjacent edges overlap")
-                    # the single meeting point must be the shared vertex
-                    if meet:
-                        t = meet[0]
-                        pt = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-                        if pt not in shared:
-                            raise GeometryError("adjacent edges touch off the shared vertex")
-                else:
-                    if _segment_meet_params(a, b, c, d):
-                        raise GeometryError("non-adjacent edges intersect; polygon not simple")
+            a, b = grid[i], grid[(i + 1) % n]
+            for j in range(i + 2, n - 1 if i == 0 else n):
+                c, d = grid[j], grid[(j + 1) % n]
+                if (_properly_cross(a, b, c, d) or _on_segment(c, a, b) or _on_segment(d, a, b)
+                        or _on_segment(a, c, d) or _on_segment(b, c, d)):
+                    raise GeometryError("non-adjacent edges intersect; polygon not simple")
 
     @property
     def n(self) -> int:
@@ -685,11 +671,46 @@ def segment_inside_polygon(a: Point, b: Point, poly: Polygon) -> bool:
     return True
 
 
+def _in_cone(grid: Sequence[tuple[int, int]], k: int, t: tuple[int, int]) -> bool:
+    """The direction from vertex k toward t lies in k's closed interior cone.
+
+    The polygon is clockwise, so the interior is right of both edges at a
+    convex vertex and right of either edge at a reflex one.
+    """
+    a, o, b = grid[k - 1], grid[k], grid[(k + 1) % len(grid)]
+    right_of_in = orient(a, o, t) <= 0
+    right_of_out = orient(o, b, t) <= 0
+    if orient(a, o, b) < 0:
+        return right_of_in and right_of_out
+    return right_of_in or right_of_out
+
+
 def sees(poly: Polygon, i: int, j: int) -> bool:
-    """Vertices i and j are mutually visible."""
+    """Vertices i and j are mutually visible.
+
+    The closed segment between them lies in the closed polygon, so grazing a
+    vertex or running along an edge counts.  One pass over the boundary: no
+    edge may properly cross the segment, and every vertex on the closed
+    segment must have the directions toward both segment ends in its closed
+    interior cone.
+    """
     if i == j:
         return False
-    return segment_inside_polygon(poly.vertices[i], poly.vertices[j], poly)
+    grid = poly._grid
+    p, q = grid[i], grid[j]
+    px, py = p
+    dx, dy = q[0] - px, q[1] - py
+    side = [dx * (y - py) - dy * (x - px) for x, y in grid]
+    xlo, xhi, ylo, yhi = min(px, q[0]), max(px, q[0]), min(py, q[1]), max(py, q[1])
+    for k, o in enumerate(grid):
+        s, t = side[k - 1], side[k]
+        if (s < 0 < t or t < 0 < s) and (
+                orient(grid[k - 1], o, p) * orient(grid[k - 1], o, q) < 0):
+            return False
+        if t == 0 and xlo <= o[0] <= xhi and ylo <= o[1] <= yhi:
+            if (k != j and not _in_cone(grid, k, q)) or (k != i and not _in_cone(grid, k, p)):
+                return False
+    return True
 
 
 def visibility_graph(w: Polygon) -> LabeledGraph:
@@ -706,10 +727,10 @@ def visibility_graph(w: Polygon) -> LabeledGraph:
 
 
 def reflex_vertices(w: Polygon) -> list[int]:
-    pts = w.vertices
-    n = len(pts)
+    grid = w._grid
+    n = len(grid)
     return [i for i in range(n)
-            if orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0]
+            if orient(grid[i - 1], grid[i], grid[(i + 1) % n]) > 0]
 
 
 @dataclass
@@ -740,12 +761,10 @@ class PolygonReport:
         poly = self.polygon
         u = poly.vertices[0]
         v = poly.vertices[-1]
-        for i in range(poly.n):
+        for i in range(1, poly.n - 1):
+            if sees(poly, i, 0) or sees(poly, i, poly.n - 1):
+                continue
             p = poly.vertices[i]
-            if i in (0, poly.n - 1):
-                continue
-            if segment_inside_polygon(p, u, poly) or segment_inside_polygon(p, v, poly):
-                continue
             dx, dy = v[0] - u[0], v[1] - u[1]
             t = ((p[0] - u[0]) * dx + (p[1] - u[1]) * dy) / (dx * dx + dy * dy)
             if 0 <= t <= 1:
@@ -798,7 +817,6 @@ def cliquewidth_certificate_check(g: LabeledGraph, parts: Sequence[Sequence[int]
 
     ``parts`` are ordered vertex lists V_1..V_r (the list order is the
     certificate ordering); ``index_set`` is the 1-based set I with |I| = 2k.
-    The transversal condition is enumerated exhaustively (m^(4k) pairs).
     """
     r = len(parts)
     sizes = {len(p) for p in parts}
@@ -821,14 +839,21 @@ def cliquewidth_certificate_check(g: LabeledGraph, parts: Sequence[Sequence[int]
                 or gradually_connected_check(g, parts[i + 1], parts[i])):
             return False
 
-    adj = g.adjacency_rows()
-    x_parts = [list(parts[i - 1]) for i in idx]
-    y_parts = [list(parts[i]) for i in idx]
-    positions = list(range(2 * k))
-    pair_list = [(a, b) for a in positions for b in positions if a < b]
-    for xs in itertools.product(*x_parts):
-        for ys in itertools.product(*y_parts):
-            for a, b in pair_list:
-                if not adj[xs[b]][ys[a]] or adj[xs[a]][ys[b]]:
-                    return False
+    return _transversal_ok(g.adjacency_rows(), [parts[i - 1] for i in idx],
+                           [parts[i] for i in idx])
+
+
+def _transversal_ok(adj: Sequence[Sequence[int]], x_parts: Sequence[Sequence[int]],
+                    y_parts: Sequence[Sequence[int]]) -> bool:
+    """Every choice x_a in X_a, y_a in Y_a has x_b y_a an edge and x_a y_b a
+    non-edge for all a < b.
+
+    Each conjunct reads one x and one y, so over non-empty parts the
+    quantifier over all choices splits into one check per pair of parts.
+    """
+    for b, (xb, yb) in enumerate(zip(x_parts, y_parts)):
+        for xa, ya in zip(x_parts[:b], y_parts[:b]):
+            if (not all(adj[x][y] for x in xb for y in ya)
+                    or any(adj[x][y] for x in xa for y in yb)):
+                return False
     return True

@@ -5,6 +5,7 @@ The oracles here deliberately use different algorithms from the package
 so agreement is evidence rather than tautology.
 """
 
+import functools
 import itertools
 from fractions import Fraction as Fr
 
@@ -196,13 +197,21 @@ def _cross_params(p, q, a, b):
     return []
 
 
-def _winding_inside(pt, poly: Polygon) -> bool:
-    from geomfo.geometry import _on_segment
+def _on_closed_segment(pt, a, b) -> bool:
+    """pt = a + t(b - a) for some t in [0,1], by the dot products."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    wx, wy = pt[0] - a[0], pt[1] - a[1]
+    if ux * wy != uy * wx:
+        return False
+    dot = ux * wx + uy * wy
+    return 0 <= dot <= ux * ux + uy * uy
 
+
+def _winding_inside(pt, poly: Polygon) -> bool:
     n = poly.n
     for i in range(n):
         a, b = poly.edge_points(i)
-        if _on_segment(pt, a, b):
+        if _on_closed_segment(pt, a, b):
             return True
     wind = 0
     for i in range(n):
@@ -231,6 +240,65 @@ def oracle_sees(poly: Polygon, i: int, j: int) -> bool:
         mid = (p[0] + tm * (q[0] - p[0]), p[1] + tm * (q[1] - p[1]))
         if not _winding_inside(mid, poly):
             return False
+    return True
+
+
+def rand_grid_star(rng, lo=-4, hi=4):
+    """Vertices on the integer grid, clockwise by angle around the origin.
+
+    The grid makes sightlines that graze vertices and run along edges; the
+    result may be rejected by ``Polygon`` (repeated or collinear vertices).
+    """
+    def ccw_order(p, q):
+        upper_p = p[1] > 0 or (p[1] == 0 and p[0] > 0)
+        upper_q = q[1] > 0 or (q[1] == 0 and q[0] > 0)
+        if upper_p != upper_q:
+            return -1 if upper_p else 1
+        cross = p[0] * q[1] - p[1] * q[0]
+        return -1 if cross > 0 else 1 if cross < 0 else 0
+
+    grid = [(x, y) for x in range(lo, hi + 1) for y in range(lo, hi + 1) if (x, y) != (0, 0)]
+    pts = sorted(rng.sample(grid, rng.randint(3, 10)), key=functools.cmp_to_key(ccw_order),
+                 reverse=True)
+    return tuple((Fr(x), Fr(y)) for x, y in pts)
+
+
+# reference predicates: per object pair, on Fractions
+
+def ref_intersects(cls: str, o1, o2) -> bool:
+    if cls == "interval":
+        return o1.overlaps(o2)
+    if cls == "circular_arc":
+        return o1.contains_point(o2.start) or o1.contains_point(o2.end) or \
+            o2.contains_point(o1.start)
+    if cls == "circle":
+        if len({o1.a, o1.b, o2.a, o2.b}) < 4:
+            return False
+        lo, hi = min(o1.a, o1.b), max(o1.a, o1.b)
+        return (lo < o2.a < hi) != (lo < o2.b < hi)
+    if cls == "permutation":
+        return (o1.top - o2.top) * (o1.bottom - o2.bottom) < 0
+    if cls == "box":
+        return o1.x.overlaps(o2.x) and o1.y.overlaps(o2.y)
+    if cls == "unit_disk":
+        return (o1.cx - o2.cx) ** 2 + (o1.cy - o2.cy) ** 2 <= 1
+    raise ValueError(cls)
+
+
+def ref_intersection_edges(rep: Representation) -> frozenset:
+    objs = rep.objects
+    return frozenset((i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))
+                     if ref_intersects(rep.cls, objs[i], objs[j]))
+
+
+def exhaustive_transversal(adj, x_parts, y_parts) -> bool:
+    """The certificate's transversal condition over all m^(4k) choices."""
+    pairs = [(a, b) for b in range(len(x_parts)) for a in range(b)]
+    for xs in itertools.product(*x_parts):
+        for ys in itertools.product(*y_parts):
+            for a, b in pairs:
+                if not adj[xs[b]][ys[a]] or adj[xs[a]][ys[b]]:
+                    return False
     return True
 
 

@@ -178,6 +178,14 @@ def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:") and message in err
 
 
+def test_cli_check_deep_formula_exits_2(tmp_path, capsys):
+    rep = _write_interval_rep(tmp_path)
+    for text in ("!" * 3000 + "exists x. x=x", "exists x. " + "!" * 5000 + "edge(x,x)"):
+        assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_cli_verify_reports_evaluation_error_and_goes_on(tmp_path, capsys):
     cases = tmp_path / "cases"
     cases.mkdir()

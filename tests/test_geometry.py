@@ -3,16 +3,19 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from geomfo.geometry import (Box, Chord, Disk, GeometryError, Interval,
+from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
-                             build_intersection_graph, cliquewidth_certificate_check,
+                             _transversal_ok, build_intersection_graph,
+                             cliquewidth_certificate_check,
                              gradually_connected_check, permutation_to_chords,
                              perturb_endpoints, point_in_closed_polygon, polygon_report,
                              proper_partition, sees, separate_permutation_coordinates,
                              visibility_graph)
 
-from helpers import (longest_nesting_chain, oracle_sees, rand_arcs, rand_chords,
-                     rand_fan, rand_intervals, rand_segments)
+from helpers import (exhaustive_transversal, longest_nesting_chain, oracle_sees,
+                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
+                     rand_grid_star, rand_intervals, rand_segments,
+                     ref_intersection_edges)
 
 
 def iv(a, b):
@@ -136,6 +139,10 @@ def test_polygon_validation():
         Polygon(((Fr(0), Fr(0)), (Fr(4), Fr(0)), (Fr(2), Fr(2))))
     with pytest.raises(GeometryError):  # self-crossing bowtie
         Polygon(((Fr(0), Fr(0)), (Fr(2), Fr(2)), (Fr(2), Fr(0)), (Fr(0), Fr(2))))
+    with pytest.raises(GeometryError, match="non-adjacent"):  # vertex on an edge
+        Polygon(((0, 0), (0, 4), (4, 4), (4, 0), (2, 4)))
+    with pytest.raises(GeometryError, match="non-adjacent"):  # collinear overlap
+        Polygon(((0, 0), (0, 3), (4, 3), (4, 0), (1, 0), (1, 1), (3, 1), (3, 0)))
 
 
 def test_convex_polygons_are_complete():
@@ -168,6 +175,28 @@ def test_visibility_against_independent_oracle():
             for j in range(i + 1, poly.n):
                 consecutive = j == i + 1 or (i == 0 and j == poly.n - 1)
                 assert g.has_edge(i, j) == (consecutive or oracle_sees(poly, i, j))
+
+
+def test_visibility_grazing_against_independent_oracle():
+    rng = random.Random(23)
+    polygons = grazing = 0
+    while polygons < 150:
+        try:
+            poly = Polygon(rand_grid_star(rng))
+        except GeometryError:
+            continue
+        polygons += 1
+        g = visibility_graph(poly)
+        pts = poly.vertices
+        for i in range(poly.n):
+            for j in range(i + 1, poly.n):
+                assert g.has_edge(i, j) == oracle_sees(poly, i, j), (pts, i, j)
+                (px, py), (qx, qy) = pts[i], pts[j]
+                grazing += any(
+                    (qx - px) * (y - py) == (qy - py) * (x - px)
+                    and min(px, qx) <= x <= max(px, qx) and min(py, qy) <= y <= max(py, qy)
+                    for k, (x, y) in enumerate(pts) if k not in (i, j))
+    assert grazing > 100
 
 
 def test_polygon_report_convex():
@@ -229,6 +258,66 @@ def test_certificate_size_precondition():
     # m = 1 <= 6kr: certificate must be rejected with False, not an error
     g = LabeledGraph(4, {(0, 1), (1, 2), (2, 3)})
     assert cliquewidth_certificate_check(g, [[0], [1], [2], [3]], [1, 3], 1) is False
+
+
+def test_transversal_condition_against_exhaustive():
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(400):
+        k, m = rng.choice((1, 2)), rng.randint(1, 3)
+        r = 2 * k + 1
+        parts = [list(range(t * m, (t + 1) * m)) for t in range(r)]
+        idx = sorted(rng.sample(range(1, r), 2 * k))
+        x_parts = [parts[i - 1] for i in idx]
+        y_parts = [parts[i] for i in idx]
+        # plant the condition, then break a few entries at random
+        adj = [[rng.random() < 0.5 for _ in range(r * m)] for _ in range(r * m)]
+        for b in range(2 * k):
+            for a in range(b):
+                for x in x_parts[b]:
+                    for y in y_parts[a]:
+                        adj[x][y] = True
+                for x in x_parts[a]:
+                    for y in y_parts[b]:
+                        adj[x][y] = False
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            x, y = rng.randrange(r * m), rng.randrange(r * m)
+            adj[x][y] = not adj[x][y]
+        want = exhaustive_transversal(adj, x_parts, y_parts)
+        assert _transversal_ok(adj, x_parts, y_parts) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_intersection_graphs_against_reference():
+    rng = random.Random(31)
+    makers = {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
+              "permutation": rand_segments, "box": rand_boxes, "unit_disk": rand_disks}
+    for cls, mk in makers.items():
+        for _ in range(40):
+            rep = mk(rng, rng.randint(1, 12))
+            assert build_intersection_graph(cls, rep).edges == ref_intersection_edges(rep)
+    # mixed denominators, wrapping arcs, shared endpoints and tangencies
+    ends = sorted({Fr(a, d) for d in (3, 5, 7) for a in range(d)})
+    for _ in range(40):
+        picks = [rng.sample(ends, 2) for _ in range(8)]
+        for rep in (Representation("circular_arc", tuple(Arc(a, b) for a, b in picks)),
+                    Representation("circle", tuple(Chord(a, b) for a, b in picks)),
+                    Representation("permutation", tuple(PermSegment(a, b) for a, b in picks)),
+                    Representation("interval", tuple(Interval(min(p), max(p)) for p in picks)),
+                    Representation("box", tuple(Box(Interval(min(p), max(p)), Interval(0, p[0] + 1))
+                                                for p in picks))):
+            assert build_intersection_graph(rep.cls, rep).edges == ref_intersection_edges(rep)
+    # disk centres exactly 1 apart (Pythagorean offsets) and just over
+    unit = [(Fr(0), Fr(0)), (Fr(3, 5), Fr(4, 5)), (Fr(-5, 13), Fr(12, 13)), (Fr(1), Fr(0)),
+            (Fr(8, 17), Fr(-15, 17)), (Fr(3, 5), Fr(-1, 5)), (Fr(101, 100), Fr(0))]
+    for _ in range(40):
+        base = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+        disks = tuple(Disk(bx + dx, by + dy) for bx, by in base for dx, dy in rng.sample(unit, 3))
+        rep = Representation("unit_disk", disks)
+        assert build_intersection_graph("unit_disk", rep).edges == ref_intersection_edges(rep)
+    tangent = Representation("unit_disk", (Disk(0, 0), Disk(Fr(3, 5), Fr(4, 5))))
+    assert build_intersection_graph("unit_disk", tangent).edges == frozenset({(0, 1)})
 
 
 def test_certificate_malformed():
