@@ -11,3 +11,7 @@ polygons) are provided as instance generators.
 """
 
 __version__ = "0.1.0"
+
+
+class GeomfoError(Exception):
+    """Base of every error geomfo raises on bad input or an inconsistency."""

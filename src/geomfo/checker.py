@@ -3,19 +3,22 @@
 Evaluation is Tarskian semantics done with boolean tensors: a subformula
 with free variables v1..vk becomes an n^k truth table, atoms are adjacency
 or order matrices, connectives are elementwise ops and quantifiers reduce
-an axis.  Cost stays n^O(|phi|); identical subformulas (up to renaming) are
-cached per structure, which matters because rewriting a sentence under an
-interpretation stamps out many copies of nu and psi.
+an axis.  Cost stays n^O(|phi|).  Subformulas equal up to renaming share
+one table per structure: each node gets a small-int key built bottom-up
+from its children's keys (hashing modulo alpha-equivalence, Maziarz et al.,
+PLDI 2021), and the table of a defined atom's body is computed once.
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import formula as F
+from . import GeomfoError, formula as F
 from .geometry import (ALL_CLASSES, GeometryError, LabeledGraph, Representation,
                        build_intersection_graph, visibility_graph)
 from .poset import LabeledPoset
@@ -23,177 +26,134 @@ from .poset import LabeledPoset
 Structure = Union[LabeledGraph, LabeledPoset]
 
 
-class EvalError(Exception):
+class EvalError(GeomfoError):
     pass
 
 
-class AgreementError(Exception):
+class AgreementError(GeomfoError):
     """The graph verdict and the poset verdict disagree: internal inconsistency."""
-
-
-def _graph_tables(g: LabeledGraph):
-    n = g.n
-    rel = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        rel[u, v] = True
-        rel[v, u] = True
-    return rel, {name: _label_vec(n, vs) for name, vs in g.labels.items()}
-
-
-def _poset_tables(p: LabeledPoset):
-    n = p.n
-    rel = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        row = p.rows[a]
-        for b in range(n):
-            if row >> b & 1:
-                rel[a, b] = True
-        rel[a, a] = True  # <= is the reflexive closure of the strict order
-    return rel, {name: _label_vec(n, vs) for name, vs in p.labels.items()}
-
-
-def _label_vec(n: int, vs) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    for v in vs:
-        out[v] = True
-    return out
 
 
 class _Context:
     def __init__(self, structure: Structure):
-        self.structure = structure
+        if not isinstance(structure, (LabeledGraph, LabeledPoset)):
+            raise EvalError(f"cannot evaluate over {type(structure).__name__}")
+        # weak, so no cycle keeps a dropped structure's tables alive until a full collection
+        self.structure = weakref.ref(structure)
+        n = self.n = structure.n
+        self.rel = rel = np.zeros((n, n), dtype=bool)
         if isinstance(structure, LabeledGraph):
             self.signature = F.GRAPH
-            self.rel, self.labels = _graph_tables(structure)
-        elif isinstance(structure, LabeledPoset):
-            self.signature = F.POSET
-            self.rel, self.labels = _poset_tables(structure)
+            for u, v in structure.edges:
+                rel[u, v] = rel[v, u] = True
         else:
-            raise EvalError(f"cannot evaluate over {type(structure).__name__}")
-        self.n = structure.n
-        self.cache: dict[str, tuple[np.ndarray, int]] = {}
+            self.signature = F.POSET
+            for a, row in enumerate(structure.rows):
+                rel[a] = [row >> b & 1 for b in range(n)]
+            rel |= np.eye(n, dtype=bool)  # <= is the reflexive closure of the strict order
+        self.labels = {name: np.isin(np.arange(n), list(vs))
+                       for name, vs in structure.labels.items()}
+        self.keys: dict[tuple, int] = {}  # node description -> key
+        self.tables: list[np.ndarray] = []  # key -> table, one axis per free variable
+        self.bodies: list[F.Formula] = []  # of the defined atoms evaluated here
 
 
 def _context(structure: Structure) -> _Context:
     ctx = getattr(structure, "_eval_context", None)
-    if ctx is None or ctx.structure is not structure:
-        ctx = _Context(structure)
-        try:
-            structure._eval_context = ctx
-        except AttributeError:
-            pass
+    if ctx is None or ctx.structure() is not structure:
+        ctx = structure._eval_context = _Context(structure)
     return ctx
 
 
-def _canonical(f: F.Formula) -> tuple[str, list[F.Var]]:
-    """Serialize with bound variables De Bruijn-style and free ones by slot."""
-    free_order: list[F.Var] = []
-    free_tok: dict[F.Var, str] = {}
-
-    def tok(v: F.Var, env: dict[F.Var, str]) -> str:
-        if v in env:
-            return env[v]
-        if v not in free_tok:
-            free_tok[v] = f"F{len(free_order)}"
-            free_order.append(v)
-        return free_tok[v]
-
-    def rec(g: F.Formula, env: dict[F.Var, str], depth: int) -> str:
-        if isinstance(g, F.Edge):
-            return f"E({tok(g.x, env)},{tok(g.y, env)})"
-        if isinstance(g, F.Leq):
-            return f"L({tok(g.x, env)},{tok(g.y, env)})"
-        if isinstance(g, F.Eq):
-            return f"=({tok(g.x, env)},{tok(g.y, env)})"
-        if isinstance(g, F.Label):
-            return f"P[{g.name}]({tok(g.x, env)})"
-        if isinstance(g, F.Not):
-            return f"!{rec(g.sub, env, depth)}"
-        if isinstance(g, F.And):
-            return f"&({rec(g.left, env, depth)},{rec(g.right, env, depth)})"
-        if isinstance(g, F.Or):
-            return f"|({rec(g.left, env, depth)},{rec(g.right, env, depth)})"
-        if isinstance(g, F.Implies):
-            return f">({rec(g.left, env, depth)},{rec(g.right, env, depth)})"
-        if isinstance(g, (F.Exists, F.Forall)):
-            q = "Ex" if isinstance(g, F.Exists) else "Fa"
-            env2 = dict(env)
-            env2[g.var] = f"B{depth}"
-            return f"{q}.{rec(g.sub, env2, depth + 1)}"
-        raise EvalError(f"not a formula: {g!r}")
-
-    s = rec(f, {}, 0)
-    return s, free_order
+_NAME = operator.attrgetter("name")
 
 
-def _expand(arr: np.ndarray, axes: tuple, target: tuple, n: int) -> np.ndarray:
-    if axes == target:
+def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
+    """``arr`` as a k-axis array whose axis ``pos[i]`` is its axis i; the
+    other axes have length 1."""
+    if pos == tuple(range(k)):
         return arr
-    perm = sorted(range(len(axes)), key=lambda i: target.index(axes[i]))
-    arr = np.transpose(arr, perm)
-    shape = [n if v in axes else 1 for v in target]
-    return arr.reshape(shape)
+    arr = np.transpose(arr, sorted(range(len(pos)), key=pos.__getitem__))
+    return np.expand_dims(arr, tuple(i for i in range(k) if i not in pos))
 
 
-def _eval_node(ctx: _Context, f: F.Formula) -> tuple[np.ndarray, tuple[F.Var, ...]]:
-    key, free_order = _canonical(f)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        arr, nfree = hit
-        return arr, tuple(free_order[:nfree])
-    arr, axes = _eval_raw(ctx, f)
-    # normalize axis order to canonical slot order before caching
-    target = tuple(v for v in free_order if v in axes)
-    arr = _expand(arr, axes, target, ctx.n) if axes else arr
-    if axes and arr.shape != (ctx.n,) * len(target):
-        arr = np.broadcast_to(arr, (ctx.n,) * len(target)).copy()
-    ctx.cache[key] = (arr, len(target))
-    return arr, target
+def _eval_raw(ctx: _Context, f: F.Formula) -> tuple[int, tuple[str, ...], np.ndarray]:
+    """The key of ``f``, the names of its free variables in first-occurrence
+    order, and its table with one axis per free variable in that order.
+
+    The key is interned from the node kind, the atom name or definition (a
+    defined atom's body object and parameters), the children's keys and
+    where each child's free variables sit among the node's own (for a
+    quantifier: where its variable sits among the child's), so two
+    subformulas share a key exactly when they are equal up to renaming bound
+    variables and the free ones in order of first occurrence.  Only a new
+    key computes a table.
+    """
+    if isinstance(f, F._Binary):
+        lkey, lfree, la = _eval_raw(ctx, f.left)
+        rkey, rfree, ra = _eval_raw(ctx, f.right)
+        free = lfree + tuple(v for v in rfree if v not in lfree)
+        desc = (type(f), lkey, rkey, tuple(map(free.index, rfree)))
+        arrs = (la, ra)
+    elif isinstance(f, F._Unary):
+        key, free, arr = _eval_raw(ctx, f.sub)
+        arrs = (arr,)
+        if isinstance(f, F._Quantifier):
+            ax = free.index(f.var.name) if f.var.name in free else -1
+            free = free[:ax] + free[ax + 1:] if ax >= 0 else free
+            desc = (type(f), key, ax)
+        else:
+            desc = (type(f), key)
+    elif isinstance(f, F._Atom):
+        args = tuple(map(_NAME, f.variables()))
+        free = tuple(dict.fromkeys(args))
+        name = (f.name if isinstance(f, F.Label) else
+                (id(f.body), f.params) if isinstance(f, F.Defined) else None)
+        desc = (type(f), name, tuple(map(free.index, args)))
+        arrs = ()
+    else:
+        raise EvalError(f"not a formula: {f!r}")
+    key = ctx.keys.get(desc)
+    if key is None:
+        table = _new_table(ctx, f, desc, arrs, len(free))
+        key = ctx.keys[desc] = len(ctx.tables)
+        ctx.tables.append(table)
+    return key, free, ctx.tables[key]
 
 
-def _eval_raw(ctx: _Context, f: F.Formula) -> tuple[np.ndarray, tuple[F.Var, ...]]:
-    n = ctx.n
+def _new_table(ctx: _Context, f: F.Formula, desc: tuple, arrs: tuple, k: int) -> np.ndarray:
+    """The table of a node missing from the cache, from its children's;
+    ``desc[-1]`` holds the positions or the axis that its key records."""
+    if isinstance(f, F._Binary):
+        la, ra = _lift(arrs[0], tuple(range(arrs[0].ndim)), k), _lift(arrs[1], desc[-1], k)
+        if isinstance(f, F.And):
+            return la & ra
+        return la | ra if isinstance(f, F.Or) else ~la | ra
+    if isinstance(f, F.Not):
+        return ~arrs[0]
+    if isinstance(f, F._Quantifier):
+        arr, ax = arrs[0], desc[-1]
+        if ax >= 0:
+            return arr.any(axis=ax) if isinstance(f, F.Exists) else arr.all(axis=ax)
+        # quantified variable does not occur: only the empty domain matters
+        return arr & (ctx.n > 0) if isinstance(f, F.Exists) else arr | (ctx.n == 0)
     if isinstance(f, (F.Edge, F.Leq)):
         want = F.GRAPH if isinstance(f, F.Edge) else F.POSET
         if ctx.signature != want:
             raise EvalError(f"{'edge' if want == F.GRAPH else '<='} atom evaluated "
                             f"on a {ctx.signature} structure")
-        if f.x == f.y:
-            return np.diagonal(ctx.rel).copy(), (f.x,)
-        return ctx.rel, (f.x, f.y)
-    if isinstance(f, F.Eq):
-        if f.x == f.y:
-            return np.ones(n, dtype=bool), (f.x,)
-        return np.eye(n, dtype=bool), (f.x, f.y)
-    if isinstance(f, F.Label):
+        table = ctx.rel
+    elif isinstance(f, F.Eq):
+        table = np.eye(ctx.n, dtype=bool)
+    elif isinstance(f, F.Label):
         if f.name not in ctx.labels:
             raise EvalError(f"undeclared label {f.name!r}")
-        return ctx.labels[f.name], (f.x,)
-    if isinstance(f, F.Not):
-        arr, axes = _eval_node(ctx, f.sub)
-        return ~arr, axes
-    if isinstance(f, (F.And, F.Or, F.Implies)):
-        la, lax = _eval_node(ctx, f.left)
-        ra, rax = _eval_node(ctx, f.right)
-        axes = tuple(list(lax) + [v for v in rax if v not in lax])
-        la = _expand(la, lax, axes, n)
-        ra = _expand(ra, rax, axes, n)
-        if isinstance(f, F.And):
-            return la & ra, axes
-        if isinstance(f, F.Or):
-            return la | ra, axes
-        return ~la | ra, axes
-    if isinstance(f, (F.Exists, F.Forall)):
-        arr, axes = _eval_node(ctx, f.sub)
-        if f.var in axes:
-            ax = axes.index(f.var)
-            out = arr.any(axis=ax) if isinstance(f, F.Exists) else arr.all(axis=ax)
-            return out, tuple(v for v in axes if v != f.var)
-        # quantified variable does not occur: only the empty domain matters
-        if isinstance(f, F.Exists):
-            return (arr & (n > 0)), axes
-        return (arr | (n == 0)), axes
-    raise EvalError(f"not a formula: {f!r}")
+        table = ctx.labels[f.name]
+    else:  # a defined atom; holding its body keeps the id in its key unique
+        ctx.bodies.append(f.body)
+        table = truth_table(ctx.structure(), f.body, f.params)
+    pos = desc[-1]  # the atom's table is over distinct variables; repeated ones read a diagonal
+    return np.einsum(table, list(pos), list(range(k))) if k < len(pos) else table
 
 
 def truth_table(structure: Structure, phi: F.Formula,
@@ -205,14 +165,15 @@ def truth_table(structure: Structure, phi: F.Formula,
     read-only view of the structure's cache.
     """
     ctx = _context(structure)
-    axes = tuple(axes)
-    if len(set(axes)) != len(axes):
-        raise EvalError(f"repeated table axes: {[v.name for v in axes]}")
-    arr, free = _eval_node(ctx, phi)  # free: phi's free variables, in slot order
-    missing = [v.name for v in free if v not in axes]
+    names = tuple(map(_NAME, axes))
+    if len(set(names)) != len(names):
+        raise EvalError(f"repeated table axes: {list(names)}")
+    _, free, arr = _eval_raw(ctx, phi)
+    missing = [v for v in free if v not in names]
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    return np.broadcast_to(_expand(arr, free, axes, ctx.n), (ctx.n,) * len(axes))
+    return np.broadcast_to(_lift(arr, tuple(map(names.index, free)), len(names)),
+                           (ctx.n,) * len(names))
 
 
 def eval_structure(structure: Structure, phi: F.Formula,

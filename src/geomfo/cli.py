@@ -12,13 +12,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import fileio, formula as F
-from .checker import AgreementError, EvalError, build_graph, model_check
+from . import GeomfoError, fileio, formula as F
+from .checker import AgreementError, build_graph, model_check
 from .generators import (cliquewidth_family, consecutive_witness, efo_hardness_instance,
                          hardness_instance, terfan_polygon)
-from .geometry import GeometryError, Representation
+from .geometry import Representation
 from .interpret import make_instance
-from .poset import PosetError
 
 DEFAULT_BATTERY = [
     "exists x. exists y. (edge(x,y) & !(x=y))",
@@ -29,8 +28,20 @@ DEFAULT_BATTERY = [
 ]
 
 
-class CliError(Exception):
+class CliError(GeomfoError):
     pass
+
+
+# what one bad input can raise; each ends in a one-line message, never a traceback
+_INPUT_FAILURES = (GeomfoError, RecursionError, MemoryError)
+
+
+def _message(exc: BaseException) -> str:
+    if isinstance(exc, RecursionError):
+        return "input nested too deeply to process"
+    if isinstance(exc, MemoryError):
+        return "out of memory"
+    return str(exc)
 
 
 def _read(path: str) -> str:
@@ -167,24 +178,26 @@ def cmd_verify(args) -> int:
         raise CliError(f"no *.rep files in {args.dir}")
     failures = 0
     for case in cases:
-        rep = fileio.read_representation(case.read_text())
         formulas_file = case.with_suffix(".formulas")
-        texts = ([line for line in formulas_file.read_text().splitlines()
-                  if line.strip() and not line.strip().startswith("#")]
-                 if formulas_file.exists() else DEFAULT_BATTERY)
+        cls, texts = "?", DEFAULT_BATTERY
         status = "PASS"
         detail = ""
         try:
+            if formulas_file.exists():
+                texts = [line for line in _read(str(formulas_file)).splitlines()
+                         if line.strip() and not line.strip().startswith("#")]
+            rep = fileio.read_representation(_read(str(case)))
+            cls = rep.cls
             for text in texts:
                 phi = F.parse_formula(text, F.GRAPH)
                 model_check(rep.cls, rep, phi)
         except AgreementError as exc:
             status, detail = "FAIL", str(exc)
-        except (GeometryError, PosetError, F.FormulaError, EvalError) as exc:
-            status, detail = "ERROR", str(exc)
+        except _INPUT_FAILURES as exc:
+            status, detail = "ERROR", _message(exc)
         if status != "PASS":
             failures += 1
-        print(f"{case.name:40s} {rep.cls:12s} {len(texts):3d} sentences  {status} {detail}")
+        print(f"{case.name:40s} {cls:12s} {len(texts):3d} sentences  {status} {detail}")
     print(f"{len(cases) - failures}/{len(cases)} cases pass")
     return 0 if failures == 0 else 1
 
@@ -242,15 +255,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, fileio.FileFormatError, GeometryError, PosetError,
-            F.FormulaError, EvalError, AgreementError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nested too deeply to process", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+    except _INPUT_FAILURES as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,8 @@ these files reproduces an identical structure.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from . import GeomfoError
 from .formula import Formula, parse_formula, print_formula
 from .geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
                        Polygon, Representation, format_rat, parse_rat)
@@ -23,7 +25,7 @@ _OBJECT_KEYWORD = {
 }
 
 
-class FileFormatError(Exception):
+class FileFormatError(GeomfoError):
     pass
 
 

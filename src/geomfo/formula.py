@@ -3,7 +3,10 @@
 One AST serves both signatures: ``edge`` atoms belong to the graph
 signature, ``<=`` atoms to the poset signature; equality and unary label
 atoms are shared.  A formula is an immutable tree, so sharing subtrees is
-safe and evaluation caches can key on node identity.
+safe.  A defined atom applies a shared formula (its body) to variables
+without copying it; ``expand`` gives the pure first-order formula, which is
+what ``print_formula`` prints, so the concrete syntax below has no defined
+atoms.
 
 The concrete syntax (whitespace-insensitive)::
 
@@ -27,13 +30,15 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from . import GeomfoError
+
 GRAPH = "graph"
 POSET = "poset"
 
 RESERVED = frozenset({"edge", "exists", "forall"})
 
 
-class FormulaError(Exception):
+class FormulaError(GeomfoError):
     pass
 
 
@@ -152,6 +157,21 @@ class Label(_Atom):
 
 
 @dataclass(frozen=True)
+class Defined(_Atom):
+    """``body`` with its free variables ``params`` standing for ``args``."""
+
+    body: Formula
+    params: tuple[Var, ...]
+    args: tuple[Var, ...]
+
+    def variables(self) -> tuple[Var, ...]:
+        return self.args
+
+    def rename(self, env: dict[Var, Var]) -> Formula:
+        return Defined(self.body, self.params, tuple(env.get(a, a) for a in self.args))
+
+
+@dataclass(frozen=True)
 class Not(_Unary):
     sub: Formula
 
@@ -237,12 +257,17 @@ def label_names(f: Formula) -> frozenset[str]:
 
 
 def quantifier_depth(f: Formula) -> int:
+    """Quantifier depth, counting the quantifiers inside defined atoms."""
+    if isinstance(f, Defined):
+        return quantifier_depth(f.body)
     return (isinstance(f, _Quantifier)
             + max(map(quantifier_depth, f.children()), default=0))
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(n, _Quantifier) for n in walk(f))
+    return not any(isinstance(n, _Quantifier)
+                   or isinstance(n, Defined) and not is_quantifier_free(n.body)
+                   for n in walk(f))
 
 
 def is_existential(f: Formula) -> bool:
@@ -290,6 +315,13 @@ class FreshVars:
         self._counters[base] = n
         self.used.add(name)
         return Var(name)
+
+
+def map_atoms(f: Formula, fn) -> Formula:
+    """``f`` with every atom ``a`` replaced by ``fn(a)``."""
+    if isinstance(f, _Atom):
+        return fn(f)
+    return f.rebuild([map_atoms(k, fn) for k in f.children()])
 
 
 def instantiate(f: Formula, mapping: dict[Var, Var], fresh: FreshVars) -> Formula:
@@ -341,33 +373,39 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     """Rewrite a graph sentence into the poset sentence phi^I.
 
     edge(x,y) becomes !(x=y) & (psi(x,y) | psi(y,x)); each quantifier is
-    relativized to nu.  Bound variables of nu/psi copies are renamed fresh
-    on every instantiation.  The disequality guard keeps the diagonal
-    faithful: the interpreted edge set ranges over distinct pairs, while
-    psi(u,u) may well hold in the poset even though edge(u,u) is false in
-    every simple graph.
+    relativized to nu.  nu and psi enter as defined atoms naming the
+    interpretation's formulas, so nothing is copied.  The disequality guard
+    keeps the diagonal faithful: the interpreted edge set ranges over
+    distinct pairs, while psi(u,u) may well hold in the poset even though
+    edge(u,u) is false in every simple graph.
     """
     if free_vars(phi):
         raise FormulaError("rewrite requires a sentence (no free variables)")
     check_signature(phi, GRAPH)
-    fresh = FreshVars(
-        all_var_names(phi) | all_var_names(interp.nu) | all_var_names(interp.psi)
-    )
-    px, py = interp.psi_vars
 
     def rec(g: Formula) -> Formula:
         if isinstance(g, Edge):
-            return And(Not(Eq(g.x, g.y)), Or(
-                instantiate(interp.psi, {px: g.x, py: g.y}, fresh),
-                instantiate(interp.psi, {px: g.y, py: g.x}, fresh),
-            ))
-        if isinstance(g, Exists):
-            return Exists(g.var, And(instantiate(interp.nu, {interp.nu_var: g.var}, fresh), rec(g.sub)))
-        if isinstance(g, Forall):
-            return Forall(g.var, Implies(instantiate(interp.nu, {interp.nu_var: g.var}, fresh), rec(g.sub)))
+            return And(Not(Eq(g.x, g.y)), Or(Defined(interp.psi, interp.psi_vars, (g.x, g.y)),
+                                             Defined(interp.psi, interp.psi_vars, (g.y, g.x))))
+        if isinstance(g, _Quantifier):
+            nu = Defined(interp.nu, (interp.nu_var,), (g.var,))
+            return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, rec(g.sub)))
         return g.rebuild([rec(k) for k in g.children()])
 
     return rec(phi)
+
+
+def expand(f: Formula) -> Formula:
+    """The pure first-order formula of ``f``.
+
+    Each defined atom becomes a copy of its body with the parameters replaced
+    by the arguments and every bound variable renamed fresh, in pre-order,
+    left to right, avoiding every name in ``f`` and in the bodies it uses.
+    """
+    bodies = {id(n.body): n.body for n in walk(f) if isinstance(n, Defined)}
+    fresh = FreshVars(all_var_names(f).union(*map(all_var_names, bodies.values())))
+    return map_atoms(f, lambda g: instantiate(g.body, dict(zip(g.params, g.args)), fresh)
+                     if isinstance(g, Defined) else g)
 
 
 def complement_edges(phi: Formula) -> Formula:
@@ -376,13 +414,7 @@ def complement_edges(phi: Formula) -> Formula:
     Used when a construction hands us the complement of the intended graph
     (reversed permutation representations, complement-flagged witnesses).
     """
-
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, Edge):
-            return And(Not(g), Not(Eq(g.x, g.y)))
-        return g.rebuild([rec(k) for k in g.children()])
-
-    return rec(phi)
+    return map_atoms(phi, lambda g: And(Not(g), Not(Eq(g.x, g.y))) if isinstance(g, Edge) else g)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +429,8 @@ _INFIX = {Implies: (" -> ", _IMPL, _OR, _IMPL), Or: (" | ", _OR, _OR, _AND),
 
 
 def print_formula(f: Formula) -> str:
+    """The concrete syntax of ``expand(f)``."""
+
     def rec(g: Formula, level: int) -> str:
         if isinstance(g, Edge):
             return f"edge({g.x},{g.y})"
@@ -416,7 +450,7 @@ def print_formula(f: Formula) -> str:
             s = rec(g.left, left) + infix + rec(g.right, right)
         return f"({s})" if level > own else s
 
-    return rec(f, _QUANT)
+    return rec(expand(f), _QUANT)
 
 
 # ---------------------------------------------------------------------------

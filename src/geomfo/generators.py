@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from .formula import (And, Edge, Eq, Exists, Forall, Formula, FreshVars, Implies,
                       Label, Leq, Not, Or, Var, all_var_names, big_and,
-                      exists_many, instantiate)
+                      exists_many, instantiate, map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
                        permutation_to_chords, polygon_report,
@@ -297,16 +297,16 @@ def substitute_labels_and_equality(f: Formula, label_defs: dict[str, tuple[Formu
             used |= all_var_names(twin_eq[0])
         fresh = FreshVars(used)
 
-    def rec(g: Formula) -> Formula:
+    def atom(g: Formula) -> Formula:
         if isinstance(g, Label) and g.name in label_defs:
             df, dv = label_defs[g.name]
             return instantiate(df, {dv: g.x}, fresh)
         if isinstance(g, Eq) and twin_eq is not None:
             tf, tx, ty = twin_eq
             return Or(g, instantiate(tf, {tx: g.x, ty: g.y}, fresh))
-        return g.rebuild([rec(k) for k in g.children()])
+        return g
 
-    return rec(f)
+    return map_atoms(f, atom)
 
 
 @dataclass

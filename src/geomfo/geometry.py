@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import GeomfoError
+
 Rat = Fraction
 Point = tuple[Fraction, Fraction]
 
@@ -26,7 +28,7 @@ INTERSECTION_CLASSES = ("interval", "circular_arc", "circle", "permutation", "bo
 ALL_CLASSES = INTERSECTION_CLASSES + ("visibility",)
 
 
-class GeometryError(Exception):
+class GeometryError(GeomfoError):
     pass
 
 

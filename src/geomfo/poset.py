@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import GeomfoError
 from .geometry import GeometryError, Interval
 
 
-class PosetError(Exception):
+class PosetError(GeomfoError):
     pass
 
 

@@ -5,12 +5,15 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo import formula as F
-from geomfo.checker import EvalError, eval_slow, eval_structure, model_check, truth_table
+from geomfo.checker import (EvalError, _context, eval_slow, eval_structure, model_check,
+                            truth_table)
 from geomfo.formula import GRAPH, Var, parse_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
+from geomfo.interpret import interval_psi, interval_theta, make_instance
 from geomfo.poset import LabeledPoset
 
-from helpers import has_dominating_set, rand_sentence
+from helpers import (has_dominating_set, rand_arcs, rand_boxes, rand_chords, rand_disks,
+                     rand_fan, rand_intervals, rand_segments, rand_sentence)
 
 
 def test_tautology_on_one_vertex():
@@ -168,3 +171,64 @@ def test_model_check_circle_figure_triangle():
     k3 = LabeledGraph(3, {(0, 1), (0, 2), (1, 2)})
     res = model_check("circle", rep, pattern_formula(k3))
     assert res.graph_verdict == res.poset_verdict
+
+
+CLASSES = ["interval", "circular_arc", "circle", "permutation", "box", "unit_disk",
+           "visibility"]
+
+
+def _instance(cls, rng, n):
+    if cls == "visibility":
+        rep = Representation("visibility", (rand_fan(rng, n + 2),))
+    else:
+        rep = {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
+               "permutation": rand_segments, "box": rand_boxes,
+               "unit_disk": rand_disks}[cls](rng, n)
+    return make_instance(cls, rep)
+
+
+@pytest.mark.parametrize("seed,cls", enumerate(CLASSES))
+def test_defined_atoms_match_expanded_sentence(seed, cls):
+    # the rewrite names nu and psi; its pure-FO expansion must decide alike
+    rng = random.Random(40 + seed)
+    for _ in range(10):
+        inst = _instance(cls, rng, rng.randint(1, 3))
+        for _ in range(10):
+            phi = rand_sentence(rng, rng.randint(1, 3))
+            phi_eff = F.complement_edges(phi) if inst.complemented else phi
+            out = F.rewrite_under_interpretation(phi_eff, inst.interp)
+            pure = F.expand(out)
+            assert not any(isinstance(n, F.Defined) for n in F.walk(pure))
+            verdict = eval_structure(inst.poset, out)
+            assert eval_structure(inst.poset, pure) == verdict
+            assert eval_slow(inst.poset, pure) == verdict
+            assert F.print_formula(out) == F.print_formula(pure)
+
+
+def test_renamed_copy_shares_keys_and_transposes():
+    rep = Representation("interval", (Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(3)),
+                                      Interval(Fr(4), Fr(5))))
+    p = make_instance("interval", rep).poset
+    psi = interval_psi()
+    x, y, w, v = Var("x"), Var("y"), Var("w"), Var("v")
+
+    def make(a, b, bound):
+        """(exists bound. psi(a,bound) & psi(bound,bound) & !a<=b) | psi(b,a)"""
+        def d(s, t):
+            return F.Defined(psi, (x, y), (s, t))
+        body = F.big_and([d(a, bound), d(bound, bound), F.Not(F.Leq(a, b))])
+        return F.Or(F.Exists(bound, body), d(b, a))
+
+    f = make(x, y, w)
+    copy = make(y, x, v)  # bound variable renamed, free variables swapped
+    table = truth_table(p, f, (x, y))
+    entries = len(_context(p).tables)
+    assert (truth_table(p, copy, (x, y)) == table.T).all()
+    assert len(_context(p).tables) == entries
+    pure = F.expand(f)
+    for a, b in itertools.product(range(p.n), repeat=2):
+        assert bool(table[a, b]) == eval_slow(p, pure, {x: a, y: b})
+    # another body under the same parameters keeps its own key
+    contained = truth_table(p, F.Defined(interval_theta(), (x, y), (x, y)), (x, y))
+    assert (contained == truth_table(p, interval_theta(), (x, y))).all()
+    assert (contained != truth_table(p, F.Defined(psi, (x, y), (x, y)), (x, y))).any()

@@ -198,3 +198,18 @@ def test_cli_verify_reports_evaluation_error_and_goes_on(tmp_path, capsys):
     assert "ERROR model checking needs a sentence" in rows[0]
     assert "ERROR undeclared label 'red'" in rows[1]
     assert "PASS" in rows[2] and rows[3] == "1/3 cases pass"
+
+
+def test_cli_verify_reports_bad_input_and_goes_on(tmp_path, capsys):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    good = "class interval\ninterval 1 3\ninterval 2 4\n"
+    (cases / "a.rep").write_text(good + "interval 5\n")
+    (cases / "b.rep").write_text(good)
+    (cases / "b.formulas").write_text("!" * 3000 + "exists x. x=x\n")
+    (cases / "c.rep").write_text(good)
+    assert main(["verify", "--dir", str(cases)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("a.rep") and "ERROR bad object line" in rows[0]
+    assert rows[1].startswith("b.rep") and "ERROR input nested too deeply" in rows[1]
+    assert "PASS" in rows[2] and rows[3] == "1/3 cases pass"
