@@ -16,7 +16,7 @@ from . import GeomfoError, fileio, formula as F
 from .checker import AgreementError, build_graph, model_check
 from .generators import (cliquewidth_family, consecutive_witness, efo_hardness_instance,
                          hardness_instance, terfan_polygon)
-from .geometry import Representation
+from .geometry import Representation, parse_rat
 from .interpret import make_instance
 
 DEFAULT_BATTERY = [
@@ -56,6 +56,13 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from None
+
+
+def _int_param(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"--param needs an integer, not {text!r}") from None
 
 
 def _load_rep(path: str, cls: str) -> Representation:
@@ -107,8 +114,8 @@ def cmd_generate(args) -> int:
         if not args.cls or not args.param:
             raise CliError("consecutive needs --class and --param <order>[,<eps>]")
         parts = args.param.split(",")
-        ell = int(parts[0])
-        eps = Fraction(parts[1]) if len(parts) > 1 else Fraction(1, 4)
+        ell = _int_param(parts[0])
+        eps = parse_rat(parts[1]) if len(parts) > 1 else Fraction(1, 4)
         wit = consecutive_witness(args.cls, ell, eps)
         _write(args.out, fileio.write_representation(wit.rep))
         if args.out_cert:
@@ -142,7 +149,7 @@ def cmd_generate(args) -> int:
     if args.kind == "cliquewidth":
         if not args.cls:
             raise CliError("cliquewidth needs --class")
-        k = int(args.param) if args.param else 1
+        k = _int_param(args.param) if args.param else 1
         rep, cert = cliquewidth_family(args.cls, k)
         _write(args.out, fileio.write_representation(rep))
         if args.out_cert:

@@ -29,6 +29,13 @@ class FileFormatError(GeomfoError):
     pass
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(f"bad integer {text!r}") from None
+
+
 def _lines(text: str) -> list[list[str]]:
     out = []
     for raw in text.splitlines():
@@ -129,14 +136,14 @@ def read_poset(text: str) -> LabeledPoset:
     lines = _lines(text)
     if not lines or lines[0][0] != "poset" or len(lines[0]) != 2:
         raise FileFormatError("poset must start with 'poset <n>'")
-    n = int(lines[0][1])
+    n = _int(lines[0][1])
     lt = []
     labels: dict[str, set[int]] = {}
     for parts in lines[1:]:
         if parts[0] == "lt" and len(parts) == 3:
-            lt.append((int(parts[1]), int(parts[2])))
+            lt.append((_int(parts[1]), _int(parts[2])))
         elif parts[0] == "label" and len(parts) == 3:
-            labels.setdefault(parts[1], set()).add(int(parts[2]))
+            labels.setdefault(parts[1], set()).add(_int(parts[2]))
         else:
             raise FileFormatError(f"bad poset line: {' '.join(parts)}")
     return LabeledPoset(n, lt, labels)
@@ -156,14 +163,14 @@ def read_graph(text: str) -> LabeledGraph:
     lines = _lines(text)
     if not lines or lines[0][0] != "graph" or len(lines[0]) != 2:
         raise FileFormatError("graph must start with 'graph <n>'")
-    n = int(lines[0][1])
+    n = _int(lines[0][1])
     edges = []
     labels: dict[str, set[int]] = {}
     for parts in lines[1:]:
         if parts[0] == "edge" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int(parts[1]), _int(parts[2])))
         elif parts[0] == "label" and len(parts) == 3:
-            labels.setdefault(parts[1], set()).add(int(parts[2]))
+            labels.setdefault(parts[1], set()).add(_int(parts[2]))
         else:
             raise FileFormatError(f"bad graph line: {' '.join(parts)}")
     return LabeledGraph(n, edges, labels)

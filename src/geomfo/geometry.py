@@ -464,7 +464,6 @@ def perturb_endpoints(rep: Representation) -> Representation:
     n = len(objs)
     if n == 0:
         return rep
-    before = build_intersection_graph(rep.cls, rep)
 
     if rep.cls == "interval":
         ends = [e for it in objs for e in (it.lo, it.hi)]
@@ -505,6 +504,7 @@ def perturb_endpoints(rep: Representation) -> Representation:
         new = [Chord(moved[i][c.a], moved[i][c.b]) for i, c in enumerate(objs)]
         out = Representation("circle", tuple(new))
 
+    before = build_intersection_graph(rep.cls, rep)
     after = build_intersection_graph(out.cls, out)
     if after.edges != before.edges:
         raise GeometryError("perturbation changed the intersection graph")

@@ -21,7 +21,7 @@ from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGr
                        PermSegment, Polygon, Representation, permutation_to_chords,
                        perturb_endpoints, polygon_report, proper_partition,
                        visibility_graph)
-from .poset import LabeledPoset, PosetError, build_interval_poset, transitive_closure, validate_poset
+from .poset import LabeledPoset, build_interval_poset, generated_poset
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -112,10 +112,7 @@ def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
     k_plain, _ = proper_partition([f for i, f in enumerate(flat) if i not in red_idx])
     k_red, _ = proper_partition([f for i, f in enumerate(flat) if i in red_idx])
     k_b, parts = proper_partition(flat)
-    poset, ids, _ = build_interval_poset(flat, parts)
-    labels = dict(poset.labels)
-    labels["red"] = frozenset(ids[i] for i in red_idx)
-    poset = LabeledPoset(poset.n, poset.pairs(), labels, poset.names)
+    poset, ids, _ = build_interval_poset(flat, parts, {"red": red_idx})
 
     psi1 = big_or([
         And(Label("red", X), Label("red", Y)),
@@ -251,13 +248,11 @@ def box_interpretation(boxes: Sequence[Box], k: Optional[int] = None) -> Interpr
     if ell > k:
         raise GeometryError(f"{ell} distinct y-intervals exceed the declared k={k}")
     kx, parts = proper_partition(xs)
-    poset, ids, _ = build_interval_poset(xs, parts)
-    labels = dict(poset.labels)
     lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
-    for t in ys:
-        labels[lab_name[t]] = frozenset(
-            ids[i] for i, b in enumerate(boxes) if (b.y.lo, b.y.hi) == t)
-    poset = LabeledPoset(poset.n, poset.pairs(), labels, poset.names)
+    members: dict[str, list[int]] = {lab_name[t]: [] for t in ys}
+    for i, b in enumerate(boxes):
+        members[lab_name[(b.y.lo, b.y.hi)]].append(i)
+    poset, ids, _ = build_interval_poset(xs, parts, members)
 
     clauses = []
     for ti in ys:
@@ -328,14 +323,12 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
     n = len(disks)
 
     elems: list[str] = [f"d{i}" for i in range(n)]  # disks first
-    pairs: set[tuple[int, int]] = set()
     labels: dict[str, set[int]] = {f"B{i + 1}": set() for i in range(ell)}
     for i, d in enumerate(disks):
         labels[f"B{row_of[d.cy] + 1}"].add(i)
 
     order = sorted(range(n), key=lambda i: (disks[i].cx, i))
-    for a, b in zip(order, order[1:]):
-        pairs.add((a, b))
+    pairs = list(zip(order, order[1:]))
 
     kept_pairs: list[tuple[int, int]] = []
     for ri in range(ell):
@@ -347,8 +340,7 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
             q4w2 = 1 - dy * dy  # (2w)^2 on the midline
             members = [i for i in range(n)
                        if row_of[disks[i].cy] in (ri, rj)]
-            cmp = _disk_endpoint_cmp(q4w2)
-            key = functools.cmp_to_key(cmp)
+            key = functools.cmp_to_key(_disk_endpoint_cmp(q4w2))
             ends = []
             dlabel = f"D_{ri + 1}_{rj + 1}"
             labels.setdefault(dlabel, set())
@@ -362,22 +354,11 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
                     ends.append((disks[i].cx, s, i))
             ends.sort(key=key)
             for e1, e2 in zip(ends, ends[1:]):
-                pairs.add((end_elem[(e1[2], e1[1])], end_elem[(e2[2], e2[1])]))
-            for i in members:
-                left = (disks[i].cx, -1, i)
-                right = (disks[i].cx, 1, i)
-                for e in ends:
-                    eid = end_elem[(e[2], e[1])]
-                    if cmp(e, left) <= 0:
-                        pairs.add((eid, i))
-                    if cmp(e, right) >= 0:
-                        pairs.add((i, eid))
+                pairs.append((end_elem[(e1[2], e1[1])], end_elem[(e2[2], e2[1])]))
+            for i in members:  # each disk sits between its own chord ends
+                pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]
 
-    closed = transitive_closure(len(elems), pairs)
-    poset = LabeledPoset(len(elems), closed, labels, elems)
-    bad = validate_poset(poset)
-    if bad is not None:
-        raise PosetError(f"disk poset invalid: {bad}")
+    poset = generated_poset(len(elems), pairs, labels, elems)
 
     clauses = []
     for ri, rj in kept_pairs:
@@ -462,10 +443,7 @@ def visibility_interpretation(w: Polygon) -> InterpretationInstance:
     interiors = report.ear_interiors()
 
     elems = [f"v{i}" for i in range(n)]
-    pairs: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.add((i, j))  # the green chain, in boundary order
+    pairs = [(i, i + 1) for i in range(n - 1)]  # the green chain, in boundary order
 
     labels: dict[str, set[int]] = {
         "green": set(range(n)),
@@ -496,33 +474,21 @@ def visibility_interpretation(w: Polygon) -> InterpretationInstance:
                 raise GeometryError("ear visibility staircase is not monotone")
 
             chain = []  # (sort key, element id)
-            base = len(elems)
             copy_of: dict[int, int] = {}
-            for pos, vj in enumerate(ab):
+            keyed = ([((2 * pos, 0, vj), vj) for pos, vj in enumerate(ab)]
+                     + [((2 * tau[pos] - 1, 1, vi), vi) for pos, vi in enumerate(aa)])
+            for key, v in keyed:  # one blue copy of each ear vertex
                 eid = len(elems)
-                elems.append(f"b[{a},{b}]{vj}")
+                elems.append(f"b[{a},{b}]{v}")
                 labels["blue"].add(eid)
-                copy_of[vj] = eid
-                chain.append(((2 * pos, 0, vj), eid))
-            for pos, vi in enumerate(aa):
-                eid = len(elems)
-                elems.append(f"b[{a},{b}]{vi}")
-                labels["blue"].add(eid)
-                copy_of[vi] = eid
-                chain.append(((2 * tau[pos] - 1, 1, vi), eid))
+                copy_of[v] = eid
+                chain.append((key, eid))
             chain.sort(key=lambda it: it[0])
-            for (k1, e1), (k2, e2) in zip(chain, chain[1:]):
-                pairs.add((e1, e2))
-            for vi in aa:
-                pairs.add((vi, copy_of[vi]))
-            for vj in ab:
-                pairs.add((copy_of[vj], vj))
+            pairs += [(e1, e2) for (_, e1), (_, e2) in zip(chain, chain[1:])]
+            pairs += [(vi, copy_of[vi]) for vi in aa]
+            pairs += [(copy_of[vj], vj) for vj in ab]
 
-    closed = transitive_closure(len(elems), pairs)
-    poset = LabeledPoset(len(elems), closed, labels, elems)
-    bad = validate_poset(poset)
-    if bad is not None:
-        raise PosetError(f"visibility poset invalid: {bad}")
+    poset = generated_poset(len(elems), pairs, labels, elems)
 
     z = Var("z")
     psi = big_and([

@@ -2,9 +2,11 @@
 
 The strict relation is stored transitively closed (as row bitmasks), since
 formula evaluation queries arbitrary pairs and instances are desk-scale.
-Width is the maximum antichain size, computed as a minimum chain cover via
-bipartite matching; an exhaustive search is kept alongside as a test
-oracle.
+Builders give only generating pairs (chains as consecutive pairs, each
+object between its own endpoints); ``generated_poset`` closes them in one
+pass over a topological order and validates the result.  Width is the
+maximum antichain size, computed as a minimum chain cover via bipartite
+matching.
 """
 
 from __future__ import annotations
@@ -66,24 +68,39 @@ class LabeledPoset:
         return f"LabeledPoset(n={self.n}, pairs={sum(r.bit_count() for r in self.rows)})"
 
 
-def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    rows = [0] * n
+def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Rows of the transitive closure of ``pairs``, in one pass over a topological order.
+
+    Raises PosetError on a pair outside 0..n-1 or on a cycle (a self-pair
+    included), since neither generates a strict order.
+    """
+    rows = [0] * n  # direct successors first, closed in place below
+    indegree = [0] * n
     for a, b in pairs:
-        rows[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            acc = rows[a]
-            todo = acc
-            while todo:
-                b = (todo & -todo).bit_length() - 1
-                todo &= todo - 1
-                acc |= rows[b]
-            if acc != rows[a]:
-                rows[a] = acc
-                changed = True
-    return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+        if not (0 <= a < n and 0 <= b < n):
+            raise PosetError(f"pair ({a},{b}) outside 0..{n - 1}")
+        if not rows[a] >> b & 1:
+            rows[a] |= 1 << b
+            indegree[b] += 1
+    order = [a for a in range(n) if not indegree[a]]
+    for a in order:  # Kahn: order grows while it is read
+        todo = rows[a]
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    if len(order) < n:
+        raise PosetError("generating pairs contain a cycle")
+    for a in reversed(order):
+        acc = todo = rows[a]
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            acc |= rows[b]
+        rows[a] = acc
+    return rows
 
 
 def validate_poset(p: LabeledPoset) -> Optional[Violation]:
@@ -104,6 +121,18 @@ def validate_poset(p: LabeledPoset) -> Optional[Violation]:
                 c = (missing & -missing).bit_length() - 1
                 return Violation("transitivity", (a, b, c))
     return None
+
+
+def generated_poset(n: int, pairs: Iterable[tuple[int, int]],
+                    labels: Optional[dict[str, Iterable[int]]] = None,
+                    names: Optional[Sequence[str]] = None) -> LabeledPoset:
+    """The poset that ``pairs`` generate: closed, labelled and validated."""
+    poset = LabeledPoset(n, (), labels, names)
+    poset.rows = transitive_closure(n, pairs)
+    bad = validate_poset(poset)
+    if bad is not None:
+        raise PosetError(f"generated poset invalid: {bad}")
+    return poset
 
 
 def poset_width(p: LabeledPoset) -> int:
@@ -135,43 +164,17 @@ def poset_width(p: LabeledPoset) -> int:
     return n - matching
 
 
-def brute_force_width(p: LabeledPoset) -> int:
-    """Exhaustive maximum-antichain search (test oracle, n small)."""
-    comparable = [p.rows[a] for a in range(p.n)]
-    below = [0] * p.n
-    for a in range(p.n):
-        todo = p.rows[a]
-        while todo:
-            b = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            below[b] |= 1 << a
-
-    best = 0
-
-    def rec(i: int, chosen: int, size: int):
-        nonlocal best
-        if size + (p.n - i) <= best:
-            return
-        if i == p.n:
-            best = max(best, size)
-            return
-        if not (comparable[i] & chosen or below[i] & chosen):
-            rec(i + 1, chosen | 1 << i, size + 1)
-        rec(i + 1, chosen, size)
-
-    rec(0, 0, 0)
-    return best
-
-
-def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int]
+def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int],
+                         labels: Optional[dict[str, Iterable[int]]] = None
                          ) -> tuple[LabeledPoset, list[int], dict[Fraction, int]]:
     """Poset on endpoints plus intervals for a k-fold proper family.
 
     ``parts`` assigns each interval to a proper part (any hashable part ids;
     each part must be nest-free).  Endpoints carry label ``D`` and are
     ordered numerically; each part is ordered left to right; an interval
-    sits above its left end and below its right end.  Returns the poset,
-    the element id of each interval, and the element id of each endpoint.
+    sits above its left end and below its right end.  ``labels`` names
+    further label sets by interval index.  Returns the poset, the element
+    id of each interval, and the element id of each endpoint.
     """
     if len(parts) != len(intervals):
         raise PosetError("one part id per interval required")
@@ -180,41 +183,30 @@ def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int]
         ends.extend((it.lo, it.hi))
     if len(set(ends)) != len(ends):
         raise GeometryError("duplicate endpoints")
-    by_part: dict = {}
-    for i, pid in enumerate(parts):
-        by_part.setdefault(pid, []).append(i)
-    for pid, members in by_part.items():
-        for i in members:
-            for j in members:
-                if i != j and intervals[i].strictly_contains(intervals[j]):
-                    raise PosetError(f"part {pid!r} is not proper: "
-                                     f"interval {i} contains interval {j}")
-
     endpoint_values = sorted(ends)
     d_id = {v: i for i, v in enumerate(endpoint_values)}
     nd = len(endpoint_values)
     interval_ids = [nd + i for i in range(len(intervals))]
-    n = nd + len(intervals)
 
-    pairs: set[tuple[int, int]] = set()
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            pairs.add((i, j))
+    pairs = [(i, i + 1) for i in range(nd - 1)]
+    for i, it in enumerate(intervals):
+        pairs += [(d_id[it.lo], interval_ids[i]), (interval_ids[i], d_id[it.hi])]
+    by_part: dict = {}
+    for i, pid in enumerate(parts):
+        by_part.setdefault(pid, []).append(i)
     for pid, members in by_part.items():
         ordered = sorted(members, key=lambda i: intervals[i].lo)
         for a, b in zip(ordered, ordered[1:]):
-            pairs.add((interval_ids[a], interval_ids[b]))
-    for i, it in enumerate(intervals):
-        for v, eid in d_id.items():
-            if v <= it.lo:
-                pairs.add((eid, interval_ids[i]))
-            if v >= it.hi:
-                pairs.add((interval_ids[i], eid))
+            # with distinct endpoints, a part nests iff two neighbours in
+            # left-end order do
+            if intervals[a].strictly_contains(intervals[b]):
+                raise PosetError(f"part {pid!r} is not proper: "
+                                 f"interval {a} contains interval {b}")
+            pairs.append((interval_ids[a], interval_ids[b]))
 
-    closed = transitive_closure(n, pairs)
     names = [str(v) for v in endpoint_values] + [f"I{i}" for i in range(len(intervals))]
-    poset = LabeledPoset(n, closed, {"D": range(nd)}, names)
-    bad = validate_poset(poset)
-    if bad is not None:
-        raise PosetError(f"interval poset invalid: {bad}")
+    all_labels = {"D": range(nd)}
+    for name, members in (labels or {}).items():
+        all_labels[name] = [interval_ids[i] for i in members]
+    poset = generated_poset(nd + len(intervals), pairs, all_labels, names)
     return poset, interval_ids, d_id

@@ -303,6 +303,58 @@ def exhaustive_transversal(adj, x_parts, y_parts) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# poset oracles
+
+def fixpoint_closure(n: int, pairs) -> set:
+    """Transitive closure by repeating row unions until nothing changes."""
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            acc = rows[a]
+            todo = acc
+            while todo:
+                b = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                acc |= rows[b]
+            if acc != rows[a]:
+                rows[a] = acc
+                changed = True
+    return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+
+
+def brute_force_width(p) -> int:
+    """Exhaustive maximum-antichain search (n small)."""
+    comparable = [p.rows[a] for a in range(p.n)]
+    below = [0] * p.n
+    for a in range(p.n):
+        todo = p.rows[a]
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            below[b] |= 1 << a
+
+    best = 0
+
+    def rec(i: int, chosen: int, size: int):
+        nonlocal best
+        if size + (p.n - i) <= best:
+            return
+        if i == p.n:
+            best = max(best, size)
+            return
+        if not (comparable[i] & chosen or below[i] & chosen):
+            rec(i + 1, chosen | 1 << i, size + 1)
+        rec(i + 1, chosen, size)
+
+    rec(0, 0, 0)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # non-isomorphic graph enumeration (canonical form = min over permutations)
 
 def nonisomorphic_graphs(n: int) -> list[LabeledGraph]:

@@ -144,6 +144,37 @@ def test_cli_generate_consecutive_and_hardness(tmp_path):
                  "--graph", str(h), "--out", str(tmp_path / "efo.rep")]) == 0
 
 
+@pytest.mark.parametrize("read, text", [
+    (fileio.read_graph, "graph x\n"),
+    (fileio.read_graph, "graph 2\nedge a 1\n"),
+    (fileio.read_graph, "graph 2\nlabel red 1.5\n"),
+    (fileio.read_poset, "poset x\n"),
+    (fileio.read_poset, "poset 2\nlt 0 b\n"),
+    (fileio.read_poset, "poset 2\nlabel D z\n"),
+])
+def test_fileio_rejects_bad_integers(read, text):
+    with pytest.raises(fileio.FileFormatError, match="bad integer"):
+        read(text)
+
+
+@pytest.mark.parametrize("graph_text", ["graph x\n", "graph 2\nedge a 1\n"])
+def test_cli_generate_hardness_bad_graph_file(tmp_path, capsys, graph_text):
+    h = tmp_path / "h.txt"
+    h.write_text(graph_text)
+    assert main(["generate", "--kind", "hardness", "--class", "permutation",
+                 "--graph", str(h), "--out", str(tmp_path / "o.rep")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad integer")
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("consecutive", "x"), ("consecutive", "3,1/0"), ("cliquewidth", "x")])
+def test_cli_generate_bad_param(tmp_path, capsys, kind, param):
+    assert main(["generate", "--kind", kind, "--class", "circle", "--param", param,
+                 "--out", str(tmp_path / "o.rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_graph_output(tmp_path, capsys):
     rep = _write_interval_rep(tmp_path)
     assert main(["graph", "--class", "interval", "--in", rep]) == 0

@@ -9,7 +9,9 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              build_intersection_graph, perturb_endpoints,
                              polygon_report, visibility_graph)
-from geomfo.interpret import (interval_interpretation, interval_theta,
+from geomfo import poset as P
+from geomfo.generators import terfan_polygon
+from geomfo.interpret import (_disk_endpoint_cmp, interval_interpretation, interval_theta,
                               circle_interpretation, circular_arc_interpretation,
                               box_interpretation, longest_crossing,
                               longest_noncrossing, make_instance, permutation_plan,
@@ -52,6 +54,22 @@ def test_instance_invariants_all_classes():
             _check_instance(cls, mk(rng, rng.randint(1, 9)))
     for _ in range(8):
         _check_instance("visibility", Representation("visibility", (rand_fan(rng, rng.randint(4, 10)),)))
+
+
+def test_make_instance_closes_and_validates_once(monkeypatch):
+    calls = []
+    for name in ("transitive_closure", "validate_poset"):
+        fn = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda *a, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*a))
+    rng = random.Random(43)
+    cases = [(cls, mk(rng, n)) for cls, mk in CLASS_MAKERS.items() for n in (1, 7)]
+    cases += [("visibility", Representation("visibility", (poly,))) for poly in
+              (rand_fan(rng, 8), terfan_polygon(LabeledGraph(3, {(0, 1)})).polygon)]
+    for cls, rep in cases:
+        calls.clear()
+        make_instance(cls, rep)
+        assert sorted(calls) == ["transitive_closure", "validate_poset"], cls
 
 
 def test_interval_width_examples():
@@ -210,6 +228,29 @@ def test_unit_disk_ties_and_tangencies():
     inst = unit_disk_interpretation(disks)
     assert inst.interpreted_graph().edges == g.edges
     assert g.has_edge(0, 2) and not g.has_edge(0, 4)
+
+
+def test_unit_disk_exact_endpoint_relation():
+    """On each row pair, endpoint e < disk i iff e <= i's left chord end, and
+    i < e iff e >= its right one, in the chain's symbolic order."""
+    rng = random.Random(44)
+    for _ in range(40):
+        disks = rand_disks(rng, rng.randint(1, 9)).objects
+        p = unit_disk_interpretation(disks).poset
+        rows = sorted({d.cy for d in disks})
+        for name, elems in p.labels.items():
+            if not name.startswith("D_"):
+                continue
+            ri, rj = (rows[int(r) - 1] for r in name.split("_")[1:])
+            cmp = _disk_endpoint_cmp(1 - (rj - ri) ** 2)
+            for eid in elems:
+                i, side = p.names[eid].split("[")[1].rstrip("]").split(",")
+                e = (disks[int(i)].cx, 1 if side == "R" else -1, int(i))
+                for d, disk in enumerate(disks):
+                    if disk.cy not in (ri, rj):
+                        continue
+                    assert p.lt(eid, d) == (cmp(e, (disk.cx, -1, d)) <= 0)
+                    assert p.lt(d, eid) == (cmp(e, (disk.cx, 1, d)) >= 0)
 
 
 def test_visibility_convex_polygon():

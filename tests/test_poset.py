@@ -7,11 +7,11 @@ from geomfo.checker import eval_structure
 from geomfo.formula import Var
 from geomfo.geometry import Interval
 from geomfo.interpret import interval_nu, interval_psi, interval_theta
-from geomfo.poset import (LabeledPoset, PosetError, brute_force_width,
-                          build_interval_poset, poset_width, transitive_closure,
+from geomfo.poset import (LabeledPoset, PosetError, build_interval_poset,
+                          generated_poset, poset_width, transitive_closure,
                           validate_poset)
 
-from helpers import rand_intervals
+from helpers import brute_force_width, fixpoint_closure, rand_intervals
 from geomfo.geometry import perturb_endpoints, proper_partition
 
 
@@ -41,10 +41,40 @@ def test_width_matches_bruteforce_on_random_posets():
     for _ in range(60):
         n = rng.randint(1, 10)
         base = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
-        closed = transitive_closure(n, base)
-        p = LabeledPoset(n, closed)
+        p = generated_poset(n, base)
         assert validate_poset(p) is None
         assert poset_width(p) == brute_force_width(p)
+
+
+def test_closure_matches_fixpoint_on_shuffled_ids():
+    """Random DAGs whose ids are permuted, so id order is not a topological order."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < rng.choice((0.1, 0.3, 0.6))]
+        pairs += rng.sample(pairs, len(pairs) // 3)  # repeated pairs
+        rng.shuffle(pairs)
+        rows = transitive_closure(n, pairs)
+        got = {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+        assert got == fixpoint_closure(n, pairs)
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (3, [(0, 1), (1, 1)]),                  # self-pair
+    (4, [(2, 0), (1, 3), (0, 2)]),          # 2-cycle
+    (5, [(0, 1), (1, 2), (2, 3), (3, 1)]),  # longer cycle
+    (3, [(0, 1), (1, 3)]),                  # past n-1
+    (3, [(0, 1), (-1, 0)]),                 # negative, would wrap to 2 < 0
+    (3, [(1, -3)]),                         # negative target
+])
+def test_closure_rejects_non_orders(n, pairs):
+    with pytest.raises(PosetError):
+        transitive_closure(n, pairs)
+    with pytest.raises(PosetError):
+        generated_poset(n, pairs)
 
 
 def test_width_rejects_invalid():
@@ -78,6 +108,31 @@ def test_build_interval_poset_rejects_nonproper_part():
     items = [Interval(Fr(1), Fr(4)), Interval(Fr(2), Fr(3))]
     with pytest.raises(PosetError):
         build_interval_poset(items, [1, 1])
+    # [1,9] contains [3,8], two apart in left-end order
+    items = [Interval(Fr(1), Fr(9)), Interval(Fr(2), Fr(10)), Interval(Fr(3), Fr(8))]
+    with pytest.raises(PosetError):
+        build_interval_poset(items, [1, 1, 1])
+
+
+def test_build_interval_poset_exact_endpoint_relation():
+    """Endpoint e < I iff value(e) <= I.lo and I < e iff value(e) >= I.hi."""
+    rng = random.Random(9)
+    for _ in range(60):
+        items = perturb_endpoints(rand_intervals(rng, rng.randint(1, 10))).objects
+        k, parts = proper_partition(items)
+        p, ids, dmap = build_interval_poset(items, parts)
+        for it, t in zip(items, ids):
+            for v, e in dmap.items():
+                assert p.lt(e, t) == (v <= it.lo)
+                assert p.lt(t, e) == (v >= it.hi)
+
+
+def test_build_interval_poset_extra_labels_by_index():
+    items = [Interval(Fr(1), Fr(3)), Interval(Fr(2), Fr(4)), Interval(Fr(5), Fr(6))]
+    p, ids, _ = build_interval_poset(items, [0, 0, 0], {"red": [2, 0], "blue": []})
+    assert list(p.labels) == ["D", "red", "blue"]
+    assert p.labels["red"] == frozenset({ids[0], ids[2]})
+    assert p.labels["blue"] == frozenset()
 
 
 def test_build_interval_poset_random_properties():
