@@ -104,20 +104,25 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def validate_poset(p: LabeledPoset) -> Optional[Violation]:
-    """First irreflexivity/antisymmetry/transitivity violation, or None."""
-    for a in range(p.n):
-        if p.lt(a, a):
+    """First irreflexivity/antisymmetry/transitivity violation, or None.
+
+    An irreflexive, transitive relation is antisymmetric, so only those two
+    are tested, on the row bitmasks: a pair (a, b) whose row for b reaches
+    the start a is reported as an antisymmetry violation.
+    """
+    rows = p.rows
+    for a, row in enumerate(rows):
+        if row >> a & 1:
             return Violation("irreflexivity", (a,))
-    for a in range(p.n):
-        row = p.rows[a]
+    for a, row in enumerate(rows):
         todo = row
         while todo:
             b = (todo & -todo).bit_length() - 1
             todo &= todo - 1
-            if p.lt(b, a):
-                return Violation("antisymmetry", (a, b))
-            if p.rows[b] & ~row:
-                missing = p.rows[b] & ~row
+            missing = rows[b] & ~row
+            if missing:
+                if missing >> a & 1:
+                    return Violation("antisymmetry", (a, b))
                 c = (missing & -missing).bit_length() - 1
                 return Violation("transitivity", (a, b, c))
     return None

@@ -12,6 +12,7 @@ from fractions import Fraction as Fr
 import numpy as np
 
 from geomfo import formula as F
+from geomfo.checker import EvalError
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation)
 
@@ -126,6 +127,52 @@ def rand_sentence(rng, depth=3, labels=()):
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
+
+def eval_slow(structure, phi, assignment=None) -> bool:
+    """Direct recursive evaluator over one assignment at a time; the oracle
+    for the tensor evaluator.  A defined atom evaluates its body under its
+    arguments' values."""
+    graph = isinstance(structure, LabeledGraph)
+
+    def rec(g, asg) -> bool:
+        if isinstance(g, (F.Edge, F.Leq)):
+            if graph != isinstance(g, F.Edge):
+                raise EvalError("atom/structure signature mismatch")
+            x, y = asg[g.x], asg[g.y]
+            return structure.has_edge(x, y) if graph else structure.leq(x, y)
+        if isinstance(g, F.Eq):
+            return asg[g.x] == asg[g.y]
+        if isinstance(g, F.Label):
+            if g.name not in structure.labels:
+                raise EvalError(f"undeclared label {g.name!r}")
+            return asg[g.x] in structure.labels[g.name]
+        if isinstance(g, F.Defined):
+            return rec(g.body, {p: asg[a] for p, a in zip(g.params, g.args)})
+        if isinstance(g, F.Not):
+            return not rec(g.sub, asg)
+        if isinstance(g, F.And):
+            return rec(g.left, asg) and rec(g.right, asg)
+        if isinstance(g, F.Or):
+            return rec(g.left, asg) or rec(g.right, asg)
+        if isinstance(g, F.Implies):
+            return (not rec(g.left, asg)) or rec(g.right, asg)
+        # a binder shadows an outer value of its variable only in its scope
+        if isinstance(g, F.Exists):
+            return any(rec(g.sub, {**asg, g.var: e}) for e in range(structure.n))
+        if isinstance(g, F.Forall):
+            return all(rec(g.sub, {**asg, g.var: e}) for e in range(structure.n))
+        raise EvalError(f"not a formula: {g!r}")
+
+    return rec(phi, dict(assignment or {}))
+
+
+def path_sentence(k: int) -> str:
+    """The text of "a path on k pairwise distinct vertices exists"."""
+    vs = [f"x{i}" for i in range(1, k + 1)]
+    body = ([f"edge({a},{b})" for a, b in zip(vs, vs[1:])]
+            + [f"!({a}={b})" for i, a in enumerate(vs) for b in vs[i + 1:]])
+    return "".join(f"exists {v}. " for v in vs) + "(" + " & ".join(body) + ")"
+
 
 def max_clique(g: LabeledGraph) -> int:
     for r in range(g.n, 0, -1):

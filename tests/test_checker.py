@@ -1,19 +1,21 @@
 import itertools
 import random
 from fractions import Fraction as Fr
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geomfo import formula as F
-from geomfo.checker import (EvalError, _context, eval_slow, eval_structure, model_check,
-                            truth_table)
-from geomfo.formula import GRAPH, Var, parse_formula
+from geomfo import checker, formula as F
+from geomfo.checker import EvalError, _context, eval_structure, model_check, truth_table
+from geomfo.formula import GRAPH, POSET, Var, parse_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
-from geomfo.poset import LabeledPoset
+from geomfo.poset import LabeledPoset, generated_poset
 
-from helpers import (has_dominating_set, rand_arcs, rand_boxes, rand_chords, rand_disks,
-                     rand_fan, rand_intervals, rand_segments, rand_sentence)
+from helpers import (eval_slow, has_dominating_set, path_sentence, rand_arcs, rand_boxes,
+                     rand_chords, rand_disks, rand_fan, rand_intervals, rand_segments,
+                     rand_sentence)
 
 
 def test_tautology_on_one_vertex():
@@ -232,3 +234,98 @@ def test_renamed_copy_shares_keys_and_transposes():
     contained = truth_table(p, F.Defined(interval_theta(), (x, y), (x, y)), (x, y))
     assert (contained == truth_table(p, interval_theta(), (x, y))).all()
     assert (contained != truth_table(p, F.Defined(psi, (x, y), (x, y)), (x, y))).any()
+
+
+_VARS = tuple(Var(v) for v in ("x", "y", "z", "w"))
+_X, _Y, _Z = _VARS[:3]
+# bodies of defined atoms over (x, y), each with a quantifier of its own
+_DEFINED = {GRAPH: F.Exists(_Z, F.And(F.Edge(_X, _Z), F.Not(F.Edge(_Z, _Y)))),
+            POSET: interval_psi()}
+
+
+def _quantified_formulas(signature):
+    """Open formulas, weighted to quantifiers over conjunctions and disjunctions."""
+    rel = F.Edge if signature == GRAPH else F.Leq
+    var = st.sampled_from(_VARS)
+    binary = st.sampled_from([rel, lambda a, b: F.Not(rel(b, a)),
+                              lambda a, b: F.Defined(_DEFINED[signature], (_X, _Y), (a, b))])
+    atoms = st.one_of(
+        st.builds(lambda r, a, b: r(a, b), binary, var, var),  # at times one variable twice
+        st.builds(F.Eq, var, var),
+        st.builds(lambda v: F.Label("red", v), var))
+
+    def star(order, r, f):
+        """exists v. r(u1,v) & r(u2,v) & r(u3,v) & f: three joined groups or more"""
+        v = order[0]
+        return F.Exists(v, F.big_and([r(u, v) for u in order[1:]] + [f]))
+
+    def extend(sub):
+        parts = st.lists(sub, min_size=2, max_size=4)
+        return st.one_of(
+            st.builds(F.Not, sub),
+            st.builds(F.Or, sub, sub), st.builds(F.Implies, sub, sub),
+            st.builds(F.Exists, var, sub), st.builds(F.Forall, var, sub),
+            st.builds(star, st.permutations(_VARS), binary, sub),
+            st.builds(lambda v, ps: F.Exists(v, F.big_and(ps)), var, parts),
+            st.builds(lambda v, ps: F.Forall(v, F.big_or(ps)), var, parts),
+            st.builds(lambda v, f: F.Forall(v, F.Not(f)), var, sub))
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@st.composite
+def _structures(draw, signature):
+    n = draw(st.integers(0, 4))
+    elements = st.integers(0, max(n - 1, 0))
+    red = set(draw(st.lists(elements, max_size=n))) if n else set()
+    pairs = draw(st.lists(st.tuples(elements, elements), max_size=8)) if n else []
+    if signature == GRAPH:
+        return LabeledGraph(n, {(a, b) for a, b in pairs if a != b}, {"red": red})
+    return generated_poset(n, {(a, b) for a, b in pairs if a < b},
+                           {"red": red, "D": set(range(n)) - red})
+
+
+@pytest.mark.parametrize("small_cells", [0, checker._SMALL_CELLS])
+@pytest.mark.parametrize("signature", [GRAPH, POSET])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_contraction_matches_slow_evaluator(signature, small_cells, data):
+    """Every entry of the table against the direct evaluator; with no small
+    bodies every quantifier takes the join plan (any, tensordot or einsum)."""
+    s = data.draw(_structures(signature))
+    phi = data.draw(_quantified_formulas(signature))
+    free = F.free_vars(phi)
+    axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
+    with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
+        table = truth_table(s, phi, axes)
+    for point in itertools.product(range(s.n), repeat=len(axes)):
+        assert bool(table[point]) == eval_slow(s, phi, dict(zip(axes, point)))
+
+
+def test_order_matrix_matches_rows():
+    rng = random.Random(14)
+    for n in (0, 1, 7, 8, 9, 17):
+        p = generated_poset(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                if rng.random() < 0.3])
+        rel = _context(p).rel
+        assert rel.shape == (n, n)
+        assert rel.tolist() == [[p.leq(a, b) for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("cls, make, size", [("interval", rand_intervals, 20),
+                                             ("unit_disk", rand_disks, 8)])
+def test_psi_tables_fit_a_quadratic_budget(monkeypatch, cls, make, size):
+    """psi quantifies a third variable, yet never needs n^3 cells."""
+    rep = make(random.Random(15), size)
+    inst = make_instance(cls, rep)
+    monkeypatch.setattr(checker, "MAX_CELLS", inst.poset.n ** 2)
+    assert inst.interpreted_graph().edges == checker.build_graph(cls, rep).edges
+
+
+def test_budget_overflow_is_an_eval_error(monkeypatch):
+    rep = rand_intervals(random.Random(3), 20)  # a poset of 60 elements
+    phi = parse_formula(path_sentence(5), GRAPH)
+    monkeypatch.setattr(checker, "MAX_CELLS", 60 ** 3)
+    with pytest.raises(EvalError, match="arity 4 on n=60"):
+        model_check("interval", rep, phi)
+

@@ -3,13 +3,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from geomfo import fileio
+from geomfo import checker, fileio
 from geomfo.cli import main
 from geomfo.generators import terfan_polygon
 from geomfo.geometry import Interval, LabeledGraph, Representation
 from geomfo.poset import LabeledPoset
 
-from helpers import rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, \
+from helpers import path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, \
     rand_intervals, rand_segments
 
 
@@ -215,6 +215,17 @@ def test_cli_check_deep_formula_exits_2(tmp_path, capsys):
         assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_cli_check_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
+    rep = tmp_path / "rep.txt"  # 20 intervals, a poset of 60 elements
+    rep.write_text(fileio.write_representation(rand_intervals(random.Random(3), 20)))
+    monkeypatch.setattr(checker, "MAX_CELLS", 60 ** 3)
+    assert main(["check", "--class", "interval", "--in", str(rep),
+                 "--formula", path_sentence(5)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "over the budget" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_verify_reports_evaluation_error_and_goes_on(tmp_path, capsys):
