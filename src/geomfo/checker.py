@@ -35,7 +35,7 @@ import numpy as np
 from . import GeomfoError, formula as F
 from .geometry import (ALL_CLASSES, GeometryError, LabeledGraph, Representation,
                        build_intersection_graph, visibility_graph)
-from .poset import LabeledPoset
+from .poset import LabeledPoset, order_matrix
 
 Structure = Union[LabeledGraph, LabeledPoset]
 
@@ -70,10 +70,7 @@ class _Context:
                 rel[u, v] = rel[v, u] = True
         else:
             self.signature = F.POSET
-            width = (n + 7) // 8
-            rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in structure.rows),
-                                 dtype=np.uint8).reshape(n, width)
-            self.rel = np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+            self.rel = order_matrix(structure)
             self.rel |= np.eye(n, dtype=bool)  # <= is the reflexive closure of the strict order
         self.labels = {name: np.isin(np.arange(n), list(vs))
                        for name, vs in structure.labels.items()}

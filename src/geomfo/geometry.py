@@ -14,6 +14,7 @@ segments (shared endpoints are not an edge).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -418,25 +419,41 @@ def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
 # ---------------------------------------------------------------------------
 # proper partitions and perturbation
 
+def increasing_run_lengths(keys: Sequence) -> list[int]:
+    """Length of the longest strictly increasing subsequence of ``keys`` that
+    ends at each position, by patience sorting in O(n log n)."""
+    tails: list = []  # tails[d]: least last key of such a subsequence of length d + 1
+    out = []
+    for key in keys:
+        d = bisect.bisect_left(tails, key)
+        tails[d:d + 1] = [key]
+        out.append(d + 1)
+    return out
+
+
 def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
     """Mirsky decomposition of the containment order.
 
     Returns (k, assignment) where the part of item i counts the longest
     chain of intervals nested around item i (itself included); k is
     minimal, i.e. the family is k-fold proper but not (k-1)-fold proper.
+    With distinct endpoints, the intervals around i come before it in
+    left-end order and end after it, so its part is a longest strictly
+    decreasing run of right-end ranks in that order.
     """
     ends: list[Fraction] = []
     for it in items:
         ends.extend((it.lo, it.hi))
     if len(set(ends)) != len(ends):
         raise GeometryError("duplicate endpoints")
-    order = sorted(range(len(items)), key=lambda i: items[i].hi - items[i].lo,
-                   reverse=True)
-    h = [1] * len(items)
-    for pos, i in enumerate(order):
-        for j in order[:pos]:
-            if items[j].strictly_contains(items[i]):
-                h[i] = max(h[i], h[j] + 1)
+    by_value = sorted(range(len(ends)), key=ends.__getitem__)
+    rank = [0] * len(ends)  # rank[2i], rank[2i+1]: ranks of item i's ends
+    for r, e in enumerate(by_value):
+        rank[e] = r
+    order = [e // 2 for e in by_value if not e % 2]  # items by left end
+    h = [0] * len(items)
+    for i, depth in zip(order, increasing_run_lengths([-rank[2 * i + 1] for i in order])):
+        h[i] = depth
     return (max(h, default=0), h)
 
 

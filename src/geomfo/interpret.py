@@ -9,8 +9,6 @@ uv is an edge iff the poset models psi(u,v) | psi(v,u).
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,9 +16,9 @@ from typing import Optional, Sequence
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, big_and, big_or)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
-                       PermSegment, Polygon, Representation, permutation_to_chords,
-                       perturb_endpoints, polygon_report, proper_partition,
-                       visibility_graph)
+                       PermSegment, Polygon, Representation, increasing_run_lengths,
+                       permutation_to_chords, perturb_endpoints, polygon_report,
+                       proper_partition, visibility_graph)
 from .poset import LabeledPoset, build_interval_poset, generated_poset
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -144,28 +142,22 @@ def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # permutation graphs
 
-def _longest_chain(segments: Sequence[PermSegment], follows) -> int:
-    """Longest chain in top order whose bottoms compare by ``follows``, by O(n^2) DP."""
+def _longest_chain(segments: Sequence[PermSegment], sign: int) -> int:
+    """Longest chain in (stable) top order whose bottoms strictly increase
+    after multiplying by ``sign``."""
     order = sorted(range(len(segments)), key=lambda i: segments[i].top)
-    best = [0] * len(segments)
-    out = 0
-    for pos, i in enumerate(order):
-        best[i] = 1
-        for j in order[:pos]:
-            if follows(segments[j].bottom, segments[i].bottom):
-                best[i] = max(best[i], best[j] + 1)
-        out = max(out, best[i])
-    return out
+    return max(increasing_run_lengths([sign * segments[i].bottom for i in order]),
+               default=0)
 
 
 def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
     """Maximum independent set = longest chain of pairwise non-crossing segments."""
-    return _longest_chain(segments, operator.lt)
+    return _longest_chain(segments, 1)
 
 
 def longest_crossing(segments: Sequence[PermSegment]) -> int:
     """Maximum clique = longest chain of pairwise crossing segments."""
-    return _longest_chain(segments, operator.gt)
+    return _longest_chain(segments, -1)
 
 
 def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
@@ -269,38 +261,29 @@ def box_interpretation(boxes: Sequence[Box], k: Optional[int] = None) -> Interpr
 # ---------------------------------------------------------------------------
 # unit disks
 
-def _disk_endpoint_cmp(q4w2: Fraction):
-    """Comparator for symbolic chord endpoints (cx + s*w, s*delta, idx*tau).
+def _chord_ends(disks: Sequence[Disk], along: Sequence[int], q4w2: Fraction
+                ) -> list[tuple[int, int]]:
+    """The chord ends (disk, side) of the disks ``along`` one midline, in order.
 
-    q4w2 is (2w)^2, shared by every chord on one midline since all disks
-    have the same diameter.  Enlargement delta keeps tangencies as overlaps;
-    the index term tau breaks exact coordinate ties without creating
-    nestings.
+    ``along`` is in (cx, index) order and every chord has the same
+    half-width w, with (2w)^2 = q4w2, so the left ends (side -1) and the
+    right ends (side 1) are each in that order, and the chain is their
+    merge.  A right end at c2 is still pending only while c2 <= c1, the
+    centre of the left end being placed, and comes first iff its chord
+    ends before this one starts, (c1 - c2)^2 > q4w2.  Symbolically each
+    end moves outwards by delta, so a tangency stays an overlap, and a
+    tiny index term breaks exact ties without creating nestings.
     """
-
-    def real_cmp(c1: Fraction, s1: int, c2: Fraction, s2: int) -> int:
-        if s1 == s2:
-            return (c1 > c2) - (c1 < c2)
-        d = c1 - c2
-        if s1 > s2:  # value difference d + 2w
-            if d >= 0:
-                return 1 if (d > 0 or q4w2 > 0) else 0
-            return (d * d < q4w2) - (d * d > q4w2)
-        if d <= 0:
-            return -1 if (d < 0 or q4w2 > 0) else 0
-        return (d * d > q4w2) - (d * d < q4w2)
-
-    def cmp(e1, e2) -> int:
-        c1, s1, i1 = e1
-        c2, s2, i2 = e2
-        r = real_cmp(c1, s1, c2, s2)
-        if r:
-            return r
-        if s1 != s2:
-            return -1 if s1 < s2 else 1
-        return (i1 > i2) - (i1 < i2)
-
-    return cmp
+    out = []
+    j = 0
+    for i in along:
+        c1 = disks[i].cx
+        while (c1 - disks[along[j]].cx) ** 2 > q4w2:
+            out.append((along[j], 1))
+            j += 1
+        out.append((i, -1))
+    out += [(i, 1) for i in along[j:]]
+    return out
 
 
 def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
@@ -338,24 +321,19 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
                 continue
             kept_pairs.append((ri, rj))
             q4w2 = 1 - dy * dy  # (2w)^2 on the midline
-            members = [i for i in range(n)
-                       if row_of[disks[i].cy] in (ri, rj)]
-            key = functools.cmp_to_key(_disk_endpoint_cmp(q4w2))
-            ends = []
+            along = [i for i in order if row_of[disks[i].cy] in (ri, rj)]
             dlabel = f"D_{ri + 1}_{rj + 1}"
             labels.setdefault(dlabel, set())
             end_elem: dict[tuple[int, int], int] = {}
-            for i in members:
+            for i in sorted(along):  # element ids in disk order
                 for s in (-1, 1):
                     eid = len(elems)
                     elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
                     labels[dlabel].add(eid)
                     end_elem[(i, s)] = eid
-                    ends.append((disks[i].cx, s, i))
-            ends.sort(key=key)
-            for e1, e2 in zip(ends, ends[1:]):
-                pairs.append((end_elem[(e1[2], e1[1])], end_elem[(e2[2], e2[1])]))
-            for i in members:  # each disk sits between its own chord ends
+            chain = [end_elem[e] for e in _chord_ends(disks, along, q4w2)]
+            pairs += zip(chain, chain[1:])
+            for i in along:  # each disk sits between its own chord ends
                 pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]
 
     poset = generated_poset(len(elems), pairs, labels, elems)

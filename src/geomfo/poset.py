@@ -4,9 +4,10 @@ The strict relation is stored transitively closed (as row bitmasks), since
 formula evaluation queries arbitrary pairs and instances are desk-scale.
 Builders give only generating pairs (chains as consecutive pairs, each
 object between its own endpoints); ``generated_poset`` closes them in one
-pass over a topological order and validates the result.  Width is the
-maximum antichain size, computed as a minimum chain cover via bipartite
-matching.
+pass over a topological order and validates the result with one boolean
+matrix product on ``order_matrix``, the same 0/1 matrix the checker
+evaluates on.  Width is the maximum antichain size, computed as a minimum
+chain cover via bipartite matching.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import GeomfoError
 from .geometry import GeometryError, Interval
@@ -103,29 +106,55 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return rows
 
 
+def order_matrix(p: LabeledPoset) -> np.ndarray:
+    """The strict order as an n x n boolean matrix: entry [a, b] iff a < b."""
+    n = p.n
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in p.rows),
+                         dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+
+
+_PRODUCT_CELLS = 1 << 20  # cells of one row block of the validation product
+
+
 def validate_poset(p: LabeledPoset) -> Optional[Violation]:
     """First irreflexivity/antisymmetry/transitivity violation, or None.
 
-    An irreflexive, transitive relation is antisymmetric, so only those two
-    are tested, on the row bitmasks: a pair (a, b) whose row for b reaches
-    the start a is reported as an antisymmetry violation.
+    With M the order matrix, the relation is irreflexive iff M's diagonal
+    is zero, and transitive iff ``(M @ M > 0) & ~M`` is empty; an
+    irreflexive, transitive relation is antisymmetric.  The product is
+    taken in float32 (a sum of non-negative terms is positive iff one term
+    is) over row blocks of at most ``_PRODUCT_CELLS`` cells.  The first
+    row a with a fault is then scanned on its bitmask: the first b above a
+    whose row is not inside a's gives the violation, reported as
+    antisymmetry when the missing element is a itself.
     """
+    m = order_matrix(p)
+    loops = np.flatnonzero(m.diagonal())
+    if loops.size:
+        return Violation("irreflexivity", (int(loops[0]),))
+    mf = m.astype(np.float32)
+    step = max(1, _PRODUCT_CELLS // max(p.n, 1))
+    for start in range(0, p.n, step):
+        bad = ((mf[start:start + step] @ mf > 0) & ~m[start:start + step]).any(axis=1)
+        if bad.any():
+            a = start + int(np.argmax(bad))
+            break
+    else:
+        return None
     rows = p.rows
-    for a, row in enumerate(rows):
-        if row >> a & 1:
-            return Violation("irreflexivity", (a,))
-    for a, row in enumerate(rows):
-        todo = row
-        while todo:
-            b = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            missing = rows[b] & ~row
-            if missing:
-                if missing >> a & 1:
-                    return Violation("antisymmetry", (a, b))
-                c = (missing & -missing).bit_length() - 1
-                return Violation("transitivity", (a, b, c))
-    return None
+    row = todo = rows[a]
+    while todo:
+        b = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        missing = rows[b] & ~row
+        if missing:
+            if missing >> a & 1:
+                return Violation("antisymmetry", (a, b))
+            c = (missing & -missing).bit_length() - 1
+            return Violation("transitivity", (a, b, c))
+    raise AssertionError("matrix test and row scan disagree")
 
 
 def generated_poset(n: int, pairs: Iterable[tuple[int, int]],

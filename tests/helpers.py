@@ -13,6 +13,7 @@ import numpy as np
 
 from geomfo import formula as F
 from geomfo.checker import EvalError
+from geomfo.poset import Violation
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation)
 
@@ -218,6 +219,66 @@ def longest_nesting_chain(intervals) -> int:
     return best
 
 
+def mirsky_partition(items) -> tuple[int, list[int]]:
+    """``proper_partition`` by the O(n^2) Mirsky loop: outer intervals first."""
+    order = sorted(range(len(items)), key=lambda i: items[i].hi - items[i].lo,
+                   reverse=True)
+    h = [1] * len(items)
+    for pos, i in enumerate(order):
+        for j in order[:pos]:
+            if items[j].strictly_contains(items[i]):
+                h[i] = max(h[i], h[j] + 1)
+    return (max(h, default=0), h)
+
+
+def longest_chain_dp(segments, follows) -> int:
+    """Longest chain in (stable) top order whose bottoms compare by ``follows``, by O(n^2) DP."""
+    order = sorted(range(len(segments)), key=lambda i: segments[i].top)
+    best = [0] * len(segments)
+    out = 0
+    for pos, i in enumerate(order):
+        best[i] = 1
+        for j in order[:pos]:
+            if follows(segments[j].bottom, segments[i].bottom):
+                best[i] = max(best[i], best[j] + 1)
+        out = max(out, best[i])
+    return out
+
+
+def disk_endpoint_cmp(q4w2):
+    """Comparator for symbolic chord endpoints (cx + s*w, s*delta, idx*tau).
+
+    q4w2 is (2w)^2, shared by every chord on one midline since all disks
+    have the same diameter.  Enlargement delta keeps tangencies as overlaps;
+    the index term tau breaks exact coordinate ties without creating
+    nestings.
+    """
+
+    def real_cmp(c1, s1, c2, s2) -> int:
+        if s1 == s2:
+            return (c1 > c2) - (c1 < c2)
+        d = c1 - c2
+        if s1 > s2:  # value difference d + 2w
+            if d >= 0:
+                return 1 if (d > 0 or q4w2 > 0) else 0
+            return (d * d < q4w2) - (d * d > q4w2)
+        if d <= 0:
+            return -1 if (d < 0 or q4w2 > 0) else 0
+        return (d * d > q4w2) - (d * d < q4w2)
+
+    def cmp(e1, e2) -> int:
+        c1, s1, i1 = e1
+        c2, s2, i2 = e2
+        r = real_cmp(c1, s1, c2, s2)
+        if r:
+            return r
+        if s1 != s2:
+            return -1 if s1 < s2 else 1
+        return (i1 > i2) - (i1 < i2)
+
+    return cmp
+
+
 # independent exact visibility: Cramer-rule crossings + winding-number location
 
 def _cross_params(p, q, a, b):
@@ -371,6 +432,27 @@ def fixpoint_closure(n: int, pairs) -> set:
                 rows[a] = acc
                 changed = True
     return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+
+
+def validate_poset_scan(p):
+    """``validate_poset`` by the full bitmask scan: every pair (a, b) with
+    a < b, in order, until a row of b is not inside the row of a."""
+    rows = p.rows
+    for a, row in enumerate(rows):
+        if row >> a & 1:
+            return Violation("irreflexivity", (a,))
+    for a, row in enumerate(rows):
+        todo = row
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            missing = rows[b] & ~row
+            if missing:
+                if missing >> a & 1:
+                    return Violation("antisymmetry", (a, b))
+                c = (missing & -missing).bit_length() - 1
+                return Violation("transitivity", (a, b, c))
+    return None
 
 
 def brute_force_width(p) -> int:

@@ -11,7 +11,7 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              polygon_report, visibility_graph)
 from geomfo import poset as P
 from geomfo.generators import terfan_polygon
-from geomfo.interpret import (_disk_endpoint_cmp, interval_interpretation, interval_theta,
+from geomfo.interpret import (interval_interpretation, interval_theta,
                               circle_interpretation, circular_arc_interpretation,
                               box_interpretation, longest_crossing,
                               longest_noncrossing, make_instance, permutation_plan,
@@ -19,6 +19,7 @@ from geomfo.interpret import (_disk_endpoint_cmp, interval_interpretation, inter
                               visibility_interpretation)
 from geomfo.poset import poset_width, validate_poset
 
+from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
 from helpers import (max_clique, max_independent_set, has_subgraph, rand_arcs,
                      rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
                      rand_segments, rand_sentence)
