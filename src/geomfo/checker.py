@@ -1,30 +1,43 @@
 """Exhaustive FO evaluation and the graph/poset agreement pipeline.
 
 Evaluation is Tarskian semantics done with boolean tensors: a subformula
-with free variables v1..vk has an n^k truth table, atoms are adjacency or
-order matrices and connectives are elementwise ops.  A quantifier is a
-contraction (Yannakakis, VLDB 1981; Abo Khamis, Ngo and Rudra, PODS 2016):
-``forall v`` is read as ``!exists v !``, the body is split into conjuncts
+with free variables v1..vk has a truth table with one axis per variable,
+atoms are adjacency or order matrices and connectives are elementwise ops.
+Each axis ranges over a domain, an ascending array of elements; a table is
+cached per key and tuple of domain ids, where id 0 is all n elements.  A
+quantifier is a contraction (Yannakakis, VLDB 1981; Abo Khamis, Ngo and
+Rudra, PODS 2016): ``forall v`` is read as ``!exists v !``, the body is split into conjuncts
 through ``!``, ``&`` and negated ``|`` and ``->``, conjuncts without v are
 ANDed outside, and the rest are joined and projected on v without building
 the body's table.  A disjunction is split instead when it is the whole
 body, or once per conjunction when it has three or more axes, as inside
-the interval ``psi``, which thereby costs two n x n matrix products.  So the
-cost is set by the largest table a plan touches, not a flat n^O(|phi|).
-Every table and every contraction is checked against ``MAX_CELLS`` before
-it is allocated, and einsum plans its path under that limit; going over
-raises ``EvalError``.
+the interval ``psi``, which thereby costs two matrix products.  So the cost
+is set by the largest table a plan touches, not a flat n^O(|phi|).
+
+A quantified variable ranges over its guards (the FAQ view of unary
+factors): a guard is a positive unary ``Label`` or ``Defined`` atom on the
+quantified variable among the conjuncts of a branch, as ``nu(v)`` from the
+rewrite or ``D(z)`` in the interval ``psi``.  The branch's variable ranges
+over the elements where all its guards hold, and the guards leave the
+conjunction, which then holds on that domain; an empty conjunction is the
+test that the domain is non-empty.  Domains pass down to the children by
+position, an atom reads its matrix along them and a defined atom reads its
+body's table over its parameters' domains, so the rewritten ``psi`` is a
+|nu| x |nu| table whose ``z`` ranges over ``D``.  Every table and every
+contraction is checked against ``MAX_CELLS`` (the product of its axes'
+domain sizes) before it is allocated, and einsum plans its path under that
+limit; going over raises ``EvalError``.
 
 Subformulas equal up to renaming share one table per structure: each node
 gets a small-int key built bottom-up from its children's keys (hashing
 modulo alpha-equivalence, Maziarz et al., PLDI 2021).  The keyed pass
 computes keys and free-variable names only; a table is filled from its key's
-description when a parent needs it, and the table of a defined atom's body
-is computed once.
+description, over the domains a parent asks for, when the parent needs it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from dataclasses import dataclass
@@ -72,13 +85,19 @@ class _Context:
             self.signature = F.POSET
             self.rel = order_matrix(structure)
             self.rel |= np.eye(n, dtype=bool)  # <= is the reflexive closure of the strict order
-        self.labels = {name: np.isin(np.arange(n), list(vs))
-                       for name, vs in structure.labels.items()}
+        self.labels = {}
+        for name, vs in structure.labels.items():
+            self.labels[name] = inside = np.zeros(n, dtype=bool)
+            inside[list(vs)] = True
         self.keys: dict[tuple, int] = {}  # node description -> key
         self.descs: list[tuple] = []  # key -> node description
         self.arity: list[int] = []  # key -> number of free variables
-        self.tables: list[Optional[np.ndarray]] = []  # key -> table, once filled
+        self.tables: dict[Union[int, tuple], np.ndarray] = {}  # key or (key, *doms) -> table
         self.defined: dict[int, F.Defined] = {}  # key -> defined atom; keeps its body's id unique
+        self.domains: list[np.ndarray] = [np.arange(n)]  # domain id -> its elements, ascending
+        self.sizes: list[int] = [n]  # domain id -> its number of elements
+        self.domain_ids: dict[bytes, int] = {}  # a domain's elements -> its id
+        self.guards: dict[tuple[int, ...], int] = {}  # guard keys -> where they all hold
 
 
 def _context(structure: Structure) -> _Context:
@@ -102,11 +121,13 @@ def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
     return arr.transpose(sorted(range(len(pos)), key=pos.__getitem__)).reshape(shape)
 
 
-def _check(ctx: _Context, axes: int) -> None:
-    """Raise EvalError unless an array with ``axes`` axes of length n fits MAX_CELLS."""
-    if ctx.n ** axes > MAX_CELLS:
-        raise EvalError(f"a table of arity {axes} on n={ctx.n} elements has "
-                        f"{ctx.n ** axes} cells, over the budget of {MAX_CELLS}")
+def _check(ctx: _Context, sizes: Sequence[int]) -> None:
+    """Raise EvalError unless an array with axes of ``sizes`` fits MAX_CELLS."""
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        raise EvalError(f"a table of arity {len(sizes)} on n={ctx.n} elements, with axes of "
+                        f"{'x'.join(map(str, sizes))}, has {cells} cells, over the budget "
+                        f"of {MAX_CELLS}")
 
 
 def _key(ctx: _Context, f: F.Formula) -> tuple[int, tuple[str, ...]]:
@@ -147,76 +168,137 @@ def _key(ctx: _Context, f: F.Formula) -> tuple[int, tuple[str, ...]]:
         key = ctx.keys[desc] = len(ctx.descs)
         ctx.descs.append(desc)
         ctx.arity.append(len(free))
-        ctx.tables.append(None)
         if isinstance(f, F.Defined):
             ctx.defined[key] = f
     return key, free
 
 
-def _table(ctx: _Context, key: int) -> np.ndarray:
-    """The table of ``key``, filled from its description on first use."""
-    table = ctx.tables[key]
+# ``doms`` holds the domain id of each axis of a table, at least one of them
+# not 0, or is empty when every axis spans all n elements; so a table over the
+# whole structure is cached under its key alone.
+
+def _pick(doms: tuple[int, ...], pos: Sequence[int]) -> tuple[int, ...]:
+    """The domains ``doms[p]`` for p in ``pos``, in the form above."""
+    picked = tuple([doms[p] for p in pos]) if doms else ()
+    return picked if any(picked) else ()
+
+
+def _shape(ctx: _Context, doms: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The axis lengths of a k-axis table over ``doms``."""
+    return tuple([ctx.sizes[d] for d in doms]) if doms else (ctx.n,) * k
+
+
+def _table(ctx: _Context, key: int, doms: tuple[int, ...] = ()) -> np.ndarray:
+    """The table of ``key`` over the domains ``doms``, filled from its
+    description on first use."""
+    at = (key, *doms) if doms else key
+    table = ctx.tables.get(at)
     if table is None:
-        table = ctx.tables[key] = _fill(ctx, key)
+        table = ctx.tables[at] = _fill(ctx, key, doms)
     return table
 
 
-def _fill(ctx: _Context, key: int) -> np.ndarray:
+def _fill(ctx: _Context, key: int, doms: tuple[int, ...]) -> np.ndarray:
     desc, k = ctx.descs[key], ctx.arity[key]
     kind = desc[0]
-    _check(ctx, k)
+    sizes = _shape(ctx, doms, k)
+    _check(ctx, sizes)
     if kind is F.Exists or kind is F.Forall:
-        return _quantify(ctx, desc, k)
+        return _quantify(ctx, desc, doms, sizes)
     if kind is F.Not:
-        return ~_table(ctx, desc[1])
+        return ~_table(ctx, desc[1], doms)
     if kind is F.And or kind is F.Or or kind is F.Implies:
-        la = _table(ctx, desc[1])
-        la, ra = _lift(la, tuple(range(la.ndim)), k), _lift(_table(ctx, desc[2]), desc[3], k)
+        left, ka = desc[1], ctx.arity[desc[1]]
+        la = _lift(_table(ctx, left, _pick(doms, range(ka))), tuple(range(ka)), k)
+        ra = _lift(_table(ctx, desc[2], _pick(doms, desc[3])), desc[3], k)
         if kind is F.And:
             return la & ra
         return la | ra if kind is F.Or else ~la | ra
+    pos = desc[-1]  # the atom's table is over distinct variables; repeated ones read a diagonal
+    args = _pick(doms, pos)  # the domain of each argument
     if kind is F.Edge or kind is F.Leq:
         want = F.GRAPH if kind is F.Edge else F.POSET
         if ctx.signature != want:
             raise EvalError(f"{'edge' if want == F.GRAPH else '<='} atom evaluated "
                             f"on a {ctx.signature} structure")
-        table = ctx.rel
+        table = _slice(ctx, ctx.rel, args)
     elif kind is F.Eq:
-        table = np.eye(ctx.n, dtype=bool)
+        table = np.equal.outer(*[ctx.domains[d] for d in args or (0, 0)])
     elif kind is F.Label:
         if desc[1] not in ctx.labels:
             raise EvalError(f"undeclared label {desc[1]!r}")
-        table = ctx.labels[desc[1]]
-    else:  # a defined atom
+        table = _slice(ctx, ctx.labels[desc[1]], args)
+    else:  # a defined atom: its body's table over its parameters' domains
         f = ctx.defined[key]
-        table = truth_table(ctx.structure(), f.body, f.params)
-    pos = desc[-1]  # the atom's table is over distinct variables; repeated ones read a diagonal
+        names = _names(f.params)
+        body, free = _bound_key(ctx, f.body, names)
+        at = tuple(map(names.index, free))
+        table = _lift(_table(ctx, body, _pick(args, at)), at, len(names))
+        table = np.broadcast_to(table, _shape(ctx, args, len(names)))
     return np.einsum(table, list(pos), list(range(k))) if k < len(pos) else table
+
+
+def _slice(ctx: _Context, table: np.ndarray, doms: tuple[int, ...]) -> np.ndarray:
+    """``table``, whose axes span all n elements, read along the domains ``doms``."""
+    for i, d in enumerate(doms):
+        if d:
+            table = table.take(ctx.domains[d], axis=i)
+    return table
+
+
+def _domain(ctx: _Context, guards: tuple[int, ...]) -> int:
+    """The id of the domain of the elements where every unary key of
+    ``guards`` holds; the same elements always get the same id."""
+    d = ctx.guards.get(guards)
+    if d is None:
+        inside = _table(ctx, guards[0])
+        for g in guards[1:]:
+            inside = inside & _table(ctx, g)
+        elements = np.flatnonzero(inside)
+        if len(elements) == ctx.n:
+            d = 0
+        else:
+            d = ctx.domain_ids.setdefault(elements.tobytes(), len(ctx.domains))
+            if d == len(ctx.domains):
+                ctx.domains.append(elements)
+                ctx.sizes.append(len(elements))
+        ctx.guards[guards] = d
+    return d
 
 
 # A literal is (key, pos, neg): the table of ``key`` with its axis i on the
 # quantifier body's axis pos[i], negated when ``neg``.
 
-def _quantify(ctx: _Context, desc: tuple, k: int) -> np.ndarray:
+def _quantify(ctx: _Context, desc: tuple, doms: tuple[int, ...],
+              sizes: tuple[int, ...]) -> np.ndarray:
     kind, body, ax = desc
     if ctx.n == 0:  # over the empty domain, exists is false and forall true
-        return np.full((0,) * k, kind is F.Forall)
+        return np.full(sizes, kind is F.Forall)
     if ax < 0:  # the quantified variable does not occur
-        return _table(ctx, body)
+        return _table(ctx, body, doms)
     neg = kind is F.Forall  # forall v. phi == !exists v. !phi
+    k = len(sizes)
     out = None
-    for lits in _branches(ctx, [(body, tuple(range(k + 1)), neg)], ax, True):
-        part = _exists(ctx, lits, ax, k)
+    for guards, lits in _branches(ctx, [(body, tuple(range(k + 1)), neg)], ax, True):
+        d = _domain(ctx, tuple(sorted(guards))) if guards else 0
+        size = ctx.sizes[d]
+        if lits and size:
+            outer = doms or (0,) * k
+            inner = outer[:ax] + (d,) + outer[ax:] if d or doms else ()
+            part = _exists(ctx, lits, ax, inner, sizes[:ax] + (size,) + sizes[ax:])
+        else:  # a conjunction of guards holds on its domain if that has an element
+            part = np.full((1,) * k, size > 0)
         out = part if out is None else out | part
     if neg:
         out = ~out
-    full = (ctx.n,) * k  # a branch need not mention every axis
-    return out if out.shape == full else np.broadcast_to(out, full)
+    # a branch need not mention every axis
+    return out if out.shape == sizes else np.broadcast_to(out, sizes)
 
 
-def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[list]:
+def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple[set, list]]:
     """The conjunction of the literals ``todo`` as a disjunction of
-    conjunctions of literals that are no conjunction.
+    conjunctions of literals that are no conjunction, each as the keys of its
+    guards on ``ax`` and its other literals.
 
     A disjunction is split when it is the whole conjunction, or when it
     mentions the quantified axis ``ax`` with three or more axes and no
@@ -224,6 +306,8 @@ def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[list]
     number of branches stays linear in the formula.
     """
     done: list = []
+    guards: set[int] = set()
+    at = (ax,)
     while todo:
         lit = key, pos, neg = todo.pop()
         desc = ctx.descs[key]
@@ -237,28 +321,38 @@ def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[list]
             if (kind is F.And) != neg:
                 todo += (left, right)
                 continue
-            whole = not todo and not done
+            whole = not todo and not done and not guards
             if whole or may_split and len(pos) >= 3 and ax in pos:
-                rest = todo + done
+                rest = todo + done + [(g, at, False) for g in guards]
                 return (_branches(ctx, rest + [left], ax, whole and may_split)
                         + _branches(ctx, rest + [right], ax, whole and may_split))
-        done.append(lit)
-    return [done]
+        if pos == at and not neg and (kind is F.Label or kind is F.Defined):
+            guards.add(key)  # a positive unary atom on ax
+        else:
+            done.append(lit)
+    return [(guards, done)]
 
 
-def _exists(ctx: _Context, lits: list, ax: int, k: int) -> np.ndarray:
-    """exists ax over the conjunction of ``lits`` (n > 0), with the body axes
-    after ``ax`` shifted down by one; axes no literal mentions have length 1."""
-    if ctx.n ** (k + 1) <= min(_SMALL_CELLS, MAX_CELLS):  # a small body: broadcast & and any
+def _exists(ctx: _Context, lits: list, ax: int, doms: tuple[int, ...],
+            sizes: tuple[int, ...]) -> np.ndarray:
+    """exists ax over the conjunction of ``lits``, the body over the domains
+    ``doms``, with ``sizes[i]`` elements on axis i (none empty), and with the
+    body axes after ``ax`` shifted down by one; axes no literal mentions have
+    length 1."""
+    k = len(sizes) - 1
+    if math.prod(sizes) <= min(_SMALL_CELLS, MAX_CELLS):  # a small body: broadcast & and any
         found = None
         for key, pos, neg in lits:
-            table = _lift(~_table(ctx, key) if neg else _table(ctx, key), pos, k + 1)
+            table = _table(ctx, key, _pick(doms, pos))
+            table = _lift(~table if neg else table, pos, k + 1)
             found = table if found is None else found & table
         return found.any(axis=ax)
     outside = None  # the conjuncts without ax
     groups: list[list] = []  # [axis mask, axes, table]: joined conjuncts with ax
     for key, pos, neg in sorted(lits, key=lambda lit: len(lit[1]), reverse=True):
-        table = ~_table(ctx, key) if neg else _table(ctx, key)
+        table = _table(ctx, key, _pick(doms, pos))
+        if neg:
+            table = ~table
         mask = 0
         for b in pos:
             mask |= 1 << b
@@ -274,21 +368,22 @@ def _exists(ctx: _Context, lits: list, ax: int, k: int) -> np.ndarray:
             groups.append([mask, pos, table])
     if not groups:
         return outside
-    found, axes = _contract(ctx, groups, ax)
+    found, axes = _contract(ctx, groups, ax, sizes)
     found = _lift(found, tuple([b - (b > ax) for b in axes]), k)
     return found if outside is None else found & outside
 
 
-def _contract(ctx: _Context, groups: list[list], ax: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _contract(ctx: _Context, groups: list[list], ax: int,
+              sizes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """exists ax over the AND of ``groups``, each holding ax, and the body
-    axes of the result."""
+    axes of the result; body axis i has ``sizes[i]`` elements."""
     if len(groups) == 1:
         _, axes, table = groups[0]
         return table.any(axis=axes.index(ax)), tuple(b for b in axes if b != ax)
     if len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
         (_, a_axes, a), (_, b_axes, b) = groups
         rest = tuple(x for x in a_axes if x != ax) + tuple(x for x in b_axes if x != ax)
-        _check(ctx, len(rest))
+        _check(ctx, [sizes[x] for x in rest])
         a = np.moveaxis(a, a_axes.index(ax), -1).astype(np.float32)
         b = np.moveaxis(b, b_axes.index(ax), 0).astype(np.float32)
         return np.tensordot(a, b, 1) > 0, rest
@@ -296,7 +391,7 @@ def _contract(ctx: _Context, groups: list[list], ax: int) -> tuple[np.ndarray, t
     for g in groups:
         union |= g[0]
     rest = tuple(b for b in range(union.bit_length()) if union >> b & 1 and b != ax)
-    _check(ctx, len(rest))
+    _check(ctx, [sizes[b] for b in rest])
     args = []
     for _, axes, table in groups:
         args += (table.astype(np.float32), list(axes))
@@ -304,13 +399,21 @@ def _contract(ctx: _Context, groups: list[list], ax: int) -> tuple[np.ndarray, t
     return np.einsum(*args, list(rest), optimize=("greedy", MAX_CELLS)) > 0, rest
 
 
-def _bound_table(ctx: _Context, phi: F.Formula, names) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The table of ``phi`` and the names of its axes, each of which must be in ``names``."""
+def _names(axes: Sequence[F.Var]) -> tuple[str, ...]:
+    """The names of ``axes``, which must be distinct."""
+    names = tuple(map(_NAME, axes))
+    if len(set(names)) != len(names):
+        raise EvalError(f"repeated table axes: {list(names)}")
+    return names
+
+
+def _bound_key(ctx: _Context, phi: F.Formula, names) -> tuple[int, tuple[str, ...]]:
+    """The key of ``phi`` and the names of its axes, each of which must be in ``names``."""
     key, free = _key(ctx, phi)
     missing = [v for v in free if v not in names]
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    return _table(ctx, key), free
+    return key, free
 
 
 def truth_table(structure: Structure, phi: F.Formula,
@@ -322,11 +425,10 @@ def truth_table(structure: Structure, phi: F.Formula,
     read-only view of the structure's cache.
     """
     ctx = _context(structure)
-    names = tuple(map(_NAME, axes))
-    if len(set(names)) != len(names):
-        raise EvalError(f"repeated table axes: {list(names)}")
-    table, free = _bound_table(ctx, phi, names)
-    return np.broadcast_to(_lift(table, tuple(map(names.index, free)), len(names)),
+    names = _names(axes)
+    key, free = _bound_key(ctx, phi, names)
+    return np.broadcast_to(_lift(_table(ctx, key),
+                                 tuple(map(names.index, free)), len(names)),
                            (ctx.n,) * len(names))
 
 
@@ -338,8 +440,8 @@ def eval_structure(structure: Structure, phi: F.Formula,
     for name, e in values.items():
         if not 0 <= e < ctx.n:
             raise EvalError(f"assignment {name} -> {e} outside the domain")
-    table, free = _bound_table(ctx, phi, values)
-    return bool(table[tuple(map(values.__getitem__, free))])
+    key, free = _bound_key(ctx, phi, values)
+    return bool(_table(ctx, key)[tuple(map(values.__getitem__, free))])
 
 
 @dataclass

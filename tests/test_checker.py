@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from geomfo import checker, formula as F
 from geomfo.checker import EvalError, _context, eval_structure, model_check, truth_table
+from geomfo.cli import DEFAULT_BATTERY
 from geomfo.formula import GRAPH, POSET, Var, parse_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
@@ -274,8 +275,8 @@ def _quantified_formulas(signature):
 
 
 @st.composite
-def _structures(draw, signature):
-    n = draw(st.integers(0, 4))
+def _structures(draw, signature, min_n=0):
+    n = draw(st.integers(min_n, 4))
     elements = st.integers(0, max(n - 1, 0))
     red = set(draw(st.lists(elements, max_size=n))) if n else set()
     pairs = draw(st.lists(st.tuples(elements, elements), max_size=8)) if n else []
@@ -294,6 +295,73 @@ def test_contraction_matches_slow_evaluator(signature, small_cells, data):
     bodies every quantifier takes the join plan (any, tensordot or einsum)."""
     s = data.draw(_structures(signature))
     phi = data.draw(_quantified_formulas(signature))
+    free = F.free_vars(phi)
+    axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
+    with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
+        table = truth_table(s, phi, axes)
+    for point in itertools.product(range(s.n), repeat=len(axes)):
+        assert bool(table[point]) == eval_slow(s, phi, dict(zip(axes, point)))
+
+
+# unary literals to guard a quantified variable with, as functions of it: labels
+# true nowhere, on a random set, on the lower half and everywhere, and defined
+# atoms, one of whose bodies has a (guarded) quantifier of its own
+_GUARDS = {GRAPH: F.Exists(_Z, F.And(F.Label("red", _Z), F.Edge(_X, _Z))),
+           POSET: F.Exists(_Z, F.And(F.Label("red", _Z), F.Not(F.Leq(_Z, _X))))}
+
+
+def _guard_atoms(signature):
+    return st.sampled_from(
+        [lambda v, name=name: F.Label(name, v) for name in ("red", "low", "none", "all")]
+        + [lambda v: F.Defined(_GUARDS[signature], (_X,), (v,)),
+           lambda v: F.Defined(F.Not(F.Label("red", _X)), (_X,), (v,))])
+
+
+def _guarded_formulas(signature):
+    """Quantifiers whose variable has one or two guards, in every shape the
+    rewrite and psi use them, on one branch of a disjunction only, and
+    negated, where they must not restrict."""
+    var = st.sampled_from(_VARS)
+    guards = st.lists(_guard_atoms(signature), min_size=1, max_size=2)
+    shapes = [
+        lambda v, gs, f, h: F.Exists(v, F.big_and([g(v) for g in gs] + [f])),
+        lambda v, gs, f, h: F.Forall(v, F.Implies(F.big_and([g(v) for g in gs]), f)),
+        lambda v, gs, f, h: F.Forall(v, F.big_or([F.Not(g(v)) for g in gs] + [f])),
+        lambda v, gs, f, h: F.Exists(v, F.Or(F.big_and([g(v) for g in gs] + [f]), h)),
+        lambda v, gs, f, h: F.Forall(v, F.And(F.Implies(F.big_and([g(v) for g in gs]), f), h)),
+        lambda v, gs, f, h: F.Exists(v, F.big_and([F.Not(g(v)) for g in gs] + [f])),
+        lambda v, gs, f, h: F.Forall(v, F.Implies(F.big_and([F.Not(g(v)) for g in gs]), f)),
+        lambda v, gs, f, h: F.Exists(v, F.big_and([g(v) for g in gs])),
+    ]
+
+    rel = F.Edge if signature == GRAPH else F.Leq
+    # a binary atom joining the quantified variable to another, so that the
+    # formulas under the guard read tables along its domain
+    links = st.sampled_from([rel, F.Eq,
+                             lambda a, b: F.Defined(_DEFINED[signature], (_X, _Y), (a, b))])
+
+    def build(shape, v, gs, link, u, f, link2, u2, h):
+        return shape(v, gs, F.And(link(v, u), f), F.And(link2(u2, v), h))
+
+    def extend(sub):
+        return st.builds(build, st.sampled_from(shapes), var, guards, links, var, sub,
+                         links, var, sub)
+
+    return extend(st.recursive(_quantified_formulas(signature), extend, max_leaves=3))
+
+
+@pytest.mark.parametrize("small_cells", [0, checker._SMALL_CELLS])
+@pytest.mark.parametrize("signature", [GRAPH, POSET])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_guarded_quantifiers_match_slow_evaluator(signature, small_cells, data):
+    """A quantified variable ranges over its guards' domain; every entry of
+    the table against the direct evaluator."""
+    s = data.draw(_structures(signature, min_n=2))  # below two, no guard restricts
+    labels = {**s.labels, "low": set(range(s.n // 2)), "none": set(), "all": set(range(s.n))}
+    s = (LabeledGraph(s.n, s.edges, labels) if signature == GRAPH
+         else LabeledPoset(s.n, s.pairs(), labels))
+    phi = data.draw(_guarded_formulas(signature))
     free = F.free_vars(phi)
     axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
     with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
@@ -325,7 +393,30 @@ def test_psi_tables_fit_a_quadratic_budget(monkeypatch, cls, make, size):
 def test_budget_overflow_is_an_eval_error(monkeypatch):
     rep = rand_intervals(random.Random(3), 20)  # a poset of 60 elements
     phi = parse_formula(path_sentence(5), GRAPH)
-    monkeypatch.setattr(checker, "MAX_CELLS", 60 ** 3)
-    with pytest.raises(EvalError, match="arity 4 on n=60"):
+    monkeypatch.setattr(checker, "MAX_CELLS", 20 ** 4 - 1)
+    with pytest.raises(EvalError, match="arity 4 on n=20 elements, with axes of 20x20x20x20,"):
         model_check("interval", rep, phi)
 
+
+def test_path_on_40_intervals_fits_the_default_budget():
+    """Every variable of the rewritten 5-path ranges over nu: its tables need
+    40^4 cells where the 120 poset elements would need 120^4."""
+    rep = rand_intervals(random.Random(3), 40)
+    res = model_check("interval", rep, parse_formula(path_sentence(5), GRAPH))
+    assert res.graph_verdict == res.poset_verdict
+
+
+def test_battery_fits_nu_times_d_cells(monkeypatch):
+    """On n intervals |nu| = n and |D| = 2n, so psi's join takes |nu||D| = 2n^2
+    cells; a plan over all 3n poset elements takes 9n^2."""
+    n = 20
+    rep = rand_intervals(random.Random(16), n)
+    inst = make_instance("interval", rep)
+    g = checker.build_graph("interval", rep)
+    for text in DEFAULT_BATTERY:
+        phi = parse_formula(text, GRAPH)
+        want = eval_structure(g, phi)
+        rewritten = F.rewrite_under_interpretation(phi, inst.interp)
+        with monkeypatch.context() as m:
+            m.setattr(checker, "MAX_CELLS", 2 * n * n)
+            assert eval_structure(inst.poset, rewritten) == want

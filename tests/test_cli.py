@@ -220,12 +220,21 @@ def test_cli_check_deep_formula_exits_2(tmp_path, capsys):
 def test_cli_check_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
     rep = tmp_path / "rep.txt"  # 20 intervals, a poset of 60 elements
     rep.write_text(fileio.write_representation(rand_intervals(random.Random(3), 20)))
-    monkeypatch.setattr(checker, "MAX_CELLS", 60 ** 3)
+    monkeypatch.setattr(checker, "MAX_CELLS", 20 ** 4 - 1)
     assert main(["check", "--class", "interval", "--in", str(rep),
                  "--formula", path_sentence(5)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "over the budget" in captured.err
     assert captured.out == ""
+
+
+def test_cli_check_path_on_40_intervals_decides(tmp_path, capsys):
+    rep = tmp_path / "rep.txt"  # 40 intervals, a poset of 120 elements
+    rep.write_text(fileio.write_representation(rand_intervals(random.Random(3), 40)))
+    code = main(["check", "--class", "interval", "--in", str(rep),
+                 "--formula", path_sentence(5)])
+    verdict = {0: True, 1: False}[code]
+    assert capsys.readouterr().out == f"graph_verdict {verdict}\nposet_verdict {verdict}\n"
 
 
 def test_cli_verify_reports_evaluation_error_and_goes_on(tmp_path, capsys):
