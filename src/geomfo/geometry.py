@@ -4,7 +4,8 @@ The API takes and returns ``fractions.Fraction`` coordinates; there is no
 floating point anywhere.  The predicates themselves run on Python ints: a
 polygon or a representation is rescaled once by the lcm of its coordinates'
 denominators, and every test after that is integer arithmetic, so predicates
-are exact and scale-invariant.  Angular positions live in [0,1) turns
+are exact and scale-invariant.  Perturbation and proper partitions work the
+same way, on integer endpoints and their ranks.  Angular positions live in [0,1) turns
 measured clockwise from angle 0 (a half turn is exactly 1/2).
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
@@ -316,6 +317,17 @@ def _to_ints(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     return [tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows]
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ``values``, and each value times it."""
+    scale = math.lcm(*(c.denominator for c in values))
+    return scale, [c.numerator * (scale // c.denominator) for c in values]
+
+
+def _meeting_pairs(meets, pts: Sequence[tuple]) -> set[tuple[int, int]]:
+    n = len(pts)
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if meets(pts[i], pts[j])}
+
+
 def _arc_has(arc: tuple[int, int], t: int) -> bool:
     start, end = arc
     return start <= t <= end if start < end else t >= start or t <= end
@@ -355,9 +367,7 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
     pts = _to_ints([coords(obj) for obj in rep.objects])
-    n = len(pts)
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if meets(pts[i], pts[j])}
-    return LabeledGraph(n, edges)
+    return LabeledGraph(len(pts), _meeting_pairs(meets, pts))
 
 
 def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[PermSegment]:
@@ -431,6 +441,30 @@ def increasing_run_lengths(keys: Sequence) -> list[int]:
     return out
 
 
+def _endpoint_ranks(keys: Sequence[int], message: str) -> tuple[list[int], list[int]]:
+    """The positions of ``keys`` in increasing order, and the rank of each
+    position, from one sort; equal keys raise GeometryError(message)."""
+    by_value = sorted(range(len(keys)), key=keys.__getitem__)
+    for a, b in zip(by_value, by_value[1:]):
+        if keys[a] == keys[b]:
+            raise GeometryError(message)
+    rank = [0] * len(keys)
+    for r, e in enumerate(by_value):
+        rank[e] = r
+    return by_value, rank
+
+
+def _proper_parts(by_value: Sequence[int], rank: Sequence[int]) -> tuple[int, list[int]]:
+    """``proper_partition`` on endpoint ranks: item i's ends are positions
+    2i and 2i+1, and ``by_value`` lists the positions of the items to
+    partition in increasing order.  Items left out get part 0."""
+    order = [e >> 1 for e in by_value if not e & 1]  # items by left end
+    h = [0] * (len(rank) // 2)
+    for i, depth in zip(order, increasing_run_lengths([-rank[2 * i + 1] for i in order])):
+        h[i] = depth
+    return (max(h, default=0), h)
+
+
 def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
     """Mirsky decomposition of the containment order.
 
@@ -439,32 +473,22 @@ def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
     minimal, i.e. the family is k-fold proper but not (k-1)-fold proper.
     With distinct endpoints, the intervals around i come before it in
     left-end order and end after it, so its part is a longest strictly
-    decreasing run of right-end ranks in that order.
+    decreasing run of right-end ranks in that order.  The ranks come from
+    one rescale of the endpoints to ints and one sort.
     """
-    ends: list[Fraction] = []
-    for it in items:
-        ends.extend((it.lo, it.hi))
-    if len(set(ends)) != len(ends):
-        raise GeometryError("duplicate endpoints")
-    by_value = sorted(range(len(ends)), key=ends.__getitem__)
-    rank = [0] * len(ends)  # rank[2i], rank[2i+1]: ranks of item i's ends
-    for r, e in enumerate(by_value):
-        rank[e] = r
-    order = [e // 2 for e in by_value if not e % 2]  # items by left end
-    h = [0] * len(items)
-    for i, depth in zip(order, increasing_run_lengths([-rank[2 * i + 1] for i in order])):
-        h[i] = depth
-    return (max(h, default=0), h)
+    _, keys = _scaled([e for it in items for e in (it.lo, it.hi)])
+    return _proper_parts(*_endpoint_ranks(keys, "duplicate endpoints"))
 
 
-def _min_positive_gap(values: Sequence[Fraction], circular: bool) -> Fraction:
-    vals = sorted(set(values))
-    if len(vals) < 2:
-        raise GeometryError("all endpoints identical")
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    if circular:
-        gaps.append((vals[0] - vals[-1]) % 1)
-    return min(g for g in gaps if g > 0)
+_ENDS = {"interval": lambda o: (o.lo, o.hi),
+         "circular_arc": lambda o: (o.start, o.end),
+         "circle": lambda o: (o.a, o.b)}
+
+
+def _end_coords(cls: str, keys: Sequence[int]) -> list[tuple[int, int]]:
+    """The coordinates ``_INTERSECTION_TESTS`` reads, from flat end keys."""
+    pairs = list(zip(keys[::2], keys[1::2]))
+    return [(a, b) if a < b else (b, a) for a, b in pairs] if cls == "circle" else pairs
 
 
 def perturb_endpoints(rep: Representation) -> Representation:
@@ -473,66 +497,66 @@ def perturb_endpoints(rep: Representation) -> Representation:
     Intervals and arcs are dilated (object j grows by j*eps at each end), so
     closed-set tangencies stay edges; chords are nudged rotationally with a
     fan-out rule at shared endpoints, so strict crossings are unchanged.
-    Arc and chord endpoints also end up away from angle 0.
+    Arc and chord endpoints also end up away from angle 0.  All of it runs
+    on integer endpoints from one rescale: with the least positive gap g at
+    scale S and m = 4 * (number of ends), eps = g/(mS), so the new ends are
+    integers at scale mS, turned into ``Fraction`` objects once, at the end.
     """
-    if rep.cls not in ("interval", "circular_arc", "circle"):
-        raise GeometryError(f"perturbation undefined for class {rep.cls!r}")
-    objs = list(rep.objects)
+    cls = rep.cls
+    if cls not in _ENDS:
+        raise GeometryError(f"perturbation undefined for class {cls!r}")
+    objs = rep.objects
     n = len(objs)
     if n == 0:
         return rep
+    scale, keys = _scaled([e for o in objs for e in _ENDS[cls](o)])
+    circular = cls != "interval"
+    # on the circle, angle 0 counts as one more endpoint to stay away from
+    vals = sorted(keys + [0] if circular else keys)
+    if all(a != b for a, b in zip(vals, vals[1:])):
+        return rep
+    if vals[0] == vals[-1]:
+        raise GeometryError("all endpoints identical")
+    gap = min(b - a for a, b in zip(vals, vals[1:]) if b != a)
+    if circular:
+        gap = min(gap, vals[0] - vals[-1] + scale)
+    m = 4 * len(keys)
+    turn = m * scale
 
-    if rep.cls == "interval":
-        ends = [e for it in objs for e in (it.lo, it.hi)]
-        if len(set(ends)) == len(ends):
-            return rep
-        eps = _min_positive_gap(ends, circular=False) / (4 * len(ends))
-        new = [Interval(it.lo - (j + 1) * eps, it.hi + (j + 1) * eps)
-               for j, it in enumerate(objs)]
-        out = Representation("interval", tuple(new))
-    elif rep.cls == "circular_arc":
-        ends = [e for a in objs for e in (a.start, a.end)]
-        if len(set(ends)) == len(ends) and 0 not in ends:
-            return rep
-        eps = _min_positive_gap(ends + [Fraction(0)], circular=True) / (4 * len(ends))
-        new = [Arc((a.start - (j + 1) * eps) % 1, (a.end + (j + 1) * eps) % 1)
-               for j, a in enumerate(objs)]
-        out = Representation("circular_arc", tuple(new))
+    if cls != "circle":
+        # object j's first end moves down by (j + 1) * eps, its second end up
+        new = [m * k + (e // 2 + 1) * gap * (1 if e & 1 else -1) for e, k in enumerate(keys)]
+        if circular:
+            new = [k % turn for k in new]
     else:
-        ends = [e for c in objs for e in (c.a, c.b)]
-        if len(set(ends)) == len(ends) and 0 not in ends:
-            return rep
-        eps = _min_positive_gap(ends + [Fraction(0)], circular=True) / (4 * len(ends))
-        moved: list[dict] = [{} for _ in range(n)]
-        by_value: dict[Fraction, list[tuple[int, Fraction]]] = {}
-        for idx, c in enumerate(objs):
-            by_value.setdefault(c.a, []).append((idx, c.b))
-            by_value.setdefault(c.b, []).append((idx, c.a))
+        new = [0] * len(keys)
+        by_value: dict[int, list[tuple[int, int]]] = {}
+        for e, k in enumerate(keys):
+            by_value.setdefault(k, []).append((e, keys[e ^ 1]))
         for value, group in by_value.items():
             # Fan shared endpoints out so that chords from one point do not
             # start crossing each other: farther other-ends get smaller
             # offsets.  Ties (duplicate chords) anti-align at the two ends.
             def sort_key(item):
-                idx, far = item
+                e, far = item
+                idx = e // 2
                 tie = idx if value < far else -idx
-                return (-((far - value) % 1), tie)
-            for t, (idx, far) in enumerate(sorted(group, key=sort_key), start=1):
-                moved[idx][value] = (value + t * eps) % 1
-        new = [Chord(moved[i][c.a], moved[i][c.b]) for i, c in enumerate(objs)]
-        out = Representation("circle", tuple(new))
+                return (-((far - value) % scale), tie)
+            for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
+                new[e] = (m * value + t * gap) % turn
 
-    before = build_intersection_graph(rep.cls, rep)
-    after = build_intersection_graph(out.cls, out)
-    if after.edges != before.edges:
+    meets = _INTERSECTION_TESTS[cls][2]
+    before, after = (_meeting_pairs(meets, _end_coords(cls, ks)) for ks in (keys, new))
+    if after != before:
         raise GeometryError("perturbation changed the intersection graph")
-    new_ends = [e for o in out.objects
-                for e in ((o.lo, o.hi) if rep.cls == "interval" else
-                          (o.start, o.end) if rep.cls == "circular_arc" else (o.a, o.b))]
-    if len(set(new_ends)) != len(new_ends):
+    new_vals = sorted(new)
+    if any(a == b for a, b in zip(new_vals, new_vals[1:])):
         raise GeometryError("perturbation left duplicate endpoints")
-    if rep.cls != "interval" and any(e == 0 for e in new_ends):
+    if circular and new_vals[0] == 0:
         raise GeometryError("perturbation left an endpoint at angle 0")
-    return out
+    make = _INTERSECTION_TESTS[cls][0]
+    ends = [Fraction(k, turn) for k in new]
+    return Representation(cls, tuple(make(a, b) for a, b in zip(ends[::2], ends[1::2])))
 
 
 # ---------------------------------------------------------------------------

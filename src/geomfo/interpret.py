@@ -15,11 +15,11 @@ from typing import Optional, Sequence
 
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, big_and, big_or)
-from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
-                       PermSegment, Polygon, Representation, increasing_run_lengths,
-                       permutation_to_chords, perturb_endpoints, polygon_report,
-                       proper_partition, visibility_graph)
-from .poset import LabeledPoset, build_interval_poset, generated_poset
+from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph, PermSegment,
+                       Polygon, Representation, _endpoint_ranks, _proper_parts, _scaled,
+                       increasing_run_lengths, permutation_to_chords, perturb_endpoints,
+                       polygon_report, visibility_graph)
+from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -75,18 +75,30 @@ def interval_theta(x: Var = X, y: Var = Y, z: Var = Z) -> Formula:
     ))
 
 
-def _require_distinct_endpoints(values) -> None:
-    vals = list(values)
-    if len(set(vals)) != len(vals):
-        raise GeometryError("shared endpoints; apply perturb_endpoints first")
+def _ranked_ends(pairs: Sequence[tuple[Fraction, Fraction]]):
+    """The interval family of ``pairs``, each put in increasing order, on ranks.
+
+    One rescale of all ends to ints and one sort.  Returns the ends (pair i
+    at 2i, 2i+1), their ints, whether each pair was reversed, the end
+    positions in increasing order, and the rank of each position.
+    """
+    ends = [e for pair in pairs for e in pair]
+    _, keys = _scaled(ends)
+    flipped = [keys[2 * i] > keys[2 * i + 1] for i in range(len(pairs))]
+    for i, f in enumerate(flipped):
+        if f:
+            for seq in (keys, ends):
+                seq[2 * i], seq[2 * i + 1] = seq[2 * i + 1], seq[2 * i]
+    by_value, rank = _endpoint_ranks(keys, "shared endpoints; apply perturb_endpoints first")
+    return ends, keys, flipped, by_value, rank
 
 
 def interval_interpretation(intervals: Sequence[Interval]) -> InterpretationInstance:
     if not intervals:
         raise GeometryError("empty representation")
-    _require_distinct_endpoints(e for it in intervals for e in (it.lo, it.hi))
-    k, parts = proper_partition(intervals)
-    poset, ids, _ = build_interval_poset(intervals, parts)
+    ends, _, _, by_value, rank = _ranked_ends([(it.lo, it.hi) for it in intervals])
+    k, parts = _proper_parts(by_value, rank)
+    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts)
     interp = Interpretation(interval_nu(), interval_psi(), frozenset({"D"}))
     return InterpretationInstance(poset, interp, ids, k + 1,
                                   {"class": "interval", "k": k})
@@ -95,22 +107,16 @@ def interval_interpretation(intervals: Sequence[Interval]) -> InterpretationInst
 def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
     if not arcs:
         raise GeometryError("empty representation")
-    ends = [e for a in arcs for e in (a.start, a.end)]
-    _require_distinct_endpoints(ends)
-    if any(e == 0 for e in ends):
+    # a wrapping arc (start > end) stands for its complement [end, start],
+    # which avoids 0; it is red
+    ends, keys, red, by_value, rank = _ranked_ends([(a.start, a.end) for a in arcs])
+    if 0 in keys:
         raise GeometryError("arc endpoint at angle 0; apply perturb_endpoints first")
-    flat = []
-    red_idx = set()
-    for i, a in enumerate(arcs):
-        if a.wraps():
-            flat.append(Interval(a.end, a.start))  # complementary arc avoiding 0
-            red_idx.add(i)
-        else:
-            flat.append(Interval(a.start, a.end))
-    k_plain, _ = proper_partition([f for i, f in enumerate(flat) if i not in red_idx])
-    k_red, _ = proper_partition([f for i, f in enumerate(flat) if i in red_idx])
-    k_b, parts = proper_partition(flat)
-    poset, ids, _ = build_interval_poset(flat, parts, {"red": red_idx})
+    k_plain, _ = _proper_parts([e for e in by_value if not red[e >> 1]], rank)
+    k_red, _ = _proper_parts([e for e in by_value if red[e >> 1]], rank)
+    k_b, parts = _proper_parts(by_value, rank)
+    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts,
+                                        {"red": [i for i, r in enumerate(red) if r]})
 
     psi1 = big_or([
         And(Label("red", X), Label("red", Y)),
@@ -127,10 +133,9 @@ def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
 def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
     if not chords:
         raise GeometryError("empty representation")
-    _require_distinct_endpoints(e for c in chords for e in (c.a, c.b))
-    flat = [Interval(min(c.a, c.b), max(c.a, c.b)) for c in chords]
-    k, parts = proper_partition(flat)
-    poset, ids, _ = build_interval_poset(flat, parts)
+    ends, _, _, by_value, rank = _ranked_ends([(c.a, c.b) for c in chords])
+    k, parts = _proper_parts(by_value, rank)
+    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts)
     sigma = big_and([interval_psi(),
                      Not(interval_theta(X, Y)),
                      Not(interval_theta(Y, X))])
@@ -228,28 +233,27 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph,
 def box_interpretation(boxes: Sequence[Box], k: Optional[int] = None) -> InterpretationInstance:
     if not boxes:
         raise GeometryError("empty representation")
-    xs = [b.x for b in boxes]
-    ends = [e for it in xs for e in (it.lo, it.hi)]
-    if len(set(ends)) != len(ends):
-        rep = perturb_endpoints(Representation("interval", tuple(xs)))
-        xs = list(rep.objects)
-    ys = sorted({(b.y.lo, b.y.hi) for b in boxes})
+    xs = perturb_endpoints(Representation("interval", tuple(b.x for b in boxes))).objects
+    y_keys = _scaled([e for b in boxes for e in (b.y.lo, b.y.hi)])[1]
+    y_of = list(zip(y_keys[::2], y_keys[1::2]))
+    ys = sorted(set(y_of))
     ell = len(ys)
     if k is None:
         k = ell
     if ell > k:
         raise GeometryError(f"{ell} distinct y-intervals exceed the declared k={k}")
-    kx, parts = proper_partition(xs)
+    ends, _, _, by_value, rank = _ranked_ends([(it.lo, it.hi) for it in xs])
+    kx, parts = _proper_parts(by_value, rank)
     lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
     members: dict[str, list[int]] = {lab_name[t]: [] for t in ys}
-    for i, b in enumerate(boxes):
-        members[lab_name[(b.y.lo, b.y.hi)]].append(i)
-    poset, ids, _ = build_interval_poset(xs, parts, members)
+    for i, t in enumerate(y_of):
+        members[lab_name[t]].append(i)
+    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts, members)
 
     clauses = []
     for ti in ys:
         for tj in ys:
-            if Interval(*ti).overlaps(Interval(*tj)):
+            if ti[0] <= tj[1] and tj[0] <= ti[1]:
                 clauses.append(And(Label(lab_name[ti], X), Label(lab_name[tj], Y)))
     sigma = And(interval_psi(), big_or(clauses))
     interp = Interpretation(interval_nu(), sigma,
@@ -261,11 +265,12 @@ def box_interpretation(boxes: Sequence[Box], k: Optional[int] = None) -> Interpr
 # ---------------------------------------------------------------------------
 # unit disks
 
-def _chord_ends(disks: Sequence[Disk], along: Sequence[int], q4w2: Fraction
-                ) -> list[tuple[int, int]]:
+def _chord_ends(xs: Sequence, along: Sequence[int], q4w2) -> list[tuple[int, int]]:
     """The chord ends (disk, side) of the disks ``along`` one midline, in order.
 
-    ``along`` is in (cx, index) order and every chord has the same
+    ``xs`` holds the disks' centre abscissae, at any common scale (ints or
+    ``Fraction``s), and q4w2 is in the same units squared.  ``along`` is in
+    (x, index) order and every chord has the same
     half-width w, with (2w)^2 = q4w2, so the left ends (side -1) and the
     right ends (side 1) are each in that order, and the chain is their
     merge.  A right end at c2 is still pending only while c2 <= c1, the
@@ -277,8 +282,8 @@ def _chord_ends(disks: Sequence[Disk], along: Sequence[int], q4w2: Fraction
     out = []
     j = 0
     for i in along:
-        c1 = disks[i].cx
-        while (c1 - disks[along[j]].cx) ** 2 > q4w2:
+        c1 = xs[i]
+        while (c1 - xs[along[j]]) ** 2 > q4w2:
             out.append((along[j], 1))
             j += 1
         out.append((i, -1))
@@ -291,37 +296,42 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
     """Per-row-pair chord posets on midlines, merged along the x order.
 
     Chord endpoints involve square roots and are never materialized; all
-    order decisions reduce to rational squared-distance comparisons.  Row
-    pairs more than a diameter apart contribute no chords and no clause.
+    order decisions reduce to squared-distance comparisons, on integer
+    centres after one rescale by the lcm S of the denominators (the
+    diameter is then S).  Row pairs more than a diameter apart contribute
+    no chords and no clause.
     """
     if not disks:
         raise GeometryError("empty representation")
-    rows = sorted({d.cy for d in disks})
+    scale, keys = _scaled([c for d in disks for c in (d.cx, d.cy)])
+    xs, ys = keys[::2], keys[1::2]
+    rows = sorted(set(ys))
     ell = len(rows)
     if k is None:
         k = ell
     if ell > k:
         raise GeometryError(f"{ell} distinct y-coordinates exceed the declared k={k}")
     row_of = {y: i for i, y in enumerate(rows)}
+    row = [row_of[y] for y in ys]  # each disk's row index
     n = len(disks)
 
     elems: list[str] = [f"d{i}" for i in range(n)]  # disks first
     labels: dict[str, set[int]] = {f"B{i + 1}": set() for i in range(ell)}
-    for i, d in enumerate(disks):
-        labels[f"B{row_of[d.cy] + 1}"].add(i)
+    for i, r in enumerate(row):
+        labels[f"B{r + 1}"].add(i)
 
-    order = sorted(range(n), key=lambda i: (disks[i].cx, i))
+    order = sorted(range(n), key=xs.__getitem__)  # stable: ties in index order
     pairs = list(zip(order, order[1:]))
 
     kept_pairs: list[tuple[int, int]] = []
     for ri in range(ell):
         for rj in range(ri, ell):
             dy = rows[rj] - rows[ri]
-            if dy > 1:
+            if dy > scale:
                 continue
             kept_pairs.append((ri, rj))
-            q4w2 = 1 - dy * dy  # (2w)^2 on the midline
-            along = [i for i in order if row_of[disks[i].cy] in (ri, rj)]
+            q4w2 = scale * scale - dy * dy  # (2w)^2 on the midline
+            along = [i for i in order if row[i] == ri or row[i] == rj]
             dlabel = f"D_{ri + 1}_{rj + 1}"
             labels.setdefault(dlabel, set())
             end_elem: dict[tuple[int, int], int] = {}
@@ -331,7 +341,7 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
                     elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
                     labels[dlabel].add(eid)
                     end_elem[(i, s)] = eid
-            chain = [end_elem[e] for e in _chord_ends(disks, along, q4w2)]
+            chain = [end_elem[e] for e in _chord_ends(xs, along, q4w2)]
             pairs += zip(chain, chain[1:])
             for i in along:  # each disk sits between its own chord ends
                 pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]

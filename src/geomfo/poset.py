@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import GeomfoError
-from .geometry import GeometryError, Interval
+from .geometry import Interval, _endpoint_ranks, _scaled
 
 
 class PosetError(GeomfoError):
@@ -208,39 +208,51 @@ def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int],
     ordered numerically; each part is ordered left to right; an interval
     sits above its left end and below its right end.  ``labels`` names
     further label sets by interval index.  Returns the poset, the element
-    id of each interval, and the element id of each endpoint.
+    id of each interval, and the element id of each endpoint.  The
+    endpoints are rescaled to ints once and sorted once; the build runs on
+    their ranks.
     """
     if len(parts) != len(intervals):
         raise PosetError("one part id per interval required")
-    ends: list[Fraction] = []
-    for it in intervals:
-        ends.extend((it.lo, it.hi))
-    if len(set(ends)) != len(ends):
-        raise GeometryError("duplicate endpoints")
-    endpoint_values = sorted(ends)
-    d_id = {v: i for i, v in enumerate(endpoint_values)}
-    nd = len(endpoint_values)
-    interval_ids = [nd + i for i in range(len(intervals))]
+    ends = [e for it in intervals for e in (it.lo, it.hi)]
+    by_value, rank = _endpoint_ranks(_scaled(ends)[1], "duplicate endpoints")
+    poset, interval_ids = _ranked_interval_poset(ends, by_value, rank, parts, labels)
+    return poset, interval_ids, {ends[e]: r for r, e in enumerate(by_value)}
+
+
+def _ranked_interval_poset(ends: Sequence[Fraction], by_value: Sequence[int],
+                           rank: Sequence[int], parts: Sequence,
+                           labels: Optional[dict[str, Iterable[int]]] = None
+                           ) -> tuple[LabeledPoset, list[int]]:
+    """``build_interval_poset`` on endpoint ranks.
+
+    Interval i has ends ``ends[2i] < ends[2i+1]``; ``by_value`` lists the
+    end positions in increasing order and ``rank`` gives each position's
+    place in it (see ``geometry._endpoint_ranks``).  The exact ends only
+    name the endpoint elements.
+    """
+    nd = len(ends)
+    interval_ids = list(range(nd, nd + nd // 2))
 
     pairs = [(i, i + 1) for i in range(nd - 1)]
-    for i, it in enumerate(intervals):
-        pairs += [(d_id[it.lo], interval_ids[i]), (interval_ids[i], d_id[it.hi])]
-    by_part: dict = {}
-    for i, pid in enumerate(parts):
-        by_part.setdefault(pid, []).append(i)
+    for i, iid in enumerate(interval_ids):
+        pairs += [(rank[2 * i], iid), (iid, rank[2 * i + 1])]
+    by_part: dict = {pid: [] for pid in parts}
+    for e in by_value:
+        if not e & 1:  # a left end: its interval, in left-end order
+            by_part[parts[e >> 1]].append(e >> 1)
     for pid, members in by_part.items():
-        ordered = sorted(members, key=lambda i: intervals[i].lo)
-        for a, b in zip(ordered, ordered[1:]):
+        for a, b in zip(members, members[1:]):
             # with distinct endpoints, a part nests iff two neighbours in
             # left-end order do
-            if intervals[a].strictly_contains(intervals[b]):
+            if rank[2 * b + 1] < rank[2 * a + 1]:
                 raise PosetError(f"part {pid!r} is not proper: "
                                  f"interval {a} contains interval {b}")
             pairs.append((interval_ids[a], interval_ids[b]))
 
-    names = [str(v) for v in endpoint_values] + [f"I{i}" for i in range(len(intervals))]
+    names = [str(ends[e]) for e in by_value] + [f"I{i}" for i in range(nd // 2)]
     all_labels = {"D": range(nd)}
     for name, members in (labels or {}).items():
         all_labels[name] = [interval_ids[i] for i in members]
-    poset = generated_poset(nd + len(intervals), pairs, all_labels, names)
-    return poset, interval_ids, d_id
+    poset = generated_poset(nd + nd // 2, pairs, all_labels, names)
+    return poset, interval_ids

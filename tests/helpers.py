@@ -6,6 +6,7 @@ so agreement is evidence rather than tautology.
 """
 
 import functools
+import hashlib
 import itertools
 from fractions import Fraction as Fr
 
@@ -511,3 +512,199 @@ def graphs_up_to(n: int) -> list[LabeledGraph]:
     for m in range(1, n + 1):
         out.extend(nonisomorphic_graphs(m))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference interval-family and unit-disk builders on Fractions
+#
+# The builders as they were before they moved to integer endpoint ranks:
+# every set, sort and comparison on the exact Fraction values.  The
+# differential tests require the package's builds to equal these.
+
+def ref_min_positive_gap(values, circular: bool):
+    vals = sorted(set(values))
+    if len(vals) < 2:
+        raise GeometryError("all endpoints identical")
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    if circular:
+        gaps.append((vals[0] - vals[-1]) % 1)
+    return min(g for g in gaps if g > 0)
+
+
+def ref_perturb_endpoints(rep: Representation) -> Representation:
+    objs = list(rep.objects)
+    n = len(objs)
+    if n == 0:
+        return rep
+    if rep.cls == "interval":
+        ends = [e for it in objs for e in (it.lo, it.hi)]
+        if len(set(ends)) == len(ends):
+            return rep
+        eps = ref_min_positive_gap(ends, circular=False) / (4 * len(ends))
+        out = Representation("interval", tuple(
+            Interval(it.lo - (j + 1) * eps, it.hi + (j + 1) * eps)
+            for j, it in enumerate(objs)))
+    elif rep.cls == "circular_arc":
+        ends = [e for a in objs for e in (a.start, a.end)]
+        if len(set(ends)) == len(ends) and 0 not in ends:
+            return rep
+        eps = ref_min_positive_gap(ends + [Fr(0)], circular=True) / (4 * len(ends))
+        out = Representation("circular_arc", tuple(
+            Arc((a.start - (j + 1) * eps) % 1, (a.end + (j + 1) * eps) % 1)
+            for j, a in enumerate(objs)))
+    else:
+        ends = [e for c in objs for e in (c.a, c.b)]
+        if len(set(ends)) == len(ends) and 0 not in ends:
+            return rep
+        eps = ref_min_positive_gap(ends + [Fr(0)], circular=True) / (4 * len(ends))
+        moved = [{} for _ in range(n)]
+        by_value = {}
+        for idx, c in enumerate(objs):
+            by_value.setdefault(c.a, []).append((idx, c.b))
+            by_value.setdefault(c.b, []).append((idx, c.a))
+        for value, group in by_value.items():
+            def sort_key(item):
+                idx, far = item
+                tie = idx if value < far else -idx
+                return (-((far - value) % 1), tie)
+            for t, (idx, far) in enumerate(sorted(group, key=sort_key), start=1):
+                moved[idx][value] = (value + t * eps) % 1
+        out = Representation("circle", tuple(
+            Chord(moved[i][c.a], moved[i][c.b]) for i, c in enumerate(objs)))
+    if ref_intersection_edges(out) != ref_intersection_edges(rep):
+        raise GeometryError("perturbation changed the intersection graph")
+    return out
+
+
+def ref_proper_partition(items):
+    ends = [e for it in items for e in (it.lo, it.hi)]
+    if len(set(ends)) != len(ends):
+        raise GeometryError("duplicate endpoints")
+    by_value = sorted(range(len(ends)), key=ends.__getitem__)
+    rank = [0] * len(ends)
+    for r, e in enumerate(by_value):
+        rank[e] = r
+    order = [e // 2 for e in by_value if not e % 2]
+    tails, h = [], [0] * len(items)
+    for i in order:  # patience sort on decreasing right-end ranks
+        key = -rank[2 * i + 1]
+        d = next((t for t, tail in enumerate(tails) if tail >= key), len(tails))
+        tails[d:d + 1] = [key]
+        h[i] = d + 1
+    return (max(h, default=0), h)
+
+
+def ref_build_interval_poset(intervals, parts, labels=None):
+    from geomfo.poset import PosetError, generated_poset
+
+    ends = [e for it in intervals for e in (it.lo, it.hi)]
+    if len(set(ends)) != len(ends):
+        raise GeometryError("duplicate endpoints")
+    endpoint_values = sorted(ends)
+    d_id = {v: i for i, v in enumerate(endpoint_values)}
+    nd = len(endpoint_values)
+    interval_ids = [nd + i for i in range(len(intervals))]
+    pairs = [(i, i + 1) for i in range(nd - 1)]
+    for i, it in enumerate(intervals):
+        pairs += [(d_id[it.lo], interval_ids[i]), (interval_ids[i], d_id[it.hi])]
+    by_part = {}
+    for i, pid in enumerate(parts):
+        by_part.setdefault(pid, []).append(i)
+    for pid, members in by_part.items():
+        ordered = sorted(members, key=lambda i: intervals[i].lo)
+        for a, b in zip(ordered, ordered[1:]):
+            if intervals[a].strictly_contains(intervals[b]):
+                raise PosetError(f"part {pid!r} is not proper: "
+                                 f"interval {a} contains interval {b}")
+            pairs.append((interval_ids[a], interval_ids[b]))
+    names = [str(v) for v in endpoint_values] + [f"I{i}" for i in range(len(intervals))]
+    all_labels = {"D": range(nd)}
+    for name, members in (labels or {}).items():
+        all_labels[name] = [interval_ids[i] for i in members]
+    return (generated_poset(nd + len(intervals), pairs, all_labels, names),
+            interval_ids, d_id)
+
+
+def ref_unit_disk_poset(disks, k=None):
+    """(poset, vertex_map, width_bound, provenance) of the unit-disk build,
+    with every chord-end order decided by ``disk_endpoint_cmp`` on Fractions."""
+    from geomfo.poset import generated_poset
+
+    rows = sorted({d.cy for d in disks})
+    ell = len(rows)
+    k = ell if k is None else k
+    row_of = {y: i for i, y in enumerate(rows)}
+    n = len(disks)
+    elems = [f"d{i}" for i in range(n)]
+    labels = {f"B{i + 1}": set() for i in range(ell)}
+    for i, d in enumerate(disks):
+        labels[f"B{row_of[d.cy] + 1}"].add(i)
+    order = sorted(range(n), key=lambda i: (disks[i].cx, i))
+    pairs = list(zip(order, order[1:]))
+    for ri in range(ell):
+        for rj in range(ri, ell):
+            dy = rows[rj] - rows[ri]
+            if dy > 1:
+                continue
+            q4w2 = 1 - dy * dy
+            along = [i for i in order if row_of[disks[i].cy] in (ri, rj)]
+            dlabel = f"D_{ri + 1}_{rj + 1}"
+            labels.setdefault(dlabel, set())
+            end_elem = {}
+            for i in sorted(along):
+                for s in (-1, 1):
+                    eid = len(elems)
+                    elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
+                    labels[dlabel].add(eid)
+                    end_elem[(i, s)] = eid
+            ends = sorted(((disks[i].cx, s, i) for i in along for s in (-1, 1)),
+                          key=functools.cmp_to_key(disk_endpoint_cmp(q4w2)))
+            chain = [end_elem[(i, s)] for _, s, i in ends]
+            pairs += zip(chain, chain[1:])
+            for i in along:
+                pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]
+    poset = generated_poset(len(elems), pairs, labels, elems)
+    return poset, list(range(n)), k * k + 1, {"class": "unit_disk", "k": k, "rows": ell}
+
+
+def ref_interval_family_instance(cls: str, rep: Representation):
+    """(poset, vertex_map, width_bound, provenance) of ``make_instance`` for
+    the interval, circular-arc, circle and box classes, from the reference
+    builders above."""
+    if cls == "box":
+        xs = list(ref_perturb_endpoints(
+            Representation("interval", tuple(b.x for b in rep.objects))).objects)
+        ys = sorted({(b.y.lo, b.y.hi) for b in rep.objects})
+        kx, parts = ref_proper_partition(xs)
+        lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
+        members = {lab_name[t]: [] for t in ys}
+        for i, b in enumerate(rep.objects):
+            members[lab_name[(b.y.lo, b.y.hi)]].append(i)
+        poset, ids, _ = ref_build_interval_poset(xs, parts, members)
+        ell = len(ys)
+        return poset, ids, kx + 1, {"class": "box", "k": max(kx, ell), "kx": kx, "ell": ell}
+    objs = ref_perturb_endpoints(rep).objects
+    if cls == "interval":
+        k, parts = ref_proper_partition(objs)
+        poset, ids, _ = ref_build_interval_poset(objs, parts)
+        return poset, ids, k + 1, {"class": "interval", "k": k}
+    if cls == "circle":
+        flat = [Interval(min(c.a, c.b), max(c.a, c.b)) for c in objs]
+        k, parts = ref_proper_partition(flat)
+        poset, ids, _ = ref_build_interval_poset(flat, parts)
+        return poset, ids, k + 1, {"class": "circle", "k": k}
+    red = {i for i, a in enumerate(objs) if a.wraps()}
+    flat = [Interval(a.end, a.start) if i in red else Interval(a.start, a.end)
+            for i, a in enumerate(objs)]
+    k_plain, _ = ref_proper_partition([f for i, f in enumerate(flat) if i not in red])
+    k_red, _ = ref_proper_partition([f for i, f in enumerate(flat) if i in red])
+    k_b, parts = ref_proper_partition(flat)
+    poset, ids, _ = ref_build_interval_poset(flat, parts, {"red": red})
+    k = max(k_plain, k_red)
+    return poset, ids, 2 * k + 1, {"class": "circular_arc", "k": k, "k_flat": k_b}
+
+
+def poset_digest(p) -> str:
+    """sha256 of (n, rows, labels, names): equal iff the posets are identical."""
+    labels = sorted((name, sorted(vs)) for name, vs in p.labels.items())
+    return hashlib.sha256(repr((p.n, p.rows, labels, p.names)).encode()).hexdigest()

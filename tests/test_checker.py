@@ -398,6 +398,16 @@ def test_budget_overflow_is_an_eval_error(monkeypatch):
         model_check("interval", rep, phi)
 
 
+def test_poset_side_budget_overflow_is_an_eval_error(monkeypatch):
+    """The graph side fits 20x20 cells; the poset side joins psi's z over
+    D (40 endpoints) with a vertex axis (20 intervals)."""
+    rep = rand_intervals(random.Random(3), 20)  # a poset of 60 elements
+    phi = parse_formula("exists x. exists y. edge(x,y)", GRAPH)
+    monkeypatch.setattr(checker, "MAX_CELLS", 400)
+    with pytest.raises(EvalError, match="arity 2 on n=60 elements, with axes of 40x20,"):
+        model_check("interval", rep, phi)
+
+
 def test_path_on_40_intervals_fits_the_default_budget():
     """Every variable of the rewritten 5-path ranges over nu: its tables need
     40^4 cells where the 120 poset elements would need 120^4."""

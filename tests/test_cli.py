@@ -228,6 +228,17 @@ def test_cli_check_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_cli_check_over_the_budget_on_the_poset_side_exits_2(tmp_path, capsys, monkeypatch):
+    rep = tmp_path / "rep.txt"  # 20 intervals, a poset of 60 elements
+    rep.write_text(fileio.write_representation(rand_intervals(random.Random(3), 20)))
+    monkeypatch.setattr(checker, "MAX_CELLS", 400)  # the graph side needs 20x20
+    assert main(["check", "--class", "interval", "--in", str(rep),
+                 "--formula", "exists x. exists y. edge(x,y)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "n=60" in captured.err
+    assert "axes of 40x20" in captured.err and captured.out == ""
+
+
 def test_cli_check_path_on_40_intervals_decides(tmp_path, capsys):
     rep = tmp_path / "rep.txt"  # 40 intervals, a poset of 120 elements
     rep.write_text(fileio.write_representation(rand_intervals(random.Random(3), 40)))

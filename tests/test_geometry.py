@@ -66,10 +66,18 @@ def test_permutation_equals_opened_circle():
 def test_proper_partition_examples():
     k, parts = proper_partition([iv(1, 4), iv(2, 3), iv(5, 6)])
     assert k == 2 and parts[1] == 2 and parts[0] == 1 and parts[2] == 1
-    k, _ = proper_partition([iv(0, 2), iv(1, 3), iv(2, 4) if False else iv(Fr(5, 2), 4)])
+    k, _ = proper_partition([iv(0, 2), iv(1, 3), iv(Fr(5, 2), 4)])
     assert k == 1
     with pytest.raises(GeometryError):
         proper_partition([iv(1, 2), iv(1, 3)])
+
+
+def test_proper_partition_rejects_duplicate_endpoints():
+    big = 10 ** 30
+    for items in ([iv(1, 2), iv(1, 3)], [iv(0, 2), iv(2, 3)],
+                  [iv(Fr(1, 3), Fr(big + 1, big)), iv(Fr(big + 1, big), 2)]):
+        with pytest.raises(GeometryError, match="duplicate endpoints"):
+            proper_partition(items)
 
 
 def test_proper_partition_minimality_oracle():

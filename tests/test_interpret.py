@@ -24,6 +24,24 @@ from helpers import (max_clique, max_independent_set, has_subgraph, rand_arcs,
                      rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
                      rand_segments, rand_sentence)
 
+def test_interpretations_reject_shared_endpoints():
+    msg = r"^shared endpoints; apply perturb_endpoints first$"
+    with pytest.raises(GeometryError, match=msg):
+        interval_interpretation([Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))])
+    with pytest.raises(GeometryError, match=msg):
+        circle_interpretation([Chord(Fr(1, 4), Fr(1, 2)), Chord(Fr(3, 4), Fr(1, 2))])
+    with pytest.raises(GeometryError, match=msg):
+        circular_arc_interpretation([Arc(Fr(1, 4), Fr(1, 2)), Arc(Fr(1, 2), Fr(3, 4))])
+
+
+def test_circular_arc_interpretation_rejects_an_end_at_angle_0():
+    msg = r"^arc endpoint at angle 0; apply perturb_endpoints first$"
+    for arcs in ([Arc(Fr(0), Fr(1, 2)), Arc(Fr(1, 4), Fr(3, 4))],
+                 [Arc(Fr(1, 4), Fr(3, 4)), Arc(Fr(7, 8), Fr(0))]):
+        with pytest.raises(GeometryError, match=msg):
+            circular_arc_interpretation(arcs)
+
+
 CLASS_MAKERS = {
     "interval": rand_intervals,
     "circular_arc": rand_arcs,

@@ -5,7 +5,7 @@ import pytest
 
 from geomfo.checker import eval_structure
 from geomfo.formula import Var
-from geomfo.geometry import Interval
+from geomfo.geometry import GeometryError, Interval
 from geomfo.interpret import interval_nu, interval_psi, interval_theta
 from geomfo.poset import (LabeledPoset, PosetError, build_interval_poset,
                           generated_poset, poset_width, transitive_closure,
@@ -112,6 +112,13 @@ def test_build_interval_poset_rejects_nonproper_part():
     items = [Interval(Fr(1), Fr(9)), Interval(Fr(2), Fr(10)), Interval(Fr(3), Fr(8))]
     with pytest.raises(PosetError):
         build_interval_poset(items, [1, 1, 1])
+
+
+def test_build_interval_poset_rejects_duplicate_endpoints():
+    for items in ([Interval(Fr(1), Fr(3)), Interval(Fr(3), Fr(4))],
+                  [Interval(Fr(1, 3), Fr(1)), Interval(Fr(2, 6), Fr(2))]):
+        with pytest.raises(GeometryError, match="duplicate endpoints"):
+            build_interval_poset(items, [1, 2])
 
 
 def test_build_interval_poset_exact_endpoint_relation():
