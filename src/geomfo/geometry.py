@@ -8,6 +8,15 @@ are exact and scale-invariant.  Perturbation and proper partitions work the
 same way, on integer endpoints and their ranks.  Angular positions live in [0,1) turns
 measured clockwise from angle 0 (a half turn is exactly 1/2).
 
+An intersection graph comes from one array predicate per class, evaluated
+over row blocks of at most ``_PAIR_CELLS`` object pairs, so no n x n array
+is allocated.  Interval, arc, chord, permutation and box tests only compare
+coordinates, so they run on int64 dense ranks of the rescaled ints (equal
+values share a rank, so every ``<``, ``<=`` and tie is kept).  The unit-disk
+test ``dx^2 + dy^2 <= S^2`` runs on int64 when every scaled coordinate,
+the unit S included, is below 2^30 in absolute value, so no term can
+overflow, and otherwise on Python ints in an object array.
+
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
 and disks (tangency is an edge); strict crossing for chords and permutation
 segments (shared endpoints are not an edge).
@@ -16,10 +25,13 @@ segments (shared endpoints are not an edge).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import GeomfoError
 
@@ -49,10 +61,15 @@ def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _exact(obj) -> None:
     """Store every field of a frozen coordinate object as a Fraction."""
-    for f in fields(obj):
-        object.__setattr__(obj, f.name, rat(getattr(obj, f.name)))
+    for name in _field_names(type(obj)):
+        object.__setattr__(obj, name, rat(getattr(obj, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +197,18 @@ class LabeledGraph:
         self.labels: dict[str, frozenset[int]] = labs
         self._adj_rows: Optional[list[bytearray]] = None
         self._nbrs: Optional[list[set[int]]] = None
+
+    @classmethod
+    def _from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray) -> "LabeledGraph":
+        """The unlabelled graph whose edges are the pairs (i[t], j[t]); every
+        pair must have 0 <= i[t] < j[t] < n, which is checked on the arrays."""
+        bad = (i < 0) | (i >= j) | (j >= n)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise GeometryError(f"edge ({i[t]},{j[t]}) is not a pair 0 <= i < j < {n}")
+        g = cls(n)
+        g.edges = frozenset(zip(i.tolist(), j.tolist()))
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
@@ -323,37 +352,112 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [c.numerator * (scale // c.denominator) for c in values]
 
 
-def _meeting_pairs(meets, pts: Sequence[tuple]) -> set[tuple[int, int]]:
-    n = len(pts)
-    return {(i, j) for i in range(n) for j in range(i + 1, n) if meets(pts[i], pts[j])}
+_PAIR_CELLS = 1 << 20  # object pairs in one row block of an intersection test
+_INT64_SAFE = 1 << 30   # disk coordinates below this in absolute value stay int64
 
 
-def _arc_has(arc: tuple[int, int], t: int) -> bool:
-    start, end = arc
-    return start <= t <= end if start < end else t >= start or t <= end
+# Array intersection tests: ``p`` holds the coordinate columns of a row block
+# as (rows, 1) arrays, ``q`` those of the other objects as flat arrays, and
+# each test broadcasts to a (rows, others) boolean block.
+
+def _intervals_meet(p, q):
+    return (p[0] <= q[1]) & (q[0] <= p[1])
 
 
-def _segments_cross(s: tuple, t: tuple) -> bool:
-    return (s[0] - t[0]) * (s[1] - t[1]) < 0
+def _arc_holds(start, end, t):
+    return np.where(start < end, (start <= t) & (t <= end), (t >= start) | (t <= end))
 
 
-# class -> (object type, the object's coordinates, intersection test on two
-# coordinate tuples after they are scaled to ints).  Two arcs meet iff one
-# holds the other's start.  A disk carries the unit length as a third
-# coordinate, so the diameter scales with its centre.
+def _arcs_meet(p, q):
+    """Two arcs meet iff one holds the other's start."""
+    return _arc_holds(p[0], p[1], q[0]) | _arc_holds(q[0], q[1], p[0])
+
+
+def _chords_cross(p, q):
+    return (((p[0] < q[0]) & (q[0] < p[1]) & (p[1] < q[1]))
+            | ((q[0] < p[0]) & (p[0] < q[1]) & (q[1] < p[1])))
+
+
+def _segments_meet(p, q):
+    return ((p[0] < q[0]) & (q[1] < p[1])) | ((q[0] < p[0]) & (p[1] < q[1]))
+
+
+def _boxes_meet(p, q):
+    return (p[0] <= q[1]) & (q[0] <= p[1]) & (p[2] <= q[3]) & (q[2] <= p[3])
+
+
+def _disks_meet(p, q):
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return dx * dx + dy * dy <= p[2] * q[2]
+
+
+# class -> (object type, the object's coordinates, the groups of coordinate
+# columns ranked together, the array test).  A disk carries the unit length
+# as a third coordinate, so the diameter scales with its centre; its test
+# does arithmetic, so its coordinates are not ranked.
 _INTERSECTION_TESTS = {
-    "interval": (Interval, lambda o: (o.lo, o.hi),
-                 lambda p, q: p[0] <= q[1] and q[0] <= p[1]),
-    "circular_arc": (Arc, lambda o: (o.start, o.end),
-                     lambda p, q: _arc_has(p, q[0]) or _arc_has(q, p[0])),
-    "circle": (Chord, lambda o: (min(o.a, o.b), max(o.a, o.b)),
-               lambda p, q: p[0] < q[0] < p[1] < q[1] or q[0] < p[0] < q[1] < p[1]),
-    "permutation": (PermSegment, lambda o: (o.top, o.bottom), _segments_cross),
-    "box": (Box, lambda o: (o.x.lo, o.x.hi, o.y.lo, o.y.hi),
-            lambda p, q: p[0] <= q[1] and q[0] <= p[1] and p[2] <= q[3] and q[2] <= p[3]),
-    "unit_disk": (Disk, lambda o: (o.cx, o.cy, Fraction(1)),
-                  lambda p, q: (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= p[2] * q[2]),
+    "interval": (Interval, lambda o: (o.lo, o.hi), ((0, 1),), _intervals_meet),
+    "circular_arc": (Arc, lambda o: (o.start, o.end), ((0, 1),), _arcs_meet),
+    "circle": (Chord, lambda o: (min(o.a, o.b), max(o.a, o.b)), ((0, 1),), _chords_cross),
+    "permutation": (PermSegment, lambda o: (o.top, o.bottom), ((0,), (1,)), _segments_meet),
+    "box": (Box, lambda o: (o.x.lo, o.x.hi, o.y.lo, o.y.hi), ((0, 1), (2, 3)), _boxes_meet),
+    "unit_disk": (Disk, lambda o: (o.cx, o.cy, Fraction(1)), None, _disks_meet),
 }
+
+
+def _dense_ranks(values: Sequence[int]) -> np.ndarray:
+    """int64 ranks of ``values`` from one sort; equal values share a rank."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return np.array([rank[v] for v in values], dtype=np.int64)
+
+
+def _test_columns(cls: str, rows: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """The coordinate columns the test of ``cls`` reads, from integer rows."""
+    groups = _INTERSECTION_TESTS[cls][2]
+    cols = list(zip(*rows))
+    if groups is None:
+        small = all(-_INT64_SAFE < v < _INT64_SAFE for col in cols for v in col)
+        return [np.array(col, dtype=np.int64 if small else object) for col in cols]
+    out: list = [None] * len(cols)
+    n = len(rows)
+    for group in groups:
+        ranks = _dense_ranks([v for k in group for v in cols[k]])
+        for t, k in enumerate(group):
+            out[k] = ranks[t * n:(t + 1) * n]
+    return out
+
+
+def _pair_arrays(cls: str, rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the meeting pairs, i < j, in lexicographic order.
+
+    ``rows`` holds each object's coordinates as ints at one common scale.
+    Row block [start, stop) is tested against objects start+1.. only, and
+    the block's lower triangle is dropped.
+    """
+    n = len(rows)
+    if n < 2:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    cols = _test_columns(cls, rows)
+    meets = _INTERSECTION_TESTS[cls][3]
+    step = max(1, _PAIR_CELLS // n)
+    iis, jjs = [], []
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        hit = meets([c[start:stop, None] for c in cols], [c[start + 1:] for c in cols])
+        a, t = np.nonzero(np.triu(hit))
+        iis.append(a + start)
+        jjs.append(t + start + 1)
+    return np.concatenate(iis), np.concatenate(jjs)
+
+
+def _object_pairs(cls: str, objects: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    coords = _INTERSECTION_TESTS[cls][1]
+    return _pair_arrays(cls, _to_ints([coords(o) for o in objects]))
+
+
+def _same_pairs(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
+    return all(map(np.array_equal, a, b))
 
 
 def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
@@ -362,12 +466,11 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
         raise GeometryError(f"not an intersection class: {cls!r}")
     if rep.cls != cls:
         raise GeometryError(f"representation is of class {rep.cls!r}, not {cls!r}")
-    want, coords, meets = _INTERSECTION_TESTS[cls]
+    want = _INTERSECTION_TESTS[cls][0]
     for obj in rep.objects:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
-    pts = _to_ints([coords(obj) for obj in rep.objects])
-    return LabeledGraph(len(pts), _meeting_pairs(meets, pts))
+    return LabeledGraph._from_pairs(len(rep.objects), *_object_pairs(cls, rep.objects))
 
 
 def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[PermSegment]:
@@ -381,12 +484,7 @@ def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[Pe
     if n == 0:
         return segs
 
-    def crossings(ss):
-        ends = [(s.top, s.bottom) for s in ss]
-        return {(i, j) for i in range(n) for j in range(i + 1, n)
-                if _segments_cross(ends[i], ends[j])}
-
-    before = crossings(segs)
+    before = _object_pairs("permutation", segs)
 
     def spread(values, others):
         gaps = sorted(set(values))
@@ -405,7 +503,7 @@ def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[Pe
     tops = spread([s.top for s in segs], [s.bottom for s in segs])
     bots = spread([s.bottom for s in segs], tops)
     segs = [PermSegment(t, b) for t, b in zip(tops, bots)]
-    if crossings(segs) != before:
+    if not _same_pairs(_object_pairs("permutation", segs), before):
         raise GeometryError("coordinate separation changed the crossing graph")
     return segs
 
@@ -545,9 +643,8 @@ def perturb_endpoints(rep: Representation) -> Representation:
             for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
                 new[e] = (m * value + t * gap) % turn
 
-    meets = _INTERSECTION_TESTS[cls][2]
-    before, after = (_meeting_pairs(meets, _end_coords(cls, ks)) for ks in (keys, new))
-    if after != before:
+    before, after = (_pair_arrays(cls, _end_coords(cls, ks)) for ks in (keys, new))
+    if not _same_pairs(before, after):
         raise GeometryError("perturbation changed the intersection graph")
     new_vals = sorted(new)
     if any(a == b for a, b in zip(new_vals, new_vals[1:])):

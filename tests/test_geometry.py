@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from geomfo import geometry
+from geomfo.generators import cliquewidth_family
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              _transversal_ok, build_intersection_graph,
@@ -297,35 +300,92 @@ def test_transversal_condition_against_exhaustive():
     assert verdicts == {True, False}
 
 
-def test_intersection_graphs_against_reference():
-    rng = random.Random(31)
+def _reference_cases(rng):
+    """Representations of every class, with ties, tangencies and extremes."""
     makers = {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
               "permutation": rand_segments, "box": rand_boxes, "unit_disk": rand_disks}
-    for cls, mk in makers.items():
+    for mk in makers.values():
         for _ in range(40):
-            rep = mk(rng, rng.randint(1, 12))
-            assert build_intersection_graph(cls, rep).edges == ref_intersection_edges(rep)
+            yield mk(rng, rng.randint(1, 12))
     # mixed denominators, wrapping arcs, shared endpoints and tangencies
     ends = sorted({Fr(a, d) for d in (3, 5, 7) for a in range(d)})
     for _ in range(40):
         picks = [rng.sample(ends, 2) for _ in range(8)]
-        for rep in (Representation("circular_arc", tuple(Arc(a, b) for a, b in picks)),
-                    Representation("circle", tuple(Chord(a, b) for a, b in picks)),
-                    Representation("permutation", tuple(PermSegment(a, b) for a, b in picks)),
-                    Representation("interval", tuple(Interval(min(p), max(p)) for p in picks)),
-                    Representation("box", tuple(Box(Interval(min(p), max(p)), Interval(0, p[0] + 1))
-                                                for p in picks))):
-            assert build_intersection_graph(rep.cls, rep).edges == ref_intersection_edges(rep)
+        yield Representation("circular_arc", tuple(Arc(a, b) for a, b in picks))
+        yield Representation("circle", tuple(Chord(a, b) for a, b in picks))
+        yield Representation("permutation", tuple(PermSegment(a, b) for a, b in picks))
+        yield Representation("interval", tuple(Interval(min(p), max(p)) for p in picks))
+        yield Representation("box", tuple(Box(Interval(min(p), max(p)), Interval(0, p[0] + 1))
+                                          for p in picks))
     # disk centres exactly 1 apart (Pythagorean offsets) and just over
     unit = [(Fr(0), Fr(0)), (Fr(3, 5), Fr(4, 5)), (Fr(-5, 13), Fr(12, 13)), (Fr(1), Fr(0)),
             (Fr(8, 17), Fr(-15, 17)), (Fr(3, 5), Fr(-1, 5)), (Fr(101, 100), Fr(0))]
     for _ in range(40):
         base = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
-        disks = tuple(Disk(bx + dx, by + dy) for bx, by in base for dx, dy in rng.sample(unit, 3))
-        rep = Representation("unit_disk", disks)
-        assert build_intersection_graph("unit_disk", rep).edges == ref_intersection_edges(rep)
+        yield Representation("unit_disk", tuple(Disk(bx + dx, by + dy) for bx, by in base
+                                                for dx, dy in rng.sample(unit, 3)))
+    yield from _disks_at_int64_bound()
+    for cls in ("circular_arc", "circle", "unit_box", "unit_disk"):
+        yield cliquewidth_family(cls, 1)[0]
+    for mk in makers.values():
+        for n in (0, 1):
+            yield mk(random.Random(n), n)
+
+
+def _disks_at_int64_bound():
+    """Tangent, overlapping and separate disks whose scaled coordinates or
+    unit lie just below 2^30, at it, or far beyond (denominator 10^30)."""
+    for big in (2 ** 30 - 1, 2 ** 30):
+        yield Representation("unit_disk", (
+            Disk(big, big), Disk(big - 1, big), Disk(big, big - 1), Disk(big - 1, big - 1),
+            Disk(-big, -big), Disk(-big + 1, -big), Disk(big - 2, big)))
+        d = Fr(1, big)
+        yield Representation("unit_disk", (
+            Disk(0, 0), Disk(1, 0), Disk(1 - d, 0), Disk(-d, 0), Disk(0, 1 - d),
+            Disk(1 - d, 1 - d), Disk(d, -1 + d)))
+    d = Fr(1, 10 ** 30)
+    yield Representation("unit_disk", (
+        Disk(0, 0), Disk(1 - d, 0), Disk(1 + d, 0), Disk(Fr(3, 5), Fr(4, 5)),
+        Disk(Fr(3, 5) + d, Fr(4, 5)), Disk(10 ** 30, 0), Disk(10 ** 30 - 1, d)))
+
+
+def test_intersection_graphs_against_reference(monkeypatch):
+    reps = list(_reference_cases(random.Random(31)))
+    for rep in reps:
+        assert build_intersection_graph(rep.cls, rep).edges == ref_intersection_edges(rep)
     tangent = Representation("unit_disk", (Disk(0, 0), Disk(Fr(3, 5), Fr(4, 5))))
     assert build_intersection_graph("unit_disk", tangent).edges == frozenset({(0, 1)})
+    # Blocks of one to a few rows: every block seam is crossed.
+    monkeypatch.setattr(geometry, "_PAIR_CELLS", 25)
+    for rep in reps:
+        assert build_intersection_graph(rep.cls, rep).edges == ref_intersection_edges(rep)
+
+
+def test_disk_test_switches_to_python_ints_at_the_bound():
+    """Scaled coordinates below 2^30 run on int64, larger ones on Python ints."""
+    dtypes = []
+    for rep in _disks_at_int64_bound():
+        rows = geometry._to_ints([(d.cx, d.cy, Fr(1)) for d in rep.objects])
+        dtypes.append({c.dtype for c in geometry._test_columns("unit_disk", rows)})
+    assert dtypes == [{np.dtype(np.int64)}] * 2 + [{np.dtype(object)}] * 3
+
+
+def test_graph_from_index_arrays_matches_constructor():
+    rng = random.Random(12)
+    for n in (0, 1, 2, 7, 30):
+        pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(n * 2)}
+                       if n >= 2 else set())
+        i = np.array([a for a, _ in pairs], dtype=np.intp)
+        j = np.array([b for _, b in pairs], dtype=np.intp)
+        fast, slow = LabeledGraph._from_pairs(n, i, j), LabeledGraph(n, pairs)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert all(fast.has_edge(u, v) == slow.has_edge(u, v) for u in range(n) for v in range(n))
+        assert [fast.neighbors(v) for v in range(n)] == [slow.neighbors(v) for v in range(n)]
+        assert fast.adjacency_rows() == slow.adjacency_rows()
+        assert all(type(v) is int for e in fast.edges for v in e)
+    for i, j in (([1], [1]), ([2], [1]), ([0], [3]), ([-1], [1]), ([0, 1], [1, 5])):
+        with pytest.raises(GeometryError):
+            LabeledGraph._from_pairs(3, np.array(i), np.array(j))
 
 
 def test_certificate_malformed():
