@@ -47,8 +47,8 @@ import numpy as np
 
 from . import GeomfoError, formula as F
 from .geometry import (ALL_CLASSES, GeometryError, LabeledGraph, Representation,
-                       build_intersection_graph, visibility_graph)
-from .poset import LabeledPoset, order_matrix
+                       bit_matrix, build_intersection_graph, visibility_graph)
+from .poset import LabeledPoset
 
 Structure = Union[LabeledGraph, LabeledPoset]
 
@@ -77,14 +77,10 @@ class _Context:
         self.structure = weakref.ref(structure)
         n = self.n = structure.n
         if isinstance(structure, LabeledGraph):
-            self.signature = F.GRAPH
-            self.rel = rel = np.zeros((n, n), dtype=bool)
-            for u, v in structure.edges:
-                rel[u, v] = rel[v, u] = True
-        else:
+            self.signature, self.rel = F.GRAPH, structure.adjacency_matrix()
+        else:  # <= is the reflexive closure of the strict order
             self.signature = F.POSET
-            self.rel = order_matrix(structure)
-            self.rel |= np.eye(n, dtype=bool)  # <= is the reflexive closure of the strict order
+            self.rel = bit_matrix(n, structure.rows) | np.eye(n, dtype=bool)
         self.labels = {}
         for name, vs in structure.labels.items():
             self.labels[name] = inside = np.zeros(n, dtype=bool)

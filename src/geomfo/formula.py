@@ -674,9 +674,7 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
                     for name, bits in zip(labels, label_bits)
                 }
                 cand = LabeledGraph(m, edges, lab)
-                if eval_structure(cand, body, cls):
-                    key = (m, frozenset(edges), tuple(sorted((k, v) for k, v in lab.items())))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(cand)
+                if eval_structure(cand, body, cls) and cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
     return out

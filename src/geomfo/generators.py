@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .formula import (And, Edge, Eq, Exists, Forall, Formula, FreshVars, Implies,
                       Label, Leq, Not, Or, Var, all_var_names, big_and,
                       exists_many, instantiate, map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
                        permutation_to_chords, polygon_report,
-                       separate_permutation_coordinates, true_twins,
+                       separate_permutation_coordinates, symmetric_rows, true_twins,
                        visibility_graph)
 
 Fr = Fraction
@@ -258,12 +260,9 @@ def graph_interpretation(g: LabeledGraph, nu: Formula, psi: Formula,
     """Evaluate an in-graph interpretation: vertex set of nu, edges of psi."""
     from .checker import truth_table
 
-    inside = truth_table(g, nu, (nu_var,)).tolist()
-    vs = [v for v in range(g.n) if inside[v]]
-    rel = truth_table(g, psi, psi_vars).tolist()
-    edges = {(i, j) for j, b in enumerate(vs) for i, a in enumerate(vs[:j])
-             if rel[a][b] or rel[b][a]}
-    return vs, LabeledGraph(len(vs), edges)
+    vs = np.flatnonzero(truth_table(g, nu, (nu_var,)))
+    rel = truth_table(g, psi, psi_vars)[np.ix_(vs, vs)]
+    return vs.tolist(), LabeledGraph(len(vs), rows=symmetric_rows(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +337,11 @@ def strip_labels(inst: HardnessInstance) -> StrippedInstance:
     for v in red - green:
         copies[v] = 4
 
-    edges = set(g.edges)
-    total = g.n
-    clones: dict[int, list[int]] = {}
-    for v in range(g.n):
-        clones[v] = [v]
-        for _ in range(copies[v] - 1):
-            clones[v].append(total)
-            total += 1
-    for v in range(g.n):
-        group = clones[v]
-        nbrs = g.neighbors(v)
-        for c in group[1:]:
-            for u in nbrs:
-                for cu in clones[u]:
-                    edges.add((min(c, cu), max(c, cu)))
-            for other in group:
-                if other != c:
-                    edges.add((min(c, other), max(c, other)))
-    g2 = LabeledGraph(total, edges)
+    # every vertex keeps its id and its further copies follow, vertex by
+    # vertex; copies of one vertex are twins, adjacent to all its neighbours'
+    origin = list(range(g.n)) + [v for v in range(g.n) for _ in range(copies[v] - 1)]
+    closed = g.adjacency_matrix() | np.eye(g.n, dtype=bool)
+    g2 = LabeledGraph(len(origin), rows=symmetric_rows(closed[np.ix_(origin, origin)]))
 
     x, y, z = Var("x"), Var("y"), Var("z")
     tw = twin_formula(x, y, z)
@@ -597,7 +582,8 @@ class CliquewidthCertificate:
 
 
 def cliquewidth_family(cls: str, k: int = 1) -> tuple[Representation, CliquewidthCertificate]:
-    """The r=6k, m=36k+1 family with gradually connected consecutive parts."""
+    """The r=6k, m=36k+1 family with gradually connected consecutive parts,
+    computed on integer numerators over one denominator ``den``."""
     if k < 1:
         raise GeometryError("k must be at least 1")
     if k > size_cap(2):
@@ -607,49 +593,45 @@ def cliquewidth_family(cls: str, k: int = 1) -> tuple[Representation, Cliquewidt
     idx = list(range(1, r - 1, 3))  # 1, 4, ..., r-2
 
     if cls in ("circular_arc", "circle"):
-        delta = Fr(1, 100 * k)
-        eps = delta / (2 * m)
-        theta = eps / (2 * r)  # separates part t's arc ends from part t+1's starts
-        a = Fr(1, 3) + delta
-        starts = [((t - 1) * (a + theta) + j * eps) % 1
+        # delta = 1/(100k), eps = delta/(2m), and theta = eps/(2r) separates
+        # part t's arc ends from part t+1's starts; every arc spans 1/3 + delta
+        den = 1200 * k * m * r
+        delta, eps, theta = den // (100 * k), den // (200 * k * m), den // (400 * k * m * r)
+        span = den // 3 + delta
+        starts = [((t - 1) * (span + theta) + j * eps) % den
                   for t in range(1, r + 1) for j in range(m)]
-        ends = [(s + a) % 1 for s in starts]
+        ends = [(s + span) % den for s in starts]
         if len(set(starts + ends)) != 2 * len(starts):
             raise GeometryError("arc family has coinciding endpoints")
-        if cls == "circular_arc":
-            rep = Representation("circular_arc",
-                                 tuple(Arc(s, e) for s, e in zip(starts, ends)))
+        make = Arc if cls == "circular_arc" else Chord
+        rep = Representation(cls, tuple(make(Fr(s, den), Fr(e, den))
+                                        for s, e in zip(starts, ends)))
+    elif cls in ("unit_box", "unit_disk"):
+        # part t starts at prefixes[t % 3] + (t // 3) v, steps by (eps, eps).
+        # Boxes: v = (delta, delta), delta = 1/(100k), eps = delta/(2m).  Disks:
+        # v = t1 + t2 + t3 of unit steps, eps = 1/(40000 k m).
+        if cls == "unit_box":
+            den = 200 * k * m
+            delta, eps = den // (100 * k), den // (200 * k * m)
+            prefixes, v = [(0, 0), (den, delta), (den // 2, den + delta)], (delta, delta)
+            unit = lambda x, y: Box(Interval(Fr(x, den), Fr(x + den, den)),
+                                    Interval(Fr(y, den), Fr(y + den, den)))
         else:
-            rep = Representation("circle",
-                                 tuple(Chord(s, e) for s, e in zip(starts, ends)))
-    elif cls == "unit_box":
-        delta = Fr(1, 100 * k)
-        eps = delta / (2 * m)
-        prefixes = [(Fr(0), Fr(0)), (Fr(1), delta), (Fr(1, 2), 1 + delta)]
-        boxes = []
-        for t in range(r):
-            triple, pos = divmod(t, 3)
-            bx = prefixes[pos][0] + triple * delta
-            by = prefixes[pos][1] + triple * delta
-            for j in range(m):
-                boxes.append(Box(Interval(bx + j * eps, bx + j * eps + 1),
-                                 Interval(by + j * eps, by + j * eps + 1)))
-        rep = Representation("box", tuple(boxes))
-    elif cls == "unit_disk":
-        t1 = (Fr(-144, 145), Fr(17, 145))
-        t2 = (Fr(5, 13), Fr(-12, 13))
-        t3 = (Fr(3, 5), Fr(4, 5))
-        v = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
-        prefixes = [(Fr(0), Fr(0)), t1, (t1[0] + t2[0], t1[1] + t2[1])]
-        eps = Fr(1, 40000 * k * m)
-        disks = []
+            den = math.lcm(145 * 13, 40000 * k * m)
+            t1 = (-144 * den // 145, 17 * den // 145)
+            t2 = (5 * den // 13, -12 * den // 13)
+            t3 = (3 * den // 5, 4 * den // 5)
+            v = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
+            prefixes = [(0, 0), t1, (t1[0] + t2[0], t1[1] + t2[1])]
+            eps = den // (40000 * k * m)
+            unit = lambda x, y: Disk(Fr(x, den), Fr(y, den))
+        objs = []
         for t in range(r):
             triple, pos = divmod(t, 3)
             bx = prefixes[pos][0] + triple * v[0]
             by = prefixes[pos][1] + triple * v[1]
-            for j in range(m):
-                disks.append(Disk(bx + j * eps, by + j * eps))
-        rep = Representation("unit_disk", tuple(disks))
+            objs += [unit(bx + j * eps, by + j * eps) for j in range(m)]
+        rep = Representation("box" if cls == "unit_box" else cls, tuple(objs))
     else:
         raise GeometryError(f"no clique-width family for class {cls!r}")
 

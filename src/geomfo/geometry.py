@@ -174,20 +174,52 @@ class Representation:
 # ---------------------------------------------------------------------------
 # labelled graphs
 
+def bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
+    """The n x n boolean matrix of packed bit rows: entry [a, b] iff bit b of rows[a]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+                           dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def symmetric_rows(rel: np.ndarray) -> tuple[int, ...]:
+    """The bit rows of the loop-free graph with an edge ab iff rel[a, b] or rel[b, a]."""
+    m = rel | rel.T
+    np.fill_diagonal(m, False)
+    packed = np.packbits(m, axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    return tuple(int.from_bytes(buf[a * width:(a + 1) * width], "little") for a in range(len(m)))
+
+
 class LabeledGraph:
-    """Finite simple graph with named vertex-label sets."""
+    """Finite simple graph with named vertex-label sets.
+
+    The adjacency is held once, as packed bit rows (bit v of ``rows[u]`` is
+    set iff uv is an edge), the form of ``LabeledPoset``'s order.  They are
+    given to the constructor, as rows, edges or both (their union), and
+    cannot be reassigned; ``edges``, ``neighbors`` and the rest derive from them.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Optional[dict[str, Iterable[int]]] = None):
+                 labels: Optional[dict[str, Iterable[int]]] = None,
+                 rows: Optional[Sequence[int]] = None):
         self.n = n
-        es = set()
+        acc = list(rows) if rows is not None else [0] * n
+        if len(acc) != n or acc and (min(acc) < 0 or max(acc) >> n):
+            raise GeometryError(f"adjacency needs {n} rows of bits 0..{n - 1}")
         for u, v in edges:
             if u == v:
                 raise GeometryError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GeometryError(f"edge ({u},{v}) outside 0..{n - 1}")
-            es.add((min(u, v), max(u, v)))
-        self.edges: frozenset[tuple[int, int]] = frozenset(es)
+            acc[u] |= 1 << v
+            acc[v] |= 1 << u
+        self._rows: tuple[int, ...] = tuple(acc)
+        self._matrix: Optional[np.ndarray] = None
+        if rows is not None:
+            m = self.adjacency_matrix()
+            if m.diagonal().any() or (m != m.T).any():
+                raise GeometryError("adjacency rows must be loop-free and symmetric")
         labs = {}
         for name, vs in (labels or {}).items():
             vs = frozenset(vs)
@@ -195,8 +227,8 @@ class LabeledGraph:
                 raise GeometryError(f"label {name!r} mentions a vertex outside 0..{n - 1}")
             labs[name] = vs
         self.labels: dict[str, frozenset[int]] = labs
-        self._adj_rows: Optional[list[bytearray]] = None
-        self._nbrs: Optional[list[set[int]]] = None
+        self._edges: Optional[frozenset[tuple[int, int]]] = None
+        self._nbrs: Optional[list[frozenset[int]]] = None
 
     @classmethod
     def _from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray) -> "LabeledGraph":
@@ -206,61 +238,71 @@ class LabeledGraph:
         if bad.any():
             t = int(np.argmax(bad))
             raise GeometryError(f"edge ({i[t]},{j[t]}) is not a pair 0 <= i < j < {n}")
-        g = cls(n)
-        g.edges = frozenset(zip(i.tolist(), j.tolist()))
-        return g
+        m = np.zeros((n, n), dtype=bool)
+        m[i, j] = True
+        return cls(n, rows=symmetric_rows(m))
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return self._rows
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            i, j = np.nonzero(self.adjacency_matrix())
+            upper = i < j
+            self._edges = frozenset(zip(i[upper].tolist(), j[upper].tolist()))
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (min(u, v), max(u, v)) in self.edges
+        return bool(self._rows[u] >> v & 1)
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """The n x n boolean adjacency matrix, unpacked from the rows once; read-only."""
+        if self._matrix is None:
+            self._matrix = bit_matrix(self.n, self._rows)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def adjacency_rows(self) -> list[bytearray]:
-        if self._adj_rows is None:
-            rows = [bytearray(self.n) for _ in range(self.n)]
-            for u, v in self.edges:
-                rows[u][v] = 1
-                rows[v][u] = 1
-            self._adj_rows = rows
-        return self._adj_rows
+        return [bytearray(r) for r in self.adjacency_matrix().view(np.uint8)]
 
-    def neighbors(self, v: int) -> set[int]:
+    def neighbors(self, v: int) -> frozenset[int]:
         if self._nbrs is None:
-            nbrs: list[set[int]] = [set() for _ in range(self.n)]
-            for a, b in self.edges:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            self._nbrs = nbrs
+            self._nbrs = [frozenset(np.flatnonzero(r).tolist()) for r in self.adjacency_matrix()]
         return self._nbrs[v]
 
     def complement(self) -> "LabeledGraph":
-        es = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-              if (i, j) not in self.edges}
-        return LabeledGraph(self.n, es, self.labels)
+        full = (1 << self.n) - 1
+        return LabeledGraph(self.n, labels=self.labels,
+                            rows=[full ^ r ^ 1 << u for u, r in enumerate(self._rows)])
 
     def induced(self, vertices: Sequence[int]) -> "LabeledGraph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
         idx = {v: i for i, v in enumerate(vertices)}
         if len(idx) != len(vertices):
             raise GeometryError("duplicate vertices in induced-subgraph request")
-        es = {(idx[u], idx[v]) for u, v in self.edges if u in idx and v in idx}
+        keep = np.array(vertices, dtype=np.intp)
         labs = {name: frozenset(idx[v] for v in vs if v in idx)
                 for name, vs in self.labels.items()}
-        return LabeledGraph(len(vertices), es, labs)
+        m = self.adjacency_matrix()[np.ix_(keep, keep)]
+        return LabeledGraph(len(vertices), labels=labs, rows=symmetric_rows(m))
 
     def with_labels(self, labels: dict[str, Iterable[int]]) -> "LabeledGraph":
         merged = dict(self.labels)
         for name, vs in labels.items():
             merged[name] = frozenset(vs)
-        return LabeledGraph(self.n, self.edges, merged)
+        return LabeledGraph(self.n, labels=merged, rows=self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, LabeledGraph) and self.n == other.n
-                and self.edges == other.edges and self.labels == other.labels)
+                and self._rows == other._rows and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self.edges, tuple(sorted(self.labels.items()))))
+        return hash((self.n, self._rows, tuple(sorted(self.labels.items()))))
 
     def __repr__(self):
-        return f"LabeledGraph(n={self.n}, m={len(self.edges)})"
+        return f"LabeledGraph(n={self.n}, m={sum(r.bit_count() for r in self._rows) // 2})"
 
 
 def diameter(g: LabeledGraph) -> int:
@@ -283,11 +325,7 @@ def diameter(g: LabeledGraph) -> int:
 
 def true_twins(g: LabeledGraph, u: int, v: int) -> bool:
     """Closed neighbourhoods coincide (u,v adjacent and same neighbours)."""
-    if u == v or not g.has_edge(u, v):
-        return False
-    nu = g.neighbors(u) | {u}
-    nv = g.neighbors(v) | {v}
-    return nu == nv
+    return u != v and g.has_edge(u, v) and g.rows[u] | 1 << u == g.rows[v] | 1 << v
 
 
 def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
@@ -323,18 +361,6 @@ def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
         return False
 
     return rec(0, [])
-
-
-def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.labels) != sorted(g2.labels):
-        return False
-    deg1 = sorted(len(g1.neighbors(v)) for v in range(g1.n))
-    deg2 = sorted(len(g2.neighbors(v)) for v in range(g2.n))
-    if deg1 != deg2:
-        return False
-    return induced_embeds(g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +710,11 @@ def _segment_meet_params(a: Point, b: Point, c: Point, d: Point) -> list[Fractio
     o2 = orient(a, b, d)
     o3 = orient(c, d, a)
     o4 = orient(c, d, b)
-    if o1 == 0 and o2 == 0:
-        # collinear: overlap is a (possibly empty or degenerate) subsegment
-        ts = []
-        for p in (c, d):
-            if _on_segment(p, a, b):
-                ts.append(_param_on_segment(p, a, b))
-        for p, t in ((a, Fraction(0)), (b, Fraction(1))):
-            if _on_segment(p, c, d):
-                ts.append(t)
-        return sorted(set(ts))
     if o1 != o2 and o3 != o4 and not (o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0):
         denom = ((b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0]))
         t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
         return [t]
-    # touching cases: an endpoint of one lies on the other
+    # touching cases, collinear overlaps included: an endpoint of one lies on the other
     ts = []
     for p in (c, d):
         if _on_segment(p, a, b):
@@ -728,10 +744,14 @@ class Polygon:
     The closing edge v->u is the distinguished edge (the weak-visibility
     edge for the theorems that need one).  ``_grid`` holds the vertices
     scaled once to a common denominator; the predicates run on it.
+    ``_graph`` holds the visibility graph once ``visibility_graph`` has
+    built it, so every caller shares one graph, which cannot change.
     """
 
     vertices: tuple[Point, ...]
     _grid: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _graph: Optional[LabeledGraph] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         pts = tuple((rat(x), rat(y)) for x, y in self.vertices)
@@ -854,16 +874,18 @@ def sees(poly: Polygon, i: int, j: int) -> bool:
 
 
 def visibility_graph(w: Polygon) -> LabeledGraph:
-    """Visibility graph in boundary order u..v; boundary neighbours always adjacent."""
-    n = w.n
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                edges.add((i, j))
-            elif sees(w, i, j):
-                edges.add((i, j))
-    return LabeledGraph(n, edges)
+    """Visibility graph in boundary order u..v; boundary neighbours always adjacent.
+    Built on the first call and held by the polygon for every later one."""
+    if w._graph is None:
+        n = w.n
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i + 1 or (i == 0 and j == n - 1) or sees(w, i, j):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        object.__setattr__(w, "_graph", LabeledGraph(n, rows=rows))
+    return w._graph
 
 
 def reflex_vertices(w: Polygon) -> list[int]:
@@ -879,18 +901,14 @@ class PolygonReport:
     reflex_vertices: list[int]
     ears: list[list[int]]
     is_terrain: bool
-    _fan_cache: dict = field(default_factory=dict)
 
     def ear_interiors(self) -> list[list[int]]:
         return [ear[1:-1] for ear in self.ears]
 
     def is_convex_fan_at(self, v: int) -> bool:
         """Vertex-level test: v is convex and sees every vertex."""
-        if v not in self._fan_cache:
-            ok = v not in self.reflex_vertices and all(
-                u == v or sees(self.polygon, v, u) for u in range(self.polygon.n))
-            self._fan_cache[v] = ok
-        return self._fan_cache[v]
+        g = visibility_graph(self.polygon)
+        return v not in self.reflex_vertices and g.rows[v] | 1 << v == (1 << g.n) - 1
 
     def weak_visibility_vertexwise(self) -> bool:
         """Every vertex sees an endpoint of the edge uv or its foot on uv.
@@ -899,10 +917,11 @@ class PolygonReport:
         continuous property with no finite certificate here.
         """
         poly = self.polygon
+        g = visibility_graph(poly)
         u = poly.vertices[0]
         v = poly.vertices[-1]
         for i in range(1, poly.n - 1):
-            if sees(poly, i, 0) or sees(poly, i, poly.n - 1):
+            if g.has_edge(i, 0) or g.has_edge(i, poly.n - 1):
                 continue
             p = poly.vertices[i]
             dx, dy = v[0] - u[0], v[1] - u[1]
@@ -942,13 +961,12 @@ def gradually_connected_check(g: LabeledGraph, xs: Sequence[int], ys: Sequence[i
         raise GeometryError("gradual connectivity needs disjoint lists")
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise GeometryError("duplicate vertices in ordering")
-    adj = g.adjacency_rows()
-    m = len(xs)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not adj[xs[j]][ys[i]] or adj[xs[i]][ys[j]]:
-                return False
-    return True
+    rows, prefix = g.rows, [0]  # prefix[j]: y_1..y_j as bits
+    for y in ys:
+        prefix.append(prefix[-1] | 1 << y)
+    # x_j sees each y_i with i < j and no y_i with i > j
+    return all(rows[x] & prefix[j] == prefix[j] and not rows[x] & prefix[-1] & ~prefix[j + 1]
+               for j, x in enumerate(xs))
 
 
 def cliquewidth_certificate_check(g: LabeledGraph, parts: Sequence[Sequence[int]],
@@ -979,21 +997,22 @@ def cliquewidth_certificate_check(g: LabeledGraph, parts: Sequence[Sequence[int]
                 or gradually_connected_check(g, parts[i + 1], parts[i])):
             return False
 
-    return _transversal_ok(g.adjacency_rows(), [parts[i - 1] for i in idx],
-                           [parts[i] for i in idx])
+    return _transversal_ok(g.rows, [parts[i - 1] for i in idx], [parts[i] for i in idx])
 
 
-def _transversal_ok(adj: Sequence[Sequence[int]], x_parts: Sequence[Sequence[int]],
+def _transversal_ok(rows: Sequence[int], x_parts: Sequence[Sequence[int]],
                     y_parts: Sequence[Sequence[int]]) -> bool:
     """Every choice x_a in X_a, y_a in Y_a has x_b y_a an edge and x_a y_b a
-    non-edge for all a < b.
+    non-edge for all a < b, on bit rows (bit y of ``rows[x]`` is xy).
 
     Each conjunct reads one x and one y, so over non-empty parts the
-    quantifier over all choices splits into one check per pair of parts.
+    quantifier over all choices splits into one check per pair of parts:
+    Y_a lies inside every row of X_b, and Y_b misses every row of X_a.
     """
-    for b, (xb, yb) in enumerate(zip(x_parts, y_parts)):
-        for xa, ya in zip(x_parts[:b], y_parts[:b]):
-            if (not all(adj[x][y] for x in xb for y in ya)
-                    or any(adj[x][y] for x in xa for y in yb)):
+    y_bits = [sum(1 << y for y in set(ys)) for ys in y_parts]
+    for b, xb in enumerate(x_parts):
+        for a, xa in enumerate(x_parts[:b]):
+            if (any(rows[x] & y_bits[a] != y_bits[a] for x in xb)
+                    or any(rows[x] & y_bits[b] for x in xa)):
                 return False
     return True

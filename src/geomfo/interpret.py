@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, big_and, big_or)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph, PermSegment,
                        Polygon, Representation, _endpoint_ranks, _proper_parts, _scaled,
                        increasing_run_lengths, permutation_to_chords, perturb_endpoints,
-                       polygon_report, visibility_graph)
+                       polygon_report, symmetric_rows, visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -37,17 +39,15 @@ class InterpretationInstance:
         """I(P) restricted to the mapped vertices, for roundtrip checks."""
         from .checker import truth_table
 
-        rel = truth_table(self.poset, self.interp.psi, self.interp.psi_vars).tolist()
-        vm = self.vertex_map
-        return LabeledGraph(len(vm), {
-            (i, j) for i in range(len(vm)) for j in range(i + 1, len(vm))
-            if rel[vm[i]][vm[j]] or rel[vm[j]][vm[i]]})
+        vm = np.array(self.vertex_map, dtype=np.intp)
+        rel = truth_table(self.poset, self.interp.psi, self.interp.psi_vars)
+        return LabeledGraph(len(vm), rows=symmetric_rows(rel[np.ix_(vm, vm)]))
 
     def nu_set(self) -> set[int]:
         from .checker import truth_table
 
         inside = truth_table(self.poset, self.interp.nu, (self.interp.nu_var,))
-        return {e for e, b in enumerate(inside.tolist()) if b}
+        return set(np.flatnonzero(inside).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Labelled strict partial orders and the interval-to-poset construction.
 
-The strict relation is stored transitively closed (as row bitmasks), since
-formula evaluation queries arbitrary pairs and instances are desk-scale.
-Builders give only generating pairs (chains as consecutive pairs, each
-object between its own endpoints); ``generated_poset`` closes them in one
-pass over a topological order and validates the result with one boolean
-matrix product on ``order_matrix``, the same 0/1 matrix the checker
+The strict relation is stored transitively closed, as packed bit rows (the
+form ``LabeledGraph`` keeps its adjacency in), since formula evaluation
+queries arbitrary pairs and instances are desk-scale.  The rows are given
+to the constructor, either as pairs or as the rows themselves, and cannot
+be reassigned afterwards.  Builders give only generating pairs (chains as
+consecutive pairs, each object between its own endpoints);
+``generated_poset`` closes them in one pass over a topological order,
+hands the rows to the constructor and validates the result with one
+boolean matrix product on the rows' 0/1 matrix, the one the checker
 evaluates on.  Width is the maximum antichain size, computed as a minimum
 chain cover via bipartite matching.
 """
@@ -19,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import GeomfoError
-from .geometry import Interval, _endpoint_ranks, _scaled
+from .geometry import Interval, _endpoint_ranks, _scaled, bit_matrix
 
 
 class PosetError(GeomfoError):
@@ -36,17 +39,25 @@ class Violation:
 
 
 class LabeledPoset:
-    """Elements 0..n-1 with a strict order and named element-label sets."""
+    """Elements 0..n-1 with a strict order and named element-label sets.
+
+    The order is given as pairs ``lt``, as ``rows`` (bit b of ``rows[a]``
+    set iff a < b) or as both (their union), and is fixed at construction.
+    """
 
     def __init__(self, n: int, lt: Iterable[tuple[int, int]] = (),
                  labels: Optional[dict[str, Iterable[int]]] = None,
-                 names: Optional[Sequence[str]] = None):
+                 names: Optional[Sequence[str]] = None,
+                 rows: Optional[Sequence[int]] = None):
         self.n = n
-        self.rows = [0] * n  # rows[a] bit b set iff a < b
+        acc = list(rows) if rows is not None else [0] * n
+        if len(acc) != n or acc and (min(acc) < 0 or max(acc) >> n):
+            raise PosetError(f"order needs {n} rows of bits 0..{n - 1}")
         for a, b in lt:
             if not (0 <= a < n and 0 <= b < n):
                 raise PosetError(f"pair ({a},{b}) outside 0..{n - 1}")
-            self.rows[a] |= 1 << b
+            acc[a] |= 1 << b
+        self._rows: tuple[int, ...] = tuple(acc)
         labs = {}
         for name, vs in (labels or {}).items():
             vs = frozenset(vs)
@@ -58,17 +69,18 @@ class LabeledPoset:
         if len(self.names) != n:
             raise PosetError("names must match element count")
 
-    def lt(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return self._rows
 
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or self.lt(a, b)
+    def lt(self, a: int, b: int) -> bool:
+        return bool(self._rows[a] >> b & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in range(self.n) if self.lt(a, b)]
 
     def __repr__(self):
-        return f"LabeledPoset(n={self.n}, pairs={sum(r.bit_count() for r in self.rows)})"
+        return f"LabeledPoset(n={self.n}, pairs={sum(r.bit_count() for r in self._rows)})"
 
 
 def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -106,15 +118,6 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return rows
 
 
-def order_matrix(p: LabeledPoset) -> np.ndarray:
-    """The strict order as an n x n boolean matrix: entry [a, b] iff a < b."""
-    n = p.n
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in p.rows),
-                         dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
-
-
 _PRODUCT_CELLS = 1 << 20  # cells of one row block of the validation product
 
 
@@ -130,7 +133,7 @@ def validate_poset(p: LabeledPoset) -> Optional[Violation]:
     whose row is not inside a's gives the violation, reported as
     antisymmetry when the missing element is a itself.
     """
-    m = order_matrix(p)
+    m = bit_matrix(p.n, p.rows)  # entry [a, b] iff a < b
     loops = np.flatnonzero(m.diagonal())
     if loops.size:
         return Violation("irreflexivity", (int(loops[0]),))
@@ -161,8 +164,7 @@ def generated_poset(n: int, pairs: Iterable[tuple[int, int]],
                     labels: Optional[dict[str, Iterable[int]]] = None,
                     names: Optional[Sequence[str]] = None) -> LabeledPoset:
     """The poset that ``pairs`` generate: closed, labelled and validated."""
-    poset = LabeledPoset(n, (), labels, names)
-    poset.rows = transitive_closure(n, pairs)
+    poset = LabeledPoset(n, (), labels, names, rows=transitive_closure(n, pairs))
     bad = validate_poset(poset)
     if bad is not None:
         raise PosetError(f"generated poset invalid: {bad}")

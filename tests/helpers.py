@@ -130,6 +130,11 @@ def rand_sentence(rng, depth=3, labels=()):
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
+def leq(p, a: int, b: int) -> bool:
+    """a <= b in the poset p."""
+    return a == b or p.lt(a, b)
+
+
 def eval_slow(structure, phi, assignment=None) -> bool:
     """Direct recursive evaluator over one assignment at a time; the oracle
     for the tensor evaluator.  A defined atom evaluates its body under its
@@ -141,7 +146,7 @@ def eval_slow(structure, phi, assignment=None) -> bool:
             if graph != isinstance(g, F.Edge):
                 raise EvalError("atom/structure signature mismatch")
             x, y = asg[g.x], asg[g.y]
-            return structure.has_edge(x, y) if graph else structure.leq(x, y)
+            return structure.has_edge(x, y) if graph else leq(structure, x, y)
         if isinstance(g, F.Eq):
             return asg[g.x] == asg[g.y]
         if isinstance(g, F.Label):
@@ -705,6 +710,98 @@ def ref_interval_family_instance(cls: str, rep: Representation):
 
 
 def poset_digest(p) -> str:
-    """sha256 of (n, rows, labels, names): equal iff the posets are identical."""
+    """sha256 of (n, rows, labels, names): equal iff the posets are identical.
+    The rows enter as a list, so a digest does not depend on their container."""
     labels = sorted((name, sorted(vs)) for name, vs in p.labels.items())
-    return hashlib.sha256(repr((p.n, p.rows, labels, p.names)).encode()).hexdigest()
+    return hashlib.sha256(repr((p.n, list(p.rows), labels, p.names)).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# graph and family oracles
+
+class RefGraph:
+    """Labelled graph on a frozenset of edge tuples, filled edge by edge: the
+    oracle for ``LabeledGraph``'s bit rows."""
+
+    def __init__(self, n, edges=(), labels=None):
+        self.n = n
+        es = set()
+        for u, v in edges:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise GeometryError(f"bad edge ({u},{v})")
+            es.add((min(u, v), max(u, v)))
+        self.edges = frozenset(es)
+        self.labels = {name: frozenset(vs) for name, vs in (labels or {}).items()}
+
+    def has_edge(self, u, v):
+        return u != v and (min(u, v), max(u, v)) in self.edges
+
+    def adjacency_rows(self):
+        rows = [bytearray(self.n) for _ in range(self.n)]
+        for u, v in self.edges:
+            rows[u][v] = rows[v][u] = 1
+        return rows
+
+    def neighbors(self, v):
+        return {b if a == v else a for a, b in self.edges if v in (a, b)}
+
+    def complement(self):
+        es = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)
+              if (i, j) not in self.edges}
+        return RefGraph(self.n, es, self.labels)
+
+    def induced(self, vertices):
+        idx = {v: i for i, v in enumerate(vertices)}
+        es = {(idx[u], idx[v]) for u, v in self.edges if u in idx and v in idx}
+        labs = {name: frozenset(idx[v] for v in vs if v in idx)
+                for name, vs in self.labels.items()}
+        return RefGraph(len(vertices), es, labs)
+
+    def __eq__(self, other):
+        return (self.n, self.edges, self.labels) == (other.n, other.edges, other.labels)
+
+    def __hash__(self):
+        return hash((self.n, self.edges, tuple(sorted(self.labels.items()))))
+
+
+def ref_cliquewidth_family(cls: str, k: int) -> Representation:
+    """The clique-width family's representation computed in ``Fraction``s."""
+    r, m = 6 * k, 36 * k + 1
+    if cls in ("circular_arc", "circle"):
+        delta = Fr(1, 100 * k)
+        eps = delta / (2 * m)
+        theta = eps / (2 * r)
+        a = Fr(1, 3) + delta
+        starts = [((t - 1) * (a + theta) + j * eps) % 1
+                  for t in range(1, r + 1) for j in range(m)]
+        ends = [(s + a) % 1 for s in starts]
+        assert len(set(starts + ends)) == 2 * len(starts)
+        make = Arc if cls == "circular_arc" else Chord
+        return Representation(cls, tuple(make(s, e) for s, e in zip(starts, ends)))
+    if cls == "unit_box":
+        delta = Fr(1, 100 * k)
+        eps = delta / (2 * m)
+        prefixes = [(Fr(0), Fr(0)), (Fr(1), delta), (Fr(1, 2), 1 + delta)]
+        boxes = []
+        for t in range(r):
+            triple, pos = divmod(t, 3)
+            bx = prefixes[pos][0] + triple * delta
+            by = prefixes[pos][1] + triple * delta
+            for j in range(m):
+                boxes.append(Box(Interval(bx + j * eps, bx + j * eps + 1),
+                                 Interval(by + j * eps, by + j * eps + 1)))
+        return Representation("box", tuple(boxes))
+    t1 = (Fr(-144, 145), Fr(17, 145))
+    t2 = (Fr(5, 13), Fr(-12, 13))
+    t3 = (Fr(3, 5), Fr(4, 5))
+    v = (t1[0] + t2[0] + t3[0], t1[1] + t2[1] + t3[1])
+    prefixes = [(Fr(0), Fr(0)), t1, (t1[0] + t2[0], t1[1] + t2[1])]
+    eps = Fr(1, 40000 * k * m)
+    disks = []
+    for t in range(r):
+        triple, pos = divmod(t, 3)
+        bx = prefixes[pos][0] + triple * v[0]
+        by = prefixes[pos][1] + triple * v[1]
+        for j in range(m):
+            disks.append(Disk(bx + j * eps, by + j * eps))
+    return Representation("unit_disk", tuple(disks))

@@ -14,9 +14,9 @@ from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
 from geomfo.poset import LabeledPoset, generated_poset
 
-from helpers import (eval_slow, has_dominating_set, path_sentence, rand_arcs, rand_boxes,
-                     rand_chords, rand_disks, rand_fan, rand_intervals, rand_segments,
-                     rand_sentence)
+from helpers import (eval_slow, has_dominating_set, leq, path_sentence, rand_arcs,
+                     rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
+                     rand_segments, rand_sentence)
 
 
 def test_tautology_on_one_vertex():
@@ -377,7 +377,7 @@ def test_order_matrix_matches_rows():
                                 if rng.random() < 0.3])
         rel = _context(p).rel
         assert rel.shape == (n, n)
-        assert rel.tolist() == [[p.leq(a, b) for b in range(n)] for a in range(n)]
+        assert rel.tolist() == [[leq(p, a, b) for b in range(n)] for a in range(n)]
 
 
 @pytest.mark.parametrize("cls, make, size", [("interval", rand_intervals, 20),
@@ -406,6 +406,32 @@ def test_poset_side_budget_overflow_is_an_eval_error(monkeypatch):
     monkeypatch.setattr(checker, "MAX_CELLS", 400)
     with pytest.raises(EvalError, match="arity 2 on n=60 elements, with axes of 40x20,"):
         model_check("interval", rep, phi)
+
+
+@pytest.mark.parametrize("entry", ["model_check", "cli"])
+def test_poset_side_eval_error_reaches_the_caller(monkeypatch, tmp_path, capsys, entry):
+    """A budget between n^2 and |nu||D| = 2n^2 fits every graph table of the
+    edge sentence on n = 20 intervals but not psi's join of z over D (40
+    endpoints) with a vertex axis; the poset's error must reach the caller."""
+    from geomfo import fileio
+    from geomfo.cli import main
+
+    n = 20
+    rep = rand_intervals(random.Random(3), n)
+    text = "exists x. exists y. edge(x,y)"
+    monkeypatch.setattr(checker, "MAX_CELLS", 2 * n * n - 1)
+    assert eval_structure(checker.build_graph("interval", rep), parse_formula(text, GRAPH))
+    want = "arity 2 on n=60 elements, with axes of 40x20,"
+    if entry == "model_check":
+        with pytest.raises(EvalError, match=want):
+            model_check("interval", rep, parse_formula(text, GRAPH))
+    else:
+        path = tmp_path / "rep.txt"
+        path.write_text(fileio.write_representation(rep))
+        assert main(["check", "--class", "interval", "--in", str(path), "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and want in captured.err
+        assert captured.out == ""
 
 
 def test_path_on_40_intervals_fits_the_default_budget():

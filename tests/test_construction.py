@@ -24,9 +24,7 @@ from helpers import (disk_endpoint_cmp, longest_chain_dp, mirsky_partition, pose
 
 
 def _poset(rows):
-    p = LabeledPoset(len(rows))
-    p.rows = rows
-    return p
+    return LabeledPoset(len(rows), rows=rows)
 
 
 def _random_relations(rng, n):

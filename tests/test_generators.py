@@ -16,7 +16,9 @@ from geomfo.geometry import (GeometryError, LabeledGraph, build_intersection_gra
                              cliquewidth_certificate_check, polygon_report,
                              true_twins, visibility_graph)
 
-from helpers import max_clique, nonisomorphic_graphs
+from geomfo import geometry
+
+from helpers import max_clique, nonisomorphic_graphs, ref_cliquewidth_family
 
 WITNESS_CLASSES = ("circular_arc", "permutation", "unit_box", "unit_disk")
 
@@ -198,6 +200,41 @@ def test_efo_clique_equivalence_small():
             for k in (1, 2, 3):
                 gam = gamma_k_formula(k, nu0, psi0)
                 assert eval_structure(labeled, gam) == (max_clique(h) >= k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("cls", ["circular_arc", "circle", "unit_box", "unit_disk"])
+def test_integer_cliquewidth_family_equals_fraction_family(cls, k):
+    rep, cert = cliquewidth_family(cls, k)
+    assert rep == ref_cliquewidth_family(cls, k)
+    assert len(rep.objects) == cert.r * cert.m
+
+
+def test_terfan_op_builds_one_visibility_graph(monkeypatch):
+    """One terfan op, then the graph, the report and the interpretation again
+    as a caller would: every visibility pair of every polygon is decided at
+    most once, and those of the accepted polygon are decided."""
+    decided, polygons = [], []
+    real_sees = geometry.sees
+
+    def counting_sees(poly, i, j):
+        polygons.append(poly)  # kept alive, so ids stay unique
+        decided.append((id(poly), i, j))
+        return real_sees(poly, i, j)
+
+    monkeypatch.setattr(geometry, "sees", counting_sees)
+    for h in (LabeledGraph(2, {(0, 1)}), LabeledGraph(3, {(0, 1), (1, 2)})):
+        decided.clear()
+        inst = terfan_polygon(h)
+        poly = inst.polygon
+        g = visibility_graph(poly)
+        assert polygon_report(poly).is_convex_fan_at(poly.n - 1)
+        graph_interpretation(g, inst.nu, inst.psi)
+        assert len(decided) == len(set(decided))
+        n = poly.n
+        inner = {(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)}
+        assert {(i, j) for key, i, j in decided if key == id(poly)} == inner
+        assert g is poly._graph
 
 
 def test_cliquewidth_family_passes_and_mutation_fails():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geomfo import geometry
+from geomfo.poset import generated_poset
 from geomfo.generators import cliquewidth_family
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
@@ -15,7 +16,7 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              proper_partition, sees, separate_permutation_coordinates,
                              visibility_graph)
 
-from helpers import (exhaustive_transversal, longest_nesting_chain, oracle_sees,
+from helpers import (RefGraph, exhaustive_transversal, longest_nesting_chain, oracle_sees,
                      rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
                      rand_grid_star, rand_intervals, rand_segments,
                      ref_intersection_edges)
@@ -295,7 +296,8 @@ def test_transversal_condition_against_exhaustive():
             x, y = rng.randrange(r * m), rng.randrange(r * m)
             adj[x][y] = not adj[x][y]
         want = exhaustive_transversal(adj, x_parts, y_parts)
-        assert _transversal_ok(adj, x_parts, y_parts) == want
+        rows = [sum(1 << y for y, bit in enumerate(row) if bit) for row in adj]
+        assert _transversal_ok(rows, x_parts, y_parts) == want
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -370,6 +372,18 @@ def test_disk_test_switches_to_python_ints_at_the_bound():
     assert dtypes == [{np.dtype(np.int64)}] * 2 + [{np.dtype(object)}] * 3
 
 
+def _same_graph(g, ref):
+    """The bit-row graph ``g`` reads like the frozenset oracle ``ref``."""
+    n = ref.n
+    assert g.n == n and g.edges == ref.edges and g.labels == ref.labels
+    assert all(g.has_edge(u, v) == ref.has_edge(u, v) for u in range(n) for v in range(n))
+    assert [g.neighbors(v) for v in range(n)] == [ref.neighbors(v) for v in range(n)]
+    assert g.adjacency_rows() == ref.adjacency_rows()
+    assert g.adjacency_matrix().tolist() == [list(map(bool, r)) for r in ref.adjacency_rows()]
+    assert not g.adjacency_matrix().flags.writeable
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
 def test_graph_from_index_arrays_matches_constructor():
     rng = random.Random(12)
     for n in (0, 1, 2, 7, 30):
@@ -379,13 +393,77 @@ def test_graph_from_index_arrays_matches_constructor():
         j = np.array([b for _, b in pairs], dtype=np.intp)
         fast, slow = LabeledGraph._from_pairs(n, i, j), LabeledGraph(n, pairs)
         assert fast == slow and hash(fast) == hash(slow)
-        assert all(fast.has_edge(u, v) == slow.has_edge(u, v) for u in range(n) for v in range(n))
-        assert [fast.neighbors(v) for v in range(n)] == [slow.neighbors(v) for v in range(n)]
-        assert fast.adjacency_rows() == slow.adjacency_rows()
-        assert all(type(v) is int for e in fast.edges for v in e)
+        _same_graph(fast, RefGraph(n, pairs))
+        _same_graph(slow, RefGraph(n, pairs))
     for i, j in (([1], [1]), ([2], [1]), ([0], [3]), ([-1], [1]), ([0, 1], [1, 5])):
         with pytest.raises(GeometryError):
             LabeledGraph._from_pairs(3, np.array(i), np.array(j))
+
+
+def _random_graphs(rng):
+    for n in (0, 1, 2, 5, 9, 16, 40):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+            rng.shuffle(edges)
+            edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+            labels = {"red": [v for v in range(n) if rng.random() < 0.4], "blue": []}
+            yield n, edges, labels
+
+
+def test_bit_row_graph_matches_frozenset_oracle():
+    rng = random.Random(31)
+    cases = list(_random_graphs(rng))
+    graphs = [LabeledGraph(*case) for case in cases]
+    refs = [RefGraph(*case) for case in cases]
+    for g, ref in zip(graphs, refs):
+        _same_graph(g, ref)
+        _same_graph(g.complement(), ref.complement())
+        _same_graph(g.complement().complement(), ref)
+        assert LabeledGraph(g.n, labels=g.labels, rows=g.rows) == g
+        for _ in range(3):
+            keep = rng.sample(range(g.n), rng.randint(0, g.n))
+            _same_graph(g.induced(keep), ref.induced(keep))
+    # == and hash: equal graphs hash alike, and the two classes agree on which
+    # pairs are equal (a rebuilt copy of each graph is among the pairs)
+    again = [LabeledGraph(*case) for case in cases]
+    for a, ra in zip(graphs, refs):
+        for b, rb in zip(graphs + again, refs + refs):
+            assert (a == b) == (ra == rb)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len(set(graphs + again)) == len(set(refs))
+
+
+def test_structures_refuse_a_new_relation():
+    g = LabeledGraph(3, {(0, 1)})
+    for name, value in (("edges", frozenset({(1, 2)})), ("rows", (0, 4, 2))):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g.edges == frozenset({(0, 1)}) and g.rows == (2, 1, 0)
+    p = generated_poset(3, [(0, 1)])
+    with pytest.raises(AttributeError):
+        p.rows = (0, 0, 0)
+    assert p.rows == (2, 0, 0)
+
+
+def test_graph_rows_are_checked():
+    for rows in ((1, 0), (2,), (2, 0), (4, 0), (-1, 0)):
+        with pytest.raises(GeometryError):
+            LabeledGraph(2, rows=rows)
+    assert LabeledGraph(2, rows=(2, 1)) == LabeledGraph(2, [(1, 0)])
+    assert LabeledGraph(3, [(1, 2)], rows=(2, 1, 0)) == LabeledGraph(3, [(0, 1), (1, 2)])
+
+
+def test_polygon_holds_one_visibility_graph():
+    poly = rand_fan(random.Random(8), 9)
+    g = visibility_graph(poly)
+    assert visibility_graph(poly) is g and poly._graph is g
+    assert Polygon(poly.vertices) == poly  # the held graph takes no part in ==
+    report = polygon_report(poly)
+    for v in range(poly.n):
+        want = v not in report.reflex_vertices and all(
+            u == v or sees(poly, v, u) for u in range(poly.n))
+        assert report.is_convex_fan_at(v) == want
 
 
 def test_certificate_malformed():
