@@ -28,17 +28,18 @@ contraction is checked against ``MAX_CELLS`` (the product of its axes'
 domain sizes) before it is allocated, and einsum plans its path under that
 limit; going over raises ``EvalError``.
 
-Subformulas equal up to renaming share one table per structure: each node
-gets a small-int key built bottom-up from its children's keys (hashing
-modulo alpha-equivalence, Maziarz et al., PLDI 2021).  The keyed pass
-computes keys and free-variable names only; a table is filled from its key's
-description, over the domains a parent asks for, when the parent needs it.
+Subformulas equal up to renaming share one table per structure: tables
+are cached under the key each formula node carries from its construction
+(``formula.Key``, hashing modulo alpha-equivalence, Maziarz et al., PLDI
+2021), and a node's free variables in first-occurrence order are its
+table's axes.  Evaluation makes no pass over the formula to key it: a table
+is filled from its key's description, over the domains a parent asks for,
+when the parent needs it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -85,15 +86,11 @@ class _Context:
         for name, vs in structure.labels.items():
             self.labels[name] = inside = np.zeros(n, dtype=bool)
             inside[list(vs)] = True
-        self.keys: dict[tuple, int] = {}  # node description -> key
-        self.descs: list[tuple] = []  # key -> node description
-        self.arity: list[int] = []  # key -> number of free variables
-        self.tables: dict[Union[int, tuple], np.ndarray] = {}  # key or (key, *doms) -> table
-        self.defined: dict[int, F.Defined] = {}  # key -> defined atom; keeps its body's id unique
+        self.tables: dict[Union[F.Key, tuple], np.ndarray] = {}  # key or (key, *doms) -> table
         self.domains: list[np.ndarray] = [np.arange(n)]  # domain id -> its elements, ascending
         self.sizes: list[int] = [n]  # domain id -> its number of elements
         self.domain_ids: dict[bytes, int] = {}  # a domain's elements -> its id
-        self.guards: dict[tuple[int, ...], int] = {}  # guard keys -> where they all hold
+        self.guards: dict[frozenset[F.Key], int] = {}  # guard keys -> where they all hold
 
 
 def _context(structure: Structure) -> _Context:
@@ -101,9 +98,6 @@ def _context(structure: Structure) -> _Context:
     if ctx is None or ctx.structure() is not structure:
         ctx = structure._eval_context = _Context(structure)
     return ctx
-
-
-_NAME = operator.attrgetter("name")
 
 
 def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
@@ -126,49 +120,6 @@ def _check(ctx: _Context, sizes: Sequence[int]) -> None:
                         f"of {MAX_CELLS}")
 
 
-def _key(ctx: _Context, f: F.Formula) -> tuple[int, tuple[str, ...]]:
-    """The key of ``f`` and the names of its free variables in first-occurrence
-    order, the axis order of its table.
-
-    The key is interned from the node kind, the atom name or definition (a
-    defined atom's body object and parameters), the children's keys and
-    where each child's free variables sit among the node's own (for a
-    quantifier: where its variable sits among the child's), so two
-    subformulas share a key exactly when they are equal up to renaming bound
-    variables and the free ones in order of first occurrence.  No table is
-    computed here.
-    """
-    if isinstance(f, F._Binary):
-        lkey, lfree = _key(ctx, f.left)
-        rkey, rfree = _key(ctx, f.right)
-        free = lfree + tuple(v for v in rfree if v not in lfree)
-        desc = (type(f), lkey, rkey, tuple(map(free.index, rfree)))
-    elif isinstance(f, F._Unary):
-        key, free = _key(ctx, f.sub)
-        if isinstance(f, F._Quantifier):
-            ax = free.index(f.var.name) if f.var.name in free else -1
-            free = free[:ax] + free[ax + 1:] if ax >= 0 else free
-            desc = (type(f), key, ax)
-        else:
-            desc = (type(f), key)
-    elif isinstance(f, F._Atom):
-        args = tuple(map(_NAME, f.variables()))
-        free = tuple(dict.fromkeys(args))
-        name = (f.name if isinstance(f, F.Label) else
-                (id(f.body), f.params) if isinstance(f, F.Defined) else None)
-        desc = (type(f), name, tuple(map(free.index, args)))
-    else:
-        raise EvalError(f"not a formula: {f!r}")
-    key = ctx.keys.get(desc)
-    if key is None:
-        key = ctx.keys[desc] = len(ctx.descs)
-        ctx.descs.append(desc)
-        ctx.arity.append(len(free))
-        if isinstance(f, F.Defined):
-            ctx.defined[key] = f
-    return key, free
-
-
 # ``doms`` holds the domain id of each axis of a table, at least one of them
 # not 0, or is empty when every axis spans all n elements; so a table over the
 # whole structure is cached under its key alone.
@@ -184,7 +135,7 @@ def _shape(ctx: _Context, doms: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple([ctx.sizes[d] for d in doms]) if doms else (ctx.n,) * k
 
 
-def _table(ctx: _Context, key: int, doms: tuple[int, ...] = ()) -> np.ndarray:
+def _table(ctx: _Context, key: F.Key, doms: tuple[int, ...] = ()) -> np.ndarray:
     """The table of ``key`` over the domains ``doms``, filled from its
     description on first use."""
     at = (key, *doms) if doms else key
@@ -194,19 +145,19 @@ def _table(ctx: _Context, key: int, doms: tuple[int, ...] = ()) -> np.ndarray:
     return table
 
 
-def _fill(ctx: _Context, key: int, doms: tuple[int, ...]) -> np.ndarray:
-    desc, k = ctx.descs[key], ctx.arity[key]
+def _fill(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> np.ndarray:
+    desc, kids, k = key.desc, key.kids, key.arity
     kind = desc[0]
     sizes = _shape(ctx, doms, k)
     _check(ctx, sizes)
     if kind is F.Exists or kind is F.Forall:
-        return _quantify(ctx, desc, doms, sizes)
+        return _quantify(ctx, key, doms, sizes)
     if kind is F.Not:
-        return ~_table(ctx, desc[1], doms)
+        return ~_table(ctx, kids[0], doms)
     if kind is F.And or kind is F.Or or kind is F.Implies:
-        left, ka = desc[1], ctx.arity[desc[1]]
+        left, ka = kids[0], kids[0].arity
         la = _lift(_table(ctx, left, _pick(doms, range(ka))), tuple(range(ka)), k)
-        ra = _lift(_table(ctx, desc[2], _pick(doms, desc[3])), desc[3], k)
+        ra = _lift(_table(ctx, kids[1], _pick(doms, desc[3])), desc[3], k)
         if kind is F.And:
             return la & ra
         return la | ra if kind is F.Or else ~la | ra
@@ -225,12 +176,9 @@ def _fill(ctx: _Context, key: int, doms: tuple[int, ...]) -> np.ndarray:
             raise EvalError(f"undeclared label {desc[1]!r}")
         table = _slice(ctx, ctx.labels[desc[1]], args)
     else:  # a defined atom: its body's table over its parameters' domains
-        f = ctx.defined[key]
-        names = _names(f.params)
-        body, free = _bound_key(ctx, f.body, names)
-        at = tuple(map(names.index, free))
-        table = _lift(_table(ctx, body, _pick(args, at)), at, len(names))
-        table = np.broadcast_to(table, _shape(ctx, args, len(names)))
+        _, _, at, params, _ = desc
+        table = _lift(_table(ctx, kids[0], _pick(args, at)), at, params)
+        table = np.broadcast_to(table, _shape(ctx, args, params))
     return np.einsum(table, list(pos), list(range(k))) if k < len(pos) else table
 
 
@@ -242,13 +190,14 @@ def _slice(ctx: _Context, table: np.ndarray, doms: tuple[int, ...]) -> np.ndarra
     return table
 
 
-def _domain(ctx: _Context, guards: tuple[int, ...]) -> int:
+def _domain(ctx: _Context, guards: frozenset[F.Key]) -> int:
     """The id of the domain of the elements where every unary key of
     ``guards`` holds; the same elements always get the same id."""
     d = ctx.guards.get(guards)
     if d is None:
-        inside = _table(ctx, guards[0])
-        for g in guards[1:]:
+        first, *rest = guards
+        inside = _table(ctx, first)
+        for g in rest:
             inside = inside & _table(ctx, g)
         elements = np.flatnonzero(inside)
         if len(elements) == ctx.n:
@@ -265,9 +214,9 @@ def _domain(ctx: _Context, guards: tuple[int, ...]) -> int:
 # A literal is (key, pos, neg): the table of ``key`` with its axis i on the
 # quantifier body's axis pos[i], negated when ``neg``.
 
-def _quantify(ctx: _Context, desc: tuple, doms: tuple[int, ...],
+def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...],
               sizes: tuple[int, ...]) -> np.ndarray:
-    kind, body, ax = desc
+    (kind, _, ax), (body,) = key.desc, key.kids
     if ctx.n == 0:  # over the empty domain, exists is false and forall true
         return np.full(sizes, kind is F.Forall)
     if ax < 0:  # the quantified variable does not occur
@@ -276,7 +225,7 @@ def _quantify(ctx: _Context, desc: tuple, doms: tuple[int, ...],
     k = len(sizes)
     out = None
     for guards, lits in _branches(ctx, [(body, tuple(range(k + 1)), neg)], ax, True):
-        d = _domain(ctx, tuple(sorted(guards))) if guards else 0
+        d = _domain(ctx, frozenset(guards)) if guards else 0
         size = ctx.sizes[d]
         if lits and size:
             outer = doms or (0,) * k
@@ -291,7 +240,7 @@ def _quantify(ctx: _Context, desc: tuple, doms: tuple[int, ...],
     return out if out.shape == sizes else np.broadcast_to(out, sizes)
 
 
-def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple[set, list]]:
+def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple[dict, list]]:
     """The conjunction of the literals ``todo`` as a disjunction of
     conjunctions of literals that are no conjunction, each as the keys of its
     guards on ``ax`` and its other literals.
@@ -302,18 +251,18 @@ def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple
     number of branches stays linear in the formula.
     """
     done: list = []
-    guards: set[int] = set()
+    guards: dict[F.Key, None] = {}  # a set in insertion order, so plans are deterministic
     at = (ax,)
     while todo:
         lit = key, pos, neg = todo.pop()
-        desc = ctx.descs[key]
-        kind = desc[0]
+        desc = key.desc
+        kind, kids = desc[0], key.kids
         if kind is F.Not:
-            todo.append((desc[1], pos, not neg))
+            todo.append((kids[0], pos, not neg))
             continue
         if kind is F.And or kind is F.Or or kind is F.Implies:
-            left = (desc[1], pos[:ctx.arity[desc[1]]], neg != (kind is F.Implies))
-            right = (desc[2], tuple([pos[i] for i in desc[3]]), neg)
+            left = (kids[0], pos[:kids[0].arity], neg != (kind is F.Implies))
+            right = (kids[1], tuple([pos[i] for i in desc[3]]), neg)
             if (kind is F.And) != neg:
                 todo += (left, right)
                 continue
@@ -323,7 +272,7 @@ def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple
                 return (_branches(ctx, rest + [left], ax, whole and may_split)
                         + _branches(ctx, rest + [right], ax, whole and may_split))
         if pos == at and not neg and (kind is F.Label or kind is F.Defined):
-            guards.add(key)  # a positive unary atom on ax
+            guards[key] = None  # a positive unary atom on ax
         else:
             done.append(lit)
     return [(guards, done)]
@@ -395,21 +344,16 @@ def _contract(ctx: _Context, groups: list[list], ax: int,
     return np.einsum(*args, list(rest), optimize=("greedy", MAX_CELLS)) > 0, rest
 
 
-def _names(axes: Sequence[F.Var]) -> tuple[str, ...]:
-    """The names of ``axes``, which must be distinct."""
-    names = tuple(map(_NAME, axes))
-    if len(set(names)) != len(names):
-        raise EvalError(f"repeated table axes: {list(names)}")
-    return names
-
-
-def _bound_key(ctx: _Context, phi: F.Formula, names) -> tuple[int, tuple[str, ...]]:
-    """The key of ``phi`` and the names of its axes, each of which must be in ``names``."""
-    key, free = _key(ctx, phi)
-    missing = [v for v in free if v not in names]
+def _axes(phi: F.Formula, axes: Sequence[F.Var]) -> None:
+    """Raise EvalError unless ``axes`` are distinct and hold every free
+    variable of ``phi``."""
+    if not isinstance(phi, F.Formula):
+        raise EvalError(f"not a formula: {phi!r}")
+    if len(set(axes)) != len(axes):
+        raise EvalError(f"repeated table axes: {[v.name for v in axes]}")
+    missing = [v.name for v in phi.free if v not in axes]
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    return key, free
 
 
 def truth_table(structure: Structure, phi: F.Formula,
@@ -421,23 +365,22 @@ def truth_table(structure: Structure, phi: F.Formula,
     read-only view of the structure's cache.
     """
     ctx = _context(structure)
-    names = _names(axes)
-    key, free = _bound_key(ctx, phi, names)
-    return np.broadcast_to(_lift(_table(ctx, key),
-                                 tuple(map(names.index, free)), len(names)),
-                           (ctx.n,) * len(names))
+    axes = tuple(axes)
+    _axes(phi, axes)
+    return np.broadcast_to(_lift(_table(ctx, phi.key), tuple(map(axes.index, phi.free)),
+                                 len(axes)), (ctx.n,) * len(axes))
 
 
 def eval_structure(structure: Structure, phi: F.Formula,
                    assignment: Optional[dict[F.Var, int]] = None) -> bool:
     """Standard semantics; free variables must be covered by the assignment."""
     ctx = _context(structure)
-    values = {v.name: e for v, e in (assignment or {}).items()}
-    for name, e in values.items():
+    values = assignment or {}
+    for v, e in values.items():
         if not 0 <= e < ctx.n:
-            raise EvalError(f"assignment {name} -> {e} outside the domain")
-    key, free = _bound_key(ctx, phi, values)
-    return bool(_table(ctx, key)[tuple(map(values.__getitem__, free))])
+            raise EvalError(f"assignment {v.name} -> {e} outside the domain")
+    _axes(phi, tuple(values))
+    return bool(_table(ctx, phi.key)[tuple(map(values.__getitem__, phi.free))])
 
 
 @dataclass
@@ -468,7 +411,7 @@ def model_check(cls: str, rep: Representation, phi: F.Formula,
 
     if cls not in ALL_CLASSES:
         raise GeometryError(f"unknown class {cls!r}")
-    if F.free_vars(phi):
+    if phi.free:
         raise EvalError("model checking needs a sentence")
     F.check_signature(phi, F.GRAPH)
 

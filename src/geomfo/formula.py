@@ -2,10 +2,19 @@
 
 One AST serves both signatures: ``edge`` atoms belong to the graph
 signature, ``<=`` atoms to the poset signature; equality and unary label
-atoms are shared.  A formula is an immutable tree, so sharing subtrees is
-safe.  A defined atom applies a shared formula (its body) to variables
-without copying it; ``expand`` gives the pure first-order formula, which is
-what ``print_formula`` prints, so the concrete syntax below has no defined
+atoms are shared.  Formula nodes are interned (hash-consed, Filliatre and
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006): building a
+node returns the live node with the same class and fields, so nodes are
+immutable and shared, and ``==`` and ``hash`` are identity.  A node stores
+facts computed once, when it is built, from its children's: its free
+variables and its key modulo alpha-equivalence (Maziarz et al., "Hashing
+modulo alpha-equivalence", PLDI 2021), under which the evaluator caches
+its tables; the key holds the signature kinds and labels the node mentions
+and its quantifier depth.  So the functions that report these facts read
+them and never recurse.  The intern tables hold their entries weakly.  A
+defined atom applies a shared formula (its body) to variables without
+copying it; ``expand`` gives the pure first-order formula, which is what
+``print_formula`` prints, so the concrete syntax below has no defined
 atoms.
 
 The concrete syntax (whitespace-insensitive)::
@@ -27,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from . import GeomfoError
@@ -52,25 +62,143 @@ class SignatureError(FormulaError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _WeakTable(dict):
+    """An intern table: ident -> weak reference to the object interned
+    under it; the entry leaves the table when its object dies.  An ident
+    names the interned objects it is made of by ``id``, so an entry keeps
+    nothing alive, and a live object's parts cannot die and hand their ids
+    to other objects."""
 
-    def __post_init__(self):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name) or self.name in RESERVED:
-            raise FormulaError(f"illegal variable name {self.name!r}")
+    def live(self, ident):
+        """The live object interned under ``ident``, or None."""
+        ref = self.get(ident)
+        return None if ref is None else ref()
+
+    def intern(self, ident, obj):
+        ref = self[ident] = _Entry(obj, _drop)
+        ref.table, ref.ident = self, ident
+        return obj
+
+
+class _Entry(weakref.ref):
+    """A weak reference that knows where it is stored."""
+
+    __slots__ = ("table", "ident")
+
+
+def _drop(ref: _Entry) -> None:
+    """Remove a dead object's entry, unless its ident was interned again."""
+    table = ref.table
+    if table.get(ref.ident) is ref:
+        del table[ref.ident]
+
+
+_VARS = _WeakTable()  # name -> variable
+_KEYS = _WeakTable()  # Key.desc -> key
+_NODES = _WeakTable()  # (class, *fields by id) -> node
+
+
+class Var:
+    """A variable; interned, so two variables are equal exactly when they
+    are the same object."""
+
+    __slots__ = ("name", "__weakref__")
+
+    def __new__(cls, name: str):
+        v = _VARS.live(name)
+        if v is None:
+            if (not isinstance(name, str) or name in RESERVED
+                    or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
+                raise FormulaError(f"illegal variable name {name!r}")
+            v = _VARS.intern(name, object.__new__(cls))
+            object.__setattr__(v, "name", name)
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Var is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"Var(name={self.name!r})"
 
     def __str__(self):
         return self.name
 
 
-class Formula:
-    """A formula node.  Each node class derives from one of four bases (atom,
-    unary, binary, quantifier), which give the generic traversal pair:
-    ``children()`` lists the direct subformulas left to right, and
-    ``rebuild(kids)`` makes the same kind of node over new subformulas."""
+class Key:
+    """A node modulo alpha-equivalence (Maziarz et al., PLDI 2021).
 
-    __slots__ = ()
+    ``kids`` are the keys of the node's children, or of a defined atom's
+    body.  ``desc`` is the node's class and the ids of ``kids``, then for an
+    atom its label name (a defined atom: where each of its body's free
+    variables sits among its parameters, and their number) and where each
+    argument sits among its free variables; for a quantifier, where its
+    variable sits among its child's free variables, or -1; for a binary node,
+    where its right child's free variables sit among its own.  Keys are
+    interned by ``desc``, so two nodes have the same key exactly when they
+    are equal up to renaming bound variables and the free ones in order of
+    first occurrence.
+
+    A key also holds the facts that renaming leaves alone: ``arity``, the
+    number of free variables; ``kinds``, the ``EDGE_KIND`` and ``LEQ_KIND``
+    bits of the atoms the node mentions; ``labels``, the label names it
+    mentions; and ``depth``, its quantifier depth.  A defined atom counts
+    its body's kinds, labels and depth.  Like nodes, keys are never changed
+    after they are built."""
+
+    __slots__ = ("desc", "kids", "arity", "kinds", "labels", "depth", "__weakref__")
+
+    def __new__(cls, desc: tuple, kids: tuple, arity: int):
+        key = _KEYS.live(desc)
+        if key is None:
+            kind = desc[0]
+            kinds, depth = kind._kinds, 0
+            labels = frozenset((desc[1],)) if kind is Label else _NO_LABELS
+            for kid in kids:
+                kinds |= kid.kinds
+                labels = _union(labels, kid.labels)
+                depth = max(depth, kid.depth)
+            key = _KEYS.intern(desc, object.__new__(cls))
+            key.desc, key.kids, key.arity = desc, kids, arity
+            key.kinds, key.labels, key.depth = kinds, labels, depth + kind._binds
+        return key
+
+
+# the signature kinds a node mentions, as bits
+EDGE_KIND, LEQ_KIND = 1, 2
+_NO_LABELS: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, reusing ``a`` or ``b`` where it holds the other: a
+    frozenset union is a new set of at least 216 bytes, even when empty."""
+    return a if b <= a else b if a <= b else a | b
+
+
+class Formula:
+    """A formula node, interned: building a node returns the live node of
+    the same class and fields if there is one, so ``==`` and ``hash`` are
+    identity.  An ident names the fields by ``id``, but a label name by
+    value.  Nodes are immutable: their fields and facts are set once, when
+    they are built, and never assigned again.  Each node class derives from
+    one of four bases (atom, unary, binary, quantifier), which give the
+    generic traversal pair: ``children()`` lists the direct subformulas left
+    to right, and ``rebuild(kids)`` makes the same kind of node over new
+    subformulas.
+
+    A node holds facts computed when it is built from its children's:
+    ``free``, its free variables in first-occurrence order (the axis order
+    of its truth table), and ``key``, its ``Key``, which holds the others."""
+
+    __slots__ = ("free", "key", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _kinds = 0  # the kind bit of the class's atoms
+    _binds = 0  # 1 for a quantifier
+
+    def __repr__(self):
+        return (f"{type(self).__name__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
 
     def rebuild(self, kids) -> Formula:
         return type(self)(*kids)
@@ -82,6 +210,17 @@ class Formula:
 
 class _Atom(Formula):
     __slots__ = ()
+
+    def __new__(cls, x: Var, y: Var):
+        ident = (cls, id(x), id(y))
+        node = _NODES.live(ident)
+        if node is None:
+            node = object.__new__(cls)
+            node.x, node.y = x, y
+            node.free = (x,) if x is y else (x, y)
+            node.key = Key((cls, None, (0, 0) if x is y else (0, 1)), (), len(node.free))
+            _NODES.intern(ident, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return ()
@@ -99,12 +238,35 @@ class _Atom(Formula):
 class _Unary(Formula):
     __slots__ = ()
 
+    def __new__(cls, sub: Formula):
+        ident = (cls, id(sub))
+        node = _NODES.live(ident)
+        if node is None:
+            node = object.__new__(cls)
+            node.sub, node.free, key = sub, sub.free, sub.key
+            node.key = Key((cls, id(key)), (key,), len(sub.free))
+            _NODES.intern(ident, node)
+        return node
+
     def children(self) -> tuple[Formula, ...]:
         return (self.sub,)
 
 
 class _Binary(Formula):
     __slots__ = ()
+
+    def __new__(cls, left: Formula, right: Formula):
+        ident = (cls, id(left), id(right))
+        node = _NODES.live(ident)
+        if node is None:
+            node = object.__new__(cls)
+            node.left, node.right = left, right
+            lfree, rfree, lkey, rkey = left.free, right.free, left.key, right.key
+            node.free = free = lfree if rfree == lfree else tuple(dict.fromkeys(lfree + rfree))
+            node.key = Key((cls, id(lkey), id(rkey), tuple(map(free.index, rfree))),
+                           (lkey, rkey), len(free))
+            _NODES.intern(ident, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -114,6 +276,21 @@ class _Quantifier(_Unary):
     """A unary node that binds ``var`` in its subformula."""
 
     __slots__ = ()
+    _binds = 1
+
+    def __new__(cls, var: Var, sub: Formula):
+        ident = (cls, id(var), id(sub))
+        node = _NODES.live(ident)
+        if node is None:
+            node = object.__new__(cls)
+            node.var, node.sub, free, key = var, sub, sub.free, sub.key
+            ax = free.index(var) if var in free else -1
+            if ax >= 0:
+                free = free[:ax] + free[ax + 1:]
+            node.free = free
+            node.key = Key((cls, id(key), ax), (key,), len(free))
+            _NODES.intern(ident, node)
+        return node
 
     def rebuild(self, kids) -> Formula:
         return type(self)(self.var, *kids)
@@ -122,32 +299,34 @@ class _Quantifier(_Unary):
         return (self.var,)
 
 
-@dataclass(frozen=True)
 class Edge(_Atom):
-    x: Var
-    y: Var
+    __slots__ = _fields = ("x", "y")
+    _kinds = EDGE_KIND
 
 
-@dataclass(frozen=True)
 class Leq(_Atom):
-    x: Var
-    y: Var
+    __slots__ = _fields = ("x", "y")
+    _kinds = LEQ_KIND
 
 
-@dataclass(frozen=True)
 class Eq(_Atom):
-    x: Var
-    y: Var
+    __slots__ = _fields = ("x", "y")
 
 
-@dataclass(frozen=True)
 class Label(_Atom):
-    name: str
-    x: Var
+    __slots__ = _fields = ("name", "x")
 
-    def __post_init__(self):
-        if self.name in RESERVED:
-            raise FormulaError(f"label name {self.name!r} is reserved")
+    def __new__(cls, name: str, x: Var):
+        ident = (cls, name, id(x))
+        node = _NODES.live(ident)
+        if node is None:
+            if not isinstance(name, str) or name in RESERVED:
+                raise FormulaError(f"illegal label name {name!r}")
+            node = object.__new__(cls)
+            node.name, node.x, node.free = name, x, (x,)
+            node.key = Key((cls, name, (0,)), (), 1)
+            _NODES.intern(ident, node)
+        return node
 
     def variables(self) -> tuple[Var, ...]:
         return (self.x,)
@@ -156,13 +335,31 @@ class Label(_Atom):
         return Label(self.name, env.get(self.x, self.x))
 
 
-@dataclass(frozen=True)
 class Defined(_Atom):
-    """``body`` with its free variables ``params`` standing for ``args``."""
+    """``body`` with its free variables ``params`` standing for ``args``.
 
-    body: Formula
-    params: tuple[Var, ...]
-    args: tuple[Var, ...]
+    Its key names the body by the body's key, never by the body object."""
+
+    __slots__ = _fields = ("body", "params", "args")
+
+    def __new__(cls, body: Formula, params, args):
+        params, args = tuple(params), tuple(args)
+        ident = (cls, id(body), tuple(map(id, params)), tuple(map(id, args)))
+        node = _NODES.live(ident)
+        if node is None:
+            if len(set(params)) != len(params) or len(args) != len(params):
+                raise FormulaError("a defined atom needs distinct parameters, one per argument")
+            outside = [v.name for v in body.free if v not in params]
+            if outside:
+                raise FormulaError(f"free variables of a defined atom's body outside "
+                                   f"its parameters: {outside}")
+            node = object.__new__(cls)
+            node.body, node.params, node.args, key = body, params, args, body.key
+            node.free = free = tuple(dict.fromkeys(args))
+            node.key = Key((cls, id(key), tuple(map(params.index, body.free)), len(params),
+                            tuple(map(free.index, args))), (key,), len(free))
+            _NODES.intern(ident, node)
+        return node
 
     def variables(self) -> tuple[Var, ...]:
         return self.args
@@ -171,39 +368,28 @@ class Defined(_Atom):
         return Defined(self.body, self.params, tuple(env.get(a, a) for a in self.args))
 
 
-@dataclass(frozen=True)
 class Not(_Unary):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(_Quantifier):
-    var: Var
-    sub: Formula
+    __slots__ = _fields = ("var", "sub")
 
 
-@dataclass(frozen=True)
 class Forall(_Quantifier):
-    var: Var
-    sub: Formula
+    __slots__ = _fields = ("var", "sub")
 
 
 def _fold(op, parts: Iterable[Formula], if_empty: Optional[Formula]) -> Formula:
@@ -242,10 +428,7 @@ def walk(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    inner = frozenset().union(*map(free_vars, f.children()))
-    if isinstance(f, _Quantifier):
-        return inner - {f.var}
-    return inner.union(f.variables())
+    return frozenset(f.free)
 
 
 def all_var_names(f: Formula) -> set[str]:
@@ -253,21 +436,17 @@ def all_var_names(f: Formula) -> set[str]:
 
 
 def label_names(f: Formula) -> frozenset[str]:
-    return frozenset(n.name for n in walk(f) if isinstance(n, Label))
+    """The label names ``f`` mentions, counting those inside defined atoms."""
+    return f.key.labels
 
 
 def quantifier_depth(f: Formula) -> int:
     """Quantifier depth, counting the quantifiers inside defined atoms."""
-    if isinstance(f, Defined):
-        return quantifier_depth(f.body)
-    return (isinstance(f, _Quantifier)
-            + max(map(quantifier_depth, f.children()), default=0))
+    return f.key.depth
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(n, _Quantifier)
-                   or isinstance(n, Defined) and not is_quantifier_free(n.body)
-                   for n in walk(f))
+    return f.key.depth == 0
 
 
 def is_existential(f: Formula) -> bool:
@@ -278,16 +457,12 @@ def is_existential(f: Formula) -> bool:
 
 
 def formula_signature(f: Formula) -> Optional[str]:
-    """GRAPH, POSET, or None when the formula fits both signatures."""
-    kinds = {type(n) for n in walk(f)}
-    has_edge, has_leq = Edge in kinds, Leq in kinds
-    if has_edge and has_leq:
+    """GRAPH, POSET, or None when the formula fits both signatures; the
+    atoms inside defined atoms count."""
+    kinds = f.key.kinds
+    if kinds == EDGE_KIND | LEQ_KIND:
         raise SignatureError("formula mixes edge and <= atoms")
-    if has_edge:
-        return GRAPH
-    if has_leq:
-        return POSET
-    return None
+    return GRAPH if kinds == EDGE_KIND else POSET if kinds == LEQ_KIND else None
 
 
 def check_signature(f: Formula, signature: str) -> None:
@@ -356,15 +531,17 @@ class Interpretation:
     labels: frozenset[str] = frozenset()
     nu_var: Var = Var("x")
     psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))
+    # graph-sentence node -> its rewrite; it lives as long as the interpretation
+    _rewrites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_signature(self.nu, POSET)
         check_signature(self.psi, POSET)
-        if free_vars(self.nu) != {self.nu_var}:
+        if self.nu.free != (self.nu_var,):
             raise FormulaError("nu must have exactly its declared free variable")
-        if free_vars(self.psi) != set(self.psi_vars):
+        if set(self.psi.free) != set(self.psi_vars):
             raise FormulaError("psi must have exactly its two declared free variables")
-        undeclared = (label_names(self.nu) | label_names(self.psi)) - self.labels
+        undeclared = (self.nu.key.labels | self.psi.key.labels) - self.labels
         if undeclared:
             raise FormulaError(f"undeclared labels in interpretation: {sorted(undeclared)}")
 
@@ -377,22 +554,38 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     interpretation's formulas, so nothing is copied.  The disequality guard
     keeps the diagonal faithful: the interpreted edge set ranges over
     distinct pairs, while psi(u,u) may well hold in the poset even though
-    edge(u,u) is false in every simple graph.
+    edge(u,u) is false in every simple graph.  Each node is rewritten once
+    per interpretation, children first, on an explicit stack.
     """
-    if free_vars(phi):
+    if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
+    memo = interp._rewrites
+    if phi in memo:  # a memoised node lies in a sentence whose signature was checked
+        return memo[phi]
     check_signature(phi, GRAPH)
-
-    def rec(g: Formula) -> Formula:
+    stack = [phi]
+    while stack:
+        g = stack[-1]
+        if g in memo:
+            stack.pop()
+            continue
+        kids = g.children()
+        todo = [k for k in kids if k not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
         if isinstance(g, Edge):
-            return And(Not(Eq(g.x, g.y)), Or(Defined(interp.psi, interp.psi_vars, (g.x, g.y)),
-                                             Defined(interp.psi, interp.psi_vars, (g.y, g.x))))
-        if isinstance(g, _Quantifier):
+            psi, params = interp.psi, interp.psi_vars
+            out = And(Not(Eq(g.x, g.y)),
+                      Or(Defined(psi, params, (g.x, g.y)), Defined(psi, params, (g.y, g.x))))
+        elif isinstance(g, _Quantifier):
             nu = Defined(interp.nu, (interp.nu_var,), (g.var,))
-            return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, rec(g.sub)))
-        return g.rebuild([rec(k) for k in g.children()])
-
-    return rec(phi)
+            out = type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, memo[g.sub]))
+        else:
+            out = g.rebuild([memo[k] for k in kids])
+        memo[g] = out
+    return memo[phi]
 
 
 def expand(f: Formula) -> Formula:
@@ -402,10 +595,15 @@ def expand(f: Formula) -> Formula:
     by the arguments and every bound variable renamed fresh, in pre-order,
     left to right, avoiding every name in ``f`` and in the bodies it uses.
     """
-    bodies = {id(n.body): n.body for n in walk(f) if isinstance(n, Defined)}
-    fresh = FreshVars(all_var_names(f).union(*map(all_var_names, bodies.values())))
+    fresh = _expansion_names(f)
     return map_atoms(f, lambda g: instantiate(g.body, dict(zip(g.params, g.args)), fresh)
                      if isinstance(g, Defined) else g)
+
+
+def _expansion_names(f: Formula) -> FreshVars:
+    """Fresh names avoiding every name in ``f`` and in the bodies it uses."""
+    bodies = {n.body for n in walk(f) if isinstance(n, Defined)}
+    return FreshVars(all_var_names(f).union(*map(all_var_names, bodies)))
 
 
 def complement_edges(phi: Formula) -> Formula:
@@ -429,28 +627,40 @@ _INFIX = {Implies: (" -> ", _IMPL, _OR, _IMPL), Or: (" | ", _OR, _OR, _AND),
 
 
 def print_formula(f: Formula) -> str:
-    """The concrete syntax of ``expand(f)``."""
+    """The concrete syntax of ``expand(f)``, printed without building it: a
+    defined atom prints its body with the renaming ``expand`` gives it,
+    drawn from the same fresh names in the same order."""
+    fresh = _expansion_names(f)
 
-    def rec(g: Formula, level: int) -> str:
-        if isinstance(g, Edge):
-            return f"edge({g.x},{g.y})"
-        if isinstance(g, Leq):
-            return f"{g.x}<={g.y}"
-        if isinstance(g, Eq):
-            return f"{g.x}={g.y}"
-        if isinstance(g, Label):
-            return f"{g.name}({g.x})"
+    def rec(g: Formula, level: int, env: dict[Var, Var], inside: bool) -> str:
+        """``g`` with its variables renamed by ``env``; ``inside`` a
+        defined atom's body, every binder is renamed fresh."""
+        if isinstance(g, Defined):
+            return rec(g.body, level, {p: env.get(a, a) for p, a in zip(g.params, g.args)}, True)
+        if isinstance(g, _Atom):
+            names = [env.get(v, v) for v in g.variables()]
+            if isinstance(g, Edge):
+                return f"edge({names[0]},{names[1]})"
+            if isinstance(g, Leq):
+                return f"{names[0]}<={names[1]}"
+            if isinstance(g, Eq):
+                return f"{names[0]}={names[1]}"
+            return f"{g.name}({names[0]})"
         if isinstance(g, Not):
-            return "!" + rec(g.sub, _UNARY)
+            return "!" + rec(g.sub, _UNARY, env, inside)
         if isinstance(g, _Quantifier):
+            var = g.var
+            if inside:
+                var = fresh.fresh(var.name.rstrip("_0123456789") or "z")
+                env = {**env, g.var: var}
             kw = "exists" if isinstance(g, Exists) else "forall"
-            s, own = f"{kw} {g.var}. {rec(g.sub, _QUANT)}", _QUANT
+            s, own = f"{kw} {var}. {rec(g.sub, _QUANT, env, inside)}", _QUANT
         else:
             infix, own, left, right = _INFIX[type(g)]
-            s = rec(g.left, left) + infix + rec(g.right, right)
+            s = rec(g.left, left, env, inside) + infix + rec(g.right, right, env, inside)
         return f"({s})" if level > own else s
 
-    return rec(expand(f), _QUANT)
+    return rec(f, _QUANT, {}, False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +718,15 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "ident" and val in ("exists", "forall"):
-            self.next()
-            v = self.variable()
+        prefix = []  # the quantifiers in front, outermost first
+        while self.peek()[1] in ("exists", "forall"):
+            quantifier = Exists if self.next()[1] == "exists" else Forall
+            prefix.append((quantifier, self.variable()))
             self.expect(".")
-            body = self.formula()
-            return Exists(v, body) if val == "exists" else Forall(v, body)
-        return self.impl()
+        f = self.impl()
+        for quantifier, v in reversed(prefix):
+            f = quantifier(v, f)
+        return f
 
     def impl(self) -> Formula:
         left = self.disj()
@@ -539,16 +750,19 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "!":
+        negations = 0
+        while self.peek()[1] == "!":
             self.next()
-            return Not(self.unary())
-        if val == "(":
+            negations += 1
+        if self.peek()[1] == "(":
             self.next()
             f = self.formula()
             self.expect(")")
-            return f
-        return self.atom()
+        else:
+            f = self.atom()
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def variable(self) -> Var:
         kind, val, pos = self.next()

@@ -11,6 +11,7 @@ inequalities hold.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -651,8 +652,11 @@ class TerfanInstance:
     roles: dict[str, object]         # final indices of the named vertices
 
 
+@functools.cache
 def terfan_formulas() -> tuple[Formula, Formula]:
-    """Twin-based (nu, psi) reading H off the visibility graph, label-free."""
+    """Twin-based (nu, psi) reading H off the visibility graph, label-free.
+
+    They depend on no input, so they are built once per process."""
     x, y = Var("x"), Var("y")
     counter = itertools.count(1)
 

@@ -173,6 +173,77 @@ def eval_slow(structure, phi, assignment=None) -> bool:
     return rec(phi, dict(assignment or {}))
 
 
+# ---------------------------------------------------------------------------
+# formula oracles: the walks that the facts stored on each node replace
+
+def ref_nodes(f):
+    """Every node of ``f`` in pre-order, and of the bodies of its defined atoms."""
+    for node in F.walk(f):
+        yield node
+        if isinstance(node, F.Defined):
+            yield from ref_nodes(node.body)
+
+
+def ref_free_vars(f) -> frozenset:
+    inner = frozenset().union(*map(ref_free_vars, f.children()))
+    if isinstance(f, (F.Exists, F.Forall)):
+        return inner - {f.var}
+    return inner.union(f.variables())
+
+
+def ref_quantifier_depth(f) -> int:
+    if isinstance(f, F.Defined):
+        return ref_quantifier_depth(f.body)
+    return (isinstance(f, (F.Exists, F.Forall))
+            + max(map(ref_quantifier_depth, f.children()), default=0))
+
+
+def ref_formula_signature(f):
+    kinds = {type(n) for n in ref_nodes(f)}
+    if F.Edge in kinds and F.Leq in kinds:
+        raise F.SignatureError("formula mixes edge and <= atoms")
+    return F.GRAPH if F.Edge in kinds else F.POSET if F.Leq in kinds else None
+
+
+def ref_label_names(f) -> frozenset:
+    return frozenset(n.name for n in ref_nodes(f) if isinstance(n, F.Label))
+
+
+def ref_key(f, keys: dict) -> tuple:
+    """The key of ``f`` among ``keys`` (description -> small int, grown as
+    needed) and the names of its free variables in first-occurrence order.
+
+    The description is the node kind, the atom name or definition (a defined
+    atom's body key, where each of the body's free variables sits among the
+    parameters, and their number), the children's keys and where each
+    child's free variables sit among the node's own (for a quantifier: where
+    its variable sits among the child's)."""
+    if isinstance(f, (F.And, F.Or, F.Implies)):
+        lkey, lfree = ref_key(f.left, keys)
+        rkey, rfree = ref_key(f.right, keys)
+        free = lfree + tuple(v for v in rfree if v not in lfree)
+        desc = (type(f), lkey, rkey, tuple(map(free.index, rfree)))
+    elif isinstance(f, (F.Exists, F.Forall)):
+        key, free = ref_key(f.sub, keys)
+        ax = free.index(f.var.name) if f.var.name in free else -1
+        free = free[:ax] + free[ax + 1:] if ax >= 0 else free
+        desc = (type(f), key, ax)
+    elif isinstance(f, F.Not):
+        key, free = ref_key(f.sub, keys)
+        desc = (F.Not, key)
+    else:
+        args = tuple(v.name for v in f.variables())
+        free = tuple(dict.fromkeys(args))
+        if isinstance(f, F.Defined):
+            body, body_free = ref_key(f.body, keys)
+            params = [v.name for v in f.params]
+            name = (body, tuple(map(params.index, body_free)), len(params))
+        else:
+            name = f.name if isinstance(f, F.Label) else None
+        desc = (type(f), name, tuple(map(free.index, args)))
+    return keys.setdefault(desc, len(keys)), free
+
+
 def path_sentence(k: int) -> str:
     """The text of "a path on k pairwise distinct vertices exists"."""
     vs = [f"x{i}" for i in range(1, k + 1)]

@@ -211,10 +211,19 @@ def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):
 
 def test_cli_check_deep_formula_exits_2(tmp_path, capsys):
     rep = _write_interval_rep(tmp_path)
-    for text in ("!" * 3000 + "exists x. x=x", "exists x. " + "!" * 5000 + "edge(x,x)"):
+    # a syntax error after 3000 negations; parentheses nested 3000 deep, which
+    # the parser recurses on; a disjunction of 5000 atoms, which the evaluator
+    # splits recursively
+    for text in ("!" * 3000 + "exists x. x=x", "(" * 3000 + "x=x" + ")" * 3000,
+                 "exists x. " + " | ".join(["edge(x,x)"] * 5000)):
         assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+    # negations and quantifier prefixes are parsed in a loop, so a chain of
+    # 5000 negations is decided
+    text = "exists x. " + "!" * 5000 + "edge(x,x)"
+    assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 1
+    assert capsys.readouterr().out == "graph_verdict False\nposet_verdict False\n"
 
 
 def test_cli_check_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -268,7 +277,7 @@ def test_cli_verify_reports_bad_input_and_goes_on(tmp_path, capsys):
     good = "class interval\ninterval 1 3\ninterval 2 4\n"
     (cases / "a.rep").write_text(good + "interval 5\n")
     (cases / "b.rep").write_text(good)
-    (cases / "b.formulas").write_text("!" * 3000 + "exists x. x=x\n")
+    (cases / "b.formulas").write_text("(" * 3000 + "x=x" + ")" * 3000 + "\n")
     (cases / "c.rep").write_text(good)
     assert main(["verify", "--dir", str(cases)]) == 1
     rows = capsys.readouterr().out.splitlines()

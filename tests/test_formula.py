@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from geomfo import formula as F
 from geomfo.formula import (Edge, Eq, Exists, Forall, GRAPH, POSET, Implies,
                             Interpretation, Label, Not, Or, And, ParseError,
-                            Var, efo_to_patterns, free_vars, parse_formula,
+                            Var, efo_to_patterns, free_vars, label_names, parse_formula,
                             pattern_formula, print_formula, quantifier_depth,
                             rewrite_under_interpretation)
 from geomfo.geometry import LabeledGraph, induced_embeds
 
-from helpers import rand_sentence
+from helpers import (rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
+                     rand_intervals, rand_segments, rand_sentence, ref_formula_signature,
+                     ref_free_vars, ref_key, ref_label_names, ref_nodes, ref_quantifier_depth)
 
 
 def test_parse_single_atom():
@@ -259,3 +263,124 @@ def test_efo_pattern_equivalence_random():
         via_patterns = any(induced_embeds(h, g) for h in pats)
         assert direct == via_patterns
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# hash-consed nodes: stored facts, keys, deep chains and table lifetimes
+
+_CLASSES = ("interval", "circular_arc", "circle", "permutation", "box", "unit_disk",
+            "visibility")
+
+
+def _random_instance(cls, rng):
+    from geomfo.geometry import Representation
+    from geomfo.interpret import make_instance
+
+    n = rng.randint(1, 4)
+    if cls == "visibility":
+        return make_instance(cls, Representation(cls, (rand_fan(rng, n + 2),)))
+    make = {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
+            "permutation": rand_segments, "box": rand_boxes, "unit_disk": rand_disks}[cls]
+    return make_instance(cls, make(rng, n))
+
+
+def test_stored_facts_match_the_recursive_oracles():
+    """Random sentences, their rewrites and expansions, and nu and psi of
+    every class: each node's stored facts against the recursive walks, and
+    one key per oracle key.  Each sentence is also rewritten under a copy
+    of the interpretation whose psi has its bound variables renamed, so
+    defined atoms over distinct but equal bodies share keys."""
+    rng = random.Random(23)
+    formulas = []
+    for cls in _CLASSES:
+        interp = _random_instance(cls, rng).interp
+        x, y = interp.psi_vars
+        renamed = F.instantiate(interp.psi, {x: x, y: y}, F.FreshVars(F.all_var_names(interp.psi)))
+        copy = Interpretation(interp.nu, renamed, interp.labels, interp.nu_var, interp.psi_vars)
+        assert quantifier_depth(interp.psi) == 0 or renamed is not interp.psi
+        formulas += [interp.nu, interp.psi, renamed]
+        for _ in range(8):
+            phi = rand_sentence(rng, rng.randint(1, 4), labels=("red", "D"))
+            outs = [rewrite_under_interpretation(phi, i) for i in (interp, copy)]
+            formulas += [phi, *outs, F.expand(outs[0])]
+    oracle_keys: dict = {}
+    key_of: dict = {}  # oracle key -> stored key
+    oracle_of: dict = {}  # stored key -> oracle key
+    checked = 0
+    for f in formulas:
+        for node in ref_nodes(f):
+            okey, ofree = ref_key(node, oracle_keys)
+            assert tuple(v.name for v in node.free) == ofree
+            assert node.key.arity == len(ofree)
+            assert free_vars(node) == ref_free_vars(node)
+            assert quantifier_depth(node) == ref_quantifier_depth(node)
+            assert F.formula_signature(node) == ref_formula_signature(node)
+            assert label_names(node) == ref_label_names(node)
+            assert key_of.setdefault(okey, node.key) is node.key
+            assert oracle_of.setdefault(node.key, okey) == okey
+            checked += 1
+    assert len(key_of) == len(oracle_of) > 100 and checked > 10_000
+
+
+def test_nodes_are_interned():
+    x, y = Var("x"), Var("y")
+    assert Var("x") is x
+    assert Exists(x, Edge(x, y)) is Exists(Var("x"), Edge(Var("x"), Var("y")))
+    assert parse_formula("exists x. edge(x,y)", GRAPH) is Exists(x, Edge(x, y))
+    # renamed bound variables: another node, the same key
+    assert Exists(Var("z"), Edge(Var("z"), y)) is not Exists(x, Edge(x, y))
+    assert Exists(Var("z"), Edge(Var("z"), y)).key is Exists(x, Edge(x, y)).key
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    with pytest.raises(F.FormulaError):
+        F.Defined(Edge(x, y), (x,), (y,))  # y is free in the body but no parameter
+
+
+def test_hundred_thousand_deep_chains_need_no_recursion():
+    depth = 100_000
+    negations = parse_formula("!" * depth + "red(x)", GRAPH)
+    prefix = parse_formula("exists x. " * depth + "edge(x,y)", GRAPH)
+    universal = parse_formula("forall x. " * depth + "edge(x,y)", GRAPH)
+    assert free_vars(negations) == {Var("x")} and free_vars(prefix) == {Var("y")}
+    assert quantifier_depth(negations) == 0 and quantifier_depth(prefix) == depth
+    assert F.formula_signature(negations) is None and F.formula_signature(prefix) == GRAPH
+    assert label_names(negations) == {"red"} and label_names(prefix) == frozenset()
+    assert F.is_existential(negations) and F.is_existential(prefix)
+    assert not F.is_existential(universal)
+    assert len({hash(negations), hash(prefix), hash(universal)}) == 3
+    assert prefix == parse_formula("exists x. " * depth + "edge(x,y)", GRAPH)
+    assert prefix != universal and prefix.key is not universal.key
+    inner = prefix
+    for _ in range(depth):
+        inner = inner.sub
+    assert inner == Edge(Var("x"), Var("y"))
+
+
+def _table_sizes():
+    return [len(table) for table in (F._VARS, F._KEYS, F._NODES)]
+
+
+def test_intern_tables_hold_their_entries_weakly():
+    y = Var("y")
+    gc.collect()
+    before = _table_sizes()
+    peak = before
+    for i in range(10_000):
+        v = Var(f"v{i}")
+        f = Exists(v, And(Label(f"L{i}", v), Not(Edge(v, y))))
+        peak = [max(p, size) for p, size in zip(peak, _table_sizes())]
+        del f, v
+    # one variable and one formula of five nodes alive at a time
+    assert all(p - b <= most for p, b, most in zip(peak, before, (1, 5, 5))), (peak, before)
+    gc.collect()
+    assert _table_sizes() == before
+
+
+def test_rewrite_memo_dies_with_its_interpretation():
+    interp = _simple_interp()
+    phi = parse_formula("exists u. exists w. (edge(u,w) | L(w))", GRAPH)
+    out = weakref.ref(rewrite_under_interpretation(phi, interp))
+    assert out() is not None  # the interpretation's memo holds it
+    assert rewrite_under_interpretation(phi, interp) is out()
+    del interp
+    assert out() is None
