@@ -332,6 +332,8 @@ def test_nodes_are_interned():
     assert Exists(Var("z"), Edge(Var("z"), y)).key is Exists(x, Edge(x, y)).key
     with pytest.raises(AttributeError):
         x.name = "y"
+    with pytest.raises(AttributeError):
+        del x.name
     with pytest.raises(F.FormulaError):
         F.Defined(Edge(x, y), (x,), (y,))  # y is free in the body but no parameter
 
