@@ -13,9 +13,14 @@ caches its tables; the key holds the signature kinds and labels the node
 mentions and its quantifier depth.  So the functions that report these
 facts read them and never recurse.  The intern tables hold their entries
 weakly.  A defined atom applies a shared formula (its body) to variables
-without copying it; ``expand`` gives the pure first-order formula, which
-is what ``print_formula`` prints, so the concrete syntax below has no
-defined atoms.
+without copying it: the rewrite and the hardness generators reuse ``nu``,
+``psi`` and label definitions this way, and a body may hold defined atoms
+itself.  ``expand`` gives the pure first-order formula, inlining defined
+atoms at every depth; it is the one place that renames bound variables.
+``print_formula`` prints it, so the concrete syntax below has no defined
+atoms.  ``map_atoms`` and the printer are one post-order fold, each node
+once, the rewrite is a loop of the same shape, and ``expand`` is one walk,
+all on explicit stacks, so no traversal recurses once per node.
 
 The concrete syntax (whitespace-insensitive)::
 
@@ -373,9 +378,6 @@ class Defined(_Atom):
     def variables(self) -> tuple[Var, ...]:
         return self.args
 
-    def rename(self, env: dict[Var, Var]) -> Formula:
-        return Defined(self.body, self.params, tuple(env.get(a, a) for a in self.args))
-
 
 class Not(_Unary):
     __slots__ = _fields = ("sub",)
@@ -482,48 +484,37 @@ def check_signature(f: Formula, signature: str) -> None:
         raise SignatureError(f"{got} atom used under {signature} signature")
 
 
-class FreshVars:
-    """Deterministic fresh-name supply avoiding a set of used names."""
-
-    def __init__(self, used: Iterable[str] = ()):
-        self.used = set(used)
-        self._counters: dict[str, int] = {}
-
-    def fresh(self, base: str = "z") -> Var:
-        n = self._counters.get(base, 0)
-        while True:
-            n += 1
-            name = f"{base}_{n}"
-            if name not in self.used:
-                break
-        self._counters[base] = n
-        self.used.add(name)
-        return Var(name)
+def _bottom_up(f: Formula, combine):
+    """Fold ``f`` children first, on an explicit stack: each distinct node
+    ``g`` is folded once, to ``combine(g, its children folded)``, where a
+    defined atom's one child is its body."""
+    memo: dict = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in memo:
+            stack.pop()
+            continue
+        kids = g.children() or ((g.body,) if isinstance(g, Defined) else ())
+        todo = [k for k in kids if k not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        memo[g] = combine(g, [memo[k] for k in kids])
+    return memo[f]
 
 
 def map_atoms(f: Formula, fn) -> Formula:
-    """``f`` with every atom ``a`` replaced by ``fn(a)``."""
-    if isinstance(f, _Atom):
-        return fn(f)
-    return f.rebuild([map_atoms(k, fn) for k in f.children()])
+    """``f`` with every atom ``a`` replaced by ``fn(a)``; a defined atom
+    keeps its arguments over its body mapped the same way."""
 
+    def combine(g: Formula, kids: list) -> Formula:
+        if isinstance(g, Defined):
+            return Defined(kids[0], g.params, g.args)
+        return fn(g) if isinstance(g, _Atom) else g.rebuild(kids)
 
-def instantiate(f: Formula, mapping: dict[Var, Var], fresh: FreshVars) -> Formula:
-    """Substitute free variables and rename every bound variable fresh.
-
-    Renaming all binders makes the substitution capture-avoiding without a
-    case analysis, at the cost of longer names in the output.
-    """
-
-    def rec(g: Formula, env: dict[Var, Var]) -> Formula:
-        if isinstance(g, _Atom):
-            return g.rename(env)
-        if isinstance(g, _Quantifier):
-            nv = fresh.fresh(g.var.name.rstrip("_0123456789") or "z")
-            return type(g)(nv, rec(g.sub, {**env, g.var: nv}))
-        return g.rebuild([rec(k, env) for k in g.children()])
-
-    return rec(f, dict(mapping))
+    return _bottom_up(f, combine)
 
 
 @dataclass(frozen=True)
@@ -563,8 +554,9 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     interpretation's formulas, so nothing is copied.  The disequality guard
     keeps the diagonal faithful: the interpreted edge set ranges over
     distinct pairs, while psi(u,u) may well hold in the poset even though
-    edge(u,u) is false in every simple graph.  Each node is rewritten once
-    per interpretation, children first, on an explicit stack.
+    edge(u,u) is false in every simple graph.  A defined atom in ``phi``
+    keeps its arguments over its rewritten body.  Each node is rewritten
+    once per interpretation, children first, on an explicit stack.
     """
     if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
@@ -578,7 +570,7 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
         if g in memo:
             stack.pop()
             continue
-        kids = g.children()
+        kids = g.children() or ((g.body,) if isinstance(g, Defined) else ())
         todo = [k for k in kids if k not in memo]
         if todo:
             stack += todo
@@ -591,6 +583,8 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
         elif isinstance(g, _Quantifier):
             nu = Defined(interp.nu, (interp.nu_var,), (g.var,))
             out = type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, memo[g.sub]))
+        elif isinstance(g, Defined):
+            out = Defined(memo[g.body], g.params, g.args)
         else:
             out = g.rebuild([memo[k] for k in kids])
         memo[g] = out
@@ -601,13 +595,50 @@ def expand(f: Formula) -> Formula:
     """The pure first-order formula of ``f``.
 
     Each defined atom becomes a copy of its body with the parameters replaced
-    by the arguments and every bound variable renamed fresh, in pre-order,
-    left to right, avoiding every name in ``f`` and in the bodies it uses.
+    by the arguments, its own defined atoms expanded the same way, and every
+    bound variable of the copy renamed fresh.  Names are handed out per
+    occurrence, in pre-order, left to right, avoiding every name in ``f`` and
+    in the bodies it uses at any depth; ``f``'s own binders keep their names.
     """
-    bodies = {n.body for n in walk(f) if isinstance(n, Defined)}
-    fresh = FreshVars(all_var_names(f).union(*map(all_var_names, bodies)))
-    return map_atoms(f, lambda g: instantiate(g.body, dict(zip(g.params, g.args)), fresh)
-                     if isinstance(g, Defined) else g)
+    bodies, todo = set(), [f]
+    while todo:
+        for n in walk(todo.pop()):
+            if isinstance(n, Defined) and n.body not in bodies:
+                bodies.add(n.body)
+                todo.append(n.body)
+    used = all_var_names(f).union(*map(all_var_names, bodies))
+    counters: dict[str, Iterator[int]] = {}
+
+    def fresh(v: Var) -> Var:  # base_1, base_2, ... skipping used names
+        base = v.name.rstrip("_0123456789") or "z"
+        count = counters.setdefault(base, itertools.count(1))
+        name = next(name for name in (f"{base}_{i}" for i in count) if name not in used)
+        used.add(name)
+        return Var(name)
+
+    # enter (node, env, False): env renames free variables, None outside every
+    # body; (node, var, True) makes the node, binding var, from the last of done
+    done: list[Formula] = []
+    stack: list = [(f, None, False)]
+    while stack:
+        g, env, build = stack.pop()
+        if build:
+            k = len(g.children())
+            kids, done[-k:] = done[-k:], []
+            done.append(type(g)(env, *kids) if isinstance(g, _Quantifier) else g.rebuild(kids))
+        elif isinstance(g, Defined):
+            stack.append((g.body, {p: env.get(a, a) if env else a
+                                   for p, a in zip(g.params, g.args)}, False))
+        elif isinstance(g, _Atom):
+            done.append(g.rename(env) if env else g)
+        else:
+            var = g.var if isinstance(g, _Quantifier) else None
+            if var is not None and env is not None:
+                var = fresh(var)
+                env = {**env, g.var: var}
+            stack.append((g, var, True))
+            stack += [(k, env, False) for k in reversed(g.children())]
+    return done[0]
 
 
 def complement_edges(phi: Formula) -> Formula:
@@ -630,29 +661,44 @@ _INFIX = {Implies: (" -> ", _IMPL, _OR, _IMPL), Or: (" | ", _OR, _OR, _AND),
           And: (" & ", _AND, _AND, _UNARY)}
 
 
+def _operand(kid: tuple, level: int):
+    """A folded child's text, parenthesised unless it binds at ``level``."""
+    text, own = kid
+    return text if own >= level else ("(", text, ")")
+
+
+def _print_node(g: Formula, kids: list) -> tuple:
+    """``g`` folded to (text, level): the text as nested tuples of strings,
+    which share the children's texts, so a deep chain costs linear space,
+    and the level of its outermost operator, which tells its parent whether
+    to parenthesise it."""
+    if isinstance(g, Edge):
+        return f"edge({g.x},{g.y})", _UNARY
+    if isinstance(g, Leq):
+        return f"{g.x}<={g.y}", _UNARY
+    if isinstance(g, Eq):
+        return f"{g.x}={g.y}", _UNARY
+    if isinstance(g, Label):
+        return f"{g.name}({g.x})", _UNARY
+    if isinstance(g, Not):
+        return ("!", _operand(kids[0], _UNARY)), _UNARY
+    if isinstance(g, _Quantifier):
+        kw = "exists" if isinstance(g, Exists) else "forall"
+        return (f"{kw} {g.var}. ", _operand(kids[0], _QUANT)), _QUANT
+    infix, own, left, right = _INFIX[type(g)]
+    return (_operand(kids[0], left), infix, _operand(kids[1], right)), own
+
+
 def print_formula(f: Formula) -> str:
     """The concrete syntax of ``expand(f)``."""
-
-    def rec(g: Formula, level: int) -> str:
-        if isinstance(g, Edge):
-            return f"edge({g.x},{g.y})"
-        if isinstance(g, Leq):
-            return f"{g.x}<={g.y}"
-        if isinstance(g, Eq):
-            return f"{g.x}={g.y}"
-        if isinstance(g, Label):
-            return f"{g.name}({g.x})"
-        if isinstance(g, Not):
-            return "!" + rec(g.sub, _UNARY)
-        if isinstance(g, _Quantifier):
-            kw = "exists" if isinstance(g, Exists) else "forall"
-            s, own = f"{kw} {g.var}. {rec(g.sub, _QUANT)}", _QUANT
+    out, stack = [], [_bottom_up(expand(f), _print_node)[0]]
+    while stack:
+        text = stack.pop()
+        if isinstance(text, str):
+            out.append(text)
         else:
-            infix, own, left, right = _INFIX[type(g)]
-            s = rec(g.left, left) + infix + rec(g.right, right)
-        return f"({s})" if level > own else s
-
-    return rec(expand(f), _QUANT)
+            stack += reversed(text)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .formula import (And, Edge, Eq, Exists, Forall, Formula, FreshVars, Implies,
-                      Label, Leq, Not, Or, Var, all_var_names, big_and,
-                      exists_many, instantiate, map_atoms)
+from .formula import (And, Defined, Edge, Eq, Exists, Forall, Formula, Implies,
+                      Label, Leq, Not, Or, Var, big_and, exists_many, map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
                        permutation_to_chords, polygon_report,
@@ -286,24 +285,17 @@ def dupl_formula(d: int, x: Var, prefix: str = "zt") -> Formula:
 
 
 def substitute_labels_and_equality(f: Formula, label_defs: dict[str, tuple[Formula, Var]],
-                                   twin_eq: Optional[tuple[Formula, Var, Var]] = None,
-                                   fresh: Optional[FreshVars] = None) -> Formula:
-    """Replace label atoms by defining formulas; optionally x=y by x=y | twin(x,y)."""
-    if fresh is None:
-        used = set(all_var_names(f))
-        for df, _ in label_defs.values():
-            used |= all_var_names(df)
-        if twin_eq:
-            used |= all_var_names(twin_eq[0])
-        fresh = FreshVars(used)
+                                   twin_eq: Optional[tuple[Formula, Var, Var]] = None) -> Formula:
+    """Replace label atoms by defined atoms over their defining formulas;
+    optionally x=y by x=y | twin(x,y)."""
 
     def atom(g: Formula) -> Formula:
         if isinstance(g, Label) and g.name in label_defs:
             df, dv = label_defs[g.name]
-            return instantiate(df, {dv: g.x}, fresh)
+            return Defined(df, (dv,), (g.x,))
         if isinstance(g, Eq) and twin_eq is not None:
             tf, tx, ty = twin_eq
-            return Or(g, instantiate(tf, {tx: g.x, ty: g.y}, fresh))
+            return Or(g, Defined(tf, (tx, ty), (g.x, g.y)))
         return g
 
     return map_atoms(f, atom)
@@ -364,19 +356,15 @@ def gamma_k_formula(k: int, nu: Formula, psi: Formula,
                     psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))) -> Formula:
     """exists x1..xk: all nu, pairwise distinct, psi in one direction per pair.
 
-    Purely existential whenever nu and psi are; the nested copies get fresh
-    bound variables either way.
+    Purely existential whenever nu and psi are; nu and psi enter as defined
+    atoms, so they are shared, not copied.
     """
     if k < 1:
         raise GeometryError("gamma_k needs k >= 1")
-    used = all_var_names(nu) | all_var_names(psi) | {f"x{i + 1}" for i in range(k)}
-    fresh = FreshVars(used)
     vs = [Var(f"x{i + 1}") for i in range(k)]
-    px, py = psi_vars
-    parts: list[Formula] = [instantiate(nu, {nu_var: v}, fresh) for v in vs]
+    parts: list[Formula] = [Defined(nu, (nu_var,), (v,)) for v in vs]
     parts += [Not(Eq(vs[i], vs[j])) for i in range(k) for j in range(i + 1, k)]
-    parts += [Or(instantiate(psi, {px: vs[i], py: vs[j]}, fresh),
-                 instantiate(psi, {px: vs[j], py: vs[i]}, fresh))
+    parts += [Or(Defined(psi, psi_vars, (vs[i], vs[j])), Defined(psi, psi_vars, (vs[j], vs[i])))
               for i in range(k) for j in range(i + 1, k)]
     return exists_many(vs, big_and(parts))
 
@@ -538,23 +526,20 @@ def _efo_unit_box(h: LabeledGraph) -> EfoInstance:
         + [Not(Eq(w1, w2)) for w1, w2 in itertools.combinations(four, 2)]
         + [Not(Edge(w1, w2)) for w1, w2 in itertools.combinations(four, 2)]
         + [Not(Eq(x, w)) for w in four]))
-    fresh = FreshVars(all_var_names(blue_def) | {"x", "b1", "b2", "g1", "m"})
     bb, bb2, gg, m = Var("b1"), Var("b2"), Var("g1"), Var("m")
     gadget_def = Exists(bb, Exists(bb2, big_and([
-        instantiate(blue_def, {x: bb}, fresh),
-        instantiate(blue_def, {x: bb2}, fresh),
+        Defined(blue_def, (x,), (bb,)),
+        Defined(blue_def, (x,), (bb2,)),
         Edge(x, bb), Not(Edge(x, bb2)), Not(Eq(x, bb2)),
     ])))
     marker_def = Exists(bb, Exists(gg, big_and([
-        instantiate(blue_def, {x: bb}, fresh),
+        Defined(blue_def, (x,), (bb,)),
         Not(Edge(x, bb)), Not(Eq(x, bb)),
-        instantiate(gadget_def, {x: gg}, fresh),
+        Defined(gadget_def, (x,), (gg,)),
         Not(Edge(x, gg)), Not(Eq(x, gg)),
     ])))
-    green_def = And(instantiate(gadget_def, {x: x}, fresh),
-                    Exists(m, And(Edge(x, m),
-                                  instantiate(marker_def, {x: m}, fresh))))
-    red_def = And(instantiate(gadget_def, {x: x}, fresh), Not(green_def))
+    green_def = And(gadget_def, Exists(m, And(Edge(x, m), Defined(marker_def, (x,), (m,)))))
+    red_def = And(gadget_def, Not(green_def))
     defs = {"blue": (blue_def, x), "red": (red_def, x), "green": (green_def, x)}
     nu0, psi0 = hardness_formulas(complement=False)
     nu = substitute_labels_and_equality(nu0, defs)

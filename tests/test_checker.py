@@ -10,6 +10,7 @@ from geomfo import checker, formula as F
 from geomfo.checker import EvalError, _context, eval_structure, model_check, truth_table
 from geomfo.cli import DEFAULT_BATTERY
 from geomfo.formula import GRAPH, POSET, Var, parse_formula
+from geomfo.generators import gamma_k_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
 from geomfo.poset import LabeledPoset, generated_poset
@@ -180,14 +181,16 @@ CLASSES = ["interval", "circular_arc", "circle", "permutation", "box", "unit_dis
            "visibility"]
 
 
-def _instance(cls, rng, n):
+def _rep(cls, rng, n):
     if cls == "visibility":
-        rep = Representation("visibility", (rand_fan(rng, n + 2),))
-    else:
-        rep = {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
-               "permutation": rand_segments, "box": rand_boxes,
-               "unit_disk": rand_disks}[cls](rng, n)
-    return make_instance(cls, rep)
+        return Representation("visibility", (rand_fan(rng, n + 2),))
+    return {"interval": rand_intervals, "circular_arc": rand_arcs, "circle": rand_chords,
+            "permutation": rand_segments, "box": rand_boxes,
+            "unit_disk": rand_disks}[cls](rng, n)
+
+
+def _instance(cls, rng, n):
+    return make_instance(cls, _rep(cls, rng, n))
 
 
 @pytest.mark.parametrize("seed,cls", enumerate(CLASSES))
@@ -206,6 +209,21 @@ def test_defined_atoms_match_expanded_sentence(seed, cls):
             assert eval_structure(inst.poset, pure) == verdict
             assert eval_slow(inst.poset, pure) == verdict
             assert F.print_formula(out) == F.print_formula(pure)
+
+
+@pytest.mark.parametrize("seed,cls", enumerate(CLASSES))
+def test_model_check_enters_defined_atoms(seed, cls):
+    """gamma_k names nu and psi through defined atoms: complementing and
+    rewriting the sentence must reach the edge atoms in their bodies."""
+    rng = random.Random(60 + seed)
+    nu = parse_formula("exists z. edge(x,z)", GRAPH)
+    psi = parse_formula("!edge(x,y) & (exists z. edge(x,z) & edge(z,y))", GRAPH)
+    for _ in range(3):
+        rep = _rep(cls, rng, rng.randint(2, 5))
+        for k in (1, 2, 3):
+            phi = gamma_k_formula(k, nu, psi)
+            res = model_check(cls, rep, phi)
+            assert res.graph_verdict == res.poset_verdict == eval_slow(res.graph, F.expand(phi))
 
 
 def test_renamed_copy_shares_keys_and_transposes():

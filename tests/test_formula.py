@@ -164,6 +164,23 @@ def test_rewrite_capture_avoidance():
     assert len(bound) == len(set(bound))
 
 
+def test_expand_inlines_nested_defined_atoms():
+    x, y = Var("x"), Var("y")
+    psi = F.Defined(parse_formula("exists z. x<=z & z<=y", POSET), (x, y), (x, y))
+    interp = Interpretation(parse_formula("x=x", POSET), psi)
+    out = rewrite_under_interpretation(parse_formula("exists x. exists y. edge(x,y)", GRAPH), interp)
+    pure = F.expand(out)
+    assert not any(isinstance(n, F.Defined) for n in F.walk(pure))
+    assert print_formula(out) == ("exists x. x=x & (exists y. y=y & (!x=y & "
+                                  "((exists z_1. x<=z_1 & z_1<=y) | (exists z_2. y<=z_2 & z_2<=x))))")
+    assert parse_formula(print_formula(out), POSET) is pure
+    # the fresh names avoid the names of bodies nested at any depth (z_1 here)
+    inner = parse_formula("exists z_1. x<=z_1", POSET)
+    outer = Exists(Var("z"), And(F.Leq(x, Var("z")), F.Defined(inner, (x,), (Var("z"),))))
+    assert print_formula(F.Defined(outer, (x,), (y,))) == \
+        "exists z_2. y<=z_2 & (exists z_3. z_2<=z_3)"
+
+
 def test_rewrite_quantifier_depth_bound():
     rng = random.Random(5)
     interp = _simple_interp()
@@ -295,7 +312,7 @@ def test_stored_facts_match_the_recursive_oracles():
     for cls in _CLASSES:
         interp = _random_instance(cls, rng).interp
         x, y = interp.psi_vars
-        renamed = F.instantiate(interp.psi, {x: x, y: y}, F.FreshVars(F.all_var_names(interp.psi)))
+        renamed = F.expand(F.Defined(interp.psi, (x, y), (x, y)))
         copy = Interpretation(interp.nu, renamed, interp.labels, interp.nu_var, interp.psi_vars)
         assert quantifier_depth(interp.psi) == 0 or renamed is not interp.psi
         formulas += [interp.nu, interp.psi, renamed]
@@ -356,6 +373,28 @@ def test_hundred_thousand_deep_chains_need_no_recursion():
     for _ in range(depth):
         inner = inner.sub
     assert inner == Edge(Var("x"), Var("y"))
+
+
+def test_hundred_thousand_deep_chains_print_expand_and_map():
+    depth = 100_000
+    edge = Edge(Var("x"), Var("y"))
+    chains = [parse_formula("!" * depth + "edge(x,y)", GRAPH),
+              parse_formula("edge(x,y) & " * depth + "edge(x,y)", GRAPH),
+              parse_formula("exists x. " * depth + "edge(x,y)", GRAPH)]
+    for f in chains:
+        assert parse_formula(print_formula(f), GRAPH) is f
+        assert F.expand(f) is f
+        assert F.map_atoms(f, lambda g: g) is f
+        assert F.complement_edges(f).key.depth == f.key.depth
+    assert print_formula(F.complement_edges(chains[0])) == "!" * depth + "(!edge(x,y) & !x=y)"
+    right = edge
+    for _ in range(depth):
+        right = And(edge, right)
+    assert print_formula(right) == \
+        "edge(x,y) & (" * (depth - 1) + "edge(x,y) & edge(x,y)" + ")" * (depth - 1)
+    # a deep body inlined through a defined atom is renamed all the way down
+    pure = F.expand(F.Defined(chains[2], (Var("y"),), (Var("w"),)))
+    assert pure.key is chains[2].key and pure.free == (Var("w"),)
 
 
 def _table_sizes():

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo.checker import eval_structure
+from geomfo import formula as F
 from geomfo.formula import GRAPH, is_existential, print_formula, parse_formula
 from geomfo.generators import (cliquewidth_family,
                                consecutive_witness, cycle_attachment_set,
@@ -143,6 +144,45 @@ def test_gamma_k_formula_shapes():
     g2 = gamma_k_formula(2, nu, psi)
     assert is_existential(g2)
     assert print_formula(g2).count("!x1=x2") == 1
+
+
+def _nodes_through_bodies(f):
+    """Every node of ``f`` and of the bodies of its defined atoms, at any depth."""
+    bodies, todo = set(), [f]
+    while todo:
+        for node in F.walk(todo.pop()):
+            yield node
+            if isinstance(node, F.Defined) and node.body not in bodies:
+                bodies.add(node.body)
+                todo.append(node.body)
+
+
+def test_gamma_k_shares_nu_and_psi():
+    nu0, psi0 = hardness_formulas(complement=False)
+    for k in (1, 2, 3):
+        atoms = [n for n in F.walk(gamma_k_formula(k, nu0, psi0)) if isinstance(n, F.Defined)]
+        assert len(atoms) == k * k  # k nu atoms, two psi atoms per pair
+        assert all(a.body is nu0 or a.body is psi0 for a in atoms)
+
+
+def test_unit_box_label_definitions_share_blue():
+    inst = efo_hardness_instance(LabeledGraph(3, {(0, 1)}), "unit_box")
+    blue_def = inst.label_defs["blue"][0]
+    for name in ("green", "red"):
+        nodes = list(_nodes_through_bodies(inst.label_defs[name][0]))
+        assert any(isinstance(n, F.Defined) and n.body is blue_def for n in nodes)
+        # no renamed copy of blue_def: its key belongs to blue_def alone
+        assert all(n is blue_def for n in nodes if n.key is blue_def.key)
+
+
+def test_efo_formulas_print_as_their_expansions():
+    """The text ``geomfo generate --kind efo-hardness --out-interp`` writes."""
+    for n in (1, 2, 3):
+        for h in nonisomorphic_graphs(n):
+            for cls in ("circle", "unit_box"):
+                inst = efo_hardness_instance(h, cls)
+                for f in [inst.nu, inst.psi] + [df for df, _ in inst.label_defs.values()]:
+                    assert parse_formula(print_formula(f), GRAPH).key is F.expand(f).key
 
 
 def test_gamma_k_clique_equivalence_sample():
