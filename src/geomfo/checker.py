@@ -400,8 +400,7 @@ def build_graph(cls: str, rep: Representation) -> LabeledGraph:
     return build_intersection_graph(cls, rep)
 
 
-def model_check(cls: str, rep: Representation, phi: F.Formula,
-                require_agreement: bool = True) -> ModelCheckResult:
+def model_check(cls: str, rep: Representation, phi: F.Formula) -> ModelCheckResult:
     """Evaluate a graph sentence directly and through the poset interpretation.
 
     The two verdicts must agree; a mismatch raises AgreementError rather
@@ -421,7 +420,7 @@ def model_check(cls: str, rep: Representation, phi: F.Formula,
     phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)
     gv = eval_structure(g, phi)
     pv = eval_structure(inst.poset, phi_i)
-    if require_agreement and gv != pv:
+    if gv != pv:
         raise AgreementError(
             f"graph verdict {gv} != poset verdict {pv} for class {cls} "
             f"on {len(rep.objects)} objects: {F.print_formula(phi)}")

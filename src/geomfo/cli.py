@@ -16,7 +16,7 @@ from . import GeomfoError, fileio, formula as F
 from .checker import AgreementError, build_graph, model_check
 from .generators import (cliquewidth_family, consecutive_witness, efo_hardness_instance,
                          hardness_instance, terfan_polygon)
-from .geometry import Representation, parse_rat
+from .geometry import ALL_CLASSES, Representation, parse_rat
 from .interpret import make_instance
 
 DEFAULT_BATTERY = [
@@ -214,11 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="FO model checking on geometric graph "
                                              "classes via bounded-width poset interpretations")
     sub = ap.add_subparsers(dest="command", required=True)
-    classes = ["interval", "circular_arc", "circle", "permutation", "box",
-               "unit_disk", "visibility"]
 
     p = sub.add_parser("check", help="evaluate a sentence on both sides of the reduction")
-    p.add_argument("--class", dest="cls", required=True, choices=classes)
+    p.add_argument("--class", dest="cls", required=True, choices=ALL_CLASSES)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--emit", choices=["poset", "interp", "graph"])
@@ -226,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("interpret", help="emit the poset and interpretation formulas")
-    p.add_argument("--class", dest="cls", required=True, choices=classes)
+    p.add_argument("--class", dest="cls", required=True, choices=ALL_CLASSES)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-poset", required=True)
     p.add_argument("--out-interp", required=True)
     p.set_defaults(func=cmd_interpret)
 
     p = sub.add_parser("graph", help="emit the intersection or visibility graph")
-    p.add_argument("--class", dest="cls", required=True, choices=classes)
+    p.add_argument("--class", dest="cls", required=True, choices=ALL_CLASSES)
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_graph)
 

@@ -13,7 +13,7 @@ from . import GeomfoError
 from .formula import Formula, parse_formula, print_formula
 from .geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
                        Polygon, Representation, format_rat, parse_rat)
-from .poset import LabeledPoset
+from .poset import LabeledPoset, transitive_closure
 
 _OBJECT_KEYWORD = {
     "interval": "interval",
@@ -122,58 +122,59 @@ def read_representation(text: str) -> Representation:
     return Representation(cls, tuple(objs))
 
 
-def write_poset(p: LabeledPoset) -> str:
-    out = [f"poset {p.n}"]
-    for a, b in p.pairs():
-        out.append(f"lt {a} {b}")
-    for name in sorted(p.labels):
-        for v in sorted(p.labels[name]):
-            out.append(f"label {name} {v}")
+def _write_pairs(header: str, n: int, keyword: str, pairs, labels) -> str:
+    """The graph and poset format: ``<header> <n>``, one ``<keyword> a b``
+    line per pair, then one ``label <name> v`` line per labelled element."""
+    out = [f"{header} {n}"]
+    out += [f"{keyword} {a} {b}" for a, b in pairs]
+    for name in sorted(labels):
+        out += [f"label {name} {v}" for v in sorted(labels[name])]
     return "\n".join(out) + "\n"
+
+
+def _read_pairs(text: str, header: str,
+                keyword: str) -> tuple[int, list[tuple[int, int]], dict[str, set[int]]]:
+    """(n, pairs, labels) of a file in ``_write_pairs``' format."""
+    lines = _lines(text)
+    if not lines or lines[0][0] != header or len(lines[0]) != 2:
+        raise FileFormatError(f"{header} must start with '{header} <n>'")
+    n = _int(lines[0][1])
+    pairs = []
+    labels: dict[str, set[int]] = {}
+    for parts in lines[1:]:
+        if parts[0] == keyword and len(parts) == 3:
+            pairs.append((_int(parts[1]), _int(parts[2])))
+        elif parts[0] == "label" and len(parts) == 3:
+            labels.setdefault(parts[1], set()).add(_int(parts[2]))
+        else:
+            raise FileFormatError(f"bad {header} line: {' '.join(parts)}")
+    return n, pairs, labels
+
+
+def write_poset(p: LabeledPoset) -> str:
+    return _write_pairs("poset", p.n, "lt", p.pairs(), p.labels)
 
 
 def read_poset(text: str) -> LabeledPoset:
-    lines = _lines(text)
-    if not lines or lines[0][0] != "poset" or len(lines[0]) != 2:
-        raise FileFormatError("poset must start with 'poset <n>'")
-    n = _int(lines[0][1])
-    lt = []
-    labels: dict[str, set[int]] = {}
-    for parts in lines[1:]:
-        if parts[0] == "lt" and len(parts) == 3:
-            lt.append((_int(parts[1]), _int(parts[2])))
-        elif parts[0] == "label" and len(parts) == 3:
-            labels.setdefault(parts[1], set()).add(_int(parts[2]))
-        else:
-            raise FileFormatError(f"bad poset line: {' '.join(parts)}")
-    return LabeledPoset(n, lt, labels)
+    """The poset of a file listing its whole strict order.
+
+    The order is checked on bit rows, with no n x n matrix: its pairs must
+    have no cycle (``transitive_closure`` raises ``PosetError`` on one) and
+    closing them must add no pair.
+    """
+    n, lt, labels = _read_pairs(text, "poset", "lt")
+    p = LabeledPoset(n, lt, labels)
+    if list(p.rows) != transitive_closure(n, lt):
+        raise FileFormatError("the lt lines are not transitively closed")
+    return p
 
 
 def write_graph(g: LabeledGraph) -> str:
-    out = [f"graph {g.n}"]
-    for a, b in sorted(g.edges):
-        out.append(f"edge {a} {b}")
-    for name in sorted(g.labels):
-        for v in sorted(g.labels[name]):
-            out.append(f"label {name} {v}")
-    return "\n".join(out) + "\n"
+    return _write_pairs("graph", g.n, "edge", sorted(g.edges), g.labels)
 
 
 def read_graph(text: str) -> LabeledGraph:
-    lines = _lines(text)
-    if not lines or lines[0][0] != "graph" or len(lines[0]) != 2:
-        raise FileFormatError("graph must start with 'graph <n>'")
-    n = _int(lines[0][1])
-    edges = []
-    labels: dict[str, set[int]] = {}
-    for parts in lines[1:]:
-        if parts[0] == "edge" and len(parts) == 3:
-            edges.append((_int(parts[1]), _int(parts[2])))
-        elif parts[0] == "label" and len(parts) == 3:
-            labels.setdefault(parts[1], set()).add(_int(parts[2]))
-        else:
-            raise FileFormatError(f"bad graph line: {' '.join(parts)}")
-    return LabeledGraph(n, edges, labels)
+    return LabeledGraph(*_read_pairs(text, "graph", "edge"))
 
 
 def write_interpretation_formulas(nu: Formula, psi: Formula) -> str:

@@ -484,11 +484,13 @@ def check_signature(f: Formula, signature: str) -> None:
         raise SignatureError(f"{got} atom used under {signature} signature")
 
 
-def _bottom_up(f: Formula, combine):
+def _bottom_up(f: Formula, combine, memo: Optional[dict] = None):
     """Fold ``f`` children first, on an explicit stack: each distinct node
     ``g`` is folded once, to ``combine(g, its children folded)``, where a
-    defined atom's one child is its body."""
-    memo: dict = {}
+    defined atom's one child is its body.  ``memo`` maps nodes already
+    folded to their results, and is filled in place."""
+    if memo is None:
+        memo = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -555,8 +557,9 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     keeps the diagonal faithful: the interpreted edge set ranges over
     distinct pairs, while psi(u,u) may well hold in the poset even though
     edge(u,u) is false in every simple graph.  A defined atom in ``phi``
-    keeps its arguments over its rewritten body.  Each node is rewritten
-    once per interpretation, children first, on an explicit stack.
+    keeps its arguments over its rewritten body.  The rewrite is one
+    ``_bottom_up`` fold whose memo lives on the interpretation, so each
+    node is rewritten once per interpretation.
     """
     if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
@@ -564,31 +567,20 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     if phi in memo:  # a memoised node lies in a sentence whose signature was checked
         return memo[phi]
     check_signature(phi, GRAPH)
-    stack = [phi]
-    while stack:
-        g = stack[-1]
-        if g in memo:
-            stack.pop()
-            continue
-        kids = g.children() or ((g.body,) if isinstance(g, Defined) else ())
-        todo = [k for k in kids if k not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
+
+    def combine(g: Formula, kids: list) -> Formula:
         if isinstance(g, Edge):
             psi, params = interp.psi, interp.psi_vars
-            out = And(Not(Eq(g.x, g.y)),
-                      Or(Defined(psi, params, (g.x, g.y)), Defined(psi, params, (g.y, g.x))))
-        elif isinstance(g, _Quantifier):
+            return And(Not(Eq(g.x, g.y)),
+                       Or(Defined(psi, params, (g.x, g.y)), Defined(psi, params, (g.y, g.x))))
+        if isinstance(g, _Quantifier):
             nu = Defined(interp.nu, (interp.nu_var,), (g.var,))
-            out = type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, memo[g.sub]))
-        elif isinstance(g, Defined):
-            out = Defined(memo[g.body], g.params, g.args)
-        else:
-            out = g.rebuild([memo[k] for k in kids])
-        memo[g] = out
-    return memo[phi]
+            return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, kids[0]))
+        if isinstance(g, Defined):
+            return Defined(kids[0], g.params, g.args)
+        return g.rebuild(kids)
+
+    return _bottom_up(phi, combine, memo)
 
 
 def expand(f: Formula) -> Formula:

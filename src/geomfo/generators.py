@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .formula import (And, Defined, Edge, Eq, Exists, Forall, Formula, Implies,
-                      Label, Leq, Not, Or, Var, big_and, exists_many, map_atoms)
+                      Label, Not, Or, Var, big_and, complement_edges, exists_many, map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
                        permutation_to_chords, polygon_report,
@@ -186,32 +186,26 @@ class HardnessInstance:
     complement: bool
 
 
-def _edge_atom(a: Var, b: Var, complement: bool) -> Formula:
-    if complement:
-        return And(Not(Edge(a, b)), Not(Eq(a, b)))
-    return Edge(a, b)
-
-
 def hardness_formulas(complement: bool) -> tuple[Formula, Formula]:
-    """The (nu, psi) pair interpreting H inside G_H via its labels.
+    """The (nu, psi) pair interpreting H inside G_H via its labels; with
+    ``complement``, the pair with every edge complemented.
 
     Existentials are nested as tightly as scoping allows, which keeps the
     evaluator's truth tables at three variables instead of five.
     """
     x, y, z, s, s2, t, u = (Var(n) for n in ("x", "y", "z", "s", "s2", "t", "u"))
-    e = lambda a, b: _edge_atom(a, b, complement)
     nu = And(Label("blue", x),
              Exists(s, big_and([
-                 Label("green", s), e(x, s),
+                 Label("green", s), Edge(x, s),
                  Exists(s2, big_and([
-                     Not(Eq(s, s2)), Label("green", s2), e(x, s2)]))])))
+                     Not(Eq(s, s2)), Label("green", s2), Edge(x, s2)]))])))
 
     def extreme(a: Var, zz: Var, sv: Var, xv: Var) -> Formula:
-        return And(e(a, zz),
+        return And(Edge(a, zz),
                    Exists(sv, big_and([
-                       Label("green", sv), e(a, sv),
+                       Label("green", sv), Edge(a, sv),
                        Exists(xv, big_and([
-                           Label("blue", xv), e(sv, xv), Not(e(xv, zz))]))])))
+                           Label("blue", xv), Edge(sv, xv), Not(Edge(xv, zz))]))])))
 
     psi = big_and([
         Label("blue", x), Label("blue", y), Not(Eq(x, y)),
@@ -221,6 +215,8 @@ def hardness_formulas(complement: bool) -> tuple[Formula, Formula]:
             extreme(y, z, s2, u),
         ])),
     ])
+    if complement:
+        return complement_edges(nu), complement_edges(psi)
     return nu, psi
 
 
@@ -547,12 +543,6 @@ def _efo_unit_box(h: LabeledGraph) -> EfoInstance:
     expected = {"blue": frozenset(blue), "green": frozenset(green),
                 "red": frozenset(red_reps)}
     return EfoInstance(rep, g, expected, defs, nu, psi, list(base.blue_bijection))
-
-
-def efo_bounding_square_side(rep: Representation) -> Fraction:
-    xs = [e for bx in rep.objects for e in (bx.x.lo, bx.x.hi)]
-    ys = [e for bx in rep.objects for e in (bx.y.lo, bx.y.hi)]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ The API takes and returns ``fractions.Fraction`` coordinates; there is no
 floating point anywhere.  The predicates themselves run on Python ints: a
 polygon or a representation is rescaled once by the lcm of its coordinates'
 denominators, and every test after that is integer arithmetic, so predicates
-are exact and scale-invariant.  Perturbation and proper partitions work the
-same way, on integer endpoints and their ranks.  Angular positions live in [0,1) turns
-measured clockwise from angle 0 (a half turn is exactly 1/2).
+are exact and scale-invariant.  One sight-line predicate decides whether a
+segment from a vertex lies in the polygon, both toward another vertex and
+toward a vertex's perpendicular foot on the closing edge; the foot is a
+point of the polygon's grid scaled once more, by the squared length of that
+edge.  Perturbation and proper partitions work on integer endpoints and
+their ranks.  Angular positions live in [0,1) turns measured clockwise from
+angle 0 (a half turn is exactly 1/2).
 
 An intersection graph comes from one array predicate per class, evaluated
 over row blocks of at most ``_PAIR_CELLS`` object pairs, so no n x n array
@@ -35,7 +39,6 @@ import numpy as np
 
 from . import GeomfoError
 
-Rat = Fraction
 Point = tuple[Fraction, Fraction]
 
 INTERSECTION_CLASSES = ("interval", "circular_arc", "circle", "permutation", "box", "unit_disk")
@@ -698,33 +701,6 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _param_on_segment(p: Point, a: Point, b: Point) -> Fraction:
-    if a[0] != b[0]:
-        return (p[0] - a[0]) / (b[0] - a[0])
-    return (p[1] - a[1]) / (b[1] - a[1])
-
-
-def _segment_meet_params(a: Point, b: Point, c: Point, d: Point) -> list[Fraction]:
-    """Parameters t in [0,1] along closed segment ab where it meets closed cd."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4 and not (o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0):
-        denom = ((b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0]))
-        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
-        return [t]
-    # touching cases, collinear overlaps included: an endpoint of one lies on the other
-    ts = []
-    for p in (c, d):
-        if _on_segment(p, a, b):
-            ts.append(_param_on_segment(p, a, b))
-    for p, t in ((a, Fraction(0)), (b, Fraction(1))):
-        if _on_segment(p, c, d):
-            ts.append(t)
-    return sorted(set(ts))
-
-
 def _properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Interiors cross transversally."""
     o1 = orient(a, b, c)
@@ -788,49 +764,6 @@ class Polygon:
         return self.vertices[i], self.vertices[(i + 1) % self.n]
 
 
-def point_in_closed_polygon(p: Point, poly: Polygon) -> bool:
-    pts = poly.vertices
-    n = len(pts)
-    for i in range(n):
-        if _on_segment(p, pts[i], pts[(i + 1) % n]):
-            return True
-    inside = False
-    px, py = p
-    for i in range(n):
-        (x1, y1), (x2, y2) = pts[i], pts[(i + 1) % n]
-        if (y1 > py) != (y2 > py):
-            # x coordinate of the edge at height py, compared exactly
-            xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < xi:
-                inside = not inside
-    return inside
-
-
-def segment_inside_polygon(a: Point, b: Point, poly: Polygon) -> bool:
-    """Closed segment ab avoids the open exterior of the polygon.
-
-    Splits ab at every boundary meeting point; each open piece is entirely
-    inside or entirely outside, so its midpoint decides.
-    """
-    if a == b:
-        return point_in_closed_polygon(a, poly)
-    params = {Fraction(0), Fraction(1)}
-    pts = poly.vertices
-    n = len(pts)
-    for i in range(n):
-        c, d = pts[i], pts[(i + 1) % n]
-        for t in _segment_meet_params(a, b, c, d):
-            if 0 <= t <= 1:
-                params.add(t)
-    ordered = sorted(params)
-    for t1, t2 in zip(ordered, ordered[1:]):
-        tm = (t1 + t2) / 2
-        mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-        if not point_in_closed_polygon(mid, poly):
-            return False
-    return True
-
-
 def _in_cone(grid: Sequence[tuple[int, int]], k: int, t: tuple[int, int]) -> bool:
     """The direction from vertex k toward t lies in k's closed interior cone.
 
@@ -845,19 +778,17 @@ def _in_cone(grid: Sequence[tuple[int, int]], k: int, t: tuple[int, int]) -> boo
     return right_of_in or right_of_out
 
 
-def sees(poly: Polygon, i: int, j: int) -> bool:
-    """Vertices i and j are mutually visible.
+def _sight_line(grid: Sequence[tuple[int, int]], i: int, q: tuple[int, int],
+                j: Optional[int]) -> bool:
+    """The closed segment from vertex i to the point q lies in the closed polygon.
 
-    The closed segment between them lies in the closed polygon, so grazing a
-    vertex or running along an edge counts.  One pass over the boundary: no
-    edge may properly cross the segment, and every vertex on the closed
-    segment must have the directions toward both segment ends in its closed
-    interior cone.
+    q is vertex j, or (j None) a point inside the closing edge with vertex i
+    strictly on its interior side, so the segment meets that edge at q only
+    and leaves it inward.  One pass over the boundary: no edge may properly
+    cross the segment, and every vertex on the closed segment must have the
+    directions toward both segment ends in its closed interior cone.
     """
-    if i == j:
-        return False
-    grid = poly._grid
-    p, q = grid[i], grid[j]
+    p = grid[i]
     px, py = p
     dx, dy = q[0] - px, q[1] - py
     side = [dx * (y - py) - dy * (x - px) for x, y in grid]
@@ -871,6 +802,33 @@ def sees(poly: Polygon, i: int, j: int) -> bool:
             if (k != j and not _in_cone(grid, k, q)) or (k != i and not _in_cone(grid, k, p)):
                 return False
     return True
+
+
+def sees(poly: Polygon, i: int, j: int) -> bool:
+    """Vertices i and j are mutually visible.
+
+    The closed segment between them lies in the closed polygon, so grazing a
+    vertex or running along an edge counts.
+    """
+    return i != j and _sight_line(poly._grid, i, poly._grid[j], j)
+
+
+def sees_foot(poly: Polygon, i: int) -> bool:
+    """Vertex i sees its perpendicular foot on the closing edge uv.
+
+    With d = |uv|^2 on the polygon's grid, the foot is u + (t/d)(v - u) for
+    the integer t = (p - u).(v - u), so it is a point of the grid scaled by
+    d, where ``sees``' predicate decides it.  Only a foot strictly inside uv
+    counts, seen from a vertex strictly on the interior side of the edge
+    v->u; from the other side the segment reaches uv from outside.
+    """
+    grid = poly._grid
+    (ux, uy), v, p = grid[0], grid[-1], grid[i]
+    dx, dy = v[0] - ux, v[1] - uy
+    d = dx * dx + dy * dy
+    t = (p[0] - ux) * dx + (p[1] - uy) * dy
+    return 0 < t < d and orient(v, grid[0], p) < 0 and _sight_line(
+        [(x * d, y * d) for x, y in grid], i, (ux * d + t * dx, uy * d + t * dy), None)
 
 
 def visibility_graph(w: Polygon) -> LabeledGraph:
@@ -913,25 +871,15 @@ class PolygonReport:
     def weak_visibility_vertexwise(self) -> bool:
         """Every vertex sees an endpoint of the edge uv or its foot on uv.
 
+        The foot is decided on the integer grid, by ``sees_foot``.
         Necessary vertex-level condition only; full weak visibility is a
         continuous property with no finite certificate here.
         """
         poly = self.polygon
         g = visibility_graph(poly)
-        u = poly.vertices[0]
-        v = poly.vertices[-1]
-        for i in range(1, poly.n - 1):
-            if g.has_edge(i, 0) or g.has_edge(i, poly.n - 1):
-                continue
-            p = poly.vertices[i]
-            dx, dy = v[0] - u[0], v[1] - u[1]
-            t = ((p[0] - u[0]) * dx + (p[1] - u[1]) * dy) / (dx * dx + dy * dy)
-            if 0 <= t <= 1:
-                foot = (u[0] + t * dx, u[1] + t * dy)
-                if segment_inside_polygon(p, foot, poly):
-                    continue
-            return False
-        return True
+        last = poly.n - 1
+        return all(g.has_edge(i, 0) or g.has_edge(i, last) or sees_foot(poly, i)
+                   for i in range(1, last))
 
 
 def polygon_report(w: Polygon) -> PolygonReport:

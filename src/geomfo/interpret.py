@@ -57,10 +57,11 @@ def interval_nu(x: Var = X) -> Formula:
     return Not(Label("D", x))
 
 
-def interval_psi(x: Var = X, y: Var = Y, z: Var = Z) -> Formula:
-    """True iff no endpoint sits between the intervals, i.e. they intersect."""
+def interval_psi(x: Var = X, y: Var = Y, z: Var = Z, label: str = "D") -> Formula:
+    """True iff no endpoint (element labelled ``label``) sits between the
+    intervals, i.e. they intersect."""
     return Forall(z, Implies(
-        Label("D", z),
+        Label(label, z),
         And(Or(Not(Leq(x, z)), Not(Leq(z, y))),
             Or(Not(Leq(y, z)), Not(Leq(z, x)))),
     ))
@@ -352,12 +353,8 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
     for ri, rj in kept_pairs:
         for a, b in ((ri, rj), (rj, ri)) if ri != rj else ((ri, ri),):
             dlabel = f"D_{ri + 1}_{rj + 1}"
-            clauses.append(big_and([
-                Label(f"B{a + 1}", X), Label(f"B{b + 1}", Y),
-                Forall(Z, Implies(Label(dlabel, Z),
-                                  And(Or(Not(Leq(X, Z)), Not(Leq(Z, Y))),
-                                      Or(Not(Leq(Y, Z)), Not(Leq(Z, X)))))),
-            ]))
+            clauses.append(big_and([Label(f"B{a + 1}", X), Label(f"B{b + 1}", Y),
+                                    interval_psi(X, Y, Z, dlabel)]))
     nu = big_or([Label(f"B{i + 1}", X) for i in range(ell)])
     psi = big_or(clauses)
     interp = Interpretation(nu, psi, frozenset(labels))

@@ -412,8 +412,10 @@ def _winding_inside(pt, poly: Polygon) -> bool:
     return wind != 0
 
 
-def oracle_sees(poly: Polygon, i: int, j: int) -> bool:
-    p, q = poly.vertices[i], poly.vertices[j]
+def oracle_segment_inside(poly: Polygon, p, q) -> bool:
+    """The closed segment between the rational points p and q lies in the
+    closed polygon: each open piece between its boundary meetings is
+    entirely inside or entirely outside, so its midpoint decides."""
     params = {Fr(0), Fr(1)}
     for e in range(poly.n):
         a, b = poly.edge_points(e)
@@ -426,6 +428,10 @@ def oracle_sees(poly: Polygon, i: int, j: int) -> bool:
         if not _winding_inside(mid, poly):
             return False
     return True
+
+
+def oracle_sees(poly: Polygon, i: int, j: int) -> bool:
+    return oracle_segment_inside(poly, poly.vertices[i], poly.vertices[j])
 
 
 def rand_grid_star(rng, lo=-4, hi=4):

@@ -7,7 +7,7 @@ from geomfo import checker, fileio
 from geomfo.cli import main
 from geomfo.generators import terfan_polygon
 from geomfo.geometry import Interval, LabeledGraph, Representation
-from geomfo.poset import LabeledPoset
+from geomfo.poset import LabeledPoset, PosetError
 
 from helpers import path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, \
     rand_intervals, rand_segments
@@ -155,6 +155,16 @@ def test_cli_generate_consecutive_and_hardness(tmp_path):
 def test_fileio_rejects_bad_integers(read, text):
     with pytest.raises(fileio.FileFormatError, match="bad integer"):
         read(text)
+
+
+@pytest.mark.parametrize("text, error, fault", [
+    ("poset 3\nlt 0 1\nlt 1 0\nlt 1 2\n", PosetError, "cycle"),
+    ("poset 2\nlt 1 1\n", PosetError, "cycle"),
+    ("poset 3\nlt 0 1\nlt 1 2\n", fileio.FileFormatError, "not transitively closed"),
+])
+def test_read_poset_rejects_a_relation_that_is_no_order(text, error, fault):
+    with pytest.raises(error, match=fault):
+        fileio.read_poset(text)
 
 
 @pytest.mark.parametrize("graph_text", ["graph x\n", "graph 2\nedge a 1\n"])

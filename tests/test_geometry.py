@@ -12,11 +12,12 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              _transversal_ok, build_intersection_graph,
                              cliquewidth_certificate_check,
                              gradually_connected_check, permutation_to_chords,
-                             perturb_endpoints, point_in_closed_polygon, polygon_report,
-                             proper_partition, sees, separate_permutation_coordinates,
+                             perturb_endpoints, polygon_report, proper_partition, sees,
+                             sees_foot, separate_permutation_coordinates,
                              visibility_graph)
 
-from helpers import (RefGraph, exhaustive_transversal, longest_nesting_chain, oracle_sees,
+from helpers import (RefGraph, exhaustive_transversal, longest_nesting_chain,
+                     oracle_segment_inside, oracle_sees,
                      rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
                      rand_grid_star, rand_intervals, rand_segments,
                      ref_intersection_edges)
@@ -211,6 +212,38 @@ def test_visibility_grazing_against_independent_oracle():
     assert grazing > 100
 
 
+def test_foot_against_independent_oracle():
+    # rotations move u and v around the polygon; each vertex that sees
+    # neither of them is decided on its foot, on the grid scaled by |uv|^2
+    rng = random.Random(31)
+    feet, seen = 0, set()
+    for _ in range(16000):
+        pts = rand_grid_star(rng)
+        r = rng.randrange(len(pts))
+        try:
+            poly = Polygon(pts[r:] + pts[:r])
+        except GeometryError:
+            continue
+        g = visibility_graph(poly)
+        (ux, uy), (vx, vy) = poly.vertices[0], poly.vertices[-1]
+        dx, dy = vx - ux, vy - uy
+        last, weak = poly.n - 1, True
+        for i in range(1, last):
+            if g.has_edge(i, 0) or g.has_edge(i, last):
+                continue
+            px, py = poly.vertices[i]
+            t = ((px - ux) * dx + (py - uy) * dy) / (dx * dx + dy * dy)
+            want = 0 < t < 1 and oracle_segment_inside(poly, (px, py),
+                                                       (ux + t * dx, uy + t * dy))
+            assert sees_foot(poly, i) == want, (poly.vertices, i)
+            if 0 < t < 1:
+                feet += 1
+                seen.add(want)
+            weak = weak and want
+        assert polygon_report(poly).weak_visibility_vertexwise() == weak
+    assert feet >= 500 and seen == {False, True}
+
+
 def test_polygon_report_convex():
     rep = polygon_report(square())
     assert rep.reflex_vertices == []
@@ -242,15 +275,6 @@ def test_polygon_report_empty_ear_interior():
     assert rep.reflex_vertices == [2, 3]
     interiors = rep.ear_interiors()
     assert [len(a) for a in interiors] == [1, 0, 1]
-
-
-def test_point_in_polygon():
-    sq = square()
-    assert point_in_closed_polygon((Fr(2), Fr(2)), sq)
-    assert point_in_closed_polygon((Fr(0), Fr(2)), sq)      # boundary
-    assert point_in_closed_polygon((Fr(0), Fr(0)), sq)      # vertex
-    assert not point_in_closed_polygon((Fr(5), Fr(2)), sq)
-    assert not point_in_closed_polygon((Fr(-1), Fr(0)), sq)
 
 
 def test_gradually_connected():
