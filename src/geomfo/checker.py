@@ -321,13 +321,14 @@ def _exists(ctx: _Context, lits: list, ax: int, doms: tuple[int, ...],
 def _contract(ctx: _Context, groups: list[list], ax: int,
               sizes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """exists ax over the AND of ``groups``, each holding ax, and the body
-    axes of the result; body axis i has ``sizes[i]`` elements."""
+    axes of the result; body axis i has ``sizes[i]`` elements.  Its tuples
+    are built from lists; the comment above ``geometry._to_ints`` says why."""
     if len(groups) == 1:
         _, axes, table = groups[0]
-        return table.any(axis=axes.index(ax)), tuple(b for b in axes if b != ax)
+        return table.any(axis=axes.index(ax)), tuple([b for b in axes if b != ax])
     if len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
         (_, a_axes, a), (_, b_axes, b) = groups
-        rest = tuple(x for x in a_axes if x != ax) + tuple(x for x in b_axes if x != ax)
+        rest = tuple([x for x in a_axes if x != ax]) + tuple([x for x in b_axes if x != ax])
         _check(ctx, [sizes[x] for x in rest])
         a = np.moveaxis(a, a_axes.index(ax), -1).astype(np.float32)
         b = np.moveaxis(b, b_axes.index(ax), 0).astype(np.float32)
@@ -335,7 +336,7 @@ def _contract(ctx: _Context, groups: list[list], ax: int,
     union = 0
     for g in groups:
         union |= g[0]
-    rest = tuple(b for b in range(union.bit_length()) if union >> b & 1 and b != ax)
+    rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
     _check(ctx, [sizes[b] for b in rest])
     args = []
     for _, axes, table in groups:
@@ -406,22 +407,34 @@ def model_check(cls: str, rep: Representation, phi: F.Formula) -> ModelCheckResu
     The two verdicts must agree; a mismatch raises AgreementError rather
     than being resolved silently.
     """
+    return _model_checker(cls, rep)(phi)
+
+
+def _model_checker(cls: str, rep: Representation):
+    """``model_check`` on one representation, as a function of the sentence:
+    it builds the graph and the poset instance on the first call whose
+    sentence passes the checks, and reuses them on every later call."""
     from .interpret import make_instance
 
     if cls not in ALL_CLASSES:
         raise GeometryError(f"unknown class {cls!r}")
-    if phi.free:
-        raise EvalError("model checking needs a sentence")
-    F.check_signature(phi, F.GRAPH)
+    built: list = []
 
-    g = build_graph(cls, rep)
-    inst = make_instance(cls, rep)
-    phi_eff = F.complement_edges(phi) if inst.complemented else phi
-    phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)
-    gv = eval_structure(g, phi)
-    pv = eval_structure(inst.poset, phi_i)
-    if gv != pv:
-        raise AgreementError(
-            f"graph verdict {gv} != poset verdict {pv} for class {cls} "
-            f"on {len(rep.objects)} objects: {F.print_formula(phi)}")
-    return ModelCheckResult(gv, pv, inst, g, phi_i)
+    def check(phi: F.Formula) -> ModelCheckResult:
+        if phi.free:
+            raise EvalError("model checking needs a sentence")
+        F.check_signature(phi, F.GRAPH)
+        if not built:
+            built[:] = build_graph(cls, rep), make_instance(cls, rep)
+        g, inst = built
+        phi_eff = F.complement_edges(phi) if inst.complemented else phi
+        phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)
+        gv = eval_structure(g, phi)
+        pv = eval_structure(inst.poset, phi_i)
+        if gv != pv:
+            raise AgreementError(
+                f"graph verdict {gv} != poset verdict {pv} for class {cls} "
+                f"on {len(rep.objects)} objects: {F.print_formula(phi)}")
+        return ModelCheckResult(gv, pv, inst, g, phi_i)
+
+    return check

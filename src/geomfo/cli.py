@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import GeomfoError, fileio, formula as F
-from .checker import AgreementError, build_graph, model_check
+from .checker import AgreementError, _model_checker, build_graph, model_check
 from .generators import (cliquewidth_family, consecutive_witness, efo_hardness_instance,
                          hardness_instance, terfan_polygon)
 from .geometry import ALL_CLASSES, Representation, parse_rat
@@ -195,9 +195,9 @@ def cmd_verify(args) -> int:
                          if line.strip() and not line.strip().startswith("#")]
             rep = fileio.read_representation(_read(str(case)))
             cls = rep.cls
+            check = _model_checker(rep.cls, rep)  # one graph and instance per case
             for text in texts:
-                phi = F.parse_formula(text, F.GRAPH)
-                model_check(rep.cls, rep, phi)
+                check(F.parse_formula(text, F.GRAPH))
         except AgreementError as exc:
             status, detail = "FAIL", str(exc)
         except _INPUT_FAILURES as exc:

@@ -18,9 +18,14 @@ without copying it: the rewrite and the hardness generators reuse ``nu``,
 itself.  ``expand`` gives the pure first-order formula, inlining defined
 atoms at every depth; it is the one place that renames bound variables.
 ``print_formula`` prints it, so the concrete syntax below has no defined
-atoms.  ``map_atoms`` and the printer are one post-order fold, each node
-once, the rewrite is a loop of the same shape, and ``expand`` is one walk,
-all on explicit stacks, so no traversal recurses once per node.
+atoms.  ``map_atoms``, the printer, ``repr`` and the rewrite are one
+post-order fold, each node once, and ``expand`` is one walk, all on
+explicit stacks, so no traversal recurses once per node.  A sentence's
+rewrite under an interpretation depends only on the sentence and the
+interpretation's ``nu`` and ``psi``, so one more weak table, ``_REWRITES``,
+files it under their ids: it lives as long as the sentence, and every
+instance whose interpretation has the same ``nu`` and ``psi`` nodes gets it
+without folding again.
 
 The concrete syntax (whitespace-insensitive)::
 
@@ -69,10 +74,11 @@ class SignatureError(FormulaError):
 
 class _WeakTable(dict):
     """An intern table: ident -> weak reference to the object interned
-    under it; the entry leaves the table when its object dies.  An ident
-    names the interned objects it is made of by ``id``, so an entry keeps
-    nothing alive, and a live object's parts cannot die and hand their ids
-    to other objects.  ``weakref.WeakValueDictionary`` does the same through
+    under it, with an optional value; the entry leaves the table when its
+    object dies.  An ident names the interned objects it is made of by
+    ``id``, so it keeps nothing alive, and a live object's parts (or, in
+    ``_REWRITES``, its value) cannot die and hand their ids to other
+    objects.  ``weakref.WeakValueDictionary`` does the same through
     a Python-level ``get``, ``__setitem__`` and reference class; on
     agreement_mix, which builds about 7,000 nodes and 5,000 keys per pass,
     it made ``pass_ref`` about 7% higher than this table."""
@@ -82,16 +88,17 @@ class _WeakTable(dict):
         ref = self.get(ident)
         return None if ref is None else ref()
 
-    def intern(self, ident, obj):
+    def intern(self, ident, obj, value=None):
         ref = self[ident] = _Entry(obj, _drop)
-        ref.table, ref.ident = self, ident
+        ref.table, ref.ident, ref.value = self, ident, value
         return obj
 
 
 class _Entry(weakref.ref):
-    """A weak reference that knows where it is stored."""
+    """A weak reference that knows where it is stored, with a value held
+    strongly while its object lives."""
 
-    __slots__ = ("table", "ident")
+    __slots__ = ("table", "ident", "value")
 
 
 def _drop(ref: _Entry) -> None:
@@ -104,6 +111,8 @@ def _drop(ref: _Entry) -> None:
 _VARS = _WeakTable()  # name -> variable
 _KEYS = _WeakTable()  # Key.desc -> key
 _NODES = _WeakTable()  # (class, *fields by id) -> node
+# (sentence, nu, psi, nu_var, *psi_vars by id) -> sentence, valued (rewrite, nu, psi)
+_REWRITES = _WeakTable()
 
 
 class Var:
@@ -211,8 +220,7 @@ class Formula:
     _binds = 0  # 1 for a quantifier
 
     def __repr__(self):
-        return (f"{type(self).__name__}("
-                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
+        return _text(_bottom_up(self, _repr_node))
 
     def rebuild(self, kids) -> Formula:
         return type(self)(*kids)
@@ -507,6 +515,31 @@ def _bottom_up(f: Formula, combine, memo: Optional[dict] = None):
     return memo[f]
 
 
+def _text(parts) -> str:
+    """The string that nested tuples of strings spell, joined on an
+    explicit stack."""
+    out, stack = [], [parts]
+    while stack:
+        text = stack.pop()
+        if isinstance(text, str):
+            out.append(text)
+        else:
+            stack += reversed(text)
+    return "".join(out)
+
+
+def _repr_node(g: Formula, kids: list) -> tuple:
+    """``g`` folded to its ``repr``, sharing its children's texts as
+    ``_print_node`` does: ``Class(field=value, ...)``."""
+    kids = iter(kids)
+    parts = [type(g).__name__, "("]
+    for name in g._fields:
+        value = getattr(g, name)
+        parts += (name, "=", next(kids) if isinstance(value, Formula) else repr(value), ", ")
+    parts[-1] = ")"
+    return tuple(parts)
+
+
 def map_atoms(f: Formula, fn) -> Formula:
     """``f`` with every atom ``a`` replaced by ``fn(a)``; a defined atom
     keeps its arguments over its body mapped the same way."""
@@ -533,7 +566,9 @@ class Interpretation:
     labels: frozenset[str] = frozenset()
     nu_var: Var = Var("x")
     psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))
-    # graph-sentence node -> its rewrite; it lives as long as the interpretation
+    # graph-formula node -> its rewrite, so a subformula that this
+    # interpretation's sentences share is rewritten once; the sentences'
+    # rewrites outlive it in ``_REWRITES``
     _rewrites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -557,15 +592,25 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     keeps the diagonal faithful: the interpreted edge set ranges over
     distinct pairs, while psi(u,u) may well hold in the poset even though
     edge(u,u) is false in every simple graph.  A defined atom in ``phi``
-    keeps its arguments over its rewritten body.  The rewrite is one
-    ``_bottom_up`` fold whose memo lives on the interpretation, so each
-    node is rewritten once per interpretation.
+    keeps its arguments over its rewritten body.
+
+    The rewrite depends only on ``phi``, ``nu``, ``psi`` and their
+    variables, so it is filed in ``_REWRITES`` under their ids, weakly on
+    ``phi``: a rewrite lives as long as its sentence, and every
+    interpretation with the same ``nu`` and ``psi`` nodes gets the same
+    rewrite object.  The entry holds the rewrite, ``nu`` and ``psi`` (so
+    their variables too), so no id in its ident is reused while it lives,
+    and ``nu`` and ``psi`` stay interned for the next instance that builds
+    them.  Per live sentence, the table holds one rewrite per distinct
+    (nu, psi) pair it was rewritten under.  On a miss, the rewrite is one
+    ``_bottom_up`` fold with the interpretation's memo.
     """
     if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
-    memo = interp._rewrites
-    if phi in memo:  # a memoised node lies in a sentence whose signature was checked
-        return memo[phi]
+    ident = (id(phi), id(interp.nu), id(interp.psi), id(interp.nu_var), *map(id, interp.psi_vars))
+    entry = _REWRITES.get(ident)
+    if entry is not None and entry() is phi:  # phi's signature was checked when it was filed
+        return entry.value[0]
     check_signature(phi, GRAPH)
 
     def combine(g: Formula, kids: list) -> Formula:
@@ -580,7 +625,9 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
             return Defined(kids[0], g.params, g.args)
         return g.rebuild(kids)
 
-    return _bottom_up(phi, combine, memo)
+    out = _bottom_up(phi, combine, interp._rewrites)
+    _REWRITES.intern(ident, phi, (out, interp.nu, interp.psi))
+    return out
 
 
 def expand(f: Formula) -> Formula:
@@ -683,14 +730,7 @@ def _print_node(g: Formula, kids: list) -> tuple:
 
 def print_formula(f: Formula) -> str:
     """The concrete syntax of ``expand(f)``."""
-    out, stack = [], [_bottom_up(expand(f), _print_node)[0]]
-    while stack:
-        text = stack.pop()
-        if isinstance(text, str):
-            out.append(text)
-        else:
-            stack += reversed(text)
-    return "".join(out)
+    return _text(_bottom_up(expand(f), _print_node)[0])
 
 
 # ---------------------------------------------------------------------------

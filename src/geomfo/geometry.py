@@ -191,7 +191,7 @@ def symmetric_rows(rel: np.ndarray) -> tuple[int, ...]:
     np.fill_diagonal(m, False)
     packed = np.packbits(m, axis=1, bitorder="little")
     width, buf = packed.shape[1], packed.tobytes()
-    return tuple(int.from_bytes(buf[a * width:(a + 1) * width], "little") for a in range(len(m)))
+    return tuple([int.from_bytes(buf[a * width:(a + 1) * width], "little") for a in range(len(m))])
 
 
 class LabeledGraph:
@@ -369,15 +369,23 @@ def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
 # ---------------------------------------------------------------------------
 # intersection graphs
 
+# Tuples and star-arguments on the per-instance paths, here and in
+# ``checker``, are built from lists, not generators.  CPython builds a tuple
+# from a generator at a guessed size and then resizes it, and once freed the
+# tuple waits on the free list of its final size until a full collection.
+# Where few full collections run (agreement_mix, once the rewrite table
+# serves most rewrites), those lists filled towards their cap of 2000 per
+# size: 1.2 MB more after 40 passes, and peak RSS about 2.5 MB higher.
+
 def _to_ints(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     """Rows of rationals scaled by the lcm of all their denominators."""
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
-    return [tuple(c.numerator * (scale // c.denominator) for c in row) for row in rows]
+    scale = math.lcm(*[c.denominator for row in rows for c in row])
+    return [tuple([c.numerator * (scale // c.denominator) for c in row]) for row in rows]
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the denominators of ``values``, and each value times it."""
-    scale = math.lcm(*(c.denominator for c in values))
+    scale = math.lcm(*[c.denominator for c in values])
     return scale, [c.numerator * (scale // c.denominator) for c in values]
 
 
@@ -682,7 +690,7 @@ def perturb_endpoints(rep: Representation) -> Representation:
         raise GeometryError("perturbation left an endpoint at angle 0")
     make = _INTERSECTION_TESTS[cls][0]
     ends = [Fraction(k, turn) for k in new]
-    return Representation(cls, tuple(make(a, b) for a, b in zip(ends[::2], ends[1::2])))
+    return Representation(cls, tuple([make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,13 @@ def ref_label_names(f) -> frozenset:
     return frozenset(n.name for n in ref_nodes(f) if isinstance(n, F.Label))
 
 
+def ref_repr(f) -> str:
+    """``repr(f)`` by recursion over the fields."""
+    fields = (f"{name}={ref_repr(value) if isinstance(value, F.Formula) else repr(value)}"
+              for name, value in ((name, getattr(f, name)) for name in f._fields))
+    return f"{type(f).__name__}({', '.join(fields)})"
+
+
 def ref_key(f, keys: dict) -> tuple:
     """The key of ``f`` among ``keys`` (description -> small int, grown as
     needed) and the names of its free variables in first-occurrence order.

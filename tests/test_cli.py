@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from geomfo import checker, fileio
+from geomfo import checker, cli, fileio
 from geomfo.cli import main
 from geomfo.generators import terfan_polygon
 from geomfo.geometry import Interval, LabeledGraph, Representation
@@ -207,6 +207,45 @@ def test_cli_verify_corpus(tmp_path, capsys):
     assert main(["verify", "--dir", str(cases)]) == 0
     out = capsys.readouterr().out
     assert "7/7 cases pass" in out
+
+
+def test_cli_verify_builds_once_per_case_and_prints_as_model_check(tmp_path, capsys,
+                                                                   monkeypatch):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    rng = random.Random(56)
+    sentences = "exists x. exists y. edge(x,y)\nforall x. exists y. (edge(x,y) | x=y)\n"
+    for name, mk in (("a", rand_intervals), ("b", rand_chords), ("c", rand_boxes),
+                     ("d", rand_disks), ("e", rand_segments), ("f", rand_arcs)):
+        (cases / f"{name}.rep").write_text(fileio.write_representation(mk(rng, 5)))
+        (cases / f"{name}.formulas").write_text(sentences)
+    inst = terfan_polygon(LabeledGraph(3, {(0, 1), (1, 2)}))
+    (cases / "g.rep").write_text(  # the default battery
+        fileio.write_representation(Representation("visibility", (inst.polygon,))))
+    good = "class interval\ninterval 1 3\ninterval 2 4\n"
+    (cases / "h.rep").write_text(good)
+    (cases / "h.formulas").write_text("# no sentences\n")
+    (cases / "i.rep").write_text(good)
+    (cases / "i.formulas").write_text("edge(x,y)\n" + sentences)
+    (cases / "j.rep").write_text("class interval\n")  # no poset instance to build
+    (cases / "j.formulas").write_text(sentences)
+
+    builds = []
+    build_graph = checker.build_graph
+    monkeypatch.setattr(checker, "build_graph",
+                        lambda cls, rep: builds.append(cls) or build_graph(cls, rep))
+    assert main(["verify", "--dir", str(cases)]) == 1
+    out = capsys.readouterr().out
+    assert builds == ["interval", "circle", "box", "unit_disk", "permutation",
+                      "circular_arc", "visibility", "interval"]
+    assert "h.rep" in out and "0 sentences  PASS" in out
+    assert "ERROR empty representation" in out and "8/10 cases pass" in out
+    # the same report as one model_check per sentence
+    monkeypatch.setattr(cli, "_model_checker",
+                        lambda cls, rep: lambda phi: checker.model_check(cls, rep, phi))
+    assert main(["verify", "--dir", str(cases)]) == 1
+    assert capsys.readouterr().out == out
+    assert len(builds) == 8 + 6 * 2 + 5 + 1  # one build per sentence there
 
 
 def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):

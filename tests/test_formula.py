@@ -15,7 +15,8 @@ from geomfo.geometry import LabeledGraph, induced_embeds
 
 from helpers import (rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
                      rand_intervals, rand_segments, rand_sentence, ref_formula_signature,
-                     ref_free_vars, ref_key, ref_label_names, ref_nodes, ref_quantifier_depth)
+                     ref_free_vars, ref_key, ref_label_names, ref_nodes, ref_quantifier_depth,
+                     ref_repr)
 
 
 def test_parse_single_atom():
@@ -325,6 +326,7 @@ def test_stored_facts_match_the_recursive_oracles():
     oracle_of: dict = {}  # stored key -> oracle key
     checked = 0
     for f in formulas:
+        assert repr(f) == ref_repr(f)
         for node in ref_nodes(f):
             okey, ofree = ref_key(node, oracle_keys)
             assert tuple(v.name for v in node.free) == ofree
@@ -381,6 +383,11 @@ def test_hundred_thousand_deep_chains_print_expand_and_map():
     chains = [parse_formula("!" * depth + "edge(x,y)", GRAPH),
               parse_formula("edge(x,y) & " * depth + "edge(x,y)", GRAPH),
               parse_formula("exists x. " * depth + "edge(x,y)", GRAPH)]
+    leaf = "Edge(x=Var(name='x'), y=Var(name='y'))"
+    assert [repr(f) for f in chains] == [
+        "Not(sub=" * depth + leaf + ")" * depth,
+        "And(left=" * depth + leaf + (", right=" + leaf + ")") * depth,
+        "Exists(var=Var(name='x'), sub=" * depth + leaf + ")" * depth]
     for f in chains:
         assert parse_formula(print_formula(f), GRAPH) is f
         assert F.expand(f) is f
@@ -417,11 +424,69 @@ def test_intern_tables_hold_their_entries_weakly():
     assert _table_sizes() == before
 
 
-def test_rewrite_memo_dies_with_its_interpretation():
+def _fold_rewrite(phi, interp):
+    """phi^I by a ``_bottom_up`` fold of its own, past the rewrite table."""
+
+    def combine(g, kids):
+        if isinstance(g, Edge):
+            psi, params = interp.psi, interp.psi_vars
+            return And(Not(Eq(g.x, g.y)),
+                       Or(F.Defined(psi, params, (g.x, g.y)), F.Defined(psi, params, (g.y, g.x))))
+        if isinstance(g, (Exists, Forall)):
+            nu = F.Defined(interp.nu, (interp.nu_var,), (g.var,))
+            return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, kids[0]))
+        if isinstance(g, F.Defined):
+            return F.Defined(kids[0], g.params, g.args)
+        return g.rebuild(kids)
+
+    return F._bottom_up(phi, combine)
+
+
+def test_rewrite_outlives_its_interpretation():
+    phi = parse_formula("exists u. exists w. (edge(u,w) | L(w))", GRAPH)
     interp = _simple_interp()
+    out = rewrite_under_interpretation(phi, interp)
+    assert out is _fold_rewrite(phi, interp)
+    del interp
+    gc.collect()
+    again = _simple_interp()  # the same nu and psi nodes, still interned
+    assert rewrite_under_interpretation(phi, again) is out
+    assert again._rewrites == {}  # taken from the table, not folded again
+
+
+def test_rewrite_dies_with_its_sentence():
+    gc.collect()
+    before = len(F._REWRITES)
+    interp = Interpretation(parse_formula("!Dies(x)", POSET),
+                            parse_formula("x<=y & Dies(y)", POSET), frozenset({"Dies"}))
+    nu, psi = weakref.ref(interp.nu), weakref.ref(interp.psi)
     phi = parse_formula("exists u. exists w. (edge(u,w) | L(w))", GRAPH)
     out = weakref.ref(rewrite_under_interpretation(phi, interp))
-    assert out() is not None  # the interpretation's memo holds it
-    assert rewrite_under_interpretation(phi, interp) is out()
+    assert len(F._REWRITES) == before + 1
     del interp
-    assert out() is None
+    gc.collect()
+    assert out() is not None and nu() is not None and psi() is not None  # the entry holds them
+    del phi
+    gc.collect()
+    assert out() is None and len(F._REWRITES) == before
+    assert nu() is None and psi() is None
+
+
+def test_rewrite_table_survives_id_reuse():
+    rng = random.Random(15)
+    nu, psis = parse_formula("!D(x)", POSET), [parse_formula(t, POSET) for t in ("x<=y", "y<=x")]
+    gc.collect()
+    before = len(F._REWRITES)
+    dead, reused = set(), 0
+    for i in range(600):
+        phi = rand_sentence(rng, rng.randint(1, 4), labels=("L",))
+        reused += id(phi) in dead
+        for psi in psis[i % 2:] + psis[:i % 2]:
+            interp = Interpretation(nu, psi, frozenset({"D"}))  # its memo dies with it
+            assert rewrite_under_interpretation(phi, interp) is _fold_rewrite(phi, interp)
+        dead.add(id(phi))
+        gone = weakref.ref(phi)
+        del phi, interp
+        assert gone() is None  # no cycles: it died here, and its entries with it
+    assert reused > 100  # new sentences took the addresses of dead ones
+    assert len(F._REWRITES) == before
