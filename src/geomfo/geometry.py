@@ -793,8 +793,11 @@ def _sight_line(grid: Sequence[tuple[int, int]], i: int, q: tuple[int, int],
     q is vertex j, or (j None) a point inside the closing edge with vertex i
     strictly on its interior side, so the segment meets that edge at q only
     and leaves it inward.  One pass over the boundary: no edge may properly
-    cross the segment, and every vertex on the closed segment must have the
-    directions toward both segment ends in its closed interior cone.
+    cross the segment, and every other vertex on the closed segment must
+    have the directions toward both segment ends (j only toward i) in its
+    closed interior cone.  Vertex i needs no cone test: a segment that
+    leaves i outward and ends inside must first cross an edge or pass a
+    vertex, which the pass rejects.
     """
     p = grid[i]
     px, py = p
@@ -807,7 +810,7 @@ def _sight_line(grid: Sequence[tuple[int, int]], i: int, q: tuple[int, int],
                 orient(grid[k - 1], o, p) * orient(grid[k - 1], o, q) < 0):
             return False
         if t == 0 and xlo <= o[0] <= xhi and ylo <= o[1] <= yhi:
-            if (k != j and not _in_cone(grid, k, q)) or (k != i and not _in_cone(grid, k, p)):
+            if k != i and (not _in_cone(grid, k, p) or (k != j and not _in_cone(grid, k, q))):
                 return False
     return True
 

@@ -7,10 +7,10 @@ to the constructor, either as pairs or as the rows themselves, and cannot
 be reassigned afterwards.  Builders give only generating pairs (chains as
 consecutive pairs, each object between its own endpoints);
 ``generated_poset`` closes them in one pass over a topological order,
-hands the rows to the constructor and validates the result with one
-boolean matrix product on the rows' 0/1 matrix, the one the checker
-evaluates on.  Width is the maximum antichain size, computed as a minimum
-chain cover via bipartite matching.
+which rejects every cycle, so its result is a strict order by
+construction and is not checked again.  ``validate_poset`` checks a poset
+built any other way, on its bit rows.  Width is the maximum antichain
+size, computed as a minimum chain cover via bipartite matching.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import GeomfoError
-from .geometry import Interval, _endpoint_ranks, _scaled, bit_matrix
+from .geometry import Interval, _endpoint_ranks, _scaled
 
 
 class PosetError(GeomfoError):
@@ -118,86 +116,82 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return rows
 
 
-_PRODUCT_CELLS = 1 << 20  # cells of one row block of the validation product
-
-
 def validate_poset(p: LabeledPoset) -> Optional[Violation]:
     """First irreflexivity/antisymmetry/transitivity violation, or None.
 
-    With M the order matrix, the relation is irreflexive iff M's diagonal
-    is zero, and transitive iff ``(M @ M > 0) & ~M`` is empty; an
-    irreflexive, transitive relation is antisymmetric.  The product is
-    taken in float32 (a sum of non-negative terms is positive iff one term
-    is) over row blocks of at most ``_PRODUCT_CELLS`` cells.  The first
-    row a with a fault is then scanned on its bitmask: the first b above a
-    whose row is not inside a's gives the violation, reported as
-    antisymmetry when the missing element is a itself.
+    A row holding its own bit is an irreflexivity violation.  Otherwise the
+    rows are scanned in order for the first a and b above a whose row is
+    not inside a's: reported as antisymmetry when a itself is missing
+    (a < b and b < a), as transitivity at (a, b, c) for the least missing c
+    otherwise.  An irreflexive, transitive relation is antisymmetric.
     """
-    m = bit_matrix(p.n, p.rows)  # entry [a, b] iff a < b
-    loops = np.flatnonzero(m.diagonal())
-    if loops.size:
-        return Violation("irreflexivity", (int(loops[0]),))
-    mf = m.astype(np.float32)
-    step = max(1, _PRODUCT_CELLS // max(p.n, 1))
-    for start in range(0, p.n, step):
-        bad = ((mf[start:start + step] @ mf > 0) & ~m[start:start + step]).any(axis=1)
-        if bad.any():
-            a = start + int(np.argmax(bad))
-            break
-    else:
-        return None
     rows = p.rows
-    row = todo = rows[a]
-    while todo:
-        b = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        missing = rows[b] & ~row
-        if missing:
-            if missing >> a & 1:
-                return Violation("antisymmetry", (a, b))
-            c = (missing & -missing).bit_length() - 1
-            return Violation("transitivity", (a, b, c))
-    raise AssertionError("matrix test and row scan disagree")
+    for a, row in enumerate(rows):
+        if row >> a & 1:
+            return Violation("irreflexivity", (a,))
+    for a, row in enumerate(rows):
+        todo = row
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            missing = rows[b] & ~row
+            if missing:
+                if missing >> a & 1:
+                    return Violation("antisymmetry", (a, b))
+                c = (missing & -missing).bit_length() - 1
+                return Violation("transitivity", (a, b, c))
+    return None
 
 
 def generated_poset(n: int, pairs: Iterable[tuple[int, int]],
                     labels: Optional[dict[str, Iterable[int]]] = None,
                     names: Optional[Sequence[str]] = None) -> LabeledPoset:
-    """The poset that ``pairs`` generate: closed, labelled and validated."""
-    poset = LabeledPoset(n, (), labels, names, rows=transitive_closure(n, pairs))
-    bad = validate_poset(poset)
-    if bad is not None:
-        raise PosetError(f"generated poset invalid: {bad}")
-    return poset
+    """The poset that ``pairs`` generate, closed and labelled.
+
+    ``transitive_closure`` refuses a cycle (a self-pair included) and ORs
+    each element's already-closed successor rows into its own, so the rows
+    are irreflexive and transitive: a strict order, with nothing left for
+    ``validate_poset`` to find.
+    """
+    return LabeledPoset(n, (), labels, names, rows=transitive_closure(n, pairs))
 
 
 def poset_width(p: LabeledPoset) -> int:
-    """Maximum antichain size, via Dilworth (min chain cover = n - matching)."""
+    """Maximum antichain size, via Dilworth (min chain cover = n - matching).
+
+    Each element a in turn looks for an augmenting path (Kuhn), trying the
+    elements above it in increasing order.  The search keeps its path on an
+    explicit stack, so a long path raises no ``RecursionError``.
+    """
     bad = validate_poset(p)
     if bad is not None:
         raise PosetError(str(bad))
-    n = p.n
-    match_right = [-1] * n
-
-    def augment(a: int, seen: list[bool]) -> bool:
-        row = p.rows[a]
-        todo = row
-        while todo:
-            b = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if seen[b]:
-                continue
-            seen[b] = True
-            if match_right[b] < 0 or augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
-
+    rows = p.rows
+    match_right = [-1] * p.n
     matching = 0
-    for a in range(n):
-        if augment(a, [False] * n):
-            matching += 1
-    return n - matching
+    for root in range(p.n):
+        seen = 0
+        path = []  # (a, b): a tries b, which is matched to the next a
+        a, todo = root, rows[root]
+        while True:
+            todo &= ~seen  # every element tried so far is in seen
+            if not todo:  # no augmenting path from a: back to whoever tried a
+                if not path:
+                    break
+                a = path.pop()[0]
+                todo = rows[a]
+                continue
+            b = (todo & -todo).bit_length() - 1
+            seen |= 1 << b
+            if match_right[b] < 0:
+                for pa, pb in path:
+                    match_right[pb] = pa
+                match_right[b] = a
+                matching += 1
+                break
+            path.append((a, b))
+            a, todo = match_right[b], rows[match_right[b]]
+    return p.n - matching
 
 
 def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int],

@@ -14,7 +14,6 @@ import numpy as np
 
 from geomfo import formula as F
 from geomfo.checker import EvalError
-from geomfo.poset import Violation
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation)
 
@@ -522,27 +521,6 @@ def fixpoint_closure(n: int, pairs) -> set:
                 rows[a] = acc
                 changed = True
     return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
-
-
-def validate_poset_scan(p):
-    """``validate_poset`` by the full bitmask scan: every pair (a, b) with
-    a < b, in order, until a row of b is not inside the row of a."""
-    rows = p.rows
-    for a, row in enumerate(rows):
-        if row >> a & 1:
-            return Violation("irreflexivity", (a,))
-    for a, row in enumerate(rows):
-        todo = row
-        while todo:
-            b = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            missing = rows[b] & ~row
-            if missing:
-                if missing >> a & 1:
-                    return Violation("antisymmetry", (a, b))
-                c = (missing & -missing).bit_length() - 1
-                return Violation("transitivity", (a, b, c))
-    return None
 
 
 def brute_force_width(p) -> int:

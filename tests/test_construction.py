@@ -8,7 +8,6 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from geomfo import poset as P
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, PermSegment,
                              Representation, build_intersection_graph, perturb_endpoints,
                              proper_partition)
@@ -17,10 +16,10 @@ from geomfo.interpret import (_chord_ends, longest_crossing, longest_noncrossing
 from geomfo.poset import (LabeledPoset, build_interval_poset, transitive_closure,
                           validate_poset)
 
-from helpers import (disk_endpoint_cmp, longest_chain_dp, mirsky_partition, poset_digest,
-                     rand_intervals, ref_build_interval_poset, ref_interval_family_instance,
-                     ref_perturb_endpoints, ref_proper_partition, ref_unit_disk_poset,
-                     validate_poset_scan)
+from helpers import (disk_endpoint_cmp, fixpoint_closure, longest_chain_dp, mirsky_partition,
+                     poset_digest, rand_intervals, ref_build_interval_poset,
+                     ref_interval_family_instance, ref_perturb_endpoints, ref_proper_partition,
+                     ref_unit_disk_poset)
 
 
 def _poset(rows):
@@ -52,16 +51,32 @@ def _random_relations(rng, n):
             yield flipped
 
 
-@pytest.mark.parametrize("product_cells", [1 << 20, 7])
-def test_validate_poset_matches_full_scan(monkeypatch, product_cells):
-    monkeypatch.setattr(P, "_PRODUCT_CELLS", product_cells)
+def test_validate_poset_against_closure_oracle():
+    """``validate_poset`` accepts exactly the irreflexive relations that equal
+    the fixpoint closure of their own pairs, and each violation it reports
+    holds in the relation."""
     rng = random.Random(71)
     kinds = set()
     for n in list(range(0, 71)) + [0, 1, 7, 8, 9, 17] * 4:
         for rows in _random_relations(rng, n):
-            want = validate_poset_scan(_poset(rows))
-            assert validate_poset(_poset(rows)) == want, (n, rows)
-            kinds.add(want and want.kind)
+            p = _poset(rows)
+            got = validate_poset(p)
+            pairs = set(p.pairs())
+            is_order = (all(not row >> a & 1 for a, row in enumerate(rows))
+                        and fixpoint_closure(n, pairs) == pairs)
+            assert (got is None) == is_order, (n, rows)
+            if got is not None:
+                lt = p.lt
+                if got.kind == "irreflexivity":
+                    (a,) = got.pair
+                    assert lt(a, a)
+                elif got.kind == "antisymmetry":
+                    a, b = got.pair
+                    assert lt(a, b) and lt(b, a)
+                else:
+                    a, b, c = got.pair
+                    assert lt(a, b) and lt(b, c) and not lt(a, c)
+            kinds.add(got and got.kind)
     assert kinds == {None, "irreflexivity", "antisymmetry", "transitivity"}
 
 

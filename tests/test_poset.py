@@ -60,6 +60,8 @@ def test_closure_matches_fixpoint_on_shuffled_ids():
         rows = transitive_closure(n, pairs)
         got = {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
         assert got == fixpoint_closure(n, pairs)
+        assert validate_poset(LabeledPoset(n, rows=rows)) is None
+        assert generated_poset(n, pairs).rows == tuple(rows)
 
 
 @pytest.mark.parametrize("n, pairs", [
@@ -75,6 +77,17 @@ def test_closure_rejects_non_orders(n, pairs):
         transitive_closure(n, pairs)
     with pytest.raises(PosetError):
         generated_poset(n, pairs)
+
+
+def test_width_of_a_long_staircase_needs_no_recursion():
+    """x_i < y_i and x_i < y_{i+1}: matching each x to its lower-id y first
+    leaves x_m an augmenting path through every other x, longer than the
+    default recursion limit."""
+    m = 1500
+    x = list(range(m + 1))
+    y = [2 * m + 1 - i for i in range(m + 1)]  # ids descend with the index
+    lt = [(x[i], y[i]) for i in range(m + 1)] + [(x[i], y[i + 1]) for i in range(m)]
+    assert poset_width(LabeledPoset(2 * m + 2, lt)) == m + 1
 
 
 def test_width_rejects_invalid():
