@@ -14,6 +14,7 @@ import numpy as np
 
 from geomfo import formula as F
 from geomfo.checker import EvalError
+from geomfo.poset import Violation
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation)
 
@@ -521,6 +522,27 @@ def fixpoint_closure(n: int, pairs) -> set:
                 rows[a] = acc
                 changed = True
     return {(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1}
+
+
+def validate_poset_scan(p):
+    """``validate_poset`` by a full scan of the relation, one ``lt`` test at
+    a time: an element below itself, else the first a < b in (a, b) order
+    with b < a (antisymmetry) or with a least c such that b < c and not a < c
+    (transitivity)."""
+    lt, n = p.lt, p.n
+    for a in range(n):
+        if lt(a, a):
+            return Violation("irreflexivity", (a,))
+    for a in range(n):
+        for b in range(n):
+            if not lt(a, b):
+                continue
+            if lt(b, a):
+                return Violation("antisymmetry", (a, b))
+            for c in range(n):
+                if lt(b, c) and not lt(a, c):
+                    return Violation("transitivity", (a, b, c))
+    return None
 
 
 def brute_force_width(p) -> int:

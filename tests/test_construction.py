@@ -19,7 +19,7 @@ from geomfo.poset import (LabeledPoset, build_interval_poset, transitive_closure
 from helpers import (disk_endpoint_cmp, fixpoint_closure, longest_chain_dp, mirsky_partition,
                      poset_digest, rand_intervals, ref_build_interval_poset,
                      ref_interval_family_instance, ref_perturb_endpoints, ref_proper_partition,
-                     ref_unit_disk_poset)
+                     ref_unit_disk_poset, validate_poset_scan)
 
 
 def _poset(rows):
@@ -49,6 +49,20 @@ def _random_relations(rng, n):
             flipped = list(closed)
             flipped[a] ^= 1 << b
             yield flipped
+
+
+@pytest.mark.parametrize("seed", [1 << 20, 7])
+def test_validate_poset_matches_full_scan(seed):
+    """``validate_poset`` reports the same first violation, or None, as the
+    element-by-element scan, on two independent draws of relations."""
+    rng = random.Random(seed)
+    kinds = set()
+    for n in list(range(0, 71)) + [0, 1, 7, 8, 9, 17] * 4:
+        for rows in _random_relations(rng, n):
+            want = validate_poset_scan(_poset(rows))
+            assert validate_poset(_poset(rows)) == want, (n, rows)
+            kinds.add(want and want.kind)
+    assert kinds == {None, "irreflexivity", "antisymmetry", "transitivity"}
 
 
 def test_validate_poset_against_closure_oracle():
