@@ -322,7 +322,7 @@ def _contract(ctx: _Context, groups: list[list], ax: int,
               sizes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """exists ax over the AND of ``groups``, each holding ax, and the body
     axes of the result; body axis i has ``sizes[i]`` elements.  Its tuples
-    are built from lists; the comment above ``geometry._to_ints`` says why."""
+    are built from lists; the comment above ``geometry._scaled`` says why."""
     if len(groups) == 1:
         _, axes, table = groups[0]
         return table.any(axis=axes.index(ax)), tuple([b for b in axes if b != ax])

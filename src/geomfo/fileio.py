@@ -2,27 +2,18 @@
 
 All coordinates are reduced rationals written as ``p/q`` (plain integers
 allowed).  Comment lines start with ``#``.  Emitting and re-reading any of
-these files reproduces an identical structure.
+these files reproduces an identical structure.  An object of an
+intersection class is one line, its keyword and then its coordinates, as
+``geometry._OBJECTS`` lists them; a visibility file holds one polygon.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import GeomfoError
 from .formula import Formula, parse_formula, print_formula
-from .geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
-                       Polygon, Representation, format_rat, parse_rat)
+from .geometry import (_OBJECTS, LabeledGraph, Polygon, Representation, format_rat,
+                       parse_rat)
 from .poset import LabeledPoset, transitive_closure
-
-_OBJECT_KEYWORD = {
-    "interval": "interval",
-    "circular_arc": "arc",
-    "circle": "chord",
-    "permutation": "perm",
-    "box": "box",
-    "unit_disk": "disk",
-}
 
 
 class FileFormatError(GeomfoError):
@@ -48,28 +39,16 @@ def _lines(text: str) -> list[list[str]]:
 def write_representation(rep: Representation) -> str:
     out = [f"class {rep.cls}"]
     if rep.cls == "visibility":
-        for poly in rep.objects:
-            out.append("polygon")
-            for x, y in poly.vertices:
-                out.append(f"pt {format_rat(x)} {format_rat(y)}")
-        return "\n".join(out) + "\n"
-    kw = _OBJECT_KEYWORD[rep.cls]
-    for obj in rep.objects:
-        if isinstance(obj, Interval):
-            fields = (obj.lo, obj.hi)
-        elif isinstance(obj, Arc):
-            fields = (obj.start, obj.end)
-        elif isinstance(obj, Chord):
-            fields = (obj.a, obj.b)
-        elif isinstance(obj, PermSegment):
-            fields = (obj.top, obj.bottom)
-        elif isinstance(obj, Box):
-            fields = (obj.x.lo, obj.x.hi, obj.y.lo, obj.y.hi)
-        elif isinstance(obj, Disk):
-            fields = (obj.cx, obj.cy)
-        else:
-            raise FileFormatError(f"cannot serialize {obj!r}")
-        out.append(kw + " " + " ".join(format_rat(f) for f in fields))
+        if len(rep.objects) != 1:
+            raise FileFormatError("a visibility representation holds one polygon")
+        out += ["polygon"] + [f"pt {format_rat(x)} {format_rat(y)}"
+                              for x, y in rep.objects[0].vertices]
+    else:
+        spec = _OBJECTS[rep.cls]
+        for obj in rep.objects:
+            if not isinstance(obj, spec.type):
+                raise FileFormatError(f"cannot serialize {obj!r}")
+            out.append(" ".join([spec.keyword, *map(format_rat, spec.coords(obj))]))
     return "\n".join(out) + "\n"
 
 
@@ -77,48 +56,30 @@ def read_representation(text: str) -> Representation:
     lines = _lines(text)
     if not lines or lines[0][0] != "class" or len(lines[0]) != 2:
         raise FileFormatError("representation must start with 'class <name>'")
-    cls = lines[0][1]
-    body = lines[1:]
+    cls, body = lines[0][1], lines[1:]
     if cls == "visibility":
-        polys = []
-        pts: list[tuple[Fraction, Fraction]] = []
-        started = False
+        pts, polygons = [], 0
         for parts in body:
             if parts[0] == "polygon":
-                if started:
-                    polys.append(Polygon(tuple(pts)))
-                    pts = []
-                started = True
+                polygons += 1
+                if polygons > 1:
+                    raise FileFormatError("a visibility representation holds one polygon")
             elif parts[0] == "pt" and len(parts) == 3:
                 pts.append((parse_rat(parts[1]), parse_rat(parts[2])))
             else:
                 raise FileFormatError(f"bad polygon line: {' '.join(parts)}")
-        if not started:
+        if not polygons:
             raise FileFormatError("visibility representation needs a polygon")
-        polys.append(Polygon(tuple(pts)))
-        return Representation("visibility", tuple(polys))
+        return Representation("visibility", (Polygon(tuple(pts)),))
 
-    if cls not in _OBJECT_KEYWORD:
+    if cls not in _OBJECTS:
         raise FileFormatError(f"unknown representation class {cls!r}")
-    kw = _OBJECT_KEYWORD[cls]
-    want_fields = {"interval": 2, "arc": 2, "chord": 2, "perm": 2, "box": 4, "disk": 2}[kw]
+    spec = _OBJECTS[cls]
     objs = []
     for parts in body:
-        if parts[0] != kw or len(parts) != want_fields + 1:
+        if parts[0] != spec.keyword or len(parts) != len(spec.names) + 1:
             raise FileFormatError(f"bad object line for class {cls}: {' '.join(parts)}")
-        vals = [parse_rat(p) for p in parts[1:]]
-        if kw == "interval":
-            objs.append(Interval(*vals))
-        elif kw == "arc":
-            objs.append(Arc(*vals))
-        elif kw == "chord":
-            objs.append(Chord(*vals))
-        elif kw == "perm":
-            objs.append(PermSegment(*vals))
-        elif kw == "box":
-            objs.append(Box(Interval(vals[0], vals[1]), Interval(vals[2], vals[3])))
-        else:
-            objs.append(Disk(*vals))
+        objs.append(spec.make(*[parse_rat(p) for p in parts[1:]]))
     return Representation(cls, tuple(objs))
 
 

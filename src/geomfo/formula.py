@@ -20,7 +20,8 @@ atoms at every depth; it is the one place that renames bound variables.
 ``print_formula`` prints it, so the concrete syntax below has no defined
 atoms.  ``map_atoms``, the printer, ``repr`` and the rewrite are one
 post-order fold, each node once, and ``expand`` is one walk, all on
-explicit stacks, so no traversal recurses once per node.  A sentence's
+explicit stacks, as is the parser, so no traversal or parse recurses
+once per node or parenthesis.  A sentence's
 rewrite under an interpretation depends only on the sentence and the
 interpretation's ``nu`` and ``psi``, so one more weak table, ``_REWRITES``,
 files it under their ids: it lives as long as the sentence, and every
@@ -788,51 +789,55 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
-        prefix = []  # the quantifiers in front, outermost first
+        """The grammar's ``formula``, on an explicit stack, so no input
+        nests Python calls: each open parenthesis pushes the state of the
+        level around it, and a level keeps the left operands of its ``->``
+        chain until the chain ends."""
+        outer = []  # per open parenthesis: its negations, then the enclosing level
+        prefix, lefts, disj, conj = self.quantifiers(), [], None, None
+        while True:
+            negations = 0
+            while self.peek()[1] == "!":
+                self.next()
+                negations += 1
+            if self.peek()[1] == "(":
+                self.next()
+                outer.append((negations, prefix, lefts, disj, conj))
+                prefix, lefts, disj, conj = self.quantifiers(), [], None, None
+                continue
+            f = self.atom()
+            while True:  # fold the unary f into its level, closing levels it ends
+                for _ in range(negations):
+                    f = Not(f)
+                conj = f if conj is None else And(conj, f)
+                if self.peek()[1] == "&":
+                    break
+                disj, conj = conj if disj is None else Or(disj, conj), None
+                if self.peek()[1] == "|":
+                    break
+                lefts.append(disj)
+                disj = None
+                if self.peek()[1] == "->":
+                    break
+                f = lefts.pop()
+                while lefts:
+                    f = Implies(lefts.pop(), f)
+                for quantifier, v in reversed(prefix):
+                    f = quantifier(v, f)
+                if not outer:
+                    return f
+                self.expect(")")
+                negations, prefix, lefts, disj, conj = outer.pop()
+            self.next()  # the '&', '|' or '->' before the next unary
+
+    def quantifiers(self) -> list:
+        """The quantifiers in front of a formula, outermost first."""
+        prefix = []
         while self.peek()[1] in ("exists", "forall"):
             quantifier = Exists if self.next()[1] == "exists" else Forall
             prefix.append((quantifier, self.variable()))
             self.expect(".")
-        f = self.impl()
-        for quantifier, v in reversed(prefix):
-            f = quantifier(v, f)
-        return f
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[1] == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        negations = 0
-        while self.peek()[1] == "!":
-            self.next()
-            negations += 1
-        if self.peek()[1] == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-        else:
-            f = self.atom()
-        for _ in range(negations):
-            f = Not(f)
-        return f
+        return prefix
 
     def variable(self) -> Var:
         kind, val, pos = self.next()

@@ -12,13 +12,17 @@ edge.  Perturbation and proper partitions work on integer endpoints and
 their ranks.  Angular positions live in [0,1) turns measured clockwise from
 angle 0 (a half turn is exactly 1/2).
 
-An intersection graph comes from one array predicate per class, evaluated
-over row blocks of at most ``_PAIR_CELLS`` object pairs, so no n x n array
-is allocated.  Interval, arc, chord, permutation and box tests only compare
-coordinates, so they run on int64 dense ranks of the rescaled ints (equal
-values share a rank, so every ``<``, ``<=`` and tie is kept).  The unit-disk
-test ``dx^2 + dy^2 <= S^2`` runs on int64 when every scaled coordinate,
-the unit S included, is below 2^30 in absolute value, so no term can
+Each intersection class is described once, in ``_OBJECTS``: its object
+type, file keyword, coordinates in file order and constructor, and the
+array predicate that decides which objects meet.  File I/O, intersection
+graphs and perturbation all read that table.  An intersection graph comes
+from the class's predicate, evaluated over row blocks of at most
+``_PAIR_CELLS`` object pairs, so no n x n array is allocated.  Interval,
+arc, chord, permutation and box tests only compare coordinates, so they
+run on int64 dense ranks of the rescaled ints (equal values share a rank,
+so every ``<``, ``<=`` and tie is kept).  The unit-disk test
+``dx^2 + dy^2 <= S^2`` runs on int64 when every scaled coordinate, the
+unit S included, is below 2^30 in absolute value, so no term can
 overflow, and otherwise on Python ints in an object array.
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
@@ -31,18 +35,16 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import GeomfoError
 
 Point = tuple[Fraction, Fraction]
-
-INTERSECTION_CLASSES = ("interval", "circular_arc", "circle", "permutation", "box", "unit_disk")
-ALL_CLASSES = INTERSECTION_CLASSES + ("visibility",)
 
 
 class GeometryError(GeomfoError):
@@ -377,12 +379,6 @@ def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
 # serves most rewrites), those lists filled towards their cap of 2000 per
 # size: 1.2 MB more after 40 passes, and peak RSS about 2.5 MB higher.
 
-def _to_ints(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Rows of rationals scaled by the lcm of all their denominators."""
-    scale = math.lcm(*[c.denominator for row in rows for c in row])
-    return [tuple([c.numerator * (scale // c.denominator) for c in row]) for row in rows]
-
-
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the denominators of ``values``, and each value times it."""
     scale = math.lcm(*[c.denominator for c in values])
@@ -395,9 +391,11 @@ _INT64_SAFE = 1 << 30   # disk coordinates below this in absolute value stay int
 
 # Array intersection tests: ``p`` holds the coordinate columns of a row block
 # as (rows, 1) arrays, ``q`` those of the other objects as flat arrays, and
-# each test broadcasts to a (rows, others) boolean block.
+# each test broadcasts to a (rows, others) boolean block.  ``unit`` is the
+# length 1 at the coordinates' common scale; only a test that does
+# arithmetic on unranked coordinates reads it.
 
-def _intervals_meet(p, q):
+def _intervals_meet(p, q, unit):
     return (p[0] <= q[1]) & (q[0] <= p[1])
 
 
@@ -405,41 +403,65 @@ def _arc_holds(start, end, t):
     return np.where(start < end, (start <= t) & (t <= end), (t >= start) | (t <= end))
 
 
-def _arcs_meet(p, q):
+def _arcs_meet(p, q, unit):
     """Two arcs meet iff one holds the other's start."""
     return _arc_holds(p[0], p[1], q[0]) | _arc_holds(q[0], q[1], p[0])
 
 
-def _chords_cross(p, q):
-    return (((p[0] < q[0]) & (q[0] < p[1]) & (p[1] < q[1]))
-            | ((q[0] < p[0]) & (p[0] < q[1]) & (q[1] < p[1])))
+def _chords_cross(p, q, unit):
+    """With each chord's ends in increasing order, the four ends alternate."""
+    a, b = np.minimum(p[0], p[1]), np.maximum(p[0], p[1])
+    c, d = np.minimum(q[0], q[1]), np.maximum(q[0], q[1])
+    return ((a < c) & (c < b) & (b < d)) | ((c < a) & (a < d) & (d < b))
 
 
-def _segments_meet(p, q):
+def _segments_meet(p, q, unit):
     return ((p[0] < q[0]) & (q[1] < p[1])) | ((q[0] < p[0]) & (p[1] < q[1]))
 
 
-def _boxes_meet(p, q):
+def _boxes_meet(p, q, unit):
     return (p[0] <= q[1]) & (q[0] <= p[1]) & (p[2] <= q[3]) & (q[2] <= p[3])
 
 
-def _disks_meet(p, q):
+def _disks_meet(p, q, unit):
+    """Centres at most one diameter, ``unit``, apart."""
     dx, dy = p[0] - q[0], p[1] - q[1]
-    return dx * dx + dy * dy <= p[2] * q[2]
+    return dx * dx + dy * dy <= unit * unit
 
 
-# class -> (object type, the object's coordinates, the groups of coordinate
-# columns ranked together, the array test).  A disk carries the unit length
-# as a third coordinate, so the diameter scales with its centre; its test
-# does arithmetic, so its coordinates are not ranked.
-_INTERSECTION_TESTS = {
-    "interval": (Interval, lambda o: (o.lo, o.hi), ((0, 1),), _intervals_meet),
-    "circular_arc": (Arc, lambda o: (o.start, o.end), ((0, 1),), _arcs_meet),
-    "circle": (Chord, lambda o: (min(o.a, o.b), max(o.a, o.b)), ((0, 1),), _chords_cross),
-    "permutation": (PermSegment, lambda o: (o.top, o.bottom), ((0,), (1,)), _segments_meet),
-    "box": (Box, lambda o: (o.x.lo, o.x.hi, o.y.lo, o.y.hi), ((0, 1), (2, 3)), _boxes_meet),
-    "unit_disk": (Disk, lambda o: (o.cx, o.cy, Fraction(1)), None, _disks_meet),
+class _Objects:
+    """What the objects of one intersection class are: instances of
+    ``type``, written after ``keyword`` in a file.
+
+    ``names`` are the object's coordinates in file order (``x.lo`` is the
+    ``lo`` of its ``x``), read together by ``coords``; ``make`` builds the
+    object from them.  ``ranks`` groups the coordinate columns whose dense
+    ranks the array test ``meets`` reads; it is None for a test that does
+    arithmetic, which reads the scaled ints themselves.
+    """
+
+    def __init__(self, type_: type, keyword: str, names: tuple[str, ...], make: Callable,
+                 ranks: Optional[tuple[tuple[int, ...], ...]], meets: Callable):
+        self.type, self.keyword, self.names, self.make = type_, keyword, names, make
+        self.ranks, self.meets, self.coords = ranks, meets, operator.attrgetter(*names)
+
+
+# The one description of each intersection class: file I/O, intersection
+# graphs and perturbation all read it.
+_OBJECTS = {
+    "interval": _Objects(Interval, "interval", ("lo", "hi"), Interval, ((0, 1),),
+                         _intervals_meet),
+    "circular_arc": _Objects(Arc, "arc", ("start", "end"), Arc, ((0, 1),), _arcs_meet),
+    "circle": _Objects(Chord, "chord", ("a", "b"), Chord, ((0, 1),), _chords_cross),
+    "permutation": _Objects(PermSegment, "perm", ("top", "bottom"), PermSegment,
+                            ((0,), (1,)), _segments_meet),
+    "box": _Objects(Box, "box", ("x.lo", "x.hi", "y.lo", "y.hi"),
+                    lambda xlo, xhi, ylo, yhi: Box(Interval(xlo, xhi), Interval(ylo, yhi)),
+                    ((0, 1), (2, 3)), _boxes_meet),
+    "unit_disk": _Objects(Disk, "disk", ("cx", "cy"), Disk, None, _disks_meet),
 }
+INTERSECTION_CLASSES = tuple(_OBJECTS)
+ALL_CLASSES = INTERSECTION_CLASSES + ("visibility",)
 
 
 def _dense_ranks(values: Sequence[int]) -> np.ndarray:
@@ -448,40 +470,43 @@ def _dense_ranks(values: Sequence[int]) -> np.ndarray:
     return np.array([rank[v] for v in values], dtype=np.int64)
 
 
-def _test_columns(cls: str, rows: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """The coordinate columns the test of ``cls`` reads, from integer rows."""
-    groups = _INTERSECTION_TESTS[cls][2]
-    cols = list(zip(*rows))
-    if groups is None:
-        small = all(-_INT64_SAFE < v < _INT64_SAFE for col in cols for v in col)
+def _test_columns(cls: str, keys: Sequence[int], unit: int) -> list[np.ndarray]:
+    """The coordinate columns the test of ``cls`` reads, from the objects'
+    integer coordinates in file order, one object after another."""
+    spec = _OBJECTS[cls]
+    width = len(spec.names)
+    cols = [keys[k::width] for k in range(width)]
+    if spec.ranks is None:
+        small = unit < _INT64_SAFE and all(-_INT64_SAFE < v < _INT64_SAFE for v in keys)
         return [np.array(col, dtype=np.int64 if small else object) for col in cols]
-    out: list = [None] * len(cols)
-    n = len(rows)
-    for group in groups:
+    out: list = [None] * width
+    n = len(cols[0])
+    for group in spec.ranks:
         ranks = _dense_ranks([v for k in group for v in cols[k]])
         for t, k in enumerate(group):
             out[k] = ranks[t * n:(t + 1) * n]
     return out
 
 
-def _pair_arrays(cls: str, rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+def _pair_arrays(cls: str, keys: Sequence[int], unit: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of the meeting pairs, i < j, in lexicographic order.
 
-    ``rows`` holds each object's coordinates as ints at one common scale.
-    Row block [start, stop) is tested against objects start+1.. only, and
-    the block's lower triangle is dropped.
+    ``keys`` holds each object's coordinates in file order, one object after
+    another, as ints at one common scale, at which 1 is ``unit``.  Row block
+    [start, stop) is tested against objects start+1.. only, and the block's
+    lower triangle is dropped.
     """
-    n = len(rows)
+    spec = _OBJECTS[cls]
+    n = len(keys) // len(spec.names)
     if n < 2:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    cols = _test_columns(cls, rows)
-    meets = _INTERSECTION_TESTS[cls][3]
+    cols = _test_columns(cls, keys, unit)
     step = max(1, _PAIR_CELLS // n)
     iis, jjs = [], []
     for start in range(0, n - 1, step):
         stop = min(start + step, n - 1)
-        hit = meets([c[start:stop, None] for c in cols], [c[start + 1:] for c in cols])
+        hit = spec.meets([c[start:stop, None] for c in cols], [c[start + 1:] for c in cols], unit)
         a, t = np.nonzero(np.triu(hit))
         iis.append(a + start)
         jjs.append(t + start + 1)
@@ -489,8 +514,9 @@ def _pair_arrays(cls: str, rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray,
 
 
 def _object_pairs(cls: str, objects: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    coords = _INTERSECTION_TESTS[cls][1]
-    return _pair_arrays(cls, _to_ints([coords(o) for o in objects]))
+    coords = _OBJECTS[cls].coords
+    scale, keys = _scaled([c for o in objects for c in coords(o)])
+    return _pair_arrays(cls, keys, scale)
 
 
 def _same_pairs(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -503,7 +529,7 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
         raise GeometryError(f"not an intersection class: {cls!r}")
     if rep.cls != cls:
         raise GeometryError(f"representation is of class {rep.cls!r}, not {cls!r}")
-    want = _INTERSECTION_TESTS[cls][0]
+    want = _OBJECTS[cls].type
     for obj in rep.objects:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
@@ -615,17 +641,6 @@ def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
     return _proper_parts(*_endpoint_ranks(keys, "duplicate endpoints"))
 
 
-_ENDS = {"interval": lambda o: (o.lo, o.hi),
-         "circular_arc": lambda o: (o.start, o.end),
-         "circle": lambda o: (o.a, o.b)}
-
-
-def _end_coords(cls: str, keys: Sequence[int]) -> list[tuple[int, int]]:
-    """The coordinates ``_INTERSECTION_TESTS`` reads, from flat end keys."""
-    pairs = list(zip(keys[::2], keys[1::2]))
-    return [(a, b) if a < b else (b, a) for a, b in pairs] if cls == "circle" else pairs
-
-
 def perturb_endpoints(rep: Representation) -> Representation:
     """Make all endpoints pairwise distinct without changing the graph.
 
@@ -638,13 +653,12 @@ def perturb_endpoints(rep: Representation) -> Representation:
     integers at scale mS, turned into ``Fraction`` objects once, at the end.
     """
     cls = rep.cls
-    if cls not in _ENDS:
+    if cls not in ("interval", "circular_arc", "circle"):
         raise GeometryError(f"perturbation undefined for class {cls!r}")
-    objs = rep.objects
-    n = len(objs)
-    if n == 0:
+    spec = _OBJECTS[cls]
+    if not rep.objects:
         return rep
-    scale, keys = _scaled([e for o in objs for e in _ENDS[cls](o)])
+    scale, keys = _scaled([e for o in rep.objects for e in spec.coords(o)])
     circular = cls != "interval"
     # on the circle, angle 0 counts as one more endpoint to stay away from
     vals = sorted(keys + [0] if circular else keys)
@@ -680,17 +694,15 @@ def perturb_endpoints(rep: Representation) -> Representation:
             for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
                 new[e] = (m * value + t * gap) % turn
 
-    before, after = (_pair_arrays(cls, _end_coords(cls, ks)) for ks in (keys, new))
-    if not _same_pairs(before, after):
+    if not _same_pairs(_pair_arrays(cls, keys, scale), _pair_arrays(cls, new, turn)):
         raise GeometryError("perturbation changed the intersection graph")
     new_vals = sorted(new)
     if any(a == b for a, b in zip(new_vals, new_vals[1:])):
         raise GeometryError("perturbation left duplicate endpoints")
     if circular and new_vals[0] == 0:
         raise GeometryError("perturbation left an endpoint at angle 0")
-    make = _INTERSECTION_TESTS[cls][0]
     ends = [Fraction(k, turn) for k in new]
-    return Representation(cls, tuple([make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
+    return Representation(cls, tuple([spec.make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +752,8 @@ class Polygon:
     def __post_init__(self):
         pts = tuple((rat(x), rat(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", pts)
-        grid = tuple(_to_ints(pts))
+        _, flat = _scaled([c for pt in pts for c in pt])
+        grid = tuple([*zip(flat[::2], flat[1::2])])
         object.__setattr__(self, "_grid", grid)
         if len(pts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")

@@ -148,22 +148,28 @@ def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # permutation graphs
 
-def _longest_chain(segments: Sequence[PermSegment], sign: int) -> int:
-    """Longest chain in (stable) top order whose bottoms strictly increase
-    after multiplying by ``sign``."""
-    order = sorted(range(len(segments)), key=lambda i: segments[i].top)
-    return max(increasing_run_lengths([sign * segments[i].bottom for i in order]),
-               default=0)
+def _longest_chain(segments: Sequence[PermSegment], crossing: bool) -> int:
+    """Longest chain of pairwise crossing (or pairwise non-crossing) segments.
+
+    Segments that share an end do not cross.  In (top, bottom, index) order
+    a crossing chain is a run of strictly decreasing bottoms; a non-crossing
+    chain is a run of non-decreasing bottoms, which is a strictly increasing
+    run of (bottom, top, index).
+    """
+    order = sorted(range(len(segments)), key=lambda i: (segments[i].top, segments[i].bottom, i))
+    keys = [-segments[i].bottom if crossing else (segments[i].bottom, segments[i].top, i)
+            for i in order]
+    return max(increasing_run_lengths(keys), default=0)
 
 
 def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
     """Maximum independent set = longest chain of pairwise non-crossing segments."""
-    return _longest_chain(segments, 1)
+    return _longest_chain(segments, False)
 
 
 def longest_crossing(segments: Sequence[PermSegment]) -> int:
     """Maximum clique = longest chain of pairwise crossing segments."""
-    return _longest_chain(segments, -1)
+    return _longest_chain(segments, True)
 
 
 def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:

@@ -315,18 +315,17 @@ def mirsky_partition(items) -> tuple[int, list[int]]:
     return (max(h, default=0), h)
 
 
-def longest_chain_dp(segments, follows) -> int:
-    """Longest chain in (stable) top order whose bottoms compare by ``follows``, by O(n^2) DP."""
-    order = sorted(range(len(segments)), key=lambda i: segments[i].top)
-    best = [0] * len(segments)
-    out = 0
-    for pos, i in enumerate(order):
-        best[i] = 1
-        for j in order[:pos]:
-            if follows(segments[j].bottom, segments[i].bottom):
-                best[i] = max(best[i], best[j] + 1)
-        out = max(out, best[i])
-    return out
+def longest_chain_dp(segments, crossing: bool) -> int:
+    """Most pairwise crossing (or pairwise non-crossing) segments, by O(n^2)
+    DP in (top, bottom) order, in which both relations are transitive.
+    Segments that share an end do not cross."""
+    order = sorted(segments, key=lambda s: (s.top, s.bottom))
+    best = []
+    for i, s in enumerate(order):
+        best.append(1 + max([best[j] for j, r in enumerate(order[:i])
+                             if ((r.top - s.top) * (r.bottom - s.bottom) < 0) == crossing],
+                            default=0))
+    return max(best, default=0)
 
 
 def disk_endpoint_cmp(q4w2):

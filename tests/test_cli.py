@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from geomfo import checker, cli, fileio
 from geomfo.cli import main
 from geomfo.generators import terfan_polygon
-from geomfo.geometry import Interval, LabeledGraph, Representation
+from geomfo.geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
+                             Polygon, Representation)
 from geomfo.poset import LabeledPoset, PosetError
 
 from helpers import path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, \
@@ -14,18 +16,88 @@ from helpers import path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disk
 
 
 def test_fileio_representation_idempotent():
-    rng = random.Random(33)
-    for mk in (rand_intervals, rand_arcs, rand_chords, rand_segments, rand_boxes,
-               rand_disks):
-        rep = mk(rng, 6)
-        text = fileio.write_representation(rep)
-        again = fileio.read_representation(text)
-        assert again == rep
-        assert fileio.write_representation(again) == text
-    poly = rand_fan(rng, 7)
-    rep = Representation("visibility", (poly,))
-    text = fileio.write_representation(rep)
-    assert fileio.read_representation(text) == rep
+    for seed in (33, 34, 35):
+        rng = random.Random(seed)
+        for n in (0, 1, 2, 6, 13):
+            for mk in (rand_intervals, rand_arcs, rand_chords, rand_segments, rand_boxes,
+                       rand_disks):
+                rep = mk(rng, n)
+                text = fileio.write_representation(rep)
+                again = fileio.read_representation(text)
+                assert again == rep
+                assert fileio.write_representation(again) == text
+        for n in (3, 7, 12):
+            rep = Representation("visibility", (rand_fan(rng, n),))
+            text = fileio.write_representation(rep)
+            assert fileio.read_representation(text) == rep
+            assert fileio.write_representation(fileio.read_representation(text)) == text
+
+
+# README's File formats examples, with more objects whose coordinates are
+# all distinct, so each coordinate's place in the line is pinned
+FORMAT_EXAMPLES = {
+    "interval": ("interval 1 3/2\ninterval 2 4\n",
+                 [Interval(1, Fr(3, 2)), Interval(2, 4)]),
+    "circular_arc": ("arc 7/8 1/8\narc 1/3 1/2\n",
+                     [Arc(Fr(7, 8), Fr(1, 8)), Arc(Fr(1, 3), Fr(1, 2))]),
+    "circle": ("chord 0 1/3\nchord 1/4 3/4\nchord 2/3 1/6\n",
+               [Chord(0, Fr(1, 3)), Chord(Fr(1, 4), Fr(3, 4)), Chord(Fr(2, 3), Fr(1, 6))]),
+    "permutation": ("perm 1 5/2\nperm 3 -1\n", [PermSegment(1, Fr(5, 2)), PermSegment(3, -1)]),
+    "box": ("box 0 1 0 1\nbox -1 1/2 2 7/3\n",
+            [Box(Interval(0, 1), Interval(0, 1)),
+             Box(Interval(-1, Fr(1, 2)), Interval(2, Fr(7, 3)))]),
+    "unit_disk": ("disk 1/2 0\ndisk -3 5/4\n", [Disk(Fr(1, 2), 0), Disk(-3, Fr(5, 4))]),
+    "visibility": ("polygon\npt 0 0\npt 1 2\npt 3 0\n",
+                   [Polygon(((0, 0), (1, 2), (3, 0)))]),
+}
+
+
+@pytest.mark.parametrize("cls", list(FORMAT_EXAMPLES))
+def test_fileio_representation_format_per_class(cls):
+    body, objects = FORMAT_EXAMPLES[cls]
+    text = f"class {cls}\n{body}"
+    rep = fileio.read_representation(text)
+    assert rep == Representation(cls, tuple(objects))
+    assert fileio.write_representation(rep) == text
+    if cls == "visibility":
+        return
+    line = body.split("\n", 1)[0]
+    for bad in (line + " 0", line.rsplit(" ", 1)[0]):  # one field too many, one too few
+        with pytest.raises(fileio.FileFormatError,
+                           match=f"^bad object line for class {cls}: {re.escape(bad)}$"):
+            fileio.read_representation(f"class {cls}\n{bad}\n")
+    for other, (other_body, _) in FORMAT_EXAMPLES.items():
+        if other not in (cls, "visibility"):
+            foreign = other_body.split("\n", 1)[0]
+            with pytest.raises(fileio.FileFormatError,
+                               match=f"^bad object line for class {cls}: {re.escape(foreign)}$"):
+                fileio.read_representation(f"class {cls}\n{foreign}\n")
+    stranger = "interval 0 1"
+    with pytest.raises(fileio.FileFormatError, match=r"^cannot serialize 'interval 0 1'$"):
+        fileio.write_representation(Representation(cls, tuple(objects) + (stranger,)))
+
+
+def test_fileio_writes_only_its_own_class_objects():
+    with pytest.raises(fileio.FileFormatError, match=r"^cannot serialize Arc\("):
+        fileio.write_representation(Representation("interval", (Arc(Fr(1, 8), Fr(1, 4)),)))
+
+
+def test_visibility_files_hold_one_polygon(tmp_path, capsys):
+    one = "polygon\npt 0 0\npt 1 2\npt 3 0\n"
+    path = tmp_path / "two.rep"
+    path.write_text("class visibility\n" + one + one)
+    only_one = "^a visibility representation holds one polygon$"
+    with pytest.raises(fileio.FileFormatError, match=only_one):
+        fileio.read_representation(path.read_text())
+    poly = fileio.read_representation("class visibility\n" + one).objects[0]
+    with pytest.raises(fileio.FileFormatError, match=only_one):
+        fileio.write_representation(Representation("visibility", (poly, poly)))
+    for command in (["interpret", "--out-poset", str(tmp_path / "p"),
+                     "--out-interp", str(tmp_path / "i")],
+                    ["graph"], ["check", "--formula", "exists x. x=x"]):
+        assert main(command + ["--class", "visibility", "--in", str(path)]) == 2
+        assert "holds one polygon" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_fileio_comments_and_errors():
@@ -326,7 +398,8 @@ def test_cli_verify_reports_bad_input_and_goes_on(tmp_path, capsys):
     good = "class interval\ninterval 1 3\ninterval 2 4\n"
     (cases / "a.rep").write_text(good + "interval 5\n")
     (cases / "b.rep").write_text(good)
-    (cases / "b.formulas").write_text("(" * 3000 + "x=x" + ")" * 3000 + "\n")
+    # the parser takes any depth; the evaluator still recurses on a deep chain of |
+    (cases / "b.formulas").write_text("exists x. " + "(x=x | " * 3000 + "x=x" + ")" * 3000 + "\n")
     (cases / "c.rep").write_text(good)
     assert main(["verify", "--dir", str(cases)]) == 1
     rows = capsys.readouterr().out.splitlines()

@@ -2,7 +2,6 @@
 loops and the Fraction builds they replaced, kept in ``helpers`` as oracles."""
 
 import functools
-import operator
 import random
 from fractions import Fraction as Fr
 
@@ -154,8 +153,8 @@ def test_permutation_chains_match_dp_with_ties():
         m = rng.randint(1, 2 * n + 1)
         segments = [PermSegment(Fr(rng.randrange(m)), Fr(rng.randrange(m)))
                     for _ in range(n)]
-        assert longest_noncrossing(segments) == longest_chain_dp(segments, operator.lt)
-        assert longest_crossing(segments) == longest_chain_dp(segments, operator.gt)
+        assert longest_noncrossing(segments) == longest_chain_dp(segments, False)
+        assert longest_crossing(segments) == longest_chain_dp(segments, True)
 
 
 # ---------------------------------------------------------------------------

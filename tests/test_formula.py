@@ -404,6 +404,20 @@ def test_hundred_thousand_deep_chains_print_expand_and_map():
     assert pure.key is chains[2].key and pure.free == (Var("w"),)
 
 
+def test_hundred_thousand_deep_parentheses_and_implications_parse():
+    depth = 100_000
+    edge = Edge(Var("x"), Var("y"))
+    nested = implied = edge
+    for _ in range(depth):
+        nested = Not(Or(edge, nested))
+        implied = Implies(edge, implied)
+    assert parse_formula("!(edge(x,y) | " * depth + "edge(x,y)" + ")" * depth, GRAPH) is nested
+    assert parse_formula("edge(x,y) -> " * depth + "edge(x,y)", GRAPH) is implied
+    assert parse_formula("(" * depth + "edge(x,y)" + ")" * depth, GRAPH) is edge
+    with pytest.raises(ParseError, match=r"expected '\)', found 'end of input' \(at position"):
+        parse_formula("(" * depth + "edge(x,y)" + ")" * (depth - 1), GRAPH)
+
+
 def _table_sizes():
     return [len(table) for table in (F._VARS, F._KEYS, F._NODES)]
 

@@ -391,8 +391,8 @@ def test_disk_test_switches_to_python_ints_at_the_bound():
     """Scaled coordinates below 2^30 run on int64, larger ones on Python ints."""
     dtypes = []
     for rep in _disks_at_int64_bound():
-        rows = geometry._to_ints([(d.cx, d.cy, Fr(1)) for d in rep.objects])
-        dtypes.append({c.dtype for c in geometry._test_columns("unit_disk", rows)})
+        scale, keys = geometry._scaled([c for d in rep.objects for c in (d.cx, d.cy)])
+        dtypes.append({c.dtype for c in geometry._test_columns("unit_disk", keys, scale)})
     assert dtypes == [{np.dtype(np.int64)}] * 2 + [{np.dtype(object)}] * 3
 
 

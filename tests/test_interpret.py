@@ -193,6 +193,21 @@ def test_permutation_mis_clique_bruteforce():
         assert min(mis, clique) == min(inst.provenance["mis"], inst.provenance["clique"])
 
 
+def test_permutation_chains_with_tied_coordinates():
+    """Segments that share an end do not cross, in either chain count."""
+    tied = [PermSegment(0, 1), PermSegment(0, 0)]
+    for segs in (tied, tied[::-1]):
+        assert longest_crossing(segs) == 1 and longest_noncrossing(segs) == 2
+        assert not permutation_subgraph_iso(segs, LabeledGraph(2, {(0, 1)}))
+    rng = random.Random(16)
+    for _ in range(300):
+        segs = tuple(PermSegment(rng.randint(0, 3), rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 8)))
+        g = build_intersection_graph("permutation", Representation("permutation", segs))
+        assert longest_crossing(segs) == max_clique(g)
+        assert longest_noncrossing(segs) == max_independent_set(g)
+
+
 def test_permutation_subgraph_iso():
     rng = random.Random(15)
     k3 = LabeledGraph(3, {(0, 1), (1, 2), (0, 2)})
