@@ -48,7 +48,8 @@ import numpy as np
 
 from . import GeomfoError, formula as F
 from .geometry import (ALL_CLASSES, GeometryError, LabeledGraph, Representation,
-                       bit_matrix, build_intersection_graph, visibility_graph)
+                       _single_polygon, bit_matrix, build_intersection_graph,
+                       visibility_graph)
 from .poset import LabeledPoset
 
 Structure = Union[LabeledGraph, LabeledPoset]
@@ -395,9 +396,7 @@ class ModelCheckResult:
 
 def build_graph(cls: str, rep: Representation) -> LabeledGraph:
     if cls == "visibility":
-        if len(rep.objects) != 1:
-            raise GeometryError("visibility representation holds a single polygon")
-        return visibility_graph(rep.objects[0])
+        return visibility_graph(_single_polygon(rep))
     return build_intersection_graph(cls, rep)
 
 

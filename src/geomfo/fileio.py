@@ -58,18 +58,15 @@ def read_representation(text: str) -> Representation:
         raise FileFormatError("representation must start with 'class <name>'")
     cls, body = lines[0][1], lines[1:]
     if cls == "visibility":
-        pts, polygons = [], 0
-        for parts in body:
+        if not body or body[0][0] != "polygon":
+            raise FileFormatError("visibility representation needs a polygon line first")
+        pts = []
+        for parts in body[1:]:
             if parts[0] == "polygon":
-                polygons += 1
-                if polygons > 1:
-                    raise FileFormatError("a visibility representation holds one polygon")
-            elif parts[0] == "pt" and len(parts) == 3:
-                pts.append((parse_rat(parts[1]), parse_rat(parts[2])))
-            else:
+                raise FileFormatError("a visibility representation holds one polygon")
+            if parts[0] != "pt" or len(parts) != 3:
                 raise FileFormatError(f"bad polygon line: {' '.join(parts)}")
-        if not polygons:
-            raise FileFormatError("visibility representation needs a polygon")
+            pts.append((parse_rat(parts[1]), parse_rat(parts[2])))
         return Representation("visibility", (Polygon(tuple(pts)),))
 
     if cls not in _OBJECTS:

@@ -26,7 +26,8 @@ rewrite under an interpretation depends only on the sentence and the
 interpretation's ``nu`` and ``psi``, so one more weak table, ``_REWRITES``,
 files it under their ids: it lives as long as the sentence, and every
 instance whose interpretation has the same ``nu`` and ``psi`` nodes gets it
-without folding again.
+without folding again.  A sentence's edge complement, which a reversed
+permutation instance rewrites, is filed in the same table.
 
 The concrete syntax (whitespace-insensitive)::
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import GeomfoError
@@ -112,7 +113,8 @@ def _drop(ref: _Entry) -> None:
 _VARS = _WeakTable()  # name -> variable
 _KEYS = _WeakTable()  # Key.desc -> key
 _NODES = _WeakTable()  # (class, *fields by id) -> node
-# (sentence, nu, psi, nu_var, *psi_vars by id) -> sentence, valued (rewrite, nu, psi)
+# (sentence, nu, psi, nu_var, *psi_vars by id) -> sentence, valued (rewrite, nu, psi);
+# (sentence by id,) -> sentence, valued its edge complement
 _REWRITES = _WeakTable()
 
 
@@ -493,13 +495,11 @@ def check_signature(f: Formula, signature: str) -> None:
         raise SignatureError(f"{got} atom used under {signature} signature")
 
 
-def _bottom_up(f: Formula, combine, memo: Optional[dict] = None):
+def _bottom_up(f: Formula, combine):
     """Fold ``f`` children first, on an explicit stack: each distinct node
     ``g`` is folded once, to ``combine(g, its children folded)``, where a
-    defined atom's one child is its body.  ``memo`` maps nodes already
-    folded to their results, and is filled in place."""
-    if memo is None:
-        memo = {}
+    defined atom's one child is its body."""
+    memo: dict = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -567,10 +567,6 @@ class Interpretation:
     labels: frozenset[str] = frozenset()
     nu_var: Var = Var("x")
     psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))
-    # graph-formula node -> its rewrite, so a subformula that this
-    # interpretation's sentences share is rewritten once; the sentences'
-    # rewrites outlive it in ``_REWRITES``
-    _rewrites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_signature(self.nu, POSET)
@@ -604,7 +600,7 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     and ``nu`` and ``psi`` stay interned for the next instance that builds
     them.  Per live sentence, the table holds one rewrite per distinct
     (nu, psi) pair it was rewritten under.  On a miss, the rewrite is one
-    ``_bottom_up`` fold with the interpretation's memo.
+    ``_bottom_up`` fold.
     """
     if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
@@ -626,7 +622,7 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
             return Defined(kids[0], g.params, g.args)
         return g.rebuild(kids)
 
-    out = _bottom_up(phi, combine, interp._rewrites)
+    out = _bottom_up(phi, combine)
     _REWRITES.intern(ident, phi, (out, interp.nu, interp.psi))
     return out
 
@@ -686,8 +682,21 @@ def complement_edges(phi: Formula) -> Formula:
 
     Used when a construction hands us the complement of the intended graph
     (reversed permutation representations, complement-flagged witnesses).
+    A sentence's complement is filed in ``_REWRITES`` weakly on it, as a
+    rewrite is, so it lives as long as the sentence and keeps its own
+    rewrites alive.  A formula with no edge atom is its own complement, and
+    one with free variables may be part of its complement (``edge(x,y)``
+    is); neither is filed, since the entry would keep it alive.
     """
-    return map_atoms(phi, lambda g: And(Not(g), Not(Eq(g.x, g.y))) if isinstance(g, Edge) else g)
+    if not phi.key.kinds & EDGE_KIND:
+        return phi
+    entry = _REWRITES.get((id(phi),))
+    if entry is not None and entry() is phi:
+        return entry.value
+    out = map_atoms(phi, lambda g: And(Not(g), Not(Eq(g.x, g.y))) if isinstance(g, Edge) else g)
+    if not phi.free:
+        _REWRITES.intern((id(phi),), phi, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

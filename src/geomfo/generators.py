@@ -25,8 +25,7 @@ from .formula import (And, Defined, Edge, Eq, Exists, Forall, Formula, Implies,
                       Label, Not, Or, Var, big_and, complement_edges, exists_many, map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
-                       permutation_to_chords, polygon_report,
-                       separate_permutation_coordinates, symmetric_rows, true_twins,
+                       permutation_to_chords, polygon_report, symmetric_rows, true_twins,
                        visibility_graph)
 
 Fr = Fraction
@@ -440,8 +439,7 @@ def efo_hardness_instance(h: LabeledGraph, cls: str) -> EfoInstance:
 
 def _efo_circle(h: LabeledGraph) -> EfoInstance:
     base = hardness_instance(h, "permutation")
-    segs = separate_permutation_coordinates(base.rep.objects)
-    chords = list(permutation_to_chords(segs))
+    chords = permutation_to_chords(base.rep.objects)
     nv = len(chords)
     blue = sorted(base.graph.labels["blue"])
     green = sorted(base.graph.labels["green"])

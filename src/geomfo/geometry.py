@@ -4,13 +4,16 @@ The API takes and returns ``fractions.Fraction`` coordinates; there is no
 floating point anywhere.  The predicates themselves run on Python ints: a
 polygon or a representation is rescaled once by the lcm of its coordinates'
 denominators, and every test after that is integer arithmetic, so predicates
-are exact and scale-invariant.  One sight-line predicate decides whether a
-segment from a vertex lies in the polygon, both toward another vertex and
-toward a vertex's perpendicular foot on the closing edge; the foot is a
-point of the polygon's grid scaled once more, by the squared length of that
-edge.  Perturbation and proper partitions work on integer endpoints and
-their ranks.  Angular positions live in [0,1) turns measured clockwise from
-angle 0 (a half turn is exactly 1/2).
+are exact and scale-invariant.  One boundary scan, ``_boundary_hits``,
+finds whether an edge properly crosses a segment and which vertices lie on
+it.  It decides whether a polygon is simple (each edge meets the boundary
+only at its own two ends) and, with the cone tests, whether a segment from
+a vertex lies in the polygon, both toward another vertex and toward a
+vertex's perpendicular foot on the closing edge; the foot is a point of the
+polygon's grid scaled once more, by the squared length of that edge.
+Perturbation and proper partitions work on integer endpoints and their
+ranks.  Angular positions live in [0,1) turns measured clockwise from angle
+0 (a half turn is exactly 1/2).
 
 Each intersection class is described once, in ``_OBJECTS``: its object
 type, file keyword, coordinates in file order and constructor, and the
@@ -27,7 +30,9 @@ overflow, and otherwise on Python ints in an object array.
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
 and disks (tangency is an edge); strict crossing for chords and permutation
-segments (shared endpoints are not an edge).
+segments (shared endpoints are not an edge).  Tied permutation coordinates
+are broken once, by ``_permutation_ranks``, so that tied segments never
+cross; the chord map and the permutation plan read only those ranks.
 """
 
 from __future__ import annotations
@@ -513,16 +518,6 @@ def _pair_arrays(cls: str, keys: Sequence[int], unit: int) -> tuple[np.ndarray, 
     return np.concatenate(iis), np.concatenate(jjs)
 
 
-def _object_pairs(cls: str, objects: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    coords = _OBJECTS[cls].coords
-    scale, keys = _scaled([c for o in objects for c in coords(o)])
-    return _pair_arrays(cls, keys, scale)
-
-
-def _same_pairs(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
-    return all(map(np.array_equal, a, b))
-
-
 def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
     """Intersection graph of a representation; vertex order = input order."""
     if cls not in INTERSECTION_CLASSES:
@@ -533,58 +528,42 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
     for obj in rep.objects:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
-    return LabeledGraph._from_pairs(len(rep.objects), *_object_pairs(cls, rep.objects))
+    scale, keys = _scaled([c for o in rep.objects for c in _OBJECTS[cls].coords(o)])
+    return LabeledGraph._from_pairs(len(rep.objects), *_pair_arrays(cls, keys, scale))
 
 
-def separate_permutation_coordinates(segments: Sequence[PermSegment]) -> list[PermSegment]:
-    """Make per-line coordinates distinct without changing any crossing.
+def _permutation_ranks(segments: Sequence[PermSegment]) -> tuple[list[int], list[int]]:
+    """Each segment's rank among the tops and among the bottoms, 0..n-1.
 
-    Tied coordinates mean a non-crossing pair; the ties are broken in the
-    order of the segments' other endpoints, which keeps them non-crossing.
+    The one rule for tied coordinates: ties on the top line are ordered by
+    bottom, then by index, and ties on the bottom line by top rank, so tied
+    segments never cross, and the ranks cross exactly where the segments do.
     """
-    segs = list(segments)
-    n = len(segs)
-    if n == 0:
-        return segs
+    n = len(segments)
+    top, bottom = [0] * n, [0] * n
+    by_top = sorted(range(n), key=lambda i: (segments[i].top, segments[i].bottom, i))
+    for r, i in enumerate(by_top):
+        top[i] = r
+    for r, i in enumerate(sorted(range(n), key=lambda i: (segments[i].bottom, top[i]))):
+        bottom[i] = r
+    return top, bottom
 
-    before = _object_pairs("permutation", segs)
 
-    def spread(values, others):
-        gaps = sorted(set(values))
-        mu = (min(b - a for a, b in zip(gaps, gaps[1:])) / (4 * n * n)
-              if len(gaps) > 1 else Fraction(1, 4 * n * n))
-        groups: dict = {}
-        for idx, v in enumerate(values):
-            groups.setdefault(v, []).append(idx)
-        out = list(values)
-        for v, members in groups.items():
-            members.sort(key=lambda idx: (others[idx], idx))
-            for t, idx in enumerate(members):
-                out[idx] = v + t * mu
-        return out
-
-    tops = spread([s.top for s in segs], [s.bottom for s in segs])
-    bots = spread([s.bottom for s in segs], tops)
-    segs = [PermSegment(t, b) for t, b in zip(tops, bots)]
-    if not _same_pairs(_object_pairs("permutation", segs), before):
-        raise GeometryError("coordinate separation changed the crossing graph")
-    return segs
+def _rank_chords(top: Sequence[int], bottom: Sequence[int]) -> list[Chord]:
+    """Chords of segments given by their ranks: top ranks map in order into
+    (0, 1/2), bottom ranks in reverse order into (1/2, 1)."""
+    d = 2 * (len(top) + 1)
+    return [Chord(Fraction(t + 1, d), Fraction(1, 2) + Fraction(len(top) - b, d))
+            for t, b in zip(top, bottom)]
 
 
 def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
     """Map segments between two parallel lines to chords of a circle.
 
-    Top coordinates map order-preservingly into (0, 1/2), bottom coordinates
-    order-reversingly into (1/2, 1); crossings are preserved exactly.
+    The chords are placed by ``_permutation_ranks``, so crossings are
+    preserved exactly, tied coordinates included.
     """
-    tops = sorted({s.top for s in segments})
-    bots = sorted({s.bottom for s in segments})
-    if len(tops) != len(segments) or len(bots) != len(segments):
-        raise GeometryError("permutation segments must have distinct coordinates per line")
-    tpos = {t: Fraction(i + 1, 2 * (len(tops) + 1)) for i, t in enumerate(tops)}
-    bpos = {b: Fraction(1, 2) + Fraction(len(bots) - i, 2 * (len(bots) + 1))
-            for i, b in enumerate(bots)}
-    return [Chord(tpos[s.top], bpos[s.bottom]) for s in segments]
+    return _rank_chords(*_permutation_ranks(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +673,8 @@ def perturb_endpoints(rep: Representation) -> Representation:
             for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
                 new[e] = (m * value + t * gap) % turn
 
-    if not _same_pairs(_pair_arrays(cls, keys, scale), _pair_arrays(cls, new, turn)):
+    before, after = _pair_arrays(cls, keys, scale), _pair_arrays(cls, new, turn)
+    if not all(map(np.array_equal, before, after)):
         raise GeometryError("perturbation changed the intersection graph")
     new_vals = sorted(new)
     if any(a == b for a, b in zip(new_vals, new_vals[1:])):
@@ -712,22 +692,6 @@ def orient(o: Point, a: Point, b: Point) -> int:
     """Sign of the cross product (a-o) x (b-o): +1 left turn, -1 right, 0 collinear."""
     v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
     return (v > 0) - (v < 0)
-
-
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Interiors cross transversally."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
 
 
 # ---------------------------------------------------------------------------
@@ -767,15 +731,14 @@ class Polygon:
                     for i in range(n))
         if area2 >= 0:
             raise GeometryError("polygon vertices must be listed clockwise")
-        # Adjacent edges share one vertex and, as no three consecutive
-        # vertices are collinear, meet nowhere else; only the rest can touch.
+        # Each edge may meet the boundary only at its own two ends.  Adjacent
+        # edges share one vertex and, as no three consecutive vertices are
+        # collinear, meet nowhere else; two others that meet either cross
+        # properly or put a vertex of one on the other.
         for i in range(n):
-            a, b = grid[i], grid[(i + 1) % n]
-            for j in range(i + 2, n - 1 if i == 0 else n):
-                c, d = grid[j], grid[(j + 1) % n]
-                if (_properly_cross(a, b, c, d) or _on_segment(c, a, b) or _on_segment(d, a, b)
-                        or _on_segment(a, c, d) or _on_segment(b, c, d)):
-                    raise GeometryError("non-adjacent edges intersect; polygon not simple")
+            hits = _boundary_hits(grid, grid[i], grid[(i + 1) % n])
+            if hits is None or len(hits) != 2:
+                raise GeometryError("non-adjacent edges intersect; polygon not simple")
 
     @property
     def n(self) -> int:
@@ -799,33 +762,48 @@ def _in_cone(grid: Sequence[tuple[int, int]], k: int, t: tuple[int, int]) -> boo
     return right_of_in or right_of_out
 
 
+def _boundary_hits(grid: Sequence[tuple[int, int]], p: tuple[int, int],
+                   q: tuple[int, int]) -> Optional[list[int]]:
+    """One pass over the boundary for the closed segment pq: None if an edge
+    properly crosses it, else the indices of the vertices on it."""
+    px, py = p
+    dx, dy = q[0] - px, q[1] - py
+    side = [dx * (y - py) - dy * (x - px) for x, y in grid]
+    xlo, xhi, ylo, yhi = min(px, q[0]), max(px, q[0]), min(py, q[1]), max(py, q[1])
+    hits = []
+    for k, o in enumerate(grid):
+        s, t = side[k - 1], side[k]
+        if (s < 0 < t or t < 0 < s) and (
+                orient(grid[k - 1], o, p) * orient(grid[k - 1], o, q) < 0):
+            return None
+        if t == 0 and xlo <= o[0] <= xhi and ylo <= o[1] <= yhi:
+            hits.append(k)
+    return hits
+
+
 def _sight_line(grid: Sequence[tuple[int, int]], i: int, q: tuple[int, int],
                 j: Optional[int]) -> bool:
     """The closed segment from vertex i to the point q lies in the closed polygon.
 
     q is vertex j, or (j None) a point inside the closing edge with vertex i
     strictly on its interior side, so the segment meets that edge at q only
-    and leaves it inward.  One pass over the boundary: no edge may properly
-    cross the segment, and every other vertex on the closed segment must
-    have the directions toward both segment ends (j only toward i) in its
-    closed interior cone.  Vertex i needs no cone test: a segment that
-    leaves i outward and ends inside must first cross an edge or pass a
-    vertex, which the pass rejects.
+    and leaves it inward.  No edge may properly cross the segment, and every
+    other vertex on the closed segment must have the directions toward both
+    segment ends (j only toward i) in its closed interior cone.  Vertex i
+    needs no cone test: a segment that leaves i outward and ends inside must
+    first cross an edge or pass a vertex, which the boundary scan finds.
     """
     p = grid[i]
-    px, py = p
-    dx, dy = q[0] - px, q[1] - py
-    side = [dx * (y - py) - dy * (x - px) for x, y in grid]
-    xlo, xhi, ylo, yhi = min(px, q[0]), max(px, q[0]), min(py, q[1]), max(py, q[1])
-    for k, o in enumerate(grid):
-        s, t = side[k - 1], side[k]
-        if (s < 0 < t or t < 0 < s) and (
-                orient(grid[k - 1], o, p) * orient(grid[k - 1], o, q) < 0):
-            return False
-        if t == 0 and xlo <= o[0] <= xhi and ylo <= o[1] <= yhi:
-            if k != i and (not _in_cone(grid, k, p) or (k != j and not _in_cone(grid, k, q))):
-                return False
-    return True
+    hits = _boundary_hits(grid, p, q)
+    return hits is not None and all(
+        k == i or _in_cone(grid, k, p) and (k == j or _in_cone(grid, k, q)) for k in hits)
+
+
+def _single_polygon(rep: Representation) -> Polygon:
+    """The polygon of a visibility representation, which must hold exactly one."""
+    if len(rep.objects) != 1:
+        raise GeometryError("visibility representation holds a single polygon")
+    return rep.objects[0]
 
 
 def sees(poly: Polygon, i: int, j: int) -> bool:

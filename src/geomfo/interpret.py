@@ -18,9 +18,10 @@ import numpy as np
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, big_and, big_or)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph, PermSegment,
-                       Polygon, Representation, _endpoint_ranks, _proper_parts, _scaled,
-                       increasing_run_lengths, permutation_to_chords, perturb_endpoints,
-                       polygon_report, symmetric_rows, visibility_graph)
+                       Polygon, Representation, _endpoint_ranks, _permutation_ranks,
+                       _proper_parts, _rank_chords, _scaled, _single_polygon,
+                       increasing_run_lengths, perturb_endpoints, polygon_report,
+                       symmetric_rows, visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -148,28 +149,24 @@ def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # permutation graphs
 
-def _longest_chain(segments: Sequence[PermSegment], crossing: bool) -> int:
-    """Longest chain of pairwise crossing (or pairwise non-crossing) segments.
-
-    Segments that share an end do not cross.  In (top, bottom, index) order
-    a crossing chain is a run of strictly decreasing bottoms; a non-crossing
-    chain is a run of non-decreasing bottoms, which is a strictly increasing
-    run of (bottom, top, index).
-    """
-    order = sorted(range(len(segments)), key=lambda i: (segments[i].top, segments[i].bottom, i))
-    keys = [-segments[i].bottom if crossing else (segments[i].bottom, segments[i].top, i)
-            for i in order]
-    return max(increasing_run_lengths(keys), default=0)
+def _longest_chain(top: Sequence[int], bottom: Sequence[int], crossing: bool) -> int:
+    """Longest chain of pairwise crossing (or pairwise non-crossing) segments,
+    given by their ``_permutation_ranks``: in top-rank order, a longest
+    decreasing (or increasing) run of bottom ranks."""
+    by_top = [0] * len(top)
+    for t, b in zip(top, bottom):
+        by_top[t] = -b if crossing else b
+    return max(increasing_run_lengths(by_top), default=0)
 
 
 def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
     """Maximum independent set = longest chain of pairwise non-crossing segments."""
-    return _longest_chain(segments, False)
+    return _longest_chain(*_permutation_ranks(segments), False)
 
 
 def longest_crossing(segments: Sequence[PermSegment]) -> int:
     """Maximum clique = longest chain of pairwise crossing segments."""
-    return _longest_chain(segments, True)
+    return _longest_chain(*_permutation_ranks(segments), True)
 
 
 def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
@@ -178,21 +175,19 @@ def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
     Reversing one line of the representation yields the complement, whose
     independence number is the clique number of the original; the cheaper
     orientation is interpreted and a complementation flag tells the pipeline
-    to rewrite edge atoms accordingly.
+    to rewrite edge atoms accordingly.  Everything runs on the segments'
+    ``_permutation_ranks``, so tied coordinates need no preparation, and
+    reversing the bottom line reverses the bottom ranks.
     """
     if not segments:
         raise GeometryError("empty representation")
-    tops = {s.top for s in segments}
-    bots = {s.bottom for s in segments}
-    if len(tops) != len(segments) or len(bots) != len(segments):
-        raise GeometryError("permutation segments need distinct coordinates per line")
-    mis = longest_noncrossing(segments)
-    clique = longest_crossing(segments)
+    top, bottom = _permutation_ranks(segments)
+    mis = _longest_chain(top, bottom, False)
+    clique = _longest_chain(top, bottom, True)
     reverse = clique < mis
-    used = ([PermSegment(s.top, -s.bottom) for s in segments] if reverse
-            else list(segments))
-    chords = permutation_to_chords(used)
-    inst = circle_interpretation(chords)
+    if reverse:
+        bottom = [len(bottom) - 1 - b for b in bottom]
+    inst = circle_interpretation(_rank_chords(top, bottom))
     inst.provenance = {"class": "permutation", "k": inst.provenance["k"],
                        "mis": mis, "clique": clique, "reversed": reverse}
     inst.complemented = reverse
@@ -511,13 +506,11 @@ def make_instance(cls: str, rep: Representation) -> InterpretationInstance:
     if cls == "circle":
         return circle_interpretation(perturb_endpoints(rep).objects)
     if cls == "permutation":
-        from .geometry import separate_permutation_coordinates
-
-        return permutation_plan(separate_permutation_coordinates(rep.objects))
+        return permutation_plan(rep.objects)
     if cls == "box":
         return box_interpretation(rep.objects)
     if cls == "unit_disk":
         return unit_disk_interpretation(rep.objects)
     if cls == "visibility":
-        return visibility_interpretation(rep.objects[0])
+        return visibility_interpretation(_single_polygon(rep))
     raise GeometryError(f"unknown class {cls!r}")

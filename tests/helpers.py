@@ -398,6 +398,21 @@ def _on_closed_segment(pt, a, b) -> bool:
     return 0 <= dot <= ux * ux + uy * uy
 
 
+def ref_polygon_simple(pts) -> bool:
+    """The pairwise edge test: no two non-adjacent edges of the closed
+    polygon ``pts`` (Fraction points) meet, by a proper crossing or by an
+    end of one on the other."""
+    n = len(pts)
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 2:n - 1 if i == 0 else n]:
+            if (any(0 < t < 1 for t in _cross_params(a, b, c, d))
+                    or any(_on_closed_segment(x, c, d) for x in (a, b))
+                    or any(_on_closed_segment(x, a, b) for x in (c, d))):
+                return False
+    return True
+
+
 def _winding_inside(pt, poly: Polygon) -> bool:
     n = poly.n
     for i in range(n):

@@ -100,6 +100,13 @@ def test_visibility_files_hold_one_polygon(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
+def test_visibility_files_put_the_polygon_line_first():
+    msg = "^visibility representation needs a polygon line first$"
+    for body in ("pt 0 0\npt 1 2\npolygon\npt 3 0\n", "pt 0 0\npt 1 2\npt 3 0\n", ""):
+        with pytest.raises(fileio.FileFormatError, match=msg):
+            fileio.read_representation("class visibility\n" + body)
+
+
 def test_fileio_comments_and_errors():
     text = "# a comment\nclass interval\ninterval 1/2 3/2  # trailing\n"
     rep = fileio.read_representation(text)

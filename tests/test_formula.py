@@ -456,7 +456,7 @@ def _fold_rewrite(phi, interp):
     return F._bottom_up(phi, combine)
 
 
-def test_rewrite_outlives_its_interpretation():
+def test_rewrite_outlives_its_interpretation(monkeypatch):
     phi = parse_formula("exists u. exists w. (edge(u,w) | L(w))", GRAPH)
     interp = _simple_interp()
     out = rewrite_under_interpretation(phi, interp)
@@ -464,8 +464,29 @@ def test_rewrite_outlives_its_interpretation():
     del interp
     gc.collect()
     again = _simple_interp()  # the same nu and psi nodes, still interned
+    folds = []
+    monkeypatch.setattr(F, "_bottom_up", lambda *args: folds.append(args))
     assert rewrite_under_interpretation(phi, again) is out
-    assert again._rewrites == {}  # taken from the table, not folded again
+    assert folds == []  # taken from the table, not folded again
+
+
+def test_complement_lives_with_its_sentence():
+    phi = parse_formula("exists u. exists w. (edge(u,w) | L(w))", GRAPH)
+    comp = F.complement_edges(phi)
+    assert F.complement_edges(phi) is comp
+    assert print_formula(comp) == "exists u. exists w. !edge(u,w) & !u=w | L(w)"
+    ident = weakref.ref(comp)
+    del comp
+    gc.collect()
+    assert ident() is not None  # filed on phi
+    del phi
+    gc.collect()
+    assert ident() is None
+    gc.collect()
+    before = len(F._REWRITES)
+    plain = parse_formula("exists u. L(u)", GRAPH)
+    assert F.complement_edges(plain) is plain
+    assert len(F._REWRITES) == before  # its own complement: nothing filed
 
 
 def test_rewrite_dies_with_its_sentence():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from geomfo import geometry
+from geomfo.checker import model_check
+from geomfo.formula import GRAPH, parse_formula
 from geomfo.poset import generated_poset
 from geomfo.generators import cliquewidth_family
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
@@ -13,11 +15,10 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              cliquewidth_certificate_check,
                              gradually_connected_check, permutation_to_chords,
                              perturb_endpoints, polygon_report, proper_partition, sees,
-                             sees_foot, separate_permutation_coordinates,
-                             visibility_graph)
+                             sees_foot, visibility_graph)
 
 from helpers import (RefGraph, exhaustive_transversal, longest_nesting_chain,
-                     oracle_segment_inside, oracle_sees,
+                     oracle_segment_inside, oracle_sees, ref_polygon_simple,
                      rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
                      rand_grid_star, rand_intervals, rand_segments,
                      ref_intersection_edges)
@@ -133,11 +134,30 @@ def test_perturb_preserves_graphs_randomized():
         build_intersection_graph("circle", rep).edges
 
 
-def test_separate_permutation_coordinates():
-    segs = (PermSegment(Fr(1), Fr(2)), PermSegment(Fr(1), Fr(5)),
-            PermSegment(Fr(3), Fr(2)))
-    out = separate_permutation_coordinates(segs)
-    assert len({s.top for s in out}) == 3 and len({s.bottom for s in out}) == 3
+def test_permutation_ties_by_rank():
+    """Tie-heavy segments, in both orientations of the plan: the chords keep
+    every crossing, and the poset verdicts agree with the graph's."""
+    sentences = [parse_formula(text, GRAPH) for text in (
+        "exists x. exists y. edge(x,y)",
+        "exists x. exists y. exists z. edge(x,y) & edge(y,z) & edge(x,z)",
+        "exists x. exists y. exists z. !x=y & !y=z & !x=z & !edge(x,y) & !edge(y,z)"
+        " & !edge(x,z)",
+        "forall x. forall y. edge(x,y) -> (exists z. edge(x,z) & !edge(y,z))",
+    )]
+    rng = random.Random(18)
+    orientations = set()
+    for _ in range(120):
+        segs = tuple(PermSegment(rng.randint(0, 3), rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 8)))
+        rep = Representation("permutation", segs)
+        g = build_intersection_graph("permutation", rep)
+        chords = Representation("circle", tuple(permutation_to_chords(segs)))
+        assert build_intersection_graph("circle", chords) == g
+        for phi in sentences:
+            res = model_check("permutation", rep, phi)
+            assert res.graph_verdict == res.poset_verdict
+        orientations.add(res.instance.provenance["reversed"])
+    assert orientations == {False, True}
 
 
 def square(side=4):
@@ -156,6 +176,27 @@ def test_polygon_validation():
         Polygon(((0, 0), (0, 4), (4, 4), (4, 0), (2, 4)))
     with pytest.raises(GeometryError, match="non-adjacent"):  # collinear overlap
         Polygon(((0, 0), (0, 3), (4, 3), (4, 0), (1, 0), (1, 1), (3, 1), (3, 0)))
+
+
+def test_polygon_validation_matches_pairwise_edge_test():
+    """Random vertex orders on a 7 x 7 grid: among those that pass the
+    vertex and orientation checks, the boundary scan rejects exactly the
+    polygons that the pairwise edge test finds non-simple."""
+    rng = random.Random(18)
+    grid = [(Fr(x), Fr(y)) for x in range(7) for y in range(7)]
+    verdicts = []
+    for _ in range(10000):
+        pts = rng.sample(grid, rng.randint(4, 9))
+        try:
+            Polygon(pts)
+            simple = True
+        except GeometryError as exc:
+            if "non-adjacent" not in str(exc):
+                continue
+            simple = False
+        assert simple == ref_polygon_simple(pts), pts
+        verdicts.append(simple)
+    assert verdicts.count(True) > 400 and verdicts.count(False) > 2000
 
 
 def test_convex_polygons_are_complete():

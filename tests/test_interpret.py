@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from geomfo.checker import eval_structure, model_check
+from geomfo.checker import build_graph, eval_structure, model_check
 from geomfo.formula import Var
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
@@ -23,6 +23,18 @@ from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
 from helpers import (max_clique, max_independent_set, has_subgraph, rand_arcs,
                      rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
                      rand_segments, rand_sentence)
+
+def test_visibility_instance_needs_one_polygon():
+    """Graph and instance refuse two polygons with one error."""
+    tri = Polygon(((0, 0), (1, 2), (3, 0)))
+    two = Representation("visibility", (tri, tri))
+    msg = r"^visibility representation holds a single polygon$"
+    for build in (build_graph, make_instance):
+        with pytest.raises(GeometryError, match=msg):
+            build("visibility", two)
+        with pytest.raises(GeometryError, match=msg):
+            build("visibility", Representation("visibility", ()))
+
 
 def test_interpretations_reject_shared_endpoints():
     msg = r"^shared endpoints; apply perturb_endpoints first$"
