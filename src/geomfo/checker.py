@@ -23,18 +23,33 @@ conjunction, which then holds on that domain; an empty conjunction is the
 test that the domain is non-empty.  Domains pass down to the children by
 position, an atom reads its matrix along them and a defined atom reads its
 body's table over its parameters' domains, so the rewritten ``psi`` is a
-|nu| x |nu| table whose ``z`` ranges over ``D``.  Every table and every
-contraction is checked against ``MAX_CELLS`` (the product of its axes'
-domain sizes) before it is allocated, and einsum plans its path under that
-limit; going over raises ``EvalError``.
+|nu| x |nu| table whose ``z`` ranges over ``D``.
 
 Subformulas equal up to renaming share one table per structure: tables
 are cached under the key each formula node carries from its construction
 (``formula.Key``, hashing modulo alpha-equivalence, Maziarz et al., PLDI
 2021), and a node's free variables in first-occurrence order are its
-table's axes.  Evaluation makes no pass over the formula to key it: a table
-is filled from its key's description, over the domains a parent asks for,
-when the parent needs it.
+table's axes.  How a table is made from others depends only on its key.
+A connective's or an atom's key already holds it: its children's keys
+and where their axes sit among its own.  A quantifier's plan is compiled
+from its key once, on first use, into the key's ``plan`` slot, so it lives
+as long as the key and serves every structure: the body's branches, each
+with its guards as one set and its other literals, and for each branch,
+on its first use of either, the lifts that broadcast its literals and the
+grouping, lifts and join that contract them.  Tables are filled by one
+loop over an explicit stack of (key, domains) demands: a step reads its
+children's tables from the cache, or pushes the demands it lacks and runs
+again once they are filled, so no formula depth reaches Python's recursion
+limit, and tables are filled in the order a recursive evaluation would
+fill them.  What depends on the structure is decided when a step runs:
+the domains, broadcast or contraction, the cache and every budget check.
+
+Every table and every contraction is checked against ``MAX_CELLS`` (the
+product of its axes' domain sizes) before it is allocated, and einsum
+plans its path under that limit; the n x n relation matrix a structure is
+read through (adjacency, or the reflexive order) is checked against
+``MAX_RELATION_CELLS`` before it is built; going over either raises
+``EvalError``.
 """
 
 from __future__ import annotations
@@ -58,6 +73,9 @@ Structure = Union[LabeledGraph, LabeledPoset]
 # contraction are float32, exact up to 2^24: a count is at most n, and a
 # contracted group has two axes, so n^2 <= MAX_CELLS < 2^48 keeps n below it.
 MAX_CELLS = 1 << 26
+# The most cells of a structure's n x n relation matrix, one byte each: 256 MiB,
+# so structures of up to 16,384 elements.
+MAX_RELATION_CELLS = 1 << 28
 # A quantifier whose body has at most this many cells is a broadcast & and any
 # of its conjuncts: below it numpy call overhead, not arithmetic, sets the cost.
 _SMALL_CELLS = 1 << 15
@@ -78,11 +96,15 @@ class _Context:
         # weak, so no cycle keeps a dropped structure's tables alive until a full collection
         self.structure = weakref.ref(structure)
         n = self.n = structure.n
+        if n * n > MAX_RELATION_CELLS:
+            raise EvalError(f"the relation matrix on n={n} elements has {n * n} cells, "
+                            f"over the budget of {MAX_RELATION_CELLS}")
         if isinstance(structure, LabeledGraph):
             self.signature, self.rel = F.GRAPH, structure.adjacency_matrix()
         else:  # <= is the reflexive closure of the strict order
             self.signature = F.POSET
-            self.rel = bit_matrix(n, structure.rows) | np.eye(n, dtype=bool)
+            self.rel = bit_matrix(n, structure.rows)
+            np.fill_diagonal(self.rel, True)
         self.labels = {}
         for name, vs in structure.labels.items():
             self.labels[name] = inside = np.zeros(n, dtype=bool)
@@ -91,7 +113,7 @@ class _Context:
         self.domains: list[np.ndarray] = [np.arange(n)]  # domain id -> its elements, ascending
         self.sizes: list[int] = [n]  # domain id -> its number of elements
         self.domain_ids: dict[bytes, int] = {}  # a domain's elements -> its id
-        self.guards: dict[frozenset[F.Key], int] = {}  # guard keys -> where they all hold
+        self.guards: dict[tuple[F.Key, ...], int] = {}  # guard keys -> where they all hold
 
 
 def _context(structure: Structure) -> _Context:
@@ -101,15 +123,28 @@ def _context(structure: Structure) -> _Context:
     return ctx
 
 
-def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
-    """``arr`` as a k-axis array whose axis ``pos[i]`` is its axis i; the
-    other axes have length 1."""
+def _lifter(pos: tuple[int, ...], k: int) -> Optional[tuple]:
+    """How ``_put`` makes a table a k-axis array whose axis ``pos[i]`` is its
+    axis i, the other axes of length 1: None when that is the table itself."""
     if pos == tuple(range(k)):
+        return None
+    return tuple(sorted(range(len(pos)), key=pos.__getitem__)), pos, k
+
+
+def _put(arr: np.ndarray, lift: Optional[tuple]) -> np.ndarray:
+    if lift is None:
         return arr
+    order, pos, k = lift
     shape = [1] * k
     for i, p in enumerate(pos):
         shape[p] = arr.shape[i]
-    return arr.transpose(sorted(range(len(pos)), key=pos.__getitem__)).reshape(shape)
+    return arr.transpose(order).reshape(shape)
+
+
+def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
+    """``arr`` as a k-axis array whose axis ``pos[i]`` is its axis i; the
+    other axes have length 1."""
+    return _put(arr, _lifter(pos, k))
 
 
 def _check(ctx: _Context, sizes: Sequence[int]) -> None:
@@ -137,32 +172,100 @@ def _shape(ctx: _Context, doms: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 
 def _table(ctx: _Context, key: F.Key, doms: tuple[int, ...] = ()) -> np.ndarray:
-    """The table of ``key`` over the domains ``doms``, filled from its
-    description on first use."""
+    """The table of ``key`` over the domains ``doms``, filled on first use."""
     at = (key, *doms) if doms else key
     table = ctx.tables.get(at)
-    if table is None:
-        table = ctx.tables[at] = _fill(ctx, key, doms)
+    return _run(ctx, key, doms, at) if table is None else table
+
+
+# A demand is (key, doms, at): the table of ``key`` over ``doms``, cached
+# under ``at``.  The step of a key's kind is called with the context, the key
+# and the demand's domains; it returns the table, or the demands it waits
+# for as a list, the first needed last.
+
+def _run(ctx: _Context, key: F.Key, doms: tuple[int, ...], at) -> np.ndarray:
+    """Fill the table of ``key`` over ``doms``, and first every table it
+    needs that is not cached, in the order a recursive evaluation would."""
+    tables, root = ctx.tables, at
+    todo = [(key, doms, at)]
+    paused: dict = {}  # at -> the state of a quantifier that waits
+    while todo:
+        key, doms, at = todo[-1]
+        if at in tables:  # demanded twice
+            todo.pop()
+            continue
+        if ctx.n ** key.arity > MAX_CELLS:  # no domain has more than n elements
+            _check(ctx, _shape(ctx, doms, key.arity))
+        step = _STEPS[key.desc[0]]
+        out = (step(ctx, key, doms) if step is not _quantify
+               else _quantify(ctx, key, doms, at, paused))
+        if out.__class__ is list:
+            todo += out
+        else:
+            tables[at] = out
+            todo.pop()
+    return tables[root]
+
+
+def _leaf(ctx: _Context, key: F.Key, doms: tuple[int, ...], at) -> Optional[np.ndarray]:
+    """The table of an atom without children, filled and cached now as
+    ``_run`` would fill it; None for any other key.  A step fills a missing
+    child so while no child before it waits: that keeps the order of a
+    recursive evaluation, and saves the child and its parent a turn of the
+    loop each."""
+    if key.desc[0] not in _LEAVES:
+        return None
+    if ctx.n ** key.arity > MAX_CELLS:
+        _check(ctx, _shape(ctx, doms, key.arity))
+    table = ctx.tables[at] = _atom(ctx, key, doms)
     return table
 
 
-def _fill(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> np.ndarray:
-    desc, kids, k = key.desc, key.kids, key.arity
+def _negate(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
+    kid = key.kids[0]
+    at = (kid, *doms) if doms else kid
+    table = ctx.tables.get(at)
+    return [(kid, doms, at)] if table is None else ~table
+
+
+def _connect(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
+    """A binary connective: its left child's axes come first, in order, and
+    ``desc[3]`` places its right child's."""
+    desc, (left, right) = key.desc, key.kids
+    ka, rpos = left.arity, desc[3]
+    if doms:
+        ldoms, rdoms = doms[:ka], _pick(doms, rpos)
+        if not any(ldoms):
+            ldoms = ()
+        lat = (left, *ldoms) if ldoms else left
+        rat = (right, *rdoms) if rdoms else right
+    else:
+        ldoms = rdoms = ()
+        lat, rat = left, right
+    la, ra = ctx.tables.get(lat), ctx.tables.get(rat)
+    if la is None:
+        la = _leaf(ctx, left, ldoms, lat)
+    if ra is None and la is not None:
+        ra = _leaf(ctx, right, rdoms, rat)
+    if la is None or ra is None:
+        wait = [] if ra is not None else [(right, rdoms, rat)]
+        if la is None:
+            wait.append((left, ldoms, lat))
+        return wait
+    k = key.arity
+    if ka < k:
+        la = la.reshape(la.shape + (1,) * (k - ka))
+    ra = _lift(ra, rpos, k)
     kind = desc[0]
-    sizes = _shape(ctx, doms, k)
-    _check(ctx, sizes)
-    if kind is F.Exists or kind is F.Forall:
-        return _quantify(ctx, key, doms, sizes)
-    if kind is F.Not:
-        return ~_table(ctx, kids[0], doms)
-    if kind is F.And or kind is F.Or or kind is F.Implies:
-        left, ka = kids[0], kids[0].arity
-        la = _lift(_table(ctx, left, _pick(doms, range(ka))), tuple(range(ka)), k)
-        ra = _lift(_table(ctx, kids[1], _pick(doms, desc[3])), desc[3], k)
-        if kind is F.And:
-            return la & ra
-        return la | ra if kind is F.Or else ~la | ra
-    pos = desc[-1]  # the atom's table is over distinct variables; repeated ones read a diagonal
+    if kind is F.And:
+        return la & ra
+    return la | ra if kind is F.Or else ~la | ra
+
+
+def _atom(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
+    desc, k = key.desc, key.arity
+    # the table is over distinct variables; repeated ones read a diagonal
+    kind, pos = desc[0], desc[-1]
     args = _pick(doms, pos)  # the domain of each argument
     if kind is F.Edge or kind is F.Leq:
         want = F.GRAPH if kind is F.Edge else F.POSET
@@ -178,8 +281,15 @@ def _fill(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> np.ndarray:
         table = _slice(ctx, ctx.labels[desc[1]], args)
     else:  # a defined atom: its body's table over its parameters' domains
         _, _, at, params, _ = desc
-        table = _lift(_table(ctx, kids[0], _pick(args, at)), at, params)
-        table = np.broadcast_to(table, _shape(ctx, args, params))
+        body = key.kids[0]
+        inner = _pick(args, at)
+        body_at = (body, *inner) if inner else body
+        table = ctx.tables.get(body_at)
+        if table is None:
+            return [(body, inner, body_at)]
+        table, shape = _lift(table, at, params), _shape(ctx, args, params)
+        if table.shape != shape:  # a parameter the body does not mention
+            table = np.broadcast_to(table, shape)
     return np.einsum(table, list(pos), list(range(k))) if k < len(pos) else table
 
 
@@ -191,159 +301,251 @@ def _slice(ctx: _Context, table: np.ndarray, doms: tuple[int, ...]) -> np.ndarra
     return table
 
 
-def _domain(ctx: _Context, guards: frozenset[F.Key]) -> int:
+def _domain(ctx: _Context, guards: tuple[F.Key, ...]) -> int:
     """The id of the domain of the elements where every unary key of
-    ``guards`` holds; the same elements always get the same id."""
-    d = ctx.guards.get(guards)
-    if d is None:
-        first, *rest = guards
-        inside = _table(ctx, first)
-        for g in rest:
-            inside = inside & _table(ctx, g)
-        elements = np.flatnonzero(inside)
-        if len(elements) == ctx.n:
-            d = 0
-        else:
-            d = ctx.domain_ids.setdefault(elements.tobytes(), len(ctx.domains))
-            if d == len(ctx.domains):
-                ctx.domains.append(elements)
-                ctx.sizes.append(len(elements))
-        ctx.guards[guards] = d
+    ``guards`` holds, whose tables are cached; the same elements always get
+    the same id."""
+    first, *rest = guards
+    inside = ctx.tables[first]
+    for g in rest:
+        inside = inside & ctx.tables[g]
+    elements = inside.nonzero()[0]  # guard tables have one axis
+    if len(elements) == ctx.n:
+        d = 0
+    else:
+        d = ctx.domain_ids.setdefault(elements.tobytes(), len(ctx.domains))
+        if d == len(ctx.domains):
+            ctx.domains.append(elements)
+            ctx.sizes.append(len(elements))
+    ctx.guards[guards] = d
     return d
 
 
 # A literal is (key, pos, neg): the table of ``key`` with its axis i on the
-# quantifier body's axis pos[i], negated when ``neg``.
+# quantifier body's axis pos[i], negated when ``neg``.  A branch is [guard
+# keys or None, literals, broadcast form, contraction form]; each form is
+# made on the branch's first use of it (``_exists``).
 
-def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...],
-              sizes: tuple[int, ...]) -> np.ndarray:
-    (kind, _, ax), (body,) = key.desc, key.kids
-    if ctx.n == 0:  # over the empty domain, exists is false and forall true
-        return np.full(sizes, kind is F.Forall)
-    if ax < 0:  # the quantified variable does not occur
-        return _table(ctx, body, doms)
-    neg = kind is F.Forall  # forall v. phi == !exists v. !phi
-    k = len(sizes)
-    out = None
-    for guards, lits in _branches(ctx, [(body, tuple(range(k + 1)), neg)], ax, True):
-        d = _domain(ctx, frozenset(guards)) if guards else 0
-        size = ctx.sizes[d]
-        if lits and size:
-            outer = doms or (0,) * k
-            inner = outer[:ax] + (d,) + outer[ax:] if d or doms else ()
-            part = _exists(ctx, lits, ax, inner, sizes[:ax] + (size,) + sizes[ax:])
-        else:  # a conjunction of guards holds on its domain if that has an element
-            part = np.full((1,) * k, size > 0)
-        out = part if out is None else out | part
-    if neg:
-        out = ~out
-    # a branch need not mention every axis
-    return out if out.shape == sizes else np.broadcast_to(out, sizes)
-
-
-def _branches(ctx: _Context, todo: list, ax: int, may_split: bool) -> list[tuple[dict, list]]:
-    """The conjunction of the literals ``todo`` as a disjunction of
-    conjunctions of literals that are no conjunction, each as the keys of its
-    guards on ``ax`` and its other literals.
+def _branches(body: F.Key, k: int, ax: int, neg: bool) -> tuple[list, ...]:
+    """The body of a k-ary quantifier on body axis ``ax``, negated when
+    ``neg``, as a disjunction of conjunctions of literals that are no
+    conjunction, each as a branch with neither form made yet.
 
     A disjunction is split when it is the whole conjunction, or when it
     mentions the quantified axis ``ax`` with three or more axes and no
     disjunction beside other conjuncts was split on the way here, so the
     number of branches stays linear in the formula.
     """
-    done: list = []
-    guards: dict[F.Key, None] = {}  # a set in insertion order, so plans are deterministic
-    at = (ax,)
-    while todo:
-        lit = key, pos, neg = todo.pop()
-        desc = key.desc
-        kind, kids = desc[0], key.kids
-        if kind is F.Not:
-            todo.append((kids[0], pos, not neg))
-            continue
-        if kind is F.And or kind is F.Or or kind is F.Implies:
-            left = (kids[0], pos[:kids[0].arity], neg != (kind is F.Implies))
-            right = (kids[1], tuple([pos[i] for i in desc[3]]), neg)
-            if (kind is F.And) != neg:
-                todo += (left, right)
+    at, branches = (ax,), []
+    work = [([(body, tuple(range(k + 1)), neg)], True)]  # (literals, may_split), next last
+    while work:
+        todo, may_split = work.pop()
+        done: list = []
+        guards: dict[F.Key, None] = {}  # a set in insertion order, so plans are deterministic
+        while todo:
+            lit = key, pos, neg = todo.pop()
+            desc = key.desc
+            kind, kids = desc[0], key.kids
+            if kind is F.Not:
+                todo.append((kids[0], pos, not neg))
                 continue
-            whole = not todo and not done and not guards
-            if whole or may_split and len(pos) >= 3 and ax in pos:
-                rest = todo + done + [(g, at, False) for g in guards]
-                return (_branches(ctx, rest + [left], ax, whole and may_split)
-                        + _branches(ctx, rest + [right], ax, whole and may_split))
-        if pos == at and not neg and (kind is F.Label or kind is F.Defined):
-            guards[key] = None  # a positive unary atom on ax
+            if kind is F.And or kind is F.Or or kind is F.Implies:
+                left = (kids[0], pos[:kids[0].arity], neg != (kind is F.Implies))
+                right = (kids[1], tuple([pos[i] for i in desc[3]]), neg)
+                if (kind is F.And) != neg:
+                    todo += (left, right)
+                    continue
+                whole = not todo and not done and not guards
+                if whole or may_split and len(pos) >= 3 and ax in pos:
+                    rest = todo + done + [(g, at, False) for g in guards]
+                    work += ((rest + [right], whole and may_split),
+                             (rest + [left], whole and may_split))
+                    break
+            if pos == at and not neg and (kind is F.Label or kind is F.Defined):
+                guards[key] = None  # a positive unary atom on ax
+            else:
+                done.append(lit)
         else:
-            done.append(lit)
-    return [(guards, done)]
+            # the guards in a set's order, kept as a tuple: a frozenset takes 216 bytes
+            branches.append([tuple(frozenset(guards)) if guards else None, tuple(done),
+                             None, None])
+    return tuple(branches)
 
 
-def _exists(ctx: _Context, lits: list, ax: int, doms: tuple[int, ...],
-            sizes: tuple[int, ...]) -> np.ndarray:
-    """exists ax over the conjunction of ``lits``, the body over the domains
-    ``doms``, with ``sizes[i]`` elements on axis i (none empty), and with the
-    body axes after ``ax`` shifted down by one; axes no literal mentions have
-    length 1."""
+def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...], at, paused: dict) -> object:
+    """A quantifier's table, made branch by branch.  While a branch waits
+    for tables, ``paused[at]`` holds its index, the OR of the branches
+    before it, and where its literal tables will be cached, if it knows."""
+    (kind, _, ax), (body,) = key.desc, key.kids
+    forall, k = kind is F.Forall, key.arity
+    sizes = _shape(ctx, doms, k)
+    if ctx.n == 0:  # over the empty domain, exists is false and forall true
+        return np.full(sizes, forall)
+    tables = ctx.tables
+    if ax < 0:  # the quantified variable does not occur
+        body_at = (body, *doms) if doms else body
+        table = tables.get(body_at)
+        return [(body, doms, body_at)] if table is None else table
+    branches = key.plan
+    if branches is None:  # the key's plan, compiled on its first use
+        branches = key.plan = _branches(body, k, ax, forall)
+    i, out, ats = paused.pop(at, None) or (0, None, None)
+    while i < len(branches):
+        branch = branches[i]
+        guards, lits = branch[0], branch[1]
+        d = 0
+        if guards is not None:
+            d = ctx.guards.get(guards)
+            if d is None:
+                wait = [(g, (), g) for g in guards if g not in tables]
+                if wait:
+                    wait.reverse()
+                    paused[at] = i, out, None
+                    return wait
+                d = _domain(ctx, guards)
+        size = ctx.sizes[d]
+        if lits and size:
+            body_sizes = sizes[:ax] + (size,) + sizes[ax:]
+            small = math.prod(body_sizes) <= min(_SMALL_CELLS, MAX_CELLS)
+            if not small:
+                lits = (branch[3] or _group(branch, ax, k))[0]
+            if ats is None:  # the literals' tables over the body's domains
+                outer = doms or (0,) * k
+                inner = outer[:ax] + (d,) + outer[ax:] if d or doms else ()
+                ats, got, wait = [], [], None
+                for lit, pos, _ in lits:
+                    sub = _pick(inner, pos) if inner else ()
+                    lat = (lit, *sub) if sub else lit
+                    table = tables.get(lat)
+                    if table is None and wait is None:
+                        table = _leaf(ctx, lit, sub, lat)
+                    if table is None:
+                        if wait is None:
+                            wait = []
+                        wait.append((lit, sub, lat))
+                    ats.append(lat)
+                    got.append(table)
+                if wait is not None:
+                    wait.reverse()
+                    paused[at] = i, out, ats
+                    return wait
+            else:
+                got = [tables[lat] for lat in ats]
+            part = _exists(ctx, branch, ax, lits, got, body_sizes, small)
+            ats = None
+        else:  # a conjunction of guards holds on its domain if that has an element
+            part = np.full((1,) * k, size > 0)
+        out = part if out is None else out | part
+        i += 1
+    if forall:  # forall v. phi == !exists v. !phi
+        out = ~out
+    # a branch need not mention every axis
+    return out if out.shape == sizes else np.broadcast_to(out, sizes)
+
+
+def _exists(ctx: _Context, branch: list, ax: int, lits: tuple, tables: list,
+            sizes: tuple[int, ...], small: bool) -> np.ndarray:
+    """exists ax over the conjunction of the branch's literals ``lits``,
+    whose tables are ``tables``, in the order of its broadcast form if
+    ``small`` and of its contraction form if not; the body has ``sizes[i]``
+    elements on axis i (none empty), and the result has the body axes after
+    ``ax`` shifted down by one; axes no literal mentions have length 1."""
     k = len(sizes) - 1
-    if math.prod(sizes) <= min(_SMALL_CELLS, MAX_CELLS):  # a small body: broadcast & and any
+    if small:
+        lifts = branch[2]
+        if lifts is None:  # each literal's lift onto the body axes
+            lifts = branch[2] = tuple([_lifter(pos, k + 1) for _, pos, _ in lits])
         found = None
-        for key, pos, neg in lits:
-            table = _table(ctx, key, _pick(doms, pos))
-            table = _lift(~table if neg else table, pos, k + 1)
+        for (_, _, neg), lift, table in zip(lits, lifts, tables):
+            table = _put(~table if neg else table, lift)
             found = table if found is None else found & table
-        return found.any(axis=ax)
-    outside = None  # the conjuncts without ax
-    groups: list[list] = []  # [axis mask, axes, table]: joined conjuncts with ax
-    for key, pos, neg in sorted(lits, key=lambda lit: len(lit[1]), reverse=True):
-        table = _table(ctx, key, _pick(doms, pos))
-        if neg:
-            table = ~table
+        return np.logical_or.reduce(found, axis=ax)
+    form = branch[3]
+    into, groups, rest = form[1], form[2], form[4]
+    outside, joined = None, [None] * len(groups)  # the conjuncts without ax; each group's AND
+    for (_, _, neg), (g, lift), table in zip(lits, into, tables):
+        table = _put(~table if neg else table, lift)
+        if g < 0:
+            outside = table if outside is None else outside & table
+        else:
+            joined[g] = table if joined[g] is None else joined[g] & table
+    if not groups:
+        return outside
+    if len(groups) == 1:
+        found = np.logical_or.reduce(joined[0], axis=form[3])
+    else:
+        _check(ctx, [sizes[b] for b in rest])
+        found = _contract(form, joined)
+    found = _put(found, form[5])
+    return found if outside is None else found & outside
+
+
+def _group(branch: list, ax: int, k: int) -> tuple:
+    """A branch's contraction form, filed in its last slot: its literals,
+    longest first; for each, the group it joins (-1 when it lacks ax, so it
+    is ANDed outside) and the lift into that group's axes (or the k result
+    axes); each group's axis mask and axes; how the groups are joined (see
+    ``_contract``; for one group, the position of ax in it); the body axes
+    the join keeps, and their lift onto the result's.  A literal joins the
+    first group whose axes hold its own, and costs no cells there.  Its
+    tuples are built from lists; the comment above ``geometry._scaled``
+    says why."""
+    lits = sorted(branch[1], key=lambda lit: len(lit[1]), reverse=True)
+    into, groups, union = [], [], 0
+    for _, pos, _ in lits:
         mask = 0
         for b in pos:
             mask |= 1 << b
         if not mask >> ax & 1:
-            table = _lift(table, tuple([b - (b > ax) for b in pos]), k)
-            outside = table if outside is None else outside & table
+            into.append((-1, _lifter(tuple([b - (b > ax) for b in pos]), k)))
             continue
-        for g in groups:  # a conjunct within another's axes costs no cells
-            if not mask & ~g[0]:
-                g[2] = g[2] & _lift(table, tuple(map(g[1].index, pos)), len(g[1]))
+        for g, (group, axes) in enumerate(groups):
+            if not mask & ~group:
+                into.append((g, _lifter(tuple(map(axes.index, pos)), len(axes))))
                 break
         else:
-            groups.append([mask, pos, table])
-    if not groups:
-        return outside
-    found, axes = _contract(ctx, groups, ax, sizes)
-    found = _lift(found, tuple([b - (b > ax) for b in axes]), k)
-    return found if outside is None else found & outside
-
-
-def _contract(ctx: _Context, groups: list[list], ax: int,
-              sizes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """exists ax over the AND of ``groups``, each holding ax, and the body
-    axes of the result; body axis i has ``sizes[i]`` elements.  Its tuples
-    are built from lists; the comment above ``geometry._scaled`` says why."""
+            into.append((len(groups), None))
+            groups.append((mask, pos))
+            union |= mask
     if len(groups) == 1:
-        _, axes, table = groups[0]
-        return table.any(axis=axes.index(ax)), tuple([b for b in axes if b != ax])
-    if len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
-        (_, a_axes, a), (_, b_axes, b) = groups
-        rest = tuple([x for x in a_axes if x != ax]) + tuple([x for x in b_axes if x != ax])
-        _check(ctx, [sizes[x] for x in rest])
-        a = np.moveaxis(a, a_axes.index(ax), -1).astype(np.float32)
-        b = np.moveaxis(b, b_axes.index(ax), 0).astype(np.float32)
-        return np.tensordot(a, b, 1) > 0, rest
-    union = 0
-    for g in groups:
-        union |= g[0]
-    rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
-    _check(ctx, [sizes[b] for b in rest])
+        axes = groups[0][1]
+        how, rest = axes.index(ax), tuple([b for b in axes if b != ax])
+    elif len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
+        (_, a), (_, b) = groups
+        i, j = a.index(ax), b.index(ax)
+        how = (tuple([x for x in range(len(a)) if x != i] + [i]),  # ax last in a
+               tuple([j] + [x for x in range(len(b)) if x != j]))  # ax first in b
+        rest = tuple([x for x in a if x != ax] + [x for x in b if x != ax])
+    else:
+        how = None
+        rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
+    lift = _lifter(tuple([b - (b > ax) for b in rest]), k)
+    form = branch[3] = (tuple(lits), tuple(into), tuple(groups), how, rest, lift)
+    return form
+
+
+def _contract(form: tuple, tables: list) -> np.ndarray:
+    """exists ax over the AND of the tables of a contraction form's two or
+    more groups, with the axes the form keeps.  Two groups that share only
+    ax are one matrix product; more are a greedy einsum, whose path makes
+    no intermediate with more cells than its limit."""
+    groups, how, rest = form[2], form[3], form[4]
+    if how is not None:
+        a = tables[0].transpose(how[0]).astype(np.float32, order="C")
+        b = tables[1].transpose(how[1]).astype(np.float32, order="C")
+        m = b.shape[0]
+        found = np.dot(a.reshape(-1, m), b.reshape(m, -1)) > 0
+        return found.reshape(a.shape[:-1] + b.shape[1:])
     args = []
-    for _, axes, table in groups:
+    for (_, axes), table in zip(groups, tables):
         args += (table.astype(np.float32), list(axes))
-    # the greedy path makes no intermediate with more cells than its limit
-    return np.einsum(*args, list(rest), optimize=("greedy", MAX_CELLS)) > 0, rest
+    return np.einsum(*args, list(rest), optimize=("greedy", MAX_CELLS)) > 0
+
+
+_LEAVES = frozenset({F.Edge, F.Leq, F.Eq, F.Label})  # atoms without children
+_STEPS = {F.Not: _negate, F.And: _connect, F.Or: _connect, F.Implies: _connect,
+          F.Exists: _quantify, F.Forall: _quantify, F.Edge: _atom, F.Leq: _atom,
+          F.Eq: _atom, F.Label: _atom, F.Defined: _atom}
 
 
 def _axes(phi: F.Formula, axes: Sequence[F.Var]) -> None:
@@ -377,6 +579,10 @@ def eval_structure(structure: Structure, phi: F.Formula,
                    assignment: Optional[dict[F.Var, int]] = None) -> bool:
     """Standard semantics; free variables must be covered by the assignment."""
     ctx = _context(structure)
+    if not assignment and isinstance(phi, F.Formula) and not phi.free:  # a sentence
+        key = phi.key
+        table = ctx.tables.get(key)
+        return bool(_run(ctx, key, (), key) if table is None else table)
     values = assignment or {}
     for v, e in values.items():
         if not 0 <= e < ctx.n:

@@ -165,9 +165,12 @@ class Key:
     bits of the atoms the node mentions; ``labels``, the label names it
     mentions; and ``depth``, its quantifier depth.  A defined atom counts
     its body's kinds, labels and depth.  Like nodes, keys must never be
-    changed after they are built, which the class does not enforce."""
+    changed after they are built, which the class does not enforce; the
+    one exception is ``plan``, None until the evaluator compiles a
+    quantifier key's plan on first use and files it there, so the plan
+    lives as long as the key."""
 
-    __slots__ = ("desc", "kids", "arity", "kinds", "labels", "depth", "__weakref__")
+    __slots__ = ("desc", "kids", "arity", "kinds", "labels", "depth", "plan", "__weakref__")
 
     def __new__(cls, desc: tuple, kids: tuple, arity: int):
         key = _KEYS.live(desc)
@@ -182,6 +185,7 @@ class Key:
             key = _KEYS.intern(desc, object.__new__(cls))
             key.desc, key.kids, key.arity = desc, kids, arity
             key.kinds, key.labels, key.depth = kinds, labels, depth + kind._binds
+            key.plan = None
         return key
 
 

@@ -98,12 +98,6 @@ class Interval:
     def contains(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def strictly_contains(self, other: "Interval") -> bool:
-        return self.lo < other.lo and other.hi < self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -125,12 +119,6 @@ class Arc:
 
     def length(self) -> Fraction:
         return (self.end - self.start) % 1
-
-    def contains_point(self, p: Fraction) -> bool:
-        p = p % 1
-        if self.start < self.end:
-            return self.start <= p <= self.end
-        return p >= self.start or p <= self.end
 
 
 @dataclass(frozen=True)
@@ -187,9 +175,10 @@ class Representation:
 def bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
     """The n x n boolean matrix of packed bit rows: entry [a, b] iff bit b of rows[a]."""
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]),
                            dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+    # unpacked bits are 0 or 1, so they read as bool in place: no second n x n copy
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def symmetric_rows(rel: np.ndarray) -> tuple[int, ...]:
@@ -273,9 +262,6 @@ class LabeledGraph:
             self._matrix = bit_matrix(self.n, self._rows)
             self._matrix.flags.writeable = False
         return self._matrix
-
-    def adjacency_rows(self) -> list[bytearray]:
-        return [bytearray(r) for r in self.adjacency_matrix().view(np.uint8)]
 
     def neighbors(self, v: int) -> frozenset[int]:
         if self._nbrs is None:
@@ -743,9 +729,6 @@ class Polygon:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def edge_points(self, i: int) -> tuple[Point, Point]:
-        return self.vertices[i], self.vertices[(i + 1) % self.n]
 
 
 def _in_cone(grid: Sequence[tuple[int, int]], k: int, t: tuple[int, int]) -> bool:

@@ -8,11 +8,12 @@ so agreement is evidence rather than tautology.
 import functools
 import hashlib
 import itertools
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
 
-from geomfo import formula as F
+from geomfo import checker, formula as F
 from geomfo.checker import EvalError
 from geomfo.poset import Violation
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
@@ -128,6 +129,37 @@ def rand_sentence(rng, depth=3, labels=()):
 
 
 # ---------------------------------------------------------------------------
+# object facts only the tests ask for
+
+def overlaps(a: Interval, b: Interval) -> bool:
+    """The closed intervals a and b meet."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def strictly_contains(a: Interval, b: Interval) -> bool:
+    """b lies inside a, sharing neither end."""
+    return a.lo < b.lo and b.hi < a.hi
+
+
+def arc_contains_point(arc: Arc, p) -> bool:
+    """The point p, taken mod 1, lies on the closed arc."""
+    p = p % 1
+    if arc.start < arc.end:
+        return arc.start <= p <= arc.end
+    return p >= arc.start or p <= arc.end
+
+
+def edge_points(poly: Polygon, i: int):
+    """The ends of the polygon's edge i, from vertex i to vertex i + 1."""
+    return poly.vertices[i], poly.vertices[(i + 1) % poly.n]
+
+
+def adjacency_rows(g: LabeledGraph) -> list[bytearray]:
+    """The graph's adjacency matrix as rows of 0/1 bytes."""
+    return [bytearray(r) for r in g.adjacency_matrix().view(np.uint8)]
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracles
 
 def leq(p, a: int, b: int) -> bool:
@@ -171,6 +203,195 @@ def eval_slow(structure, phi, assignment=None) -> bool:
         raise EvalError(f"not a formula: {g!r}")
 
     return rec(phi, dict(assignment or {}))
+
+
+# ---------------------------------------------------------------------------
+# the recursive tensor evaluator: the differential oracle for the checker's
+# plans and its explicit-stack executor.  It plans every quantifier again on
+# every fill and recurses once per node; it shares the checker's context
+# layout and its array helpers, and reads MAX_CELLS and _SMALL_CELLS from the
+# checker module when it runs, so patches reach both.
+
+def ref_truth_table(ctx, phi, axes) -> np.ndarray:
+    """``checker.truth_table`` computed by the recursive evaluator in
+    ``ctx``, a ``checker._Context`` of its own."""
+    axes = tuple(axes)
+    table = _ref_table(ctx, phi.key)
+    return np.broadcast_to(checker._lift(table, tuple(map(axes.index, phi.free)), len(axes)),
+                           (ctx.n,) * len(axes))
+
+
+def _ref_table(ctx, key, doms=()):
+    at = (key, *doms) if doms else key
+    table = ctx.tables.get(at)
+    if table is None:
+        table = ctx.tables[at] = _ref_fill(ctx, key, doms)
+    return table
+
+
+def _ref_fill(ctx, key, doms):
+    desc, kids, k = key.desc, key.kids, key.arity
+    kind = desc[0]
+    sizes = checker._shape(ctx, doms, k)
+    checker._check(ctx, sizes)
+    if kind is F.Exists or kind is F.Forall:
+        return _ref_quantify(ctx, key, doms, sizes)
+    if kind is F.Not:
+        return ~_ref_table(ctx, kids[0], doms)
+    pick, lift = checker._pick, checker._lift
+    if kind is F.And or kind is F.Or or kind is F.Implies:
+        left, ka = kids[0], kids[0].arity
+        la = lift(_ref_table(ctx, left, pick(doms, range(ka))), tuple(range(ka)), k)
+        ra = lift(_ref_table(ctx, kids[1], pick(doms, desc[3])), desc[3], k)
+        if kind is F.And:
+            return la & ra
+        return la | ra if kind is F.Or else ~la | ra
+    pos = desc[-1]
+    args = pick(doms, pos)
+    if kind is F.Edge or kind is F.Leq:
+        want = F.GRAPH if kind is F.Edge else F.POSET
+        if ctx.signature != want:
+            raise EvalError(f"{'edge' if want == F.GRAPH else '<='} atom evaluated "
+                            f"on a {ctx.signature} structure")
+        table = checker._slice(ctx, ctx.rel, args)
+    elif kind is F.Eq:
+        table = np.equal.outer(*[ctx.domains[d] for d in args or (0, 0)])
+    elif kind is F.Label:
+        if desc[1] not in ctx.labels:
+            raise EvalError(f"undeclared label {desc[1]!r}")
+        table = checker._slice(ctx, ctx.labels[desc[1]], args)
+    else:  # a defined atom
+        _, _, at, params, _ = desc
+        table = lift(_ref_table(ctx, kids[0], pick(args, at)), at, params)
+        table = np.broadcast_to(table, checker._shape(ctx, args, params))
+    return np.einsum(table, list(pos), list(range(k))) if k < len(pos) else table
+
+
+def _ref_domain(ctx, guards):
+    d = ctx.guards.get(guards)
+    if d is None:
+        first, *rest = guards
+        inside = _ref_table(ctx, first)
+        for g in rest:
+            inside = inside & _ref_table(ctx, g)
+        elements = np.flatnonzero(inside)
+        if len(elements) == ctx.n:
+            d = 0
+        else:
+            d = ctx.domain_ids.setdefault(elements.tobytes(), len(ctx.domains))
+            if d == len(ctx.domains):
+                ctx.domains.append(elements)
+                ctx.sizes.append(len(elements))
+        ctx.guards[guards] = d
+    return d
+
+
+def _ref_quantify(ctx, key, doms, sizes):
+    (kind, _, ax), (body,) = key.desc, key.kids
+    if ctx.n == 0:
+        return np.full(sizes, kind is F.Forall)
+    if ax < 0:
+        return _ref_table(ctx, body, doms)
+    neg = kind is F.Forall
+    k = len(sizes)
+    out = None
+    for guards, lits in _ref_branches([(body, tuple(range(k + 1)), neg)], ax, True):
+        d = _ref_domain(ctx, frozenset(guards)) if guards else 0
+        size = ctx.sizes[d]
+        if lits and size:
+            outer = doms or (0,) * k
+            inner = outer[:ax] + (d,) + outer[ax:] if d or doms else ()
+            part = _ref_exists(ctx, lits, ax, inner, sizes[:ax] + (size,) + sizes[ax:])
+        else:
+            part = np.full((1,) * k, size > 0)
+        out = part if out is None else out | part
+    if neg:
+        out = ~out
+    return out if out.shape == sizes else np.broadcast_to(out, sizes)
+
+
+def _ref_branches(todo, ax, may_split):
+    done, guards, at = [], {}, (ax,)
+    while todo:
+        lit = key, pos, neg = todo.pop()
+        desc = key.desc
+        kind, kids = desc[0], key.kids
+        if kind is F.Not:
+            todo.append((kids[0], pos, not neg))
+            continue
+        if kind is F.And or kind is F.Or or kind is F.Implies:
+            left = (kids[0], pos[:kids[0].arity], neg != (kind is F.Implies))
+            right = (kids[1], tuple([pos[i] for i in desc[3]]), neg)
+            if (kind is F.And) != neg:
+                todo += (left, right)
+                continue
+            whole = not todo and not done and not guards
+            if whole or may_split and len(pos) >= 3 and ax in pos:
+                rest = todo + done + [(g, at, False) for g in guards]
+                return (_ref_branches(rest + [left], ax, whole and may_split)
+                        + _ref_branches(rest + [right], ax, whole and may_split))
+        if pos == at and not neg and (kind is F.Label or kind is F.Defined):
+            guards[key] = None
+        else:
+            done.append(lit)
+    return [(guards, done)]
+
+
+def _ref_exists(ctx, lits, ax, doms, sizes):
+    k = len(sizes) - 1
+    pick, lift = checker._pick, checker._lift
+    if math.prod(sizes) <= min(checker._SMALL_CELLS, checker.MAX_CELLS):
+        found = None
+        for key, pos, neg in lits:
+            table = _ref_table(ctx, key, pick(doms, pos))
+            table = lift(~table if neg else table, pos, k + 1)
+            found = table if found is None else found & table
+        return found.any(axis=ax)
+    outside, groups = None, []
+    for key, pos, neg in sorted(lits, key=lambda lit: len(lit[1]), reverse=True):
+        table = _ref_table(ctx, key, pick(doms, pos))
+        if neg:
+            table = ~table
+        mask = 0
+        for b in pos:
+            mask |= 1 << b
+        if not mask >> ax & 1:
+            table = lift(table, tuple([b - (b > ax) for b in pos]), k)
+            outside = table if outside is None else outside & table
+            continue
+        for g in groups:
+            if not mask & ~g[0]:
+                g[2] = g[2] & lift(table, tuple(map(g[1].index, pos)), len(g[1]))
+                break
+        else:
+            groups.append([mask, pos, table])
+    if not groups:
+        return outside
+    found, axes = _ref_contract(ctx, groups, ax, sizes)
+    found = lift(found, tuple([b - (b > ax) for b in axes]), k)
+    return found if outside is None else found & outside
+
+
+def _ref_contract(ctx, groups, ax, sizes):
+    if len(groups) == 1:
+        _, axes, table = groups[0]
+        return table.any(axis=axes.index(ax)), tuple([b for b in axes if b != ax])
+    if len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
+        (_, a_axes, a), (_, b_axes, b) = groups
+        rest = tuple([x for x in a_axes if x != ax]) + tuple([x for x in b_axes if x != ax])
+        checker._check(ctx, [sizes[x] for x in rest])
+        a = np.moveaxis(a, a_axes.index(ax), -1).astype(np.float32)
+        b = np.moveaxis(b, b_axes.index(ax), 0).astype(np.float32)
+        return np.tensordot(a, b, 1) > 0, rest
+    union = 0
+    for g in groups:
+        union |= g[0]
+    rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
+    checker._check(ctx, [sizes[b] for b in rest])
+    args = []
+    for _, axes, table in groups:
+        args += (table.astype(np.float32), list(axes))
+    return np.einsum(*args, list(rest), optimize=("greedy", checker.MAX_CELLS)) > 0, rest
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +518,7 @@ def longest_nesting_chain(intervals) -> int:
     memo = [1] * len(intervals)
     for pos, i in enumerate(order):
         for j in order[:pos]:
-            if intervals[i].strictly_contains(intervals[j]):
+            if strictly_contains(intervals[i], intervals[j]):
                 memo[i] = max(memo[i], memo[j] + 1)
         best = max(best, memo[i])
     return best
@@ -310,7 +531,7 @@ def mirsky_partition(items) -> tuple[int, list[int]]:
     h = [1] * len(items)
     for pos, i in enumerate(order):
         for j in order[:pos]:
-            if items[j].strictly_contains(items[i]):
+            if strictly_contains(items[j], items[i]):
                 h[i] = max(h[i], h[j] + 1)
     return (max(h, default=0), h)
 
@@ -416,12 +637,12 @@ def ref_polygon_simple(pts) -> bool:
 def _winding_inside(pt, poly: Polygon) -> bool:
     n = poly.n
     for i in range(n):
-        a, b = poly.edge_points(i)
+        a, b = edge_points(poly, i)
         if _on_closed_segment(pt, a, b):
             return True
     wind = 0
     for i in range(n):
-        a, b = poly.edge_points(i)
+        a, b = edge_points(poly, i)
         if a[1] <= pt[1]:
             if b[1] > pt[1]:
                 if (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]) > 0:
@@ -439,7 +660,7 @@ def oracle_segment_inside(poly: Polygon, p, q) -> bool:
     entirely inside or entirely outside, so its midpoint decides."""
     params = {Fr(0), Fr(1)}
     for e in range(poly.n):
-        a, b = poly.edge_points(e)
+        a, b = edge_points(poly, e)
         for t in _cross_params(p, q, a, b):
             params.add(t)
     ordered = sorted(params)
@@ -479,10 +700,10 @@ def rand_grid_star(rng, lo=-4, hi=4):
 
 def ref_intersects(cls: str, o1, o2) -> bool:
     if cls == "interval":
-        return o1.overlaps(o2)
+        return overlaps(o1, o2)
     if cls == "circular_arc":
-        return o1.contains_point(o2.start) or o1.contains_point(o2.end) or \
-            o2.contains_point(o1.start)
+        return arc_contains_point(o1, o2.start) or arc_contains_point(o1, o2.end) or \
+            arc_contains_point(o2, o1.start)
     if cls == "circle":
         if len({o1.a, o1.b, o2.a, o2.b}) < 4:
             return False
@@ -491,7 +712,7 @@ def ref_intersects(cls: str, o1, o2) -> bool:
     if cls == "permutation":
         return (o1.top - o2.top) * (o1.bottom - o2.bottom) < 0
     if cls == "box":
-        return o1.x.overlaps(o2.x) and o1.y.overlaps(o2.y)
+        return overlaps(o1.x, o2.x) and overlaps(o1.y, o2.y)
     if cls == "unit_disk":
         return (o1.cx - o2.cx) ** 2 + (o1.cy - o2.cy) ** 2 <= 1
     raise ValueError(cls)
@@ -716,7 +937,7 @@ def ref_build_interval_poset(intervals, parts, labels=None):
     for pid, members in by_part.items():
         ordered = sorted(members, key=lambda i: intervals[i].lo)
         for a, b in zip(ordered, ordered[1:]):
-            if intervals[a].strictly_contains(intervals[b]):
+            if strictly_contains(intervals[a], intervals[b]):
                 raise PosetError(f"part {pid!r} is not proper: "
                                  f"interval {a} contains interval {b}")
             pairs.append((interval_ids[a], interval_ids[b]))

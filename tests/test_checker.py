@@ -3,11 +3,13 @@ import random
 from fractions import Fraction as Fr
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomfo import checker, formula as F
-from geomfo.checker import EvalError, _context, eval_structure, model_check, truth_table
+from geomfo.checker import (EvalError, _Context, _context, eval_structure, model_check,
+                            truth_table)
 from geomfo.cli import DEFAULT_BATTERY
 from geomfo.formula import GRAPH, POSET, Var, parse_formula
 from geomfo.generators import gamma_k_formula
@@ -17,7 +19,7 @@ from geomfo.poset import LabeledPoset, generated_poset
 
 from helpers import (eval_slow, has_dominating_set, leq, path_sentence, rand_arcs,
                      rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
-                     rand_segments, rand_sentence)
+                     rand_segments, rand_sentence, ref_truth_table)
 
 
 def test_tautology_on_one_vertex():
@@ -452,6 +454,30 @@ def test_poset_side_eval_error_reaches_the_caller(monkeypatch, tmp_path, capsys,
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("entry", ["model_check", "cli"])
+def test_relation_matrix_over_budget_is_an_eval_error(monkeypatch, tmp_path, capsys, entry):
+    """The n x n relation matrix is checked before it is built: a budget
+    that fits the 20-vertex graph's but not the 60-element poset's order
+    matrix refuses the poset side."""
+    from geomfo import fileio
+    from geomfo.cli import main
+
+    rep = rand_intervals(random.Random(3), 20)
+    text = "exists x. exists y. edge(x,y)"
+    monkeypatch.setattr(checker, "MAX_RELATION_CELLS", 20 * 20)
+    want = "the relation matrix on n=60 elements has 3600 cells, over the budget of 400"
+    if entry == "model_check":
+        with pytest.raises(EvalError, match=want):
+            model_check("interval", rep, parse_formula(text, GRAPH))
+    else:
+        path = tmp_path / "rep.txt"
+        path.write_text(fileio.write_representation(rep))
+        assert main(["check", "--class", "interval", "--in", str(path), "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and want in captured.err
+        assert captured.out == ""
+
+
 def test_path_on_40_intervals_fits_the_default_budget():
     """Every variable of the rewritten 5-path ranges over nu: its tables need
     40^4 cells where the 120 poset elements would need 120^4."""
@@ -474,3 +500,123 @@ def test_battery_fits_nu_times_d_cells(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(checker, "MAX_CELLS", 2 * n * n)
             assert eval_structure(inst.poset, rewritten) == want
+
+
+# ---------------------------------------------------------------------------
+# the plan executor against the recursive evaluator, and on deep formulas
+
+def _mix_sentences(rng):
+    """An agreement_mix-shaped battery: mostly depth 1, some depth 2, one depth 3."""
+    return [rand_sentence(rng, depth) for depth in (1,) * 6 + (2,) * 2 + (3,)]
+
+
+def _subformulas(phi):
+    """Every node of ``phi`` and of its defined atoms' bodies, one per key."""
+    out, seen, todo = [], set(), [phi]
+    while todo:
+        f = todo.pop()
+        if f.key not in seen:
+            seen.add(f.key)
+            out.append(f)
+            todo.extend(f.children())
+            if isinstance(f, F.Defined):
+                todo.append(f.body)
+    return out
+
+
+@pytest.mark.parametrize("small_cells", [0, checker._SMALL_CELLS])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_executor_matches_recursive_evaluator(seed, small_cells):
+    """On instances of every class, the graph sentences, their rewrites and
+    every subformula of them with its free variables as axes: each table,
+    and the whole table cache with its domains, equal the recursive
+    evaluator's, so tables over guard domains are compared too."""
+    rng = random.Random(seed)
+    with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
+        for cls in CLASSES:
+            for size in range(1, 11):
+                rep = _rep(cls, rng, size)
+                inst = make_instance(cls, rep)
+                for s, rewrite in ((checker.build_graph(cls, rep), False), (inst.poset, True)):
+                    oracle = _Context(s)
+                    for phi in _mix_sentences(rng):
+                        if rewrite:
+                            phi = F.rewrite_under_interpretation(
+                                F.complement_edges(phi) if inst.complemented else phi,
+                                inst.interp)
+                        for f in _subformulas(phi):
+                            assert (truth_table(s, f, f.free)
+                                    == ref_truth_table(oracle, f, f.free)).all()
+                    ctx = _context(s)
+                    assert ctx.tables.keys() == oracle.tables.keys()
+                    assert all((table == oracle.tables[at]).all()
+                               for at, table in ctx.tables.items())
+                    assert [d.tolist() for d in ctx.domains] == \
+                        [d.tolist() for d in oracle.domains]
+
+
+_DEEP = 100_000
+
+
+def _deep_chain(kind):
+    """A formula of about ``_DEEP`` nodes over x and y, in the graph
+    signature, and its truth table as a function of the tables of
+    edge(x,y) and x=y, folded level by level."""
+    x, y = Var("x"), Var("y")
+    edge, distinct = F.Edge(x, y), F.Not(F.Eq(x, y))
+    phi = edge
+    if kind == "not":
+        for _ in range(_DEEP):
+            phi = F.Not(phi)
+        return phi, lambda e, q: e if _DEEP % 2 == 0 else ~e
+    if kind in ("and", "or"):
+        op = F.And if kind == "and" else F.Or
+        for i in range(_DEEP // 2):
+            phi = op(phi, distinct if i % 2 else edge)
+        return phi, (lambda e, q: e & ~q) if kind == "and" else (lambda e, q: e | ~q)
+    if kind == "parentheses":  # "!(" * k + "edge(x,y)" + " | edge(x,y))" * k
+        for _ in range(_DEEP // 2):
+            phi = F.Not(F.Or(phi, edge))
+
+        def fold(e, q):
+            t = e
+            for _ in range(_DEEP // 2):
+                t = ~(t | e)
+            return t
+        return phi, fold
+    # alternating quantifiers: exists x. edge(x,y) & forall y. edge(x,y) & exists x. ...
+    levels = _DEEP // 2
+    for i in range(levels):
+        q = F.Exists if i % 2 == 0 else F.Forall
+        phi = q(x if i % 2 == 0 else y, F.And(edge, phi))
+
+    def fold(e, q):
+        t = e
+        for i in range(levels):
+            axis = i % 2
+            body = e & t
+            t = body.any(axis=axis) if axis == 0 else body.all(axis=axis)
+            t = np.broadcast_to(np.expand_dims(t, axis), e.shape)
+        return t
+    return phi, fold
+
+
+@pytest.mark.parametrize("kind", ["not", "and", "or", "parentheses", "quantifiers"])
+def test_hundred_thousand_deep_chains_evaluate(kind):
+    """No recursion: ``truth_table``, ``eval_structure`` and ``model_check``
+    decide a formula about 100,000 nodes deep, open and closed by two
+    quantifiers, and agree with its table folded level by level.  Each
+    chain is built once."""
+    rep = Representation("interval", (Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(3)),
+                                      Interval(Fr(4), Fr(5))))
+    g = checker.build_graph("interval", rep)
+    x, y = Var("x"), Var("y")
+    phi, fold = _deep_chain(kind)
+    e = np.array([[g.has_edge(a, b) for b in range(3)] for a in range(3)])
+    want = np.broadcast_to(fold(e, np.eye(3, dtype=bool)), (3, 3))
+    assert (truth_table(g, phi, (x, y)) == want).all()
+    for a, b in itertools.product(range(3), repeat=2):
+        assert eval_structure(g, phi, {x: a, y: b}) == want[a, b]
+    assert eval_structure(g, F.Forall(x, F.Forall(y, phi))) == want.all()
+    res = model_check("interval", rep, F.Exists(x, F.Exists(y, phi)))
+    assert res.graph_verdict == res.poset_verdict == want.any()

@@ -339,19 +339,19 @@ def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):
 
 def test_cli_check_deep_formula_exits_2(tmp_path, capsys):
     rep = _write_interval_rep(tmp_path)
-    # a syntax error after 3000 negations; parentheses nested 3000 deep, which
-    # the parser recurses on; a disjunction of 5000 atoms, which the evaluator
-    # splits recursively
-    for text in ("!" * 3000 + "exists x. x=x", "(" * 3000 + "x=x" + ")" * 3000,
-                 "exists x. " + " | ".join(["edge(x,x)"] * 5000)):
+    # a syntax error after 3000 negations; a free variable inside parentheses
+    # nested 3000 deep
+    for text in ("!" * 3000 + "exists x. x=x", "(" * 3000 + "x=x" + ")" * 3000):
         assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
-    # negations and quantifier prefixes are parsed in a loop, so a chain of
-    # 5000 negations is decided
-    text = "exists x. " + "!" * 5000 + "edge(x,x)"
-    assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 1
-    assert capsys.readouterr().out == "graph_verdict False\nposet_verdict False\n"
+    # the parser and the evaluator run on explicit stacks, so a chain of 5000
+    # negations and a disjunction of 5000 atoms, which the evaluator splits
+    # into 5000 branches, are decided
+    for text in ("exists x. " + "!" * 5000 + "edge(x,x)",
+                 "exists x. " + " | ".join(["edge(x,x)"] * 5000)):
+        assert main(["check", "--class", "interval", "--in", rep, "--formula", text]) == 1
+        assert capsys.readouterr().out == "graph_verdict False\nposet_verdict False\n"
 
 
 def test_cli_check_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -405,11 +405,11 @@ def test_cli_verify_reports_bad_input_and_goes_on(tmp_path, capsys):
     good = "class interval\ninterval 1 3\ninterval 2 4\n"
     (cases / "a.rep").write_text(good + "interval 5\n")
     (cases / "b.rep").write_text(good)
-    # the parser takes any depth; the evaluator still recurses on a deep chain of |
+    # the parser and the evaluator take any depth: a deep chain of | is decided
     (cases / "b.formulas").write_text("exists x. " + "(x=x | " * 3000 + "x=x" + ")" * 3000 + "\n")
     (cases / "c.rep").write_text(good)
     assert main(["verify", "--dir", str(cases)]) == 1
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].startswith("a.rep") and "ERROR bad object line" in rows[0]
-    assert rows[1].startswith("b.rep") and "ERROR input nested too deeply" in rows[1]
-    assert "PASS" in rows[2] and rows[3] == "1/3 cases pass"
+    assert rows[1].startswith("b.rep") and "PASS" in rows[1]
+    assert "PASS" in rows[2] and rows[3] == "2/3 cases pass"

@@ -11,7 +11,7 @@ from geomfo.poset import (LabeledPoset, PosetError, build_interval_poset,
                           generated_poset, poset_width, transitive_closure,
                           validate_poset)
 
-from helpers import brute_force_width, fixpoint_closure, rand_intervals
+from helpers import brute_force_width, fixpoint_closure, overlaps, rand_intervals
 from geomfo.geometry import perturb_endpoints, proper_partition
 
 
@@ -182,7 +182,7 @@ def test_lemma_formula_semantics():
         theta = interval_theta(x, y)
         for i, a in enumerate(items):
             for j, b in enumerate(items):
-                assert eval_structure(p, psi, {x: ids[i], y: ids[j]}) == a.overlaps(b)
+                assert eval_structure(p, psi, {x: ids[i], y: ids[j]}) == overlaps(a, b)
                 assert eval_structure(p, theta, {x: ids[i], y: ids[j]}) == b.contains(a)
 
 
