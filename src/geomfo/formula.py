@@ -113,7 +113,7 @@ def _drop(ref: _Entry) -> None:
 _VARS = _WeakTable()  # name -> variable
 _KEYS = _WeakTable()  # Key.desc -> key
 _NODES = _WeakTable()  # (class, *fields by id) -> node
-# (sentence, nu, psi, nu_var, *psi_vars by id) -> sentence, valued (rewrite, nu, psi);
+# (sentence, nu, psi by id) -> sentence, valued (rewrite, nu, psi);
 # (sentence by id,) -> sentence, valued its edge complement
 _REWRITES = _WeakTable()
 
@@ -144,6 +144,10 @@ class Var:
 
     def __str__(self):
         return self.name
+
+
+# the variables of every interpretation: nu(x) and psi(x, y)
+X, Y = Var("x"), Var("y")
 
 
 class Key:
@@ -561,24 +565,22 @@ def map_atoms(f: Formula, fn) -> Formula:
 class Interpretation:
     """A pair (nu, psi) of poset formulas defining a graph inside a poset.
 
-    ``nu`` has the single free variable ``nu_var``; ``psi`` has exactly the
-    two free variables ``psi_vars`` (in that argument order).  ``labels`` is
-    the label vocabulary the formulas may mention.
+    ``nu`` has the single free variable ``X``, nu(x); ``psi`` has exactly
+    the two free variables ``X`` and ``Y``, psi(x, y).  ``labels`` is the
+    label vocabulary the formulas may mention.
     """
 
     nu: Formula
     psi: Formula
     labels: frozenset[str] = frozenset()
-    nu_var: Var = Var("x")
-    psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))
 
     def __post_init__(self):
         check_signature(self.nu, POSET)
         check_signature(self.psi, POSET)
-        if self.nu.free != (self.nu_var,):
-            raise FormulaError("nu must have exactly its declared free variable")
-        if set(self.psi.free) != set(self.psi_vars):
-            raise FormulaError("psi must have exactly its two declared free variables")
+        if self.nu.free != (X,):
+            raise FormulaError("nu must have exactly the free variable x")
+        if set(self.psi.free) != {X, Y}:
+            raise FormulaError("psi must have exactly the free variables x and y")
         undeclared = (self.nu.key.labels | self.psi.key.labels) - self.labels
         if undeclared:
             raise FormulaError(f"undeclared labels in interpretation: {sorted(undeclared)}")
@@ -595,12 +597,11 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     edge(u,u) is false in every simple graph.  A defined atom in ``phi``
     keeps its arguments over its rewritten body.
 
-    The rewrite depends only on ``phi``, ``nu``, ``psi`` and their
-    variables, so it is filed in ``_REWRITES`` under their ids, weakly on
-    ``phi``: a rewrite lives as long as its sentence, and every
-    interpretation with the same ``nu`` and ``psi`` nodes gets the same
-    rewrite object.  The entry holds the rewrite, ``nu`` and ``psi`` (so
-    their variables too), so no id in its ident is reused while it lives,
+    The rewrite depends only on ``phi``, ``nu`` and ``psi``, so it is filed
+    in ``_REWRITES`` under their ids, weakly on ``phi``: a rewrite lives as
+    long as its sentence, and every interpretation with the same ``nu`` and
+    ``psi`` nodes gets the same rewrite object.  The entry holds the
+    rewrite, ``nu`` and ``psi``, so no id in its ident is reused while it lives,
     and ``nu`` and ``psi`` stay interned for the next instance that builds
     them.  Per live sentence, the table holds one rewrite per distinct
     (nu, psi) pair it was rewritten under.  On a miss, the rewrite is one
@@ -608,7 +609,7 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
     """
     if phi.free:
         raise FormulaError("rewrite requires a sentence (no free variables)")
-    ident = (id(phi), id(interp.nu), id(interp.psi), id(interp.nu_var), *map(id, interp.psi_vars))
+    ident = (id(phi), id(interp.nu), id(interp.psi))
     entry = _REWRITES.get(ident)
     if entry is not None and entry() is phi:  # phi's signature was checked when it was filed
         return entry.value[0]
@@ -616,11 +617,11 @@ def rewrite_under_interpretation(phi: Formula, interp: Interpretation) -> Formul
 
     def combine(g: Formula, kids: list) -> Formula:
         if isinstance(g, Edge):
-            psi, params = interp.psi, interp.psi_vars
+            psi = interp.psi
             return And(Not(Eq(g.x, g.y)),
-                       Or(Defined(psi, params, (g.x, g.y)), Defined(psi, params, (g.y, g.x))))
+                       Or(Defined(psi, (X, Y), (g.x, g.y)), Defined(psi, (X, Y), (g.y, g.x))))
         if isinstance(g, _Quantifier):
-            nu = Defined(interp.nu, (interp.nu_var,), (g.var,))
+            nu = Defined(interp.nu, (X,), (g.var,))
             return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, kids[0]))
         if isinstance(g, Defined):
             return Defined(kids[0], g.params, g.args)
@@ -933,7 +934,10 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
+MAX_EFO_VARS = 6  # efo_to_patterns enumerates every graph on this many vertices
+
+
+def efo_to_patterns(phi: Formula) -> list:
     """All pattern graphs equivalent to an EFO sentence.
 
     Enumerates every identification of the quantified variables and every
@@ -942,11 +946,8 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
     ``G`` as an induced (label-respecting) subgraph.
     """
     from .checker import eval_structure
-    from .generators import size_cap
     from .geometry import LabeledGraph
 
-    if max_vars is None:
-        max_vars = size_cap(6)
     vs: list[Var] = []
     body = phi
     while isinstance(body, Exists):
@@ -956,8 +957,8 @@ def efo_to_patterns(phi: Formula, max_vars: Optional[int] = None) -> list:
         raise FormulaError("not an EFO sentence with quantifier-free matrix")
     if free_vars(body) - set(vs):
         raise FormulaError("matrix has free variables outside the prefix")
-    if len(vs) > max_vars:
-        raise FormulaError(f"EFO prefix of {len(vs)} variables exceeds bound {max_vars}")
+    if len(vs) > MAX_EFO_VARS:
+        raise FormulaError(f"EFO prefix of {len(vs)} variables exceeds bound {MAX_EFO_VARS}")
     labels = sorted(label_names(body))
 
     seen = set()

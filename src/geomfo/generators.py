@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -22,20 +21,15 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .formula import (And, Defined, Edge, Eq, Exists, Forall, Formula, Implies,
-                      Label, Not, Or, Var, big_and, complement_edges, exists_many, map_atoms)
+                      Label, Not, Or, Var, X, Y, big_and, complement_edges, exists_many,
+                      map_atoms)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                        PermSegment, Polygon, Representation, build_intersection_graph,
                        permutation_to_chords, polygon_report, symmetric_rows, true_twins,
                        visibility_graph)
+from .poset import LabeledPoset
 
 Fr = Fraction
-
-
-def size_cap(default: int = 6) -> int:
-    try:
-        return int(os.environ.get("GEOMFO_SIZE_CAP", default))
-    except ValueError:
-        return default
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +141,6 @@ def witness_confinement(witness: ConsecutiveWitness, eps: Fraction) -> bool:
     if rep.cls == "circular_arc":
         return all(abs(a.length() - Fr(1, 2)) <= eps for a in rep.objects)
     if rep.cls == "permutation":
-        comps = []
         seen = [False] * len(rep.objects)
         g = witness.graph()
         stack = [0]
@@ -219,13 +212,16 @@ def hardness_formulas(complement: bool) -> tuple[Formula, Formula]:
     return nu, psi
 
 
+MAX_HARDNESS_VERTICES = 8  # hardness_instance's H; its witness has order n + 2
+
+
 def hardness_instance(h: LabeledGraph, cls: str,
                       eps: Fraction = Fr(1, 4)) -> HardnessInstance:
     """Build G_H in the class so that the labelled interpretation gives H back."""
     n = h.n
     if n < 1:
         raise GeometryError("H needs at least one vertex")
-    if n > size_cap(8):
+    if n > MAX_HARDNESS_VERTICES:
         raise GeometryError(f"H on {n} vertices exceeds the size cap")
     wit = consecutive_witness(cls, n + 2, eps)
     # paper index t in 0..n+1 is witness key t+1
@@ -248,15 +244,15 @@ def hardness_instance(h: LabeledGraph, cls: str,
                             wit.complement)
 
 
-def graph_interpretation(g: LabeledGraph, nu: Formula, psi: Formula,
-                         nu_var: Var = Var("x"),
-                         psi_vars: tuple[Var, Var] = (Var("x"), Var("y")),
+def graph_interpretation(structure: LabeledGraph | LabeledPoset, nu: Formula, psi: Formula
                          ) -> tuple[list[int], LabeledGraph]:
-    """Evaluate an in-graph interpretation: vertex set of nu, edges of psi."""
+    """The graph that (nu(x), psi(x, y)) interprets in a graph or a poset:
+    its vertices are the elements satisfying nu, in ascending order, and
+    vertices u != v are adjacent iff psi(u, v) or psi(v, u) holds."""
     from .checker import truth_table
 
-    vs = np.flatnonzero(truth_table(g, nu, (nu_var,)))
-    rel = truth_table(g, psi, psi_vars)[np.ix_(vs, vs)]
+    vs = np.flatnonzero(truth_table(structure, nu, (X,)))
+    rel = truth_table(structure, psi, (X, Y))[np.ix_(vs, vs)]
     return vs.tolist(), LabeledGraph(len(vs), rows=symmetric_rows(rel))
 
 
@@ -346,9 +342,7 @@ def strip_labels(inst: HardnessInstance) -> StrippedInstance:
 # ---------------------------------------------------------------------------
 # the EFO clique sentence
 
-def gamma_k_formula(k: int, nu: Formula, psi: Formula,
-                    nu_var: Var = Var("x"),
-                    psi_vars: tuple[Var, Var] = (Var("x"), Var("y"))) -> Formula:
+def gamma_k_formula(k: int, nu: Formula, psi: Formula) -> Formula:
     """exists x1..xk: all nu, pairwise distinct, psi in one direction per pair.
 
     Purely existential whenever nu and psi are; nu and psi enter as defined
@@ -357,9 +351,9 @@ def gamma_k_formula(k: int, nu: Formula, psi: Formula,
     if k < 1:
         raise GeometryError("gamma_k needs k >= 1")
     vs = [Var(f"x{i + 1}") for i in range(k)]
-    parts: list[Formula] = [Defined(nu, (nu_var,), (v,)) for v in vs]
+    parts: list[Formula] = [Defined(nu, (X,), (v,)) for v in vs]
     parts += [Not(Eq(vs[i], vs[j])) for i in range(k) for j in range(i + 1, k)]
-    parts += [Or(Defined(psi, psi_vars, (vs[i], vs[j])), Defined(psi, psi_vars, (vs[j], vs[i])))
+    parts += [Or(Defined(psi, (X, Y), (vs[i], vs[j])), Defined(psi, (X, Y), (vs[j], vs[i])))
               for i in range(k) for j in range(i + 1, k)]
     return exists_many(vs, big_and(parts))
 
@@ -555,12 +549,15 @@ class CliquewidthCertificate:
     m: int
 
 
+MAX_CLIQUEWIDTH_K = 2  # cliquewidth_family has 6k(36k + 1) objects
+
+
 def cliquewidth_family(cls: str, k: int = 1) -> tuple[Representation, CliquewidthCertificate]:
     """The r=6k, m=36k+1 family with gradually connected consecutive parts,
     computed on integer numerators over one denominator ``den``."""
     if k < 1:
         raise GeometryError("k must be at least 1")
-    if k > size_cap(2):
+    if k > MAX_CLIQUEWIDTH_K:
         raise GeometryError(f"k={k} exceeds the size cap")
     r = 6 * k
     m = 36 * k + 1
@@ -856,6 +853,9 @@ def _terfan_check(inst: TerfanInstance, h: LabeledGraph) -> Optional[str]:
     return None
 
 
+MAX_TERFAN_VERTICES = 6  # terfan_polygon's H
+
+
 def terfan_polygon(h: LabeledGraph) -> TerfanInstance:
     """Terrain-and-convex-fan polygon whose visibility graph interprets H.
 
@@ -871,7 +871,7 @@ def terfan_polygon(h: LabeledGraph) -> TerfanInstance:
         # empty.  No layout in this construction family avoids it.
         raise GeometryError("single-vertex H is not realizable by this "
                             "construction (blue witness cannot exist)")
-    if h.n > size_cap(6):
+    if h.n > MAX_TERFAN_VERTICES:
         raise GeometryError(f"H on {h.n} vertices exceeds the size cap")
     eta = eta2 = tau = gamma = Fr(1, 8)
     last = "construction failed"

@@ -3,8 +3,10 @@
 Every constructor returns an InterpretationInstance: a labelled poset, the
 pair (nu, psi) over it, the map from graph vertices to poset elements, and
 the class's width bound.  The defining property, checked wholesale by the
-test suite, is that the interpreted graph equals the geometric graph:
-uv is an edge iff the poset models psi(u,v) | psi(v,u).
+test suite through ``generators.graph_interpretation``, is that the
+interpreted graph equals the geometric graph: the vertex map lists nu's
+elements in ascending order, and uv is an edge iff the poset models
+psi(u,v) | psi(v,u).
 """
 
 from __future__ import annotations
@@ -13,18 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
-                      Label, Leq, Not, Or, Var, big_and, big_or)
+                      Label, Leq, Not, Or, Var, X, Y, big_and, big_or)
 from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph, PermSegment,
                        Polygon, Representation, _endpoint_ranks, _permutation_ranks,
                        _proper_parts, _rank_chords, _scaled, _single_polygon,
                        increasing_run_lengths, perturb_endpoints, polygon_report,
-                       symmetric_rows, visibility_graph)
+                       visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
-X, Y, Z = Var("x"), Var("y"), Var("z")
+Z = Var("z")
 
 
 @dataclass
@@ -36,35 +36,21 @@ class InterpretationInstance:
     provenance: dict
     complemented: bool = False
 
-    def interpreted_graph(self) -> LabeledGraph:
-        """I(P) restricted to the mapped vertices, for roundtrip checks."""
-        from .checker import truth_table
-
-        vm = np.array(self.vertex_map, dtype=np.intp)
-        rel = truth_table(self.poset, self.interp.psi, self.interp.psi_vars)
-        return LabeledGraph(len(vm), rows=symmetric_rows(rel[np.ix_(vm, vm)]))
-
-    def nu_set(self) -> set[int]:
-        from .checker import truth_table
-
-        inside = truth_table(self.poset, self.interp.nu, (self.interp.nu_var,))
-        return set(np.flatnonzero(inside).tolist())
-
 
 # ---------------------------------------------------------------------------
 # the three interval-poset formulas
 
-def interval_nu(x: Var = X) -> Formula:
-    return Not(Label("D", x))
+def interval_nu() -> Formula:
+    return Not(Label("D", X))
 
 
-def interval_psi(x: Var = X, y: Var = Y, z: Var = Z, label: str = "D") -> Formula:
+def interval_psi(label: str = "D") -> Formula:
     """True iff no endpoint (element labelled ``label``) sits between the
-    intervals, i.e. they intersect."""
-    return Forall(z, Implies(
-        Label(label, z),
-        And(Or(Not(Leq(x, z)), Not(Leq(z, y))),
-            Or(Not(Leq(y, z)), Not(Leq(z, x)))),
+    intervals x and y, i.e. they intersect."""
+    return Forall(Z, Implies(
+        Label(label, Z),
+        And(Or(Not(Leq(X, Z)), Not(Leq(Z, Y))),
+            Or(Not(Leq(Y, Z)), Not(Leq(Z, X)))),
     ))
 
 
@@ -194,8 +180,10 @@ def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
     return inst
 
 
-def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph,
-                             bound: Optional[int] = None) -> bool:
+MAX_PATTERN_VERTICES = 6  # permutation_subgraph_iso's sentence has this many quantifiers
+
+
+def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -> bool:
     """Does the permutation graph contain h as a (not necessarily induced) subgraph?
 
     A clique of size |V(h)| settles the question immediately (cliques are a
@@ -204,13 +192,10 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph,
     """
     from .checker import model_check
     from .formula import Edge
-    from .generators import size_cap
 
-    if bound is None:
-        bound = size_cap(6)
     k = h.n
-    if k > bound:
-        raise GeometryError(f"pattern on {k} vertices exceeds bound {bound}")
+    if k > MAX_PATTERN_VERTICES:
+        raise GeometryError(f"pattern on {k} vertices exceeds bound {MAX_PATTERN_VERTICES}")
     if k == 0:
         return True
     if k > len(segments):
@@ -355,7 +340,7 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
         for a, b in ((ri, rj), (rj, ri)) if ri != rj else ((ri, ri),):
             dlabel = f"D_{ri + 1}_{rj + 1}"
             clauses.append(big_and([Label(f"B{a + 1}", X), Label(f"B{b + 1}", Y),
-                                    interval_psi(X, Y, Z, dlabel)]))
+                                    interval_psi(dlabel)]))
     nu = big_or([Label(f"B{i + 1}", X) for i in range(ell)])
     psi = big_or(clauses)
     interp = Interpretation(nu, psi, frozenset(labels))
@@ -476,11 +461,10 @@ def visibility_interpretation(w: Polygon) -> InterpretationInstance:
 
     poset = generated_poset(len(elems), pairs, labels, elems)
 
-    z = Var("z")
     psi = big_and([
         Label("green", X), Label("green", Y),
         big_or([
-            _beta0(X, Y, z), _beta0(Y, X, z),
+            _beta0(X, Y, Z), _beta0(Y, X, Z),
             _beta1(X, Y), _beta1(Y, X),
             _beta2(X, Y, k), _beta2(Y, X, k),
         ]),

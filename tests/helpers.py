@@ -5,6 +5,7 @@ The oracles here deliberately use different algorithms from the package
 so agreement is evidence rather than tautology.
 """
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 
 from geomfo import checker, formula as F
 from geomfo.checker import EvalError
+from geomfo.generators import graph_interpretation
 from geomfo.poset import Violation
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation)
@@ -157,6 +159,30 @@ def edge_points(poly: Polygon, i: int):
 def adjacency_rows(g: LabeledGraph) -> list[bytearray]:
     """The graph's adjacency matrix as rows of 0/1 bytes."""
     return [bytearray(r) for r in g.adjacency_matrix().view(np.uint8)]
+
+
+def with_broken_interval_psi(make_instance):
+    """``make_instance`` with the disjunct ``!z<=y`` dropped from every
+    interval instance's psi, so that no two intervals are adjacent."""
+    psi = F.parse_formula("forall z. D(z) -> !x<=z & (!y<=z | !z<=x)", F.POSET)
+
+    def make(cls, rep):
+        inst = make_instance(cls, rep)
+        if cls != "interval":
+            return inst
+        return dataclasses.replace(inst, interp=F.Interpretation(inst.interp.nu, psi,
+                                                                 inst.interp.labels))
+
+    return make
+
+
+def instance_graph(inst) -> LabeledGraph:
+    """The graph an interpretation instance defines in its poset, read by
+    ``graph_interpretation``; its vertices, nu's elements in ascending
+    order, must be the instance's vertex map."""
+    vs, g = graph_interpretation(inst.poset, inst.interp.nu, inst.interp.psi)
+    assert vs == inst.vertex_map
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_criterion_3_lemma_semantics():
         items = rep.objects
         k, parts = proper_partition(items)
         p, ids, dmap = build_interval_poset(items, parts)
-        nu, psi, theta = interval_nu(x), interval_psi(x, y), interval_theta(x, y)
+        nu, psi, theta = interval_nu(), interval_psi(), interval_theta(x, y)
         for e in range(p.n):
             assert eval_structure(p, nu, {x: e}) == (e in ids)
         for i, a in enumerate(items):

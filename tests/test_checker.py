@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomfo import checker, formula as F
-from geomfo.checker import (EvalError, _Context, _context, eval_structure, model_check,
-                            truth_table)
+from geomfo import checker, formula as F, interpret
+from geomfo.checker import (AgreementError, EvalError, _Context, _context, eval_structure,
+                            model_check, truth_table)
 from geomfo.cli import DEFAULT_BATTERY
 from geomfo.formula import GRAPH, POSET, Var, parse_formula
 from geomfo.generators import gamma_k_formula
@@ -17,9 +17,9 @@ from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
 from geomfo.poset import LabeledPoset, generated_poset
 
-from helpers import (eval_slow, has_dominating_set, leq, path_sentence, rand_arcs,
-                     rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
-                     rand_segments, rand_sentence, ref_truth_table)
+from helpers import (eval_slow, has_dominating_set, instance_graph, leq, path_sentence,
+                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
+                     rand_segments, rand_sentence, ref_truth_table, with_broken_interval_psi)
 
 
 def test_tautology_on_one_vertex():
@@ -157,6 +157,16 @@ def test_model_check_convex_pentagon_k5():
     k5 = LabeledGraph(5, set(itertools.combinations(range(5), 2)))
     res = model_check("visibility", rep, pattern_formula(k5))
     assert res.graph_verdict and res.poset_verdict
+
+
+def test_model_check_names_class_and_sentence_on_disagreement(monkeypatch):
+    monkeypatch.setattr(interpret, "make_instance",
+                        with_broken_interval_psi(interpret.make_instance))
+    rep = Representation("interval", (Interval(Fr(1), Fr(3)), Interval(Fr(2), Fr(4))))
+    phi = parse_formula("exists x. exists y. edge(x,y)", GRAPH)
+    with pytest.raises(AgreementError, match=r"^graph verdict True != poset verdict False "
+                       r"for class interval on 2 objects: exists x\. exists y\. edge\(x,y\)$"):
+        model_check("interval", rep, phi)
 
 
 def test_model_check_requires_sentence():
@@ -407,7 +417,7 @@ def test_psi_tables_fit_a_quadratic_budget(monkeypatch, cls, make, size):
     rep = make(random.Random(15), size)
     inst = make_instance(cls, rep)
     monkeypatch.setattr(checker, "MAX_CELLS", inst.poset.n ** 2)
-    assert inst.interpreted_graph().edges == checker.build_graph(cls, rep).edges
+    assert instance_graph(inst).edges == checker.build_graph(cls, rep).edges
 
 
 def test_budget_overflow_is_an_eval_error(monkeypatch):
@@ -553,6 +563,43 @@ def test_executor_matches_recursive_evaluator(seed, small_cells):
                                for at, table in ctx.tables.items())
                     assert [d.tolist() for d in ctx.domains] == \
                         [d.tolist() for d in oracle.domains]
+
+
+def _one_sided(phi, rng, rel):
+    """``phi`` with each edge atom made a ``rel`` atom or, half the time, a
+    defined atom over (x, y) whose body leaves one of its parameters out."""
+    bodies = (F.Label("red", _X), F.Not(F.Label("red", _Y)),
+              F.Exists(_Z, F.And(rel(_Z, _X), F.Label("red", _Z))))
+
+    def atom(g):
+        if not isinstance(g, F.Edge):
+            return g
+        if rng.random() < 0.5:
+            return rel(g.x, g.y)
+        return F.Defined(rng.choice(bodies), (_X, _Y), (g.x, g.y))
+
+    return F.map_atoms(phi, atom)
+
+
+@pytest.mark.parametrize("signature", [GRAPH, POSET])
+def test_defined_atom_leaving_out_a_parameter(signature):
+    """A defined atom's table spans its arguments even where its body does
+    not mention one: random sentences holding such atoms against the direct
+    evaluator, and every subformula's table against the recursive one."""
+    rng = random.Random(17)
+    rel = F.Edge if signature == GRAPH else F.Leq
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        pairs = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
+        labels = {"red": {v for v in range(n) if rng.random() < 0.5}}
+        s = (LabeledGraph(n, pairs, labels) if signature == GRAPH
+             else generated_poset(n, pairs, labels))
+        oracle = _Context(s)
+        for _ in range(5):
+            phi = _one_sided(rand_sentence(rng, rng.randint(1, 4), labels=("red",)), rng, rel)
+            assert eval_structure(s, phi) == eval_slow(s, phi)
+            for f in _subformulas(phi):
+                assert (truth_table(s, f, f.free) == ref_truth_table(oracle, f, f.free)).all()
 
 
 _DEEP = 100_000

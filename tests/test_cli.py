@@ -1,18 +1,20 @@
 import random
 import re
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
-from geomfo import checker, cli, fileio
+from geomfo import checker, cli, fileio, interpret
 from geomfo.cli import main
+from geomfo.formula import POSET, print_formula
 from geomfo.generators import terfan_polygon
 from geomfo.geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
                              Polygon, Representation)
 from geomfo.poset import LabeledPoset, PosetError
 
 from helpers import path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, \
-    rand_intervals, rand_segments
+    rand_intervals, rand_segments, with_broken_interval_psi
 
 
 def test_fileio_representation_idempotent():
@@ -162,6 +164,46 @@ def test_cli_check_emit(tmp_path, capsys):
                  "--emit-out", str(out)]) == 0
     p = fileio.read_poset(out.read_text())
     assert p.n == 6 and p.labels["D"]
+    # on stdout, the emitted text comes first and the two verdict lines follow
+    built = fileio.read_representation(Path(rep).read_text())
+    inst = interpret.make_instance("interval", built)
+    verdicts = "graph_verdict True\nposet_verdict True\n"
+    for emit in ("graph", "interp"):
+        capsys.readouterr()
+        assert main(["check", "--class", "interval", "--in", rep,
+                     "--formula", "exists x. exists y. edge(x,y)", "--emit", emit]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith(verdicts)
+        emitted = text[:-len(verdicts)]
+        if emit == "graph":
+            assert fileio.read_graph(emitted) == checker.build_graph("interval", built)
+        else:
+            read = fileio.read_interpretation_formulas(emitted, POSET)
+            assert list(map(print_formula, read)) == [print_formula(inst.interp.nu),
+                                                      print_formula(inst.interp.psi)]
+
+
+def test_read_interpretation_formulas_errors():
+    with pytest.raises(fileio.FileFormatError, match=r"^bad interpretation line: rho x<=y$"):
+        fileio.read_interpretation_formulas("nu !D(x)\nrho x<=y\n", POSET)
+    with pytest.raises(fileio.FileFormatError,
+                       match=r"^interpretation file needs both nu and psi$"):
+        fileio.read_interpretation_formulas("nu !D(x)\n# psi x<=y\n", POSET)
+
+
+@pytest.mark.parametrize("error, message", [(RecursionError, "input nested too deeply to process"),
+                                            (MemoryError, "out of memory")])
+def test_cli_reports_recursion_and_memory_errors_in_one_line(tmp_path, capsys, monkeypatch,
+                                                             error, message):
+    def fail(*args):
+        raise error()
+
+    monkeypatch.setattr(cli, "model_check", fail)
+    rep = _write_interval_rep(tmp_path)
+    assert main(["check", "--class", "interval", "--in", rep,
+                 "--formula", "exists x. x=x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_cli_interpret_and_deterministic(tmp_path, capsys):
@@ -325,6 +367,23 @@ def test_cli_verify_builds_once_per_case_and_prints_as_model_check(tmp_path, cap
     assert main(["verify", "--dir", str(cases)]) == 1
     assert capsys.readouterr().out == out
     assert len(builds) == 8 + 6 * 2 + 5 + 1  # one build per sentence there
+
+
+def test_cli_verify_reports_disagreement_and_goes_on(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(interpret, "make_instance",
+                        with_broken_interval_psi(interpret.make_instance))
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "a.rep").write_text("class interval\ninterval 1 3\ninterval 2 4\n")
+    (cases / "a.formulas").write_text("exists x. exists y. edge(x,y)\n")
+    (cases / "b.rep").write_text(fileio.write_representation(rand_chords(random.Random(57), 4)))
+    assert main(["verify", "--dir", str(cases)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("a.rep") and rows[0].endswith(
+        "FAIL graph verdict True != poset verdict False for class interval on 2 objects: "
+        "exists x. exists y. edge(x,y)")
+    assert rows[1].startswith("b.rep") and rows[1].endswith("PASS ")
+    assert rows[2] == "1/2 cases pass"
 
 
 def test_cli_check_evaluation_errors_exit_2(tmp_path, capsys):

@@ -15,8 +15,8 @@ from geomfo.interpret import (_chord_ends, longest_crossing, longest_noncrossing
 from geomfo.poset import (LabeledPoset, build_interval_poset, transitive_closure,
                           validate_poset)
 
-from helpers import (disk_endpoint_cmp, fixpoint_closure, longest_chain_dp, mirsky_partition,
-                     poset_digest, rand_intervals, ref_build_interval_poset,
+from helpers import (disk_endpoint_cmp, fixpoint_closure, instance_graph, longest_chain_dp,
+                     mirsky_partition, poset_digest, rand_intervals, ref_build_interval_poset,
                      ref_interval_family_instance, ref_perturb_endpoints, ref_proper_partition,
                      ref_unit_disk_poset, validate_poset_scan)
 
@@ -229,7 +229,7 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
         inst = make_instance(cls, rep)
         assert (_summary(inst.poset, inst.vertex_map, inst.width_bound, inst.provenance)
                 == _summary(*ref_interval_family_instance(cls, rep)))
-        assert inst.interpreted_graph().edges == build_intersection_graph(cls, rep).edges
+        assert instance_graph(inst).edges == build_intersection_graph(cls, rep).edges
         base = (Representation("interval", tuple(b.x for b in rep.objects))
                 if cls == "box" else rep)
         out = perturb_endpoints(base)

@@ -132,6 +132,17 @@ def _simple_interp():
     return Interpretation(nu, psi, frozenset({"D"}))
 
 
+@pytest.mark.parametrize("nu, psi, message", [
+    ("!D(y)", "x<=y", "nu must have exactly the free variable x"),
+    ("!D(x) & x<=y", "x<=y", "nu must have exactly the free variable x"),
+    ("!D(x)", "x<=z", "psi must have exactly the free variables x and y"),
+    ("!D(x)", "D(x)", "psi must have exactly the free variables x and y"),
+])
+def test_interpretation_is_on_x_and_y(nu, psi, message):
+    with pytest.raises(F.FormulaError, match=f"^{message}$"):
+        Interpretation(parse_formula(nu, POSET), parse_formula(psi, POSET), frozenset({"D"}))
+
+
 def test_rewrite_no_edge_atom():
     phi = parse_formula("exists x. L(x)", GRAPH)
     out = rewrite_under_interpretation(phi, _simple_interp())
@@ -312,9 +323,8 @@ def test_stored_facts_match_the_recursive_oracles():
     formulas = []
     for cls in _CLASSES:
         interp = _random_instance(cls, rng).interp
-        x, y = interp.psi_vars
-        renamed = F.expand(F.Defined(interp.psi, (x, y), (x, y)))
-        copy = Interpretation(interp.nu, renamed, interp.labels, interp.nu_var, interp.psi_vars)
+        renamed = F.expand(F.Defined(interp.psi, (F.X, F.Y), (F.X, F.Y)))
+        copy = Interpretation(interp.nu, renamed, interp.labels)
         assert quantifier_depth(interp.psi) == 0 or renamed is not interp.psi
         formulas += [interp.nu, interp.psi, renamed]
         for _ in range(8):
@@ -443,11 +453,11 @@ def _fold_rewrite(phi, interp):
 
     def combine(g, kids):
         if isinstance(g, Edge):
-            psi, params = interp.psi, interp.psi_vars
+            psi, params = interp.psi, (F.X, F.Y)
             return And(Not(Eq(g.x, g.y)),
                        Or(F.Defined(psi, params, (g.x, g.y)), F.Defined(psi, params, (g.y, g.x))))
         if isinstance(g, (Exists, Forall)):
-            nu = F.Defined(interp.nu, (interp.nu_var,), (g.var,))
+            nu = F.Defined(interp.nu, (F.X,), (g.var,))
             return type(g)(g.var, (And if isinstance(g, Exists) else Implies)(nu, kids[0]))
         if isinstance(g, F.Defined):
             return F.Defined(kids[0], g.params, g.args)

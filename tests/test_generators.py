@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
 
+from geomfo import GeomfoError, generators as G, interpret
 from geomfo.checker import eval_structure
 from geomfo import formula as F
 from geomfo.formula import GRAPH, is_existential, print_formula, parse_formula
@@ -13,7 +15,7 @@ from geomfo.generators import (cliquewidth_family,
                                hardness_instance, induced_cycles, strip_labels,
                                terfan_polygon, verify_consecutive,
                                witness_confinement)
-from geomfo.geometry import (GeometryError, LabeledGraph, build_intersection_graph,
+from geomfo.geometry import (GeometryError, LabeledGraph, PermSegment, build_intersection_graph,
                              cliquewidth_certificate_check, polygon_report,
                              true_twins, visibility_graph)
 
@@ -308,3 +310,28 @@ def test_terfan_figure_graph():
 def test_terfan_single_vertex_unrealizable():
     with pytest.raises(GeometryError):
         terfan_polygon(LabeledGraph(1))
+
+
+def _efo_prefix(n):
+    vs = [F.Var(f"x{i}") for i in range(n)]
+    return F.exists_many(vs, F.big_and([F.Eq(v, v) for v in vs]))
+
+
+@pytest.mark.parametrize("cap, value, build, message", [
+    (interpret.MAX_PATTERN_VERTICES, 6,
+     lambda n: interpret.permutation_subgraph_iso([PermSegment(Fr(0), Fr(1))], LabeledGraph(n)),
+     "pattern on 7 vertices exceeds bound 6"),
+    (F.MAX_EFO_VARS, 6, lambda n: F.efo_to_patterns(_efo_prefix(n)),
+     "EFO prefix of 7 variables exceeds bound 6"),
+    (G.MAX_HARDNESS_VERTICES, 8, lambda n: hardness_instance(LabeledGraph(n), "permutation"),
+     "H on 9 vertices exceeds the size cap"),
+    (G.MAX_CLIQUEWIDTH_K, 2, lambda k: cliquewidth_family("circle", k),
+     "k=3 exceeds the size cap"),
+    (G.MAX_TERFAN_VERTICES, 6, lambda n: terfan_polygon(LabeledGraph(n)),
+     "H on 7 vertices exceeds the size cap"),
+], ids=["permutation_subgraph_iso", "efo_to_patterns", "hardness_instance",
+        "cliquewidth_family", "terfan_polygon"])
+def test_size_cap_refuses_one_over(cap, value, build, message):
+    assert cap == value
+    with pytest.raises(GeomfoError, match=f"^{re.escape(message)}$"):
+        build(cap + 1)

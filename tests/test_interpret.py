@@ -20,8 +20,8 @@ from geomfo.interpret import (interval_interpretation, interval_theta,
 from geomfo.poset import poset_width, validate_poset
 
 from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
-from helpers import (max_clique, max_independent_set, has_subgraph, rand_arcs,
-                     rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
+from helpers import (instance_graph, max_clique, max_independent_set, has_subgraph,
+                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
                      rand_segments, rand_sentence)
 
 def test_visibility_instance_needs_one_polygon():
@@ -70,11 +70,8 @@ def _check_instance(cls, rep):
     inst = make_instance(cls, rep)
     assert validate_poset(inst.poset) is None
     assert poset_width(inst.poset) <= inst.width_bound
-    interpreted = inst.interpreted_graph()
     want = g.complement() if inst.complemented else g
-    assert interpreted.edges == want.edges, cls
-    nu_set = inst.nu_set()
-    assert nu_set == set(inst.vertex_map)
+    assert instance_graph(inst).edges == want.edges, cls
     return inst
 
 
@@ -129,7 +126,7 @@ def test_circular_arc_all_contain_zero():
     arcs = [Arc(Fr(3, 4), Fr(1, 4)), Arc(Fr(7, 8), Fr(1, 8)), Arc(Fr(5, 8), Fr(3, 8))]
     inst = circular_arc_interpretation(arcs)
     n = len(arcs)
-    assert inst.interpreted_graph().edges == frozenset(
+    assert instance_graph(inst).edges == frozenset(
         (i, j) for i in range(n) for j in range(i + 1, n))
 
 
@@ -156,18 +153,18 @@ def test_circular_arc_avoiding_zero_equals_interval():
         inst = circular_arc_interpretation(rep.objects)
         flat = [Interval(a.start, a.end) for a in rep.objects]
         g_int = build_intersection_graph("interval", Representation("interval", tuple(flat)))
-        assert inst.interpreted_graph().edges == g_int.edges
+        assert instance_graph(inst).edges == g_int.edges
 
 
 def test_circle_examples():
     crossing = [Chord(Fr(0), Fr(1, 2)), Chord(Fr(1, 4), Fr(3, 4))]
     inst = circle_interpretation(crossing)
     assert inst.width_bound == 2
-    assert inst.interpreted_graph().edges == frozenset({(0, 1)})
+    assert instance_graph(inst).edges == frozenset({(0, 1)})
     nested = [Chord(Fr(0), Fr(3, 4)), Chord(Fr(1, 4), Fr(1, 2))]
     inst = circle_interpretation(nested)
     assert inst.provenance["k"] == 2
-    assert inst.interpreted_graph().edges == frozenset()
+    assert instance_graph(inst).edges == frozenset()
 
 
 def test_circle_figure_seven_chords():
@@ -178,7 +175,7 @@ def test_circle_figure_seven_chords():
     rep = Representation("circle", chords)
     g = build_intersection_graph("circle", rep)
     inst = circle_interpretation(chords)
-    assert inst.interpreted_graph().edges == g.edges
+    assert instance_graph(inst).edges == g.edges
 
 
 def test_permutation_plan_orientations():
@@ -265,7 +262,7 @@ def test_unit_disk_examples():
     tri = [Disk(Fr(0), Fr(0)), Disk(Fr(3, 4), Fr(0)), Disk(Fr(3, 8), Fr(3, 4))]
     inst = unit_disk_interpretation(tri)
     g = build_intersection_graph("unit_disk", Representation("unit_disk", tuple(tri)))
-    assert inst.interpreted_graph().edges == g.edges
+    assert instance_graph(inst).edges == g.edges
 
 
 def test_unit_disk_ties_and_tangencies():
@@ -274,7 +271,7 @@ def test_unit_disk_ties_and_tangencies():
              Disk(Fr(1, 2), Fr(1)), Disk(Fr(0), Fr(3))]
     g = build_intersection_graph("unit_disk", Representation("unit_disk", tuple(disks)))
     inst = unit_disk_interpretation(disks)
-    assert inst.interpreted_graph().edges == g.edges
+    assert instance_graph(inst).edges == g.edges
     assert g.has_edge(0, 2) and not g.has_edge(0, 4)
 
 
@@ -305,7 +302,7 @@ def test_visibility_convex_polygon():
     pts = tuple((Fr(i), Fr(i * (5 - i))) for i in range(6))
     inst = visibility_interpretation(Polygon(pts))
     assert inst.width_bound == 1
-    assert len(inst.interpreted_graph().edges) == 15  # K6
+    assert len(instance_graph(inst).edges) == 15  # K6
 
 
 def test_visibility_empty_interior_ear_chain_count():
@@ -396,4 +393,4 @@ def test_box_figure_instance():
     from geomfo.poset import poset_width
     assert poset_width(inst.poset) <= 4
     g = build_intersection_graph("box", Representation("box", tuple(boxes)))
-    assert inst.interpreted_graph().edges == g.edges
+    assert instance_graph(inst).edges == g.edges

@@ -175,10 +175,10 @@ def test_lemma_formula_semantics():
         items = rep.objects
         k, parts = proper_partition(items)
         p, ids, dmap = build_interval_poset(items, parts)
-        nu = interval_nu(x)
+        nu = interval_nu()
         for e in range(p.n):
             assert eval_structure(p, nu, {x: e}) == (e in ids)
-        psi = interval_psi(x, y)
+        psi = interval_psi()
         theta = interval_theta(x, y)
         for i, a in enumerate(items):
             for j, b in enumerate(items):
