@@ -618,8 +618,11 @@ def model_check(cls: str, rep: Representation, phi: F.Formula) -> ModelCheckResu
 def _model_checker(cls: str, rep: Representation):
     """``model_check`` on one representation, as a function of the sentence:
     it builds the graph and the poset instance on the first call whose
-    sentence passes the checks, and reuses them on every later call."""
-    from .interpret import make_instance
+    sentence passes the checks, and reuses them on every later call.  Both
+    structures' evaluation contexts are made right after the build, so an
+    instance over a relation budget is refused before either side is
+    evaluated."""
+    from .interpret import _build
 
     if cls not in ALL_CLASSES:
         raise GeometryError(f"unknown class {cls!r}")
@@ -630,7 +633,10 @@ def _model_checker(cls: str, rep: Representation):
             raise EvalError("model checking needs a sentence")
         F.check_signature(phi, F.GRAPH)
         if not built:
-            built[:] = build_graph(cls, rep), make_instance(cls, rep)
+            g, inst = _build(cls, rep)
+            _context(g)
+            _context(inst.poset)
+            built[:] = g, inst
         g, inst = built
         phi_eff = F.complement_edges(phi) if inst.complemented else phi
         phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)

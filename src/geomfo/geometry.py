@@ -11,8 +11,9 @@ only at its own two ends) and, with the cone tests, whether a segment from
 a vertex lies in the polygon, both toward another vertex and toward a
 vertex's perpendicular foot on the closing edge; the foot is a point of the
 polygon's grid scaled once more, by the squared length of that edge.
-Perturbation and proper partitions work on integer endpoints and their
-ranks.  Angular positions live in [0,1) turns measured clockwise from angle
+Perturbation (``_perturbed``) and proper partitions work on integer
+endpoints and their ranks, and hand integers on to the poset builders.
+Angular positions live in [0,1) turns measured clockwise from angle
 0 (a half turn is exactly 1/2).
 
 Each intersection class is described once, in ``_OBJECTS``: its object
@@ -61,7 +62,19 @@ def rat(x) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
+    """The rational ``Fraction(text)`` reads.  Text that is exactly ``-?digits``
+    or ``-?digits/digits`` in ASCII, the form files are written in, is read
+    by ``int``; everything else, and a zero denominator, goes to ``Fraction``,
+    so the accepted language and every error message are ``Fraction``'s."""
     try:
+        num, slash, den = text.partition("/")
+        if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit():
+                n, d = int(num), int(den)
+                if d:
+                    return Fraction(n, d)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise GeometryError(f"bad rational {text!r}: {exc}") from None
@@ -69,6 +82,12 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _format_ratio(k: int, scale: int) -> str:
+    """``format_rat(Fraction(k, scale))``, which is also its ``str``, for scale > 0."""
+    g = math.gcd(k, scale)
+    return str(k // g) if g == scale else f"{k // g}/{scale // g}"
 
 
 @functools.cache
@@ -181,13 +200,24 @@ def bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
+def _packed_rows(m: np.ndarray) -> tuple[int, ...]:
+    """The bit rows of a square boolean matrix: bit b of row a is m[a, b]."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    return tuple([int.from_bytes(buf[a * width:(a + 1) * width], "little") for a in range(len(m))])
+
+
 def symmetric_rows(rel: np.ndarray) -> tuple[int, ...]:
     """The bit rows of the loop-free graph with an edge ab iff rel[a, b] or rel[b, a]."""
     m = rel | rel.T
     np.fill_diagonal(m, False)
-    packed = np.packbits(m, axis=1, bitorder="little")
-    width, buf = packed.shape[1], packed.tobytes()
-    return tuple([int.from_bytes(buf[a * width:(a + 1) * width], "little") for a in range(len(m))])
+    return _packed_rows(m)
+
+
+def _check_adjacency(m: np.ndarray) -> None:
+    """Refuse an adjacency matrix with a loop or an asymmetric pair."""
+    if m.diagonal().any() or (m != m.T).any():
+        raise GeometryError("adjacency rows must be loop-free and symmetric")
 
 
 class LabeledGraph:
@@ -216,9 +246,7 @@ class LabeledGraph:
         self._rows: tuple[int, ...] = tuple(acc)
         self._matrix: Optional[np.ndarray] = None
         if rows is not None:
-            m = self.adjacency_matrix()
-            if m.diagonal().any() or (m != m.T).any():
-                raise GeometryError("adjacency rows must be loop-free and symmetric")
+            _check_adjacency(self.adjacency_matrix())
         labs = {}
         for name, vs in (labels or {}).items():
             vs = frozenset(vs)
@@ -232,14 +260,20 @@ class LabeledGraph:
     @classmethod
     def _from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray) -> "LabeledGraph":
         """The unlabelled graph whose edges are the pairs (i[t], j[t]); every
-        pair must have 0 <= i[t] < j[t] < n, which is checked on the arrays."""
+        pair must have 0 <= i[t] < j[t] < n, which is checked on the arrays.
+        The adjacency matrix is built once, checked as the constructor checks
+        rows, packed into the rows and kept as ``adjacency_matrix``."""
         bad = (i < 0) | (i >= j) | (j >= n)
         if bad.any():
             t = int(np.argmax(bad))
             raise GeometryError(f"edge ({i[t]},{j[t]}) is not a pair 0 <= i < j < {n}")
         m = np.zeros((n, n), dtype=bool)
-        m[i, j] = True
-        return cls(n, rows=symmetric_rows(m))
+        m[i, j] = m[j, i] = True
+        _check_adjacency(m)
+        g = cls(n)
+        g._rows, g._matrix = _packed_rows(m), m
+        m.flags.writeable = False
+        return g
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -504,8 +538,15 @@ def _pair_arrays(cls: str, keys: Sequence[int], unit: int) -> tuple[np.ndarray, 
     return np.concatenate(iis), np.concatenate(jjs)
 
 
-def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
-    """Intersection graph of a representation; vertex order = input order."""
+def _scaled_objects(cls: str, objects: Sequence) -> tuple[int, list[int]]:
+    """``_scaled`` of the objects' coordinates in file order, one object after another."""
+    coords = _OBJECTS[cls].coords
+    return _scaled([c for o in objects for c in coords(o)])
+
+
+def _grid(cls: str, rep: Representation) -> tuple[int, list[int]]:
+    """The one rescale of a representation of an intersection class, after
+    checking its class and its objects' type: ``_scaled_objects``."""
     if cls not in INTERSECTION_CLASSES:
         raise GeometryError(f"not an intersection class: {cls!r}")
     if rep.cls != cls:
@@ -514,33 +555,43 @@ def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
     for obj in rep.objects:
         if not isinstance(obj, want):
             raise GeometryError(f"object {obj!r} is not a {want.__name__}")
-    scale, keys = _scaled([c for o in rep.objects for c in _OBJECTS[cls].coords(o)])
+    return _scaled_objects(cls, rep.objects)
+
+
+def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
+    """Intersection graph of a representation; vertex order = input order."""
+    scale, keys = _grid(cls, rep)
     return LabeledGraph._from_pairs(len(rep.objects), *_pair_arrays(cls, keys, scale))
 
 
-def _permutation_ranks(segments: Sequence[PermSegment]) -> tuple[list[int], list[int]]:
-    """Each segment's rank among the tops and among the bottoms, 0..n-1.
+def _permutation_ranks(keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each segment's rank among the tops and among the bottoms, 0..n-1, from
+    the segments' (top, bottom) at a common scale, one after another.
 
     The one rule for tied coordinates: ties on the top line are ordered by
     bottom, then by index, and ties on the bottom line by top rank, so tied
     segments never cross, and the ranks cross exactly where the segments do.
     """
-    n = len(segments)
+    n = len(keys) // 2
     top, bottom = [0] * n, [0] * n
-    by_top = sorted(range(n), key=lambda i: (segments[i].top, segments[i].bottom, i))
-    for r, i in enumerate(by_top):
+    for r, i in enumerate(sorted(range(n), key=lambda i: (keys[2 * i], keys[2 * i + 1], i))):
         top[i] = r
-    for r, i in enumerate(sorted(range(n), key=lambda i: (segments[i].bottom, top[i]))):
+    for r, i in enumerate(sorted(range(n), key=lambda i: (keys[2 * i + 1], top[i]))):
         bottom[i] = r
     return top, bottom
 
 
-def _rank_chords(top: Sequence[int], bottom: Sequence[int]) -> list[Chord]:
-    """Chords of segments given by their ranks: top ranks map in order into
-    (0, 1/2), bottom ranks in reverse order into (1/2, 1)."""
-    d = 2 * (len(top) + 1)
-    return [Chord(Fraction(t + 1, d), Fraction(1, 2) + Fraction(len(top) - b, d))
-            for t, b in zip(top, bottom)]
+def _segment_ranks(segments: Sequence[PermSegment]) -> tuple[list[int], list[int]]:
+    """``_permutation_ranks`` of segments, after one rescale."""
+    return _permutation_ranks(_scaled_objects("permutation", segments)[1])
+
+
+def _rank_chord_ends(top: Sequence[int], bottom: Sequence[int]) -> tuple[int, list[int]]:
+    """Chords of segments given by their ranks, as ends at the scale d =
+    2(n + 1), chord i at 2i, 2i+1: top ranks map in order into (0, 1/2),
+    bottom ranks in reverse order into (1/2, 1)."""
+    n = len(top)
+    return 2 * (n + 1), [k for t, b in zip(top, bottom) for k in (t + 1, 2 * n + 1 - b)]
 
 
 def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
@@ -549,7 +600,8 @@ def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
     The chords are placed by ``_permutation_ranks``, so crossings are
     preserved exactly, tied coordinates included.
     """
-    return _rank_chords(*_permutation_ranks(segments))
+    d, ends = _rank_chord_ends(*_segment_ranks(segments))
+    return [Chord(Fraction(a, d), Fraction(b, d)) for a, b in zip(ends[::2], ends[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -606,29 +658,49 @@ def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
     return _proper_parts(*_endpoint_ranks(keys, "duplicate endpoints"))
 
 
+_PERTURBED = ("interval", "circular_arc", "circle")  # the classes perturbation is defined on
+
+
 def perturb_endpoints(rep: Representation) -> Representation:
     """Make all endpoints pairwise distinct without changing the graph.
 
     Intervals and arcs are dilated (object j grows by j*eps at each end), so
     closed-set tangencies stay edges; chords are nudged rotationally with a
     fan-out rule at shared endpoints, so strict crossings are unchanged.
-    Arc and chord endpoints also end up away from angle 0.  All of it runs
-    on integer endpoints from one rescale: with the least positive gap g at
-    scale S and m = 4 * (number of ends), eps = g/(mS), so the new ends are
-    integers at scale mS, turned into ``Fraction`` objects once, at the end.
+    Arc and chord endpoints also end up away from angle 0.  The work is
+    ``_perturbed``'s, on the integer endpoints of one rescale; only here are
+    its ends turned into ``Fraction`` objects.  A representation whose
+    endpoints are already distinct is returned as it is.
     """
     cls = rep.cls
-    if cls not in ("interval", "circular_arc", "circle"):
+    if cls not in _PERTURBED:
         raise GeometryError(f"perturbation undefined for class {cls!r}")
-    spec = _OBJECTS[cls]
-    if not rep.objects:
+    scale, keys = _scaled_objects(cls, rep.objects)
+    turn, new = _perturbed(cls, scale, keys)
+    if new is keys:
         return rep
-    scale, keys = _scaled([e for o in rep.objects for e in spec.coords(o)])
+    ends = [Fraction(k, turn) for k in new]
+    make = _OBJECTS[cls].make
+    return Representation(cls, tuple([make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
+
+
+def _perturbed(cls: str, scale: int, keys: list[int],
+               pairs: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[int, list[int]]:
+    """``perturb_endpoints`` on integer endpoints: ``keys`` holds the objects'
+    ends in file order at ``scale``, and ``pairs`` their meeting pairs
+    there, if already known.  Returns the new scale and ends, or ``(scale,
+    keys)`` themselves when the ends are already distinct (and, on the
+    circle, away from 0).
+
+    With the least positive gap g and m = 4 * (number of ends), eps = g/m at
+    scale S, so the new ends are integers at scale mS.  The meeting pairs of
+    the new ends must be ``pairs``: the check that the graph is unchanged.
+    """
     circular = cls != "interval"
     # on the circle, angle 0 counts as one more endpoint to stay away from
     vals = sorted(keys + [0] if circular else keys)
     if all(a != b for a, b in zip(vals, vals[1:])):
-        return rep
+        return scale, keys
     if vals[0] == vals[-1]:
         raise GeometryError("all endpoints identical")
     gap = min(b - a for a, b in zip(vals, vals[1:]) if b != a)
@@ -659,16 +731,16 @@ def perturb_endpoints(rep: Representation) -> Representation:
             for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
                 new[e] = (m * value + t * gap) % turn
 
-    before, after = _pair_arrays(cls, keys, scale), _pair_arrays(cls, new, turn)
-    if not all(map(np.array_equal, before, after)):
+    if pairs is None:
+        pairs = _pair_arrays(cls, keys, scale)
+    if not all(map(np.array_equal, pairs, _pair_arrays(cls, new, turn))):
         raise GeometryError("perturbation changed the intersection graph")
     new_vals = sorted(new)
     if any(a == b for a, b in zip(new_vals, new_vals[1:])):
         raise GeometryError("perturbation left duplicate endpoints")
     if circular and new_vals[0] == 0:
         raise GeometryError("perturbation left an endpoint at angle 0")
-    ends = [Fraction(k, turn) for k in new]
-    return Representation(cls, tuple([spec.make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
+    return turn, new
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,30 @@ test suite through ``generators.graph_interpretation``, is that the
 interpreted graph equals the geometric graph: the vertex map lists nu's
 elements in ascending order, and uv is an edge iff the poset models
 psi(u,v) | psi(v,u).
+
+Each intersection class is built on its grid, ``geometry._grid``: its
+objects' coordinates as ints at one scale.  Interval, circular-arc and
+circle ends are perturbed there first (``geometry._perturbed``), and the
+perturbed ints go straight to the endpoint ranks and the poset; no
+``Fraction`` is made.  ``make_instance`` rescales once; ``_build``, the
+build ``model_check`` runs, rescales once for the graph and the instance
+together, and the perturbation's check compares against the meeting pairs
+the graph was built from.  The public constructors rescale their objects
+once and run the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, X, Y, big_and, big_or)
-from .geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph, PermSegment,
-                       Polygon, Representation, _endpoint_ranks, _permutation_ranks,
-                       _proper_parts, _rank_chords, _scaled, _single_polygon,
-                       increasing_run_lengths, perturb_endpoints, polygon_report,
-                       visibility_graph)
+from .geometry import (_PERTURBED, Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
+                       PermSegment, Polygon, Representation, _endpoint_ranks, _grid,
+                       _pair_arrays, _permutation_ranks, _perturbed, _proper_parts,
+                       _rank_chord_ends, _scaled_objects, _segment_ranks, _single_polygon,
+                       increasing_run_lengths, polygon_report, visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 Z = Var("z")
@@ -63,47 +72,47 @@ def interval_theta(x: Var = X, y: Var = Y, z: Var = Z) -> Formula:
     ))
 
 
-def _ranked_ends(pairs: Sequence[tuple[Fraction, Fraction]]):
-    """The interval family of ``pairs``, each put in increasing order, on ranks.
+def _ranked_ends(keys: Sequence[int]):
+    """The interval family of the pairs (keys[2i], keys[2i+1]), each put in
+    increasing order, on ranks.
 
-    One rescale of all ends to ints and one sort.  Returns the ends (pair i
-    at 2i, 2i+1), their ints, whether each pair was reversed, the end
-    positions in increasing order, and the rank of each position.
+    The keys are integer ends at a common scale; one sort ranks them.
+    Returns the ends in that order (a new list), whether each pair was
+    reversed, the end positions in increasing order, and the rank of each
+    position.
     """
-    ends = [e for pair in pairs for e in pair]
-    _, keys = _scaled(ends)
-    flipped = [keys[2 * i] > keys[2 * i + 1] for i in range(len(pairs))]
+    keys = list(keys)
+    flipped = [keys[2 * i] > keys[2 * i + 1] for i in range(len(keys) // 2)]
     for i, f in enumerate(flipped):
         if f:
-            for seq in (keys, ends):
-                seq[2 * i], seq[2 * i + 1] = seq[2 * i + 1], seq[2 * i]
+            keys[2 * i], keys[2 * i + 1] = keys[2 * i + 1], keys[2 * i]
     by_value, rank = _endpoint_ranks(keys, "shared endpoints; apply perturb_endpoints first")
-    return ends, keys, flipped, by_value, rank
+    return keys, flipped, by_value, rank
 
 
-def interval_interpretation(intervals: Sequence[Interval]) -> InterpretationInstance:
-    if not intervals:
+def _interval_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    if not keys:
         raise GeometryError("empty representation")
-    ends, _, _, by_value, rank = _ranked_ends([(it.lo, it.hi) for it in intervals])
+    keys, _, by_value, rank = _ranked_ends(keys)
     k, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts)
+    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
     interp = Interpretation(interval_nu(), interval_psi(), frozenset({"D"}))
     return InterpretationInstance(poset, interp, ids, k + 1,
                                   {"class": "interval", "k": k})
 
 
-def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
-    if not arcs:
+def _arc_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    if not keys:
         raise GeometryError("empty representation")
     # a wrapping arc (start > end) stands for its complement [end, start],
     # which avoids 0; it is red
-    ends, keys, red, by_value, rank = _ranked_ends([(a.start, a.end) for a in arcs])
+    keys, red, by_value, rank = _ranked_ends(keys)
     if 0 in keys:
         raise GeometryError("arc endpoint at angle 0; apply perturb_endpoints first")
     k_plain, _ = _proper_parts([e for e in by_value if not red[e >> 1]], rank)
     k_red, _ = _proper_parts([e for e in by_value if red[e >> 1]], rank)
     k_b, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts,
+    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts,
                                         {"red": [i for i, r in enumerate(red) if r]})
 
     psi1 = big_or([
@@ -118,18 +127,30 @@ def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
                                   {"class": "circular_arc", "k": k, "k_flat": k_b})
 
 
-def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
-    if not chords:
+def _circle_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    if not keys:
         raise GeometryError("empty representation")
-    ends, _, _, by_value, rank = _ranked_ends([(c.a, c.b) for c in chords])
+    keys, _, by_value, rank = _ranked_ends(keys)
     k, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts)
+    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
     sigma = big_and([interval_psi(),
                      Not(interval_theta(X, Y)),
                      Not(interval_theta(Y, X))])
     interp = Interpretation(interval_nu(), sigma, frozenset({"D"}))
     return InterpretationInstance(poset, interp, ids, k + 1,
                                   {"class": "circle", "k": k})
+
+
+def interval_interpretation(intervals: Sequence[Interval]) -> InterpretationInstance:
+    return _interval_instance(*_scaled_objects("interval", intervals))
+
+
+def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
+    return _arc_instance(*_scaled_objects("circular_arc", arcs))
+
+
+def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
+    return _circle_instance(*_scaled_objects("circle", chords))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +168,12 @@ def _longest_chain(top: Sequence[int], bottom: Sequence[int], crossing: bool) ->
 
 def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
     """Maximum independent set = longest chain of pairwise non-crossing segments."""
-    return _longest_chain(*_permutation_ranks(segments), False)
+    return _longest_chain(*_segment_ranks(segments), False)
 
 
 def longest_crossing(segments: Sequence[PermSegment]) -> int:
     """Maximum clique = longest chain of pairwise crossing segments."""
-    return _longest_chain(*_permutation_ranks(segments), True)
+    return _longest_chain(*_segment_ranks(segments), True)
 
 
 def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
@@ -165,15 +186,20 @@ def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
     ``_permutation_ranks``, so tied coordinates need no preparation, and
     reversing the bottom line reverses the bottom ranks.
     """
-    if not segments:
+    return _permutation_instance(*_scaled_objects("permutation", segments))
+
+
+def _permutation_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    """``permutation_plan`` on the segments' (top, bottom) at a common scale."""
+    if not keys:
         raise GeometryError("empty representation")
-    top, bottom = _permutation_ranks(segments)
+    top, bottom = _permutation_ranks(keys)
     mis = _longest_chain(top, bottom, False)
     clique = _longest_chain(top, bottom, True)
     reverse = clique < mis
     if reverse:
         bottom = [len(bottom) - 1 - b for b in bottom]
-    inst = circle_interpretation(_rank_chords(top, bottom))
+    inst = _circle_instance(*_rank_chord_ends(top, bottom))
     inst.provenance = {"class": "permutation", "k": inst.provenance["k"],
                        "mis": mis, "clique": clique, "reversed": reverse}
     inst.complemented = reverse
@@ -217,25 +243,28 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
 # ---------------------------------------------------------------------------
 # boxes
 
-def box_interpretation(boxes: Sequence[Box], k: Optional[int] = None) -> InterpretationInstance:
-    if not boxes:
+def box_interpretation(boxes: Sequence[Box]) -> InterpretationInstance:
+    return _box_instance(*_scaled_objects("box", boxes))
+
+
+def _box_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    """``box_interpretation`` on the boxes' (x.lo, x.hi, y.lo, y.hi) at a
+    common scale.  The x-intervals are perturbed as an interval family; the
+    distinct y-intervals, ordered, are the labels L1, L2, ..."""
+    if not keys:
         raise GeometryError("empty representation")
-    xs = perturb_endpoints(Representation("interval", tuple(b.x for b in boxes))).objects
-    y_keys = _scaled([e for b in boxes for e in (b.y.lo, b.y.hi)])[1]
-    y_of = list(zip(y_keys[::2], y_keys[1::2]))
+    x_keys = [c for t in range(0, len(keys), 4) for c in keys[t:t + 2]]
+    y_of = list(zip(keys[2::4], keys[3::4]))
     ys = sorted(set(y_of))
     ell = len(ys)
-    if k is None:
-        k = ell
-    if ell > k:
-        raise GeometryError(f"{ell} distinct y-intervals exceed the declared k={k}")
-    ends, _, _, by_value, rank = _ranked_ends([(it.lo, it.hi) for it in xs])
+    x_scale, x_keys = _perturbed("interval", scale, x_keys)
+    x_keys, _, by_value, rank = _ranked_ends(x_keys)
     kx, parts = _proper_parts(by_value, rank)
     lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
     members: dict[str, list[int]] = {lab_name[t]: [] for t in ys}
     for i, t in enumerate(y_of):
         members[lab_name[t]].append(i)
-    poset, ids = _ranked_interval_poset(ends, by_value, rank, parts, members)
+    poset, ids = _ranked_interval_poset(x_scale, x_keys, by_value, rank, parts, members)
 
     clauses = []
     for ti in ys:
@@ -278,8 +307,7 @@ def _chord_ends(xs: Sequence, along: Sequence[int], q4w2) -> list[tuple[int, int
     return out
 
 
-def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
-                             ) -> InterpretationInstance:
+def unit_disk_interpretation(disks: Sequence[Disk]) -> InterpretationInstance:
     """Per-row-pair chord posets on midlines, merged along the x order.
 
     Chord endpoints involve square roots and are never materialized; all
@@ -288,19 +316,19 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
     diameter is then S).  Row pairs more than a diameter apart contribute
     no chords and no clause.
     """
-    if not disks:
+    return _unit_disk_instance(*_scaled_objects("unit_disk", disks))
+
+
+def _unit_disk_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+    """``unit_disk_interpretation`` on the centres (cx, cy) at the scale S."""
+    if not keys:
         raise GeometryError("empty representation")
-    scale, keys = _scaled([c for d in disks for c in (d.cx, d.cy)])
     xs, ys = keys[::2], keys[1::2]
     rows = sorted(set(ys))
     ell = len(rows)
-    if k is None:
-        k = ell
-    if ell > k:
-        raise GeometryError(f"{ell} distinct y-coordinates exceed the declared k={k}")
     row_of = {y: i for i, y in enumerate(rows)}
     row = [row_of[y] for y in ys]  # each disk's row index
-    n = len(disks)
+    n = len(xs)
 
     elems: list[str] = [f"d{i}" for i in range(n)]  # disks first
     labels: dict[str, set[int]] = {f"B{i + 1}": set() for i in range(ell)}
@@ -344,8 +372,8 @@ def unit_disk_interpretation(disks: Sequence[Disk], k: Optional[int] = None
     nu = big_or([Label(f"B{i + 1}", X) for i in range(ell)])
     psi = big_or(clauses)
     interp = Interpretation(nu, psi, frozenset(labels))
-    return InterpretationInstance(poset, interp, list(range(n)), k * k + 1,
-                                  {"class": "unit_disk", "k": k, "rows": ell})
+    return InterpretationInstance(poset, interp, list(range(n)), ell * ell + 1,
+                                  {"class": "unit_disk", "k": ell, "rows": ell})
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +508,40 @@ def visibility_interpretation(w: Polygon) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # dispatch
 
+# Each intersection class's instance on its grid (``geometry._grid``); the
+# classes in ``_PERTURBED`` are perturbed on the grid first.
+_ON_GRID = {"interval": _interval_instance, "circular_arc": _arc_instance,
+            "circle": _circle_instance, "permutation": _permutation_instance,
+            "box": _box_instance, "unit_disk": _unit_disk_instance}
+
+
 def make_instance(cls: str, rep: Representation) -> InterpretationInstance:
     if rep.cls != cls:
         raise GeometryError(f"representation class {rep.cls!r} does not match {cls!r}")
-    if cls == "interval":
-        return interval_interpretation(perturb_endpoints(rep).objects)
-    if cls == "circular_arc":
-        return circular_arc_interpretation(perturb_endpoints(rep).objects)
-    if cls == "circle":
-        return circle_interpretation(perturb_endpoints(rep).objects)
-    if cls == "permutation":
-        return permutation_plan(rep.objects)
-    if cls == "box":
-        return box_interpretation(rep.objects)
-    if cls == "unit_disk":
-        return unit_disk_interpretation(rep.objects)
     if cls == "visibility":
         return visibility_interpretation(_single_polygon(rep))
-    raise GeometryError(f"unknown class {cls!r}")
+    return _grid_instance(cls, *_grid(cls, rep))
+
+
+def _grid_instance(cls: str, scale: int, keys: list[int],
+                   pairs: Optional[tuple] = None) -> InterpretationInstance:
+    """``make_instance`` of an intersection class from its grid and, when
+    known, the meeting pairs on it, which the perturbation's check reads."""
+    if cls in _PERTURBED:
+        scale, keys = _perturbed(cls, scale, keys, pairs)
+    return _ON_GRID[cls](scale, keys)
+
+
+def _build(cls: str, rep: Representation) -> tuple[LabeledGraph, InterpretationInstance]:
+    """``build_graph`` and ``make_instance`` of one representation, built
+    together: an intersection class is rescaled once, and its meeting pairs,
+    computed once, give the graph and are the pairs the perturbation must
+    keep.  An intersection class raises ``build_graph``'s errors first, as
+    calling the two in turn would."""
+    if cls == "visibility":
+        inst = make_instance(cls, rep)
+        return visibility_graph(_single_polygon(rep)), inst
+    scale, keys = _grid(cls, rep)
+    pairs = _pair_arrays(cls, keys, scale)
+    return (LabeledGraph._from_pairs(len(rep.objects), *pairs),
+            _grid_instance(cls, scale, keys, pairs))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import GeomfoError
-from .geometry import Interval, _endpoint_ranks, _scaled
+from .geometry import Interval, _endpoint_ranks, _format_ratio, _scaled
 
 
 class PosetError(GeomfoError):
@@ -211,23 +211,25 @@ def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int],
     if len(parts) != len(intervals):
         raise PosetError("one part id per interval required")
     ends = [e for it in intervals for e in (it.lo, it.hi)]
-    by_value, rank = _endpoint_ranks(_scaled(ends)[1], "duplicate endpoints")
-    poset, interval_ids = _ranked_interval_poset(ends, by_value, rank, parts, labels)
+    scale, keys = _scaled(ends)
+    by_value, rank = _endpoint_ranks(keys, "duplicate endpoints")
+    poset, interval_ids = _ranked_interval_poset(scale, keys, by_value, rank, parts, labels)
     return poset, interval_ids, {ends[e]: r for r, e in enumerate(by_value)}
 
 
-def _ranked_interval_poset(ends: Sequence[Fraction], by_value: Sequence[int],
+def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[int],
                            rank: Sequence[int], parts: Sequence,
                            labels: Optional[dict[str, Iterable[int]]] = None
                            ) -> tuple[LabeledPoset, list[int]]:
     """``build_interval_poset`` on endpoint ranks.
 
-    Interval i has ends ``ends[2i] < ends[2i+1]``; ``by_value`` lists the
-    end positions in increasing order and ``rank`` gives each position's
-    place in it (see ``geometry._endpoint_ranks``).  The exact ends only
-    name the endpoint elements.
+    Interval i has ends ``keys[2i] < keys[2i+1]``, ints at ``scale``;
+    ``by_value`` lists the end positions in increasing order and ``rank``
+    gives each position's place in it (see ``geometry._endpoint_ranks``).
+    The ends only name the endpoint elements, as ``str`` names their
+    ``Fraction``s.
     """
-    nd = len(ends)
+    nd = len(keys)
     interval_ids = list(range(nd, nd + nd // 2))
 
     pairs = [(i, i + 1) for i in range(nd - 1)]
@@ -246,7 +248,7 @@ def _ranked_interval_poset(ends: Sequence[Fraction], by_value: Sequence[int],
                                  f"interval {a} contains interval {b}")
             pairs.append((interval_ids[a], interval_ids[b]))
 
-    names = [str(ends[e]) for e in by_value] + [f"I{i}" for i in range(nd // 2)]
+    names = [_format_ratio(keys[e], scale) for e in by_value] + [f"I{i}" for i in range(nd // 2)]
     all_labels = {"D": range(nd)}
     for name, members in (labels or {}).items():
         all_labels[name] = [interval_ids[i] for i in members]

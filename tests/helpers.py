@@ -161,19 +161,20 @@ def adjacency_rows(g: LabeledGraph) -> list[bytearray]:
     return [bytearray(r) for r in g.adjacency_matrix().view(np.uint8)]
 
 
-def with_broken_interval_psi(make_instance):
-    """``make_instance`` with the disjunct ``!z<=y`` dropped from every
-    interval instance's psi, so that no two intervals are adjacent."""
+def with_broken_interval_psi(build):
+    """``interpret._build``, the graph and instance ``model_check`` reads,
+    with the disjunct ``!z<=y`` dropped from every interval instance's psi,
+    so that no two intervals are adjacent in the poset."""
     psi = F.parse_formula("forall z. D(z) -> !x<=z & (!y<=z | !z<=x)", F.POSET)
 
-    def make(cls, rep):
-        inst = make_instance(cls, rep)
+    def broken(cls, rep):
+        g, inst = build(cls, rep)
         if cls != "interval":
-            return inst
-        return dataclasses.replace(inst, interp=F.Interpretation(inst.interp.nu, psi,
-                                                                 inst.interp.labels))
+            return g, inst
+        return g, dataclasses.replace(inst, interp=F.Interpretation(inst.interp.nu, psi,
+                                                                    inst.interp.labels))
 
-    return make
+    return broken
 
 
 def instance_graph(inst) -> LabeledGraph:

@@ -160,8 +160,7 @@ def test_model_check_convex_pentagon_k5():
 
 
 def test_model_check_names_class_and_sentence_on_disagreement(monkeypatch):
-    monkeypatch.setattr(interpret, "make_instance",
-                        with_broken_interval_psi(interpret.make_instance))
+    monkeypatch.setattr(interpret, "_build", with_broken_interval_psi(interpret._build))
     rep = Representation("interval", (Interval(Fr(1), Fr(3)), Interval(Fr(2), Fr(4))))
     phi = parse_formula("exists x. exists y. edge(x,y)", GRAPH)
     with pytest.raises(AgreementError, match=r"^graph verdict True != poset verdict False "
@@ -486,6 +485,20 @@ def test_relation_matrix_over_budget_is_an_eval_error(monkeypatch, tmp_path, cap
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and want in captured.err
         assert captured.out == ""
+
+
+def test_relation_budget_is_checked_before_any_evaluation(monkeypatch):
+    """Both structures' budgets are checked before either side is evaluated:
+    the 60-element poset is refused before the 20-vertex graph's side runs."""
+    evaluated = []
+    eval_structure = checker.eval_structure
+    monkeypatch.setattr(checker, "eval_structure",
+                        lambda s, *args: evaluated.append(s) or eval_structure(s, *args))
+    monkeypatch.setattr(checker, "MAX_RELATION_CELLS", 20 * 20)
+    rep = rand_intervals(random.Random(3), 20)
+    with pytest.raises(EvalError, match="relation matrix on n=60 elements"):
+        model_check("interval", rep, parse_formula("exists x. exists y. edge(x,y)", GRAPH))
+    assert evaluated == []
 
 
 def test_path_on_40_intervals_fits_the_default_budget():

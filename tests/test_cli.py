@@ -352,9 +352,8 @@ def test_cli_verify_builds_once_per_case_and_prints_as_model_check(tmp_path, cap
     (cases / "j.formulas").write_text(sentences)
 
     builds = []
-    build_graph = checker.build_graph
-    monkeypatch.setattr(checker, "build_graph",
-                        lambda cls, rep: builds.append(cls) or build_graph(cls, rep))
+    build = interpret._build
+    monkeypatch.setattr(interpret, "_build", lambda cls, rep: builds.append(cls) or build(cls, rep))
     assert main(["verify", "--dir", str(cases)]) == 1
     out = capsys.readouterr().out
     assert builds == ["interval", "circle", "box", "unit_disk", "permutation",
@@ -370,8 +369,7 @@ def test_cli_verify_builds_once_per_case_and_prints_as_model_check(tmp_path, cap
 
 
 def test_cli_verify_reports_disagreement_and_goes_on(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(interpret, "make_instance",
-                        with_broken_interval_psi(interpret.make_instance))
+    monkeypatch.setattr(interpret, "_build", with_broken_interval_psi(interpret._build))
     cases = tmp_path / "cases"
     cases.mkdir()
     (cases / "a.rep").write_text("class interval\ninterval 1 3\ninterval 2 4\n")

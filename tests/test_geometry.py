@@ -13,7 +13,7 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              _transversal_ok, build_intersection_graph,
                              cliquewidth_certificate_check,
-                             gradually_connected_check, permutation_to_chords,
+                             gradually_connected_check, parse_rat, permutation_to_chords,
                              perturb_endpoints, polygon_report, proper_partition, sees,
                              sees_foot, visibility_graph)
 
@@ -463,6 +463,44 @@ def test_graph_from_index_arrays_matches_constructor():
     for i, j in (([1], [1]), ([2], [1]), ([0], [3]), ([-1], [1]), ([0, 1], [1, 5])):
         with pytest.raises(GeometryError):
             LabeledGraph._from_pairs(3, np.array(i), np.array(j))
+
+
+def test_graph_from_index_arrays_keeps_its_matrix(monkeypatch):
+    """The matrix ``_from_pairs`` builds is checked and kept: neither the
+    build nor reading the matrix, edges or neighbours unpacks the rows."""
+    def unpack(*args):
+        raise AssertionError("rows unpacked again")
+
+    monkeypatch.setattr(geometry, "bit_matrix", unpack)
+    g = LabeledGraph._from_pairs(4, np.array([0, 0, 1]), np.array([1, 3, 2]))
+    assert g.rows == (0b1010, 0b0101, 0b0010, 0b0001)
+    assert g.edges == {(0, 1), (0, 3), (1, 2)} and g.neighbors(0) == {1, 3}
+    assert g.adjacency_matrix().tolist() == [[False, True, False, True], [True, False, True, False],
+                                             [False, True, False, False], [True, False, False, False]]
+    assert not g.adjacency_matrix().flags.writeable
+
+
+# Texts ``parse_rat`` must read exactly as ``Fraction`` does: the integer
+# forms it reads itself, and text that only ``Fraction`` reads or refuses.
+RATIONAL_TEXTS = ["0", "7", "-3", "-0", "007", "3/4", "-3/4", "6/8", "0/5", "-0/5", "10/1",
+                  "12345678901234567890/3", "1" * 5000, "1/" + "2" * 5000,
+                  "+1", "1_0", "1/2_0", " 2", "2 ", "2\n", "1/0", "-1/0", "0/0", "1/-2",
+                  "--1", "-", "1.5", "1e3", "-1/2.0", "\u0663", "\u00b2", "", "/", "1/", "/2",
+                  "1//2", "1/2/3", "\uff11"]
+
+
+def test_parse_rat_reads_as_fraction():
+    for text in RATIONAL_TEXTS:
+        try:
+            want = Fr(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(GeometryError) as err:
+                parse_rat(text)
+            assert str(err.value) == f"bad rational {text!r}: {exc}"
+        else:
+            got = parse_rat(text)
+            assert type(got) is Fr and got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def _random_graphs(rng):

@@ -4,12 +4,12 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo.checker import build_graph, eval_structure, model_check
-from geomfo.formula import Var
+from geomfo.formula import GRAPH, Var, parse_formula
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              build_intersection_graph, perturb_endpoints,
                              polygon_report, visibility_graph)
-from geomfo import poset as P
+from geomfo import geometry, interpret, poset as P
 from geomfo.generators import terfan_polygon
 from geomfo.interpret import (interval_interpretation, interval_theta,
                               circle_interpretation, circular_arc_interpretation,
@@ -73,6 +73,61 @@ def _check_instance(cls, rep):
     want = g.complement() if inst.complemented else g
     assert instance_graph(inst).edges == want.edges, cls
     return inst
+
+
+def _fraction_route(cls, rep):
+    """The instance built the long way: ``perturb_endpoints`` makes new
+    ``Fraction`` objects, which the public constructor reads again."""
+    if cls == "box":
+        xs = perturb_endpoints(Representation("interval", tuple(b.x for b in rep.objects)))
+        return box_interpretation([Box(x, b.y) for x, b in zip(xs.objects, rep.objects)])
+    build = {"interval": interval_interpretation, "circular_arc": circular_arc_interpretation,
+             "circle": circle_interpretation}[cls]
+    return build(perturb_endpoints(rep).objects)
+
+
+def _instance_fields(inst):
+    p = inst.poset
+    return (p.n, p.rows, p.names, p.labels, inst.vertex_map, inst.width_bound, inst.provenance)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_route_matches_fraction_route(seed):
+    """``make_instance`` and the build ``model_check`` reads hand the
+    perturbed integer ends straight to the poset; the result is the
+    instance of the perturbed ``Fraction`` objects, names included."""
+    rng = random.Random(seed)
+    perturbed = 0
+    for cls in ("interval", "circular_arc", "circle", "box"):
+        for _ in range(12):
+            rep = CLASS_MAKERS[cls](rng, rng.randint(1, 14))
+            flat = rep if cls != "box" else Representation(
+                "interval", tuple(b.x for b in rep.objects))
+            perturbed += perturb_endpoints(flat) is not flat
+            want = _instance_fields(_fraction_route(cls, rep))
+            assert _instance_fields(make_instance(cls, rep)) == want, cls
+            graph, inst = interpret._build(cls, rep)
+            assert _instance_fields(inst) == want, cls
+            assert graph == build_graph(cls, rep)
+    assert perturbed >= 24  # most draws share endpoints, so the perturbation runs
+
+
+def test_model_check_computes_meeting_pairs_twice(monkeypatch):
+    """One check of intervals with shared endpoints finds the meeting pairs
+    once for the graph and once for the perturbed ends, whose pairs must be
+    the graph's."""
+    calls = []
+    pair_arrays = geometry._pair_arrays
+    counted = lambda *args: calls.append(args[0]) or pair_arrays(*args)
+    for module in (geometry, interpret):
+        monkeypatch.setattr(module, "_pair_arrays", counted)
+    rep = Representation("interval", tuple(Interval(Fr(a), Fr(b))
+                                           for a, b in ((0, 2), (2, 4), (1, 2), (3, 5))))
+    assert perturb_endpoints(rep) is not rep
+    calls.clear()
+    res = model_check("interval", rep, parse_formula("exists x. exists y. edge(x,y)", GRAPH))
+    assert res.graph_verdict and res.poset_verdict
+    assert calls == ["interval", "interval"]
 
 
 def test_instance_invariants_all_classes():
@@ -240,9 +295,9 @@ def test_box_examples():
     ys = [(Fr(0), Fr(1)), (Fr(0), Fr(1)), (Fr(2), Fr(3)), (Fr(4), Fr(5))]
     boxes = [Box(Interval(*x), Interval(*y)) for x, y in zip(xs, ys)]
     inst = box_interpretation(boxes)
-    assert inst.provenance["kx"] == 4 and inst.width_bound == 5
-    with pytest.raises(GeometryError):
-        box_interpretation(boxes, k=2)  # three distinct y-intervals exceed k
+    assert inst.width_bound == 5
+    # k counts the three distinct y-intervals too; the larger count is kx
+    assert inst.provenance == {"class": "box", "k": 4, "kx": 4, "ell": 3}
 
 
 def test_box_single_row_is_interval_graph():
