@@ -11,8 +11,9 @@ only at its own two ends) and, with the cone tests, whether a segment from
 a vertex lies in the polygon, both toward another vertex and toward a
 vertex's perpendicular foot on the closing edge; the foot is a point of the
 polygon's grid scaled once more, by the squared length of that edge.
-Perturbation (``_perturbed``) and proper partitions work on integer
-endpoints and their ranks, and hand integers on to the poset builders.
+Perturbation (``_perturbed``) and the proper parts of an interval family
+(``_proper_parts``) work on integer endpoints and their ranks, and hand
+integers on to the poset builders.
 Angular positions live in [0,1) turns measured clockwise from angle
 0 (a half turn is exactly 1/2).
 
@@ -28,12 +29,15 @@ so every ``<``, ``<=`` and tie is kept).  The unit-disk test
 ``dx^2 + dy^2 <= S^2`` runs on int64 when every scaled coordinate, the
 unit S included, is below 2^30 in absolute value, so no term can
 overflow, and otherwise on Python ints in an object array.
+``_checked_objects`` checks a representation's class and object types,
+once, for ``_grid`` (the one rescale of an intersection class) and for
+``_single_polygon``.
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
 and disks (tangency is an edge); strict crossing for chords and permutation
 segments (shared endpoints are not an edge).  Tied permutation coordinates
 are broken once, by ``_permutation_ranks``, so that tied segments never
-cross; the chord map and the permutation plan read only those ranks.
+cross; the chord map and the permutation instance read only those ranks.
 """
 
 from __future__ import annotations
@@ -538,24 +542,27 @@ def _pair_arrays(cls: str, keys: Sequence[int], unit: int) -> tuple[np.ndarray, 
     return np.concatenate(iis), np.concatenate(jjs)
 
 
-def _scaled_objects(cls: str, objects: Sequence) -> tuple[int, list[int]]:
-    """``_scaled`` of the objects' coordinates in file order, one object after another."""
-    coords = _OBJECTS[cls].coords
-    return _scaled([c for o in objects for c in coords(o)])
+def _checked_objects(cls: str, rep: Representation) -> tuple:
+    """The objects of ``rep``, after the one check of a representation for
+    every class: it is of class ``cls``, and each object is of the class's
+    type (``Polygon`` for visibility).  One pass over the objects."""
+    if rep.cls != cls:
+        raise GeometryError(f"representation is of class {rep.cls!r}, not {cls!r}")
+    want = Polygon if cls == "visibility" else _OBJECTS[cls].type
+    for obj in rep.objects:
+        if not isinstance(obj, want):
+            raise GeometryError(f"object {obj!r} is not a {want.__name__}")
+    return rep.objects
 
 
 def _grid(cls: str, rep: Representation) -> tuple[int, list[int]]:
     """The one rescale of a representation of an intersection class, after
-    checking its class and its objects' type: ``_scaled_objects``."""
+    ``_checked_objects``: the objects' coordinates in file order, one object
+    after another, through ``_scaled``."""
     if cls not in INTERSECTION_CLASSES:
         raise GeometryError(f"not an intersection class: {cls!r}")
-    if rep.cls != cls:
-        raise GeometryError(f"representation is of class {rep.cls!r}, not {cls!r}")
-    want = _OBJECTS[cls].type
-    for obj in rep.objects:
-        if not isinstance(obj, want):
-            raise GeometryError(f"object {obj!r} is not a {want.__name__}")
-    return _scaled_objects(cls, rep.objects)
+    coords = _OBJECTS[cls].coords
+    return _scaled([c for o in _checked_objects(cls, rep) for c in coords(o)])
 
 
 def build_intersection_graph(cls: str, rep: Representation) -> LabeledGraph:
@@ -581,11 +588,6 @@ def _permutation_ranks(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     return top, bottom
 
 
-def _segment_ranks(segments: Sequence[PermSegment]) -> tuple[list[int], list[int]]:
-    """``_permutation_ranks`` of segments, after one rescale."""
-    return _permutation_ranks(_scaled_objects("permutation", segments)[1])
-
-
 def _rank_chord_ends(top: Sequence[int], bottom: Sequence[int]) -> tuple[int, list[int]]:
     """Chords of segments given by their ranks, as ends at the scale d =
     2(n + 1), chord i at 2i, 2i+1: top ranks map in order into (0, 1/2),
@@ -600,7 +602,8 @@ def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
     The chords are placed by ``_permutation_ranks``, so crossings are
     preserved exactly, tied coordinates included.
     """
-    d, ends = _rank_chord_ends(*_segment_ranks(segments))
+    _, keys = _grid("permutation", Representation("permutation", tuple(segments)))
+    d, ends = _rank_chord_ends(*_permutation_ranks(keys))
     return [Chord(Fraction(a, d), Fraction(b, d)) for a, b in zip(ends[::2], ends[1::2])]
 
 
@@ -633,29 +636,22 @@ def _endpoint_ranks(keys: Sequence[int], message: str) -> tuple[list[int], list[
 
 
 def _proper_parts(by_value: Sequence[int], rank: Sequence[int]) -> tuple[int, list[int]]:
-    """``proper_partition`` on endpoint ranks: item i's ends are positions
-    2i and 2i+1, and ``by_value`` lists the positions of the items to
-    partition in increasing order.  Items left out get part 0."""
+    """Mirsky decomposition of the containment order, on endpoint ranks:
+    item i's ends are positions 2i and 2i+1, and ``by_value`` lists the
+    positions of the items to partition in increasing order.
+
+    Returns (k, assignment) where the part of item i counts the longest
+    chain of items nested around item i (itself included); items left out
+    get part 0.  k is minimal, i.e. the family is k-fold proper but not
+    (k-1)-fold proper.  With distinct endpoints, the items around i come
+    before it in left-end order and end after it, so its part is a longest
+    strictly decreasing run of right-end ranks in that order.
+    """
     order = [e >> 1 for e in by_value if not e & 1]  # items by left end
     h = [0] * (len(rank) // 2)
     for i, depth in zip(order, increasing_run_lengths([-rank[2 * i + 1] for i in order])):
         h[i] = depth
     return (max(h, default=0), h)
-
-
-def proper_partition(items: Sequence[Interval]) -> tuple[int, list[int]]:
-    """Mirsky decomposition of the containment order.
-
-    Returns (k, assignment) where the part of item i counts the longest
-    chain of intervals nested around item i (itself included); k is
-    minimal, i.e. the family is k-fold proper but not (k-1)-fold proper.
-    With distinct endpoints, the intervals around i come before it in
-    left-end order and end after it, so its part is a longest strictly
-    decreasing run of right-end ranks in that order.  The ranks come from
-    one rescale of the endpoints to ints and one sort.
-    """
-    _, keys = _scaled([e for it in items for e in (it.lo, it.hi)])
-    return _proper_parts(*_endpoint_ranks(keys, "duplicate endpoints"))
 
 
 _PERTURBED = ("interval", "circular_arc", "circle")  # the classes perturbation is defined on
@@ -675,7 +671,7 @@ def perturb_endpoints(rep: Representation) -> Representation:
     cls = rep.cls
     if cls not in _PERTURBED:
         raise GeometryError(f"perturbation undefined for class {cls!r}")
-    scale, keys = _scaled_objects(cls, rep.objects)
+    scale, keys = _grid(cls, rep)
     turn, new = _perturbed(cls, scale, keys)
     if new is keys:
         return rep
@@ -855,10 +851,12 @@ def _sight_line(grid: Sequence[tuple[int, int]], i: int, q: tuple[int, int],
 
 
 def _single_polygon(rep: Representation) -> Polygon:
-    """The polygon of a visibility representation, which must hold exactly one."""
-    if len(rep.objects) != 1:
+    """The polygon of a visibility representation, which must hold exactly one,
+    after ``_checked_objects``."""
+    objects = _checked_objects("visibility", rep)
+    if len(objects) != 1:
         raise GeometryError("visibility representation holds a single polygon")
-    return rep.objects[0]
+    return objects[0]
 
 
 def sees(poly: Polygon, i: int, j: int) -> bool:

@@ -1,22 +1,21 @@
 """Poset interpretations for each tractable geometric class.
 
-Every constructor returns an InterpretationInstance: a labelled poset, the
-pair (nu, psi) over it, the map from graph vertices to poset elements, and
-the class's width bound.  The defining property, checked wholesale by the
-test suite through ``generators.graph_interpretation``, is that the
-interpreted graph equals the geometric graph: the vertex map lists nu's
-elements in ascending order, and uv is an edge iff the poset models
-psi(u,v) | psi(v,u).
+``make_instance(cls, rep)`` is the one constructor of an
+InterpretationInstance: a labelled poset, the pair (nu, psi) over it, the
+map from graph vertices to poset elements, and the class's width bound.
+The defining property, checked wholesale by the test suite through
+``generators.graph_interpretation``, is that the interpreted graph equals
+the geometric graph: the vertex map lists nu's elements in ascending
+order, and uv is an edge iff the poset models psi(u,v) | psi(v,u).
 
-Each intersection class is built on its grid, ``geometry._grid``: its
-objects' coordinates as ints at one scale.  Interval, circular-arc and
-circle ends are perturbed there first (``geometry._perturbed``), and the
-perturbed ints go straight to the endpoint ranks and the poset; no
-``Fraction`` is made.  ``make_instance`` rescales once; ``_build``, the
-build ``model_check`` runs, rescales once for the graph and the instance
-together, and the perturbation's check compares against the meeting pairs
-the graph was built from.  The public constructors rescale their objects
-once and run the same code.
+Each intersection class is built on its grid, ``geometry._grid``, which
+checks the representation and gives its objects' coordinates as ints at
+one scale.  Interval, circular-arc and circle ends are perturbed there
+first (``geometry._perturbed``), and the perturbed ints go straight to the
+endpoint ranks and the poset; no ``Fraction`` is made.  ``make_instance``
+rescales once; ``_build``, the build ``model_check`` runs, rescales once
+for the graph and the instance together, and the perturbation's check
+compares against the meeting pairs the graph was built from.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ from typing import Optional, Sequence
 
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, X, Y, big_and, big_or)
-from .geometry import (_PERTURBED, Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
-                       PermSegment, Polygon, Representation, _endpoint_ranks, _grid,
-                       _pair_arrays, _permutation_ranks, _perturbed, _proper_parts,
-                       _rank_chord_ends, _scaled_objects, _segment_ranks, _single_polygon,
-                       increasing_run_lengths, polygon_report, visibility_graph)
+from .geometry import (_PERTURBED, GeometryError, LabeledGraph, PermSegment, Polygon,
+                       Representation, _endpoint_ranks, _grid, _pair_arrays,
+                       _permutation_ranks, _perturbed, _proper_parts, _rank_chord_ends,
+                       _single_polygon, increasing_run_lengths, polygon_report,
+                       visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 Z = Var("z")
@@ -91,8 +90,6 @@ def _ranked_ends(keys: Sequence[int]):
 
 
 def _interval_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    if not keys:
-        raise GeometryError("empty representation")
     keys, _, by_value, rank = _ranked_ends(keys)
     k, parts = _proper_parts(by_value, rank)
     poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
@@ -102,8 +99,6 @@ def _interval_instance(scale: int, keys: Sequence[int]) -> InterpretationInstanc
 
 
 def _arc_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    if not keys:
-        raise GeometryError("empty representation")
     # a wrapping arc (start > end) stands for its complement [end, start],
     # which avoids 0; it is red
     keys, red, by_value, rank = _ranked_ends(keys)
@@ -128,8 +123,6 @@ def _arc_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
 
 
 def _circle_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    if not keys:
-        raise GeometryError("empty representation")
     keys, _, by_value, rank = _ranked_ends(keys)
     k, parts = _proper_parts(by_value, rank)
     poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
@@ -139,18 +132,6 @@ def _circle_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
     interp = Interpretation(interval_nu(), sigma, frozenset({"D"}))
     return InterpretationInstance(poset, interp, ids, k + 1,
                                   {"class": "circle", "k": k})
-
-
-def interval_interpretation(intervals: Sequence[Interval]) -> InterpretationInstance:
-    return _interval_instance(*_scaled_objects("interval", intervals))
-
-
-def circular_arc_interpretation(arcs: Sequence[Arc]) -> InterpretationInstance:
-    return _arc_instance(*_scaled_objects("circular_arc", arcs))
-
-
-def circle_interpretation(chords: Sequence[Chord]) -> InterpretationInstance:
-    return _circle_instance(*_scaled_objects("circle", chords))
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +147,19 @@ def _longest_chain(top: Sequence[int], bottom: Sequence[int], crossing: bool) ->
     return max(increasing_run_lengths(by_top), default=0)
 
 
-def longest_noncrossing(segments: Sequence[PermSegment]) -> int:
-    """Maximum independent set = longest chain of pairwise non-crossing segments."""
-    return _longest_chain(*_segment_ranks(segments), False)
-
-
-def longest_crossing(segments: Sequence[PermSegment]) -> int:
-    """Maximum clique = longest chain of pairwise crossing segments."""
-    return _longest_chain(*_segment_ranks(segments), True)
-
-
-def permutation_plan(segments: Sequence[PermSegment]) -> InterpretationInstance:
+def _permutation_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
     """Reduce via circle graphs, complementing when the clique side is smaller.
 
-    Reversing one line of the representation yields the complement, whose
-    independence number is the clique number of the original; the cheaper
-    orientation is interpreted and a complementation flag tells the pipeline
-    to rewrite edge atoms accordingly.  Everything runs on the segments'
-    ``_permutation_ranks``, so tied coordinates need no preparation, and
-    reversing the bottom line reverses the bottom ranks.
+    ``keys`` holds the segments' (top, bottom) at a common scale.  The
+    independence number ``mis`` is a longest chain of pairwise non-crossing
+    segments, the clique number ``clique`` a longest chain of pairwise
+    crossing ones.  Reversing one line of the representation yields the
+    complement, whose independence number is the clique number of the
+    original; the cheaper orientation is interpreted and a complementation
+    flag tells the pipeline to rewrite edge atoms accordingly.  Everything
+    runs on the segments' ``_permutation_ranks``, so tied coordinates need
+    no preparation, and reversing the bottom line reverses the bottom ranks.
     """
-    return _permutation_instance(*_scaled_objects("permutation", segments))
-
-
-def _permutation_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    """``permutation_plan`` on the segments' (top, bottom) at a common scale."""
-    if not keys:
-        raise GeometryError("empty representation")
     top, bottom = _permutation_ranks(keys)
     mis = _longest_chain(top, bottom, False)
     clique = _longest_chain(top, bottom, True)
@@ -212,9 +179,10 @@ MAX_PATTERN_VERTICES = 6  # permutation_subgraph_iso's sentence has this many qu
 def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -> bool:
     """Does the permutation graph contain h as a (not necessarily induced) subgraph?
 
-    A clique of size |V(h)| settles the question immediately (cliques are a
-    longest crossing chain); otherwise the FO sentence guessing the subgraph
-    is decided through the poset pipeline.
+    A clique of size |V(h)| settles the question immediately: the
+    permutation instance counts the largest one, a longest crossing chain.
+    Otherwise the FO sentence guessing the subgraph is decided through the
+    poset pipeline.
     """
     from .checker import model_check
     from .formula import Edge
@@ -226,7 +194,8 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
         return True
     if k > len(segments):
         return False
-    if longest_crossing(segments) >= k:
+    rep = Representation("permutation", tuple(segments))
+    if make_instance("permutation", rep).provenance["clique"] >= k:
         return True
     vs = [Var(f"x{i + 1}") for i in range(k)]
     parts: list[Formula] = [Not(Eq(vs[i], vs[j]))
@@ -236,23 +205,16 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
     phi = big_and(parts, if_empty=Eq(vs[0], vs[0]))
     for v in reversed(vs):
         phi = Exists(v, phi)
-    rep = Representation("permutation", tuple(segments))
     return model_check("permutation", rep, phi).graph_verdict
 
 
 # ---------------------------------------------------------------------------
 # boxes
 
-def box_interpretation(boxes: Sequence[Box]) -> InterpretationInstance:
-    return _box_instance(*_scaled_objects("box", boxes))
-
-
 def _box_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    """``box_interpretation`` on the boxes' (x.lo, x.hi, y.lo, y.hi) at a
-    common scale.  The x-intervals are perturbed as an interval family; the
+    """The boxes' instance from their (x.lo, x.hi, y.lo, y.hi) at a common
+    scale.  The x-intervals are perturbed as an interval family; the
     distinct y-intervals, ordered, are the labels L1, L2, ..."""
-    if not keys:
-        raise GeometryError("empty representation")
     x_keys = [c for t in range(0, len(keys), 4) for c in keys[t:t + 2]]
     y_of = list(zip(keys[2::4], keys[3::4]))
     ys = sorted(set(y_of))
@@ -307,22 +269,15 @@ def _chord_ends(xs: Sequence, along: Sequence[int], q4w2) -> list[tuple[int, int
     return out
 
 
-def unit_disk_interpretation(disks: Sequence[Disk]) -> InterpretationInstance:
+def _unit_disk_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
     """Per-row-pair chord posets on midlines, merged along the x order.
 
-    Chord endpoints involve square roots and are never materialized; all
-    order decisions reduce to squared-distance comparisons, on integer
-    centres after one rescale by the lcm S of the denominators (the
-    diameter is then S).  Row pairs more than a diameter apart contribute
-    no chords and no clause.
+    ``keys`` holds the centres (cx, cy) after one rescale by the lcm S of
+    their denominators, so the diameter is ``scale`` = S.  Chord endpoints
+    involve square roots and are never materialized; all order decisions
+    reduce to squared-distance comparisons on these integer centres.  Row
+    pairs more than a diameter apart contribute no chords and no clause.
     """
-    return _unit_disk_instance(*_scaled_objects("unit_disk", disks))
-
-
-def _unit_disk_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    """``unit_disk_interpretation`` on the centres (cx, cy) at the scale S."""
-    if not keys:
-        raise GeometryError("empty representation")
     xs, ys = keys[::2], keys[1::2]
     rows = sorted(set(ys))
     ell = len(rows)
@@ -429,7 +384,7 @@ def _beta2(x: Var, y: Var, k: int) -> Formula:
                        for i in range(k + 2)]))
 
 
-def visibility_interpretation(w: Polygon) -> InterpretationInstance:
+def _visibility_instance(w: Polygon) -> InterpretationInstance:
     report = polygon_report(w)
     n = w.n
     if 0 in report.reflex_vertices or n - 1 in report.reflex_vertices:
@@ -516,10 +471,9 @@ _ON_GRID = {"interval": _interval_instance, "circular_arc": _arc_instance,
 
 
 def make_instance(cls: str, rep: Representation) -> InterpretationInstance:
-    if rep.cls != cls:
-        raise GeometryError(f"representation class {rep.cls!r} does not match {cls!r}")
+    """The interpretation instance of a representation of class ``cls``."""
     if cls == "visibility":
-        return visibility_interpretation(_single_polygon(rep))
+        return _visibility_instance(_single_polygon(rep))
     return _grid_instance(cls, *_grid(cls, rep))
 
 
@@ -527,6 +481,8 @@ def _grid_instance(cls: str, scale: int, keys: list[int],
                    pairs: Optional[tuple] = None) -> InterpretationInstance:
     """``make_instance`` of an intersection class from its grid and, when
     known, the meeting pairs on it, which the perturbation's check reads."""
+    if not keys:
+        raise GeometryError("empty representation")
     if cls in _PERTURBED:
         scale, keys = _perturbed(cls, scale, keys, pairs)
     return _ON_GRID[cls](scale, keys)
@@ -534,13 +490,14 @@ def _grid_instance(cls: str, scale: int, keys: list[int],
 
 def _build(cls: str, rep: Representation) -> tuple[LabeledGraph, InterpretationInstance]:
     """``build_graph`` and ``make_instance`` of one representation, built
-    together: an intersection class is rescaled once, and its meeting pairs,
+    together on one check of it: an intersection class is rescaled once, and
+    its meeting pairs,
     computed once, give the graph and are the pairs the perturbation must
     keep.  An intersection class raises ``build_graph``'s errors first, as
     calling the two in turn would."""
     if cls == "visibility":
-        inst = make_instance(cls, rep)
-        return visibility_graph(_single_polygon(rep)), inst
+        w = _single_polygon(rep)
+        return visibility_graph(w), _visibility_instance(w)
     scale, keys = _grid(cls, rep)
     pairs = _pair_arrays(cls, keys, scale)
     return (LabeledGraph._from_pairs(len(rep.objects), *pairs),

@@ -9,18 +9,18 @@ consecutive pairs, each object between its own endpoints);
 ``generated_poset`` closes them in one pass over a topological order,
 which rejects every cycle, so its result is a strict order by
 construction and is not checked again.  ``validate_poset`` checks a poset
-built any other way, on its bit rows.  Width is the maximum antichain
-size, computed as a minimum chain cover via bipartite matching.
+built any other way, on its bit rows.  ``_ranked_interval_poset`` is the
+interval-family poset the interval, circular-arc, circle, permutation and
+box instances are built on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import GeomfoError
-from .geometry import Interval, _endpoint_ranks, _format_ratio, _scaled
+from .geometry import _format_ratio
 
 
 class PosetError(GeomfoError):
@@ -156,78 +156,23 @@ def generated_poset(n: int, pairs: Iterable[tuple[int, int]],
     return LabeledPoset(n, (), labels, names, rows=transitive_closure(n, pairs))
 
 
-def poset_width(p: LabeledPoset) -> int:
-    """Maximum antichain size, via Dilworth (min chain cover = n - matching).
-
-    Each element a in turn looks for an augmenting path (Kuhn), trying the
-    elements above it in increasing order.  The search keeps its path on an
-    explicit stack, so a long path raises no ``RecursionError``.
-    """
-    bad = validate_poset(p)
-    if bad is not None:
-        raise PosetError(str(bad))
-    rows = p.rows
-    match_right = [-1] * p.n
-    matching = 0
-    for root in range(p.n):
-        seen = 0
-        path = []  # (a, b): a tries b, which is matched to the next a
-        a, todo = root, rows[root]
-        while True:
-            todo &= ~seen  # every element tried so far is in seen
-            if not todo:  # no augmenting path from a: back to whoever tried a
-                if not path:
-                    break
-                a = path.pop()[0]
-                todo = rows[a]
-                continue
-            b = (todo & -todo).bit_length() - 1
-            seen |= 1 << b
-            if match_right[b] < 0:
-                for pa, pb in path:
-                    match_right[pb] = pa
-                match_right[b] = a
-                matching += 1
-                break
-            path.append((a, b))
-            a, todo = match_right[b], rows[match_right[b]]
-    return p.n - matching
-
-
-def build_interval_poset(intervals: Sequence[Interval], parts: Sequence[int],
-                         labels: Optional[dict[str, Iterable[int]]] = None
-                         ) -> tuple[LabeledPoset, list[int], dict[Fraction, int]]:
-    """Poset on endpoints plus intervals for a k-fold proper family.
-
-    ``parts`` assigns each interval to a proper part (any hashable part ids;
-    each part must be nest-free).  Endpoints carry label ``D`` and are
-    ordered numerically; each part is ordered left to right; an interval
-    sits above its left end and below its right end.  ``labels`` names
-    further label sets by interval index.  Returns the poset, the element
-    id of each interval, and the element id of each endpoint.  The
-    endpoints are rescaled to ints once and sorted once; the build runs on
-    their ranks.
-    """
-    if len(parts) != len(intervals):
-        raise PosetError("one part id per interval required")
-    ends = [e for it in intervals for e in (it.lo, it.hi)]
-    scale, keys = _scaled(ends)
-    by_value, rank = _endpoint_ranks(keys, "duplicate endpoints")
-    poset, interval_ids = _ranked_interval_poset(scale, keys, by_value, rank, parts, labels)
-    return poset, interval_ids, {ends[e]: r for r, e in enumerate(by_value)}
-
-
 def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[int],
                            rank: Sequence[int], parts: Sequence,
                            labels: Optional[dict[str, Iterable[int]]] = None
                            ) -> tuple[LabeledPoset, list[int]]:
-    """``build_interval_poset`` on endpoint ranks.
+    """Poset on endpoints plus intervals for a k-fold proper family, on
+    endpoint ranks.
 
-    Interval i has ends ``keys[2i] < keys[2i+1]``, ints at ``scale``;
-    ``by_value`` lists the end positions in increasing order and ``rank``
-    gives each position's place in it (see ``geometry._endpoint_ranks``).
-    The ends only name the endpoint elements, as ``str`` names their
-    ``Fraction``s.
+    Interval i has ends ``keys[2i] < keys[2i+1]``, distinct ints at
+    ``scale``; ``by_value`` lists the end positions in increasing order and
+    ``rank`` gives each position's place in it (see
+    ``geometry._endpoint_ranks``).  ``parts`` assigns each interval to a
+    proper part (any hashable part ids; each part must be nest-free).
+    Endpoints carry label ``D`` and are ordered by rank; each part is
+    ordered left to right; an interval sits above its left end and below
+    its right end.  ``labels`` names further label sets by interval index.
+    Returns the poset and the element id of each interval.  The ends only
+    name the endpoint elements, as ``str`` names their ``Fraction``s.
     """
     nd = len(keys)
     interval_ids = list(range(nd, nd + nd // 2))

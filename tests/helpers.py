@@ -17,9 +17,10 @@ import numpy as np
 from geomfo import checker, formula as F
 from geomfo.checker import EvalError
 from geomfo.generators import graph_interpretation
-from geomfo.poset import Violation
-from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
-                             LabeledGraph, PermSegment, Polygon, Representation)
+from geomfo.interpret import _ranked_ends
+from geomfo.poset import PosetError, Violation, validate_poset
+from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
+                             PermSegment, Polygon, Representation, _grid, _proper_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +553,8 @@ def longest_nesting_chain(intervals) -> int:
 
 
 def mirsky_partition(items) -> tuple[int, list[int]]:
-    """``proper_partition`` by the O(n^2) Mirsky loop: outer intervals first."""
+    """``geometry._proper_parts`` of intervals by the O(n^2) Mirsky loop:
+    outer intervals first."""
     order = sorted(range(len(items)), key=lambda i: items[i].hi - items[i].lo,
                    reverse=True)
     h = [1] * len(items)
@@ -807,6 +809,44 @@ def validate_poset_scan(p):
     return None
 
 
+def poset_width(p) -> int:
+    """Maximum antichain size, via Dilworth (min chain cover = n - matching).
+
+    Each element a in turn looks for an augmenting path (Kuhn), trying the
+    elements above it in increasing order.  The search keeps its path on an
+    explicit stack, so a long path raises no ``RecursionError``.
+    """
+    bad = validate_poset(p)
+    if bad is not None:
+        raise PosetError(str(bad))
+    rows = p.rows
+    match_right = [-1] * p.n
+    matching = 0
+    for root in range(p.n):
+        seen = 0
+        path = []  # (a, b): a tries b, which is matched to the next a
+        a, todo = root, rows[root]
+        while True:
+            todo &= ~seen  # every element tried so far is in seen
+            if not todo:  # no augmenting path from a: back to whoever tried a
+                if not path:
+                    break
+                a = path.pop()[0]
+                todo = rows[a]
+                continue
+            b = (todo & -todo).bit_length() - 1
+            seen |= 1 << b
+            if match_right[b] < 0:
+                for pa, pb in path:
+                    match_right[pb] = pa
+                match_right[b] = a
+                matching += 1
+                break
+            path.append((a, b))
+            a, todo = match_right[b], rows[match_right[b]]
+    return p.n - matching
+
+
 def brute_force_width(p) -> int:
     """Exhaustive maximum-antichain search (n small)."""
     comparable = [p.rows[a] for a in range(p.n)]
@@ -925,6 +965,21 @@ def ref_perturb_endpoints(rep: Representation) -> Representation:
     if ref_intersection_edges(out) != ref_intersection_edges(rep):
         raise GeometryError("perturbation changed the intersection graph")
     return out
+
+
+def interval_grid(items):
+    """Intervals as the interval instance reads them: their grid and
+    endpoint ranks (scale, keys, by_value, rank), the arguments of
+    ``poset._ranked_interval_poset``.  Shared ends are refused as the
+    instance refuses them."""
+    scale, keys = _grid("interval", Representation("interval", tuple(items)))
+    keys, _, by_value, rank = _ranked_ends(keys)
+    return scale, keys, by_value, rank
+
+
+def proper_parts(items):
+    """``geometry._proper_parts`` of intervals, on the ranks of ``interval_grid``."""
+    return _proper_parts(*interval_grid(items)[2:])
 
 
 def ref_proper_partition(items):

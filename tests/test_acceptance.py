@@ -24,15 +24,13 @@ from geomfo.geometry import (GeometryError, LabeledGraph, Polygon,
                              Representation, build_intersection_graph,
                              cliquewidth_certificate_check, diameter,
                              induced_embeds, perturb_endpoints, polygon_report,
-                             proper_partition, visibility_graph)
-from geomfo.interpret import (interval_nu, interval_psi, interval_theta,
-                              longest_crossing, longest_noncrossing, make_instance,
+                             visibility_graph)
+from geomfo.interpret import (interval_nu, interval_psi, interval_theta, make_instance,
                               permutation_subgraph_iso)
-from geomfo.poset import build_interval_poset, poset_width
 
 from helpers import (graphs_up_to, max_clique, max_independent_set, has_subgraph,
-                     nonisomorphic_graphs, overlaps, rand_arcs, rand_boxes, rand_chords,
-                     rand_disks, rand_fan, rand_intervals, rand_segments,
+                     nonisomorphic_graphs, overlaps, poset_width, rand_arcs, rand_boxes,
+                     rand_chords, rand_disks, rand_fan, rand_intervals, rand_segments,
                      rand_sentence)
 
 CLASS_MAKERS = {
@@ -115,8 +113,8 @@ def test_criterion_3_lemma_semantics():
     for _ in range(100):
         rep = perturb_endpoints(rand_intervals(rng, rng.randint(1, 12)))
         items = rep.objects
-        k, parts = proper_partition(items)
-        p, ids, dmap = build_interval_poset(items, parts)
+        inst = make_instance("interval", rep)
+        p, ids = inst.poset, inst.vertex_map
         nu, psi, theta = interval_nu(), interval_psi(), interval_theta(x, y)
         for e in range(p.n):
             assert eval_structure(p, nu, {x: e}) == (e in ids)
@@ -326,8 +324,9 @@ def test_criterion_11_permutation_plan():
     for _ in range(200):
         rep = rand_segments(rng, rng.randint(1, 10))
         g = build_intersection_graph("permutation", rep)
-        assert longest_noncrossing(rep.objects) == max_independent_set(g)
-        assert longest_crossing(rep.objects) == max_clique(g)
+        prov = make_instance("permutation", rep).provenance
+        assert prov["mis"] == max_independent_set(g)
+        assert prov["clique"] == max_clique(g)
     patterns = graphs_up_to(4)
     iso_checked = 0
     for _ in range(12):

@@ -8,17 +8,15 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, PermSegment,
-                             Representation, build_intersection_graph, perturb_endpoints,
-                             proper_partition)
-from geomfo.interpret import (_chord_ends, longest_crossing, longest_noncrossing,
-                              make_instance)
-from geomfo.poset import (LabeledPoset, build_interval_poset, transitive_closure,
-                          validate_poset)
+                             Representation, build_intersection_graph, perturb_endpoints)
+from geomfo.interpret import _chord_ends, make_instance
+from geomfo.poset import LabeledPoset, _ranked_interval_poset, transitive_closure, validate_poset
 
-from helpers import (disk_endpoint_cmp, fixpoint_closure, instance_graph, longest_chain_dp,
-                     mirsky_partition, poset_digest, rand_intervals, ref_build_interval_poset,
-                     ref_interval_family_instance, ref_perturb_endpoints, ref_proper_partition,
-                     ref_unit_disk_poset, validate_poset_scan)
+from helpers import (disk_endpoint_cmp, fixpoint_closure, instance_graph, interval_grid,
+                     longest_chain_dp, mirsky_partition, poset_digest, proper_parts,
+                     rand_intervals, ref_build_interval_poset, ref_interval_family_instance,
+                     ref_perturb_endpoints, ref_proper_partition, ref_unit_disk_poset,
+                     validate_poset_scan)
 
 
 def _poset(rows):
@@ -110,14 +108,14 @@ def test_proper_partition_matches_mirsky_loop():
         n = rng.randint(0, 40)
         items = (_nested_family(rng, n) if rng.random() < 0.7
                  else list(perturb_endpoints(rand_intervals(rng, n)).objects))
-        got = proper_partition(items)
+        got = proper_parts(items)
         assert got == mirsky_partition(items)
         depths.add(got[0])
     assert max(depths) >= 6
     onion = [Interval(Fr(-i), Fr(i)) for i in range(1, 9)]
-    assert proper_partition(onion) == mirsky_partition(onion) == (8, list(range(8, 0, -1)))
+    assert proper_parts(onion) == mirsky_partition(onion) == (8, list(range(8, 0, -1)))
     with pytest.raises(GeometryError):
-        proper_partition([Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))])
+        proper_parts([Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))])
 
 
 def test_chord_ends_match_comparator_sort():
@@ -147,14 +145,21 @@ def test_chord_ends_match_comparator_sort():
 
 
 def test_permutation_chains_match_dp_with_ties():
+    """The permutation instance's independence and clique numbers, its
+    longest non-crossing and crossing chains, against the O(n^2) DP."""
     rng = random.Random(74)
     for _ in range(400):
         n = rng.randint(0, 14)
         m = rng.randint(1, 2 * n + 1)
-        segments = [PermSegment(Fr(rng.randrange(m)), Fr(rng.randrange(m)))
-                    for _ in range(n)]
-        assert longest_noncrossing(segments) == longest_chain_dp(segments, False)
-        assert longest_crossing(segments) == longest_chain_dp(segments, True)
+        rep = Representation("permutation", tuple(
+            PermSegment(Fr(rng.randrange(m)), Fr(rng.randrange(m))) for _ in range(n)))
+        if not n:
+            with pytest.raises(GeometryError, match="^empty representation$"):
+                make_instance("permutation", rep)
+            continue
+        prov = make_instance("permutation", rep).provenance
+        assert prov["mis"] == longest_chain_dp(rep.objects, False)
+        assert prov["clique"] == longest_chain_dp(rep.objects, True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +246,13 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
         seen["wraps"] += any(o.wraps() for o in out.objects if isinstance(o, Arc))
         if cls in ("interval", "box"):
             flat = out.objects
-            k, parts = proper_partition(flat)
+            k, parts = proper_parts(flat)
             assert (k, parts) == ref_proper_partition(flat)
+            grid = interval_grid(flat)
             odd = {"odd": range(1, len(flat), 2)}
-            p, ids, dmap = build_interval_poset(flat, parts, odd)
+            p, ids = _ranked_interval_poset(*grid, parts, odd)
+            ends = [e for it in flat for e in (it.lo, it.hi)]
+            dmap = {ends[e]: r for r, e in enumerate(grid[2])}
             rp, rids, rdmap = ref_build_interval_poset(flat, parts, odd)
             assert (poset_digest(p), ids, dmap) == (poset_digest(rp), rids, rdmap)
     assert seen["perturbed"] > 50 and seen["big"] > 30, seen

@@ -11,14 +11,15 @@ from geomfo.poset import generated_poset
 from geomfo.generators import cliquewidth_family
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
-                             _transversal_ok, build_intersection_graph,
+                             _grid, _transversal_ok, build_intersection_graph,
                              cliquewidth_certificate_check,
                              gradually_connected_check, parse_rat, permutation_to_chords,
-                             perturb_endpoints, polygon_report, proper_partition, sees,
+                             perturb_endpoints, polygon_report, sees,
                              sees_foot, visibility_graph)
+from geomfo.interpret import _interval_instance
 
 from helpers import (RefGraph, adjacency_rows, exhaustive_transversal,
-                     longest_nesting_chain, oracle_segment_inside, oracle_sees,
+                     longest_nesting_chain, oracle_segment_inside, oracle_sees, proper_parts,
                      ref_polygon_simple, rand_arcs, rand_boxes, rand_chords, rand_disks,
                      rand_fan, rand_grid_star, rand_intervals, rand_segments,
                      ref_intersection_edges, strictly_contains)
@@ -70,20 +71,21 @@ def test_permutation_equals_opened_circle():
 
 
 def test_proper_partition_examples():
-    k, parts = proper_partition([iv(1, 4), iv(2, 3), iv(5, 6)])
+    k, parts = proper_parts([iv(1, 4), iv(2, 3), iv(5, 6)])
     assert k == 2 and parts[1] == 2 and parts[0] == 1 and parts[2] == 1
-    k, _ = proper_partition([iv(0, 2), iv(1, 3), iv(Fr(5, 2), 4)])
+    k, _ = proper_parts([iv(0, 2), iv(1, 3), iv(Fr(5, 2), 4)])
     assert k == 1
     with pytest.raises(GeometryError):
-        proper_partition([iv(1, 2), iv(1, 3)])
+        proper_parts([iv(1, 2), iv(1, 3)])
 
 
 def test_proper_partition_rejects_duplicate_endpoints():
     big = 10 ** 30
     for items in ([iv(1, 2), iv(1, 3)], [iv(0, 2), iv(2, 3)],
                   [iv(Fr(1, 3), Fr(big + 1, big)), iv(Fr(big + 1, big), 2)]):
-        with pytest.raises(GeometryError, match="duplicate endpoints"):
-            proper_partition(items)
+        with pytest.raises(GeometryError,
+                           match=r"^shared endpoints; apply perturb_endpoints first$"):
+            _interval_instance(*_grid("interval", Representation("interval", tuple(items))))
 
 
 def test_proper_partition_minimality_oracle():
@@ -92,7 +94,7 @@ def test_proper_partition_minimality_oracle():
         rep = rand_intervals(rng, rng.randint(1, 10))
         rep = perturb_endpoints(rep)
         items = rep.objects
-        k, parts = proper_partition(items)
+        k, parts = proper_parts(items)
         assert k == longest_nesting_chain(items)
         by_part = {}
         for i, p in enumerate(parts):

@@ -5,24 +5,32 @@ import pytest
 
 from geomfo.checker import build_graph, eval_structure, model_check
 from geomfo.formula import GRAPH, Var, parse_formula
-from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
+from geomfo.geometry import (ALL_CLASSES, Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              build_intersection_graph, perturb_endpoints,
                              polygon_report, visibility_graph)
 from geomfo import geometry, interpret, poset as P
 from geomfo.generators import terfan_polygon
-from geomfo.interpret import (interval_interpretation, interval_theta,
-                              circle_interpretation, circular_arc_interpretation,
-                              box_interpretation, longest_crossing,
-                              longest_noncrossing, make_instance, permutation_plan,
-                              permutation_subgraph_iso, unit_disk_interpretation,
-                              visibility_interpretation)
-from geomfo.poset import poset_width, validate_poset
+from geomfo.interpret import (_arc_instance, _circle_instance, _interval_instance,
+                              interval_theta, make_instance, permutation_subgraph_iso)
+from geomfo.poset import validate_poset
 
 from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
 from helpers import (instance_graph, max_clique, max_independent_set, has_subgraph,
-                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
-                     rand_segments, rand_sentence)
+                     poset_width, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
+                     rand_intervals, rand_segments, rand_sentence)
+
+
+def _instance(cls, objects):
+    """``make_instance`` of the objects as a representation of ``cls``."""
+    return make_instance(cls, Representation(cls, tuple(objects)))
+
+
+def _unperturbed(build, cls, objects):
+    """A private grid builder run on the objects' grid as it is, with no
+    perturbation first, so that its own refusals show."""
+    return build(*geometry._grid(cls, Representation(cls, tuple(objects))))
+
 
 def test_visibility_instance_needs_one_polygon():
     """Graph and instance refuse two polygons with one error."""
@@ -37,13 +45,18 @@ def test_visibility_instance_needs_one_polygon():
 
 
 def test_interpretations_reject_shared_endpoints():
+    """The grid builders refuse shared ends, which ``make_instance`` perturbs
+    away first."""
     msg = r"^shared endpoints; apply perturb_endpoints first$"
-    with pytest.raises(GeometryError, match=msg):
-        interval_interpretation([Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))])
-    with pytest.raises(GeometryError, match=msg):
-        circle_interpretation([Chord(Fr(1, 4), Fr(1, 2)), Chord(Fr(3, 4), Fr(1, 2))])
-    with pytest.raises(GeometryError, match=msg):
-        circular_arc_interpretation([Arc(Fr(1, 4), Fr(1, 2)), Arc(Fr(1, 2), Fr(3, 4))])
+    for build, cls, objects in (
+            (_interval_instance, "interval", [Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))]),
+            (_circle_instance, "circle", [Chord(Fr(1, 4), Fr(1, 2)), Chord(Fr(3, 4), Fr(1, 2))]),
+            (_arc_instance, "circular_arc",
+             [Arc(Fr(1, 4), Fr(1, 2)), Arc(Fr(1, 2), Fr(3, 4))])):
+        with pytest.raises(GeometryError, match=msg):
+            _unperturbed(build, cls, objects)
+        rep = Representation(cls, tuple(objects))
+        assert instance_graph(make_instance(cls, rep)).edges == build_graph(cls, rep).edges
 
 
 def test_circular_arc_interpretation_rejects_an_end_at_angle_0():
@@ -51,7 +64,40 @@ def test_circular_arc_interpretation_rejects_an_end_at_angle_0():
     for arcs in ([Arc(Fr(0), Fr(1, 2)), Arc(Fr(1, 4), Fr(3, 4))],
                  [Arc(Fr(1, 4), Fr(3, 4)), Arc(Fr(7, 8), Fr(0))]):
         with pytest.raises(GeometryError, match=msg):
-            circular_arc_interpretation(arcs)
+            _unperturbed(_arc_instance, "circular_arc", arcs)
+
+
+# one small representation of each class
+_SAMPLES = {rep.cls: rep for rep in (
+    Representation("interval", (Interval(0, 1),)),
+    Representation("circular_arc", (Arc(Fr(1, 4), Fr(3, 4)),)),
+    Representation("circle", (Chord(Fr(1, 4), Fr(3, 4)),)),
+    Representation("permutation", (PermSegment(0, 1),)),
+    Representation("box", (Box(Interval(0, 1), Interval(0, 1)),)),
+    Representation("unit_disk", (Disk(0, 0),)),
+    Representation("visibility", (Polygon(((0, 0), (1, 2), (3, 0))),)),
+)}
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_wrong_class_or_object_type_is_a_typed_error(cls):
+    """``permutation_subgraph_iso`` refuses objects that are not segments,
+    and every door to an instance refuses a representation of another
+    class, and one of this class that holds another class's objects, each
+    with the one check's message."""
+    other = _SAMPLES[ALL_CLASSES[ALL_CLASSES.index(cls) - 1]]
+    foreign = other if cls == "permutation" else _SAMPLES[cls]
+    with pytest.raises(GeometryError, match=r"^object .+ is not a PermSegment$"):
+        permutation_subgraph_iso(foreign.objects, LabeledGraph(1))
+    wrong_type = Representation(cls, other.objects)
+    want = "Polygon" if cls == "visibility" else geometry._OBJECTS[cls].type.__name__
+    phi = parse_formula("exists x. x=x", GRAPH)
+    for build in (build_graph, make_instance, lambda c, r: model_check(c, r, phi)):
+        with pytest.raises(GeometryError,
+                           match=rf"^representation is of class {other.cls!r}, not {cls!r}$"):
+            build(cls, other)
+        with pytest.raises(GeometryError, match=rf"^object .+ is not a {want}$"):
+            build(cls, wrong_type)
 
 
 CLASS_MAKERS = {
@@ -77,13 +123,12 @@ def _check_instance(cls, rep):
 
 def _fraction_route(cls, rep):
     """The instance built the long way: ``perturb_endpoints`` makes new
-    ``Fraction`` objects, which the public constructor reads again."""
+    ``Fraction`` objects, whose ends are distinct, and ``make_instance``
+    reads them again."""
     if cls == "box":
         xs = perturb_endpoints(Representation("interval", tuple(b.x for b in rep.objects)))
-        return box_interpretation([Box(x, b.y) for x, b in zip(xs.objects, rep.objects)])
-    build = {"interval": interval_interpretation, "circular_arc": circular_arc_interpretation,
-             "circle": circle_interpretation}[cls]
-    return build(perturb_endpoints(rep).objects)
+        return _instance("box", [Box(x, b.y) for x, b in zip(xs.objects, rep.objects)])
+    return make_instance(cls, perturb_endpoints(rep))
 
 
 def _instance_fields(inst):
@@ -159,10 +204,10 @@ def test_make_instance_closes_once_and_never_validates(monkeypatch):
 
 def test_interval_width_examples():
     proper = [Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(3))]
-    inst = interval_interpretation(proper)
+    inst = _instance("interval", proper)
     assert inst.width_bound == 2
     nested = [Interval(Fr(1), Fr(4)), Interval(Fr(2), Fr(3))]
-    inst = interval_interpretation(nested)
+    inst = _instance("interval", nested)
     assert inst.width_bound == 3
     x, y = Var("x"), Var("y")
     theta = interval_theta(x, y)
@@ -174,12 +219,13 @@ def test_interval_width_examples():
 
 def test_interval_requires_distinct_endpoints():
     with pytest.raises(GeometryError):
-        interval_interpretation([Interval(Fr(0), Fr(1)), Interval(Fr(0), Fr(2))])
+        _unperturbed(_interval_instance, "interval",
+                     [Interval(Fr(0), Fr(1)), Interval(Fr(0), Fr(2))])
 
 
 def test_circular_arc_all_contain_zero():
     arcs = [Arc(Fr(3, 4), Fr(1, 4)), Arc(Fr(7, 8), Fr(1, 8)), Arc(Fr(5, 8), Fr(3, 8))]
-    inst = circular_arc_interpretation(arcs)
+    inst = _instance("circular_arc", arcs)
     n = len(arcs)
     assert instance_graph(inst).edges == frozenset(
         (i, j) for i in range(n) for j in range(i + 1, n))
@@ -189,7 +235,7 @@ def test_circular_arc_proper_gives_two_fold_b():
     # proper arcs, some wrapping: the flattened family is at most 2-fold proper
     arcs = [Arc(Fr(i, 8), Fr((i + 3) % 8, 8)) for i in range(8)]
     rep = perturb_endpoints(Representation("circular_arc", tuple(arcs)))
-    inst = circular_arc_interpretation(rep.objects)
+    inst = make_instance("circular_arc", rep)
     assert inst.provenance["k"] == 1
     assert inst.provenance["k_flat"] <= 2
     assert inst.width_bound == 3
@@ -205,7 +251,7 @@ def test_circular_arc_avoiding_zero_equals_interval():
             b = Fr(rng.randint(62, 127), 128)
             arcs.append(Arc(a, b))
         rep = perturb_endpoints(Representation("circular_arc", tuple(arcs)))
-        inst = circular_arc_interpretation(rep.objects)
+        inst = make_instance("circular_arc", rep)
         flat = [Interval(a.start, a.end) for a in rep.objects]
         g_int = build_intersection_graph("interval", Representation("interval", tuple(flat)))
         assert instance_graph(inst).edges == g_int.edges
@@ -213,11 +259,11 @@ def test_circular_arc_avoiding_zero_equals_interval():
 
 def test_circle_examples():
     crossing = [Chord(Fr(0), Fr(1, 2)), Chord(Fr(1, 4), Fr(3, 4))]
-    inst = circle_interpretation(crossing)
+    inst = _instance("circle", crossing)
     assert inst.width_bound == 2
     assert instance_graph(inst).edges == frozenset({(0, 1)})
     nested = [Chord(Fr(0), Fr(3, 4)), Chord(Fr(1, 4), Fr(1, 2))]
-    inst = circle_interpretation(nested)
+    inst = _instance("circle", nested)
     assert inst.provenance["k"] == 2
     assert instance_graph(inst).edges == frozenset()
 
@@ -229,17 +275,17 @@ def test_circle_figure_seven_chords():
     chords = tuple(Chord(pos[f"{n}1"], pos[f"{n}2"]) for n in "abcdefg")
     rep = Representation("circle", chords)
     g = build_intersection_graph("circle", rep)
-    inst = circle_interpretation(chords)
+    inst = _instance("circle", chords)
     assert instance_graph(inst).edges == g.edges
 
 
 def test_permutation_plan_orientations():
     identity = [PermSegment(Fr(i), Fr(i)) for i in range(5)]
-    inst = permutation_plan(identity)
+    inst = _instance("permutation", identity)
     assert inst.provenance["mis"] == 5 and inst.provenance["clique"] == 1
     assert inst.provenance["reversed"] is True and inst.complemented
     reversal = [PermSegment(Fr(i), Fr(5 - i)) for i in range(5)]
-    inst = permutation_plan(reversal)
+    inst = _instance("permutation", reversal)
     assert inst.provenance["mis"] == 1 and inst.provenance["clique"] == 5
     assert inst.provenance["reversed"] is False
 
@@ -249,27 +295,28 @@ def test_permutation_mis_clique_bruteforce():
     for _ in range(60):
         rep = rand_segments(rng, rng.randint(1, 10))
         g = build_intersection_graph("permutation", rep)
-        mis = longest_noncrossing(rep.objects)
-        clique = longest_crossing(rep.objects)
+        inst = make_instance("permutation", rep)
+        mis, clique = inst.provenance["mis"], inst.provenance["clique"]
         assert mis == max_independent_set(g)
         assert clique == max_clique(g)
-        inst = permutation_plan(list(rep.objects))
-        assert min(mis, clique) == min(inst.provenance["mis"], inst.provenance["clique"])
+        assert inst.provenance["reversed"] is inst.complemented is (clique < mis)
 
 
 def test_permutation_chains_with_tied_coordinates():
     """Segments that share an end do not cross, in either chain count."""
     tied = [PermSegment(0, 1), PermSegment(0, 0)]
     for segs in (tied, tied[::-1]):
-        assert longest_crossing(segs) == 1 and longest_noncrossing(segs) == 2
+        prov = _instance("permutation", segs).provenance
+        assert prov["clique"] == 1 and prov["mis"] == 2
         assert not permutation_subgraph_iso(segs, LabeledGraph(2, {(0, 1)}))
     rng = random.Random(16)
     for _ in range(300):
-        segs = tuple(PermSegment(rng.randint(0, 3), rng.randint(0, 3))
-                     for _ in range(rng.randint(1, 8)))
-        g = build_intersection_graph("permutation", Representation("permutation", segs))
-        assert longest_crossing(segs) == max_clique(g)
-        assert longest_noncrossing(segs) == max_independent_set(g)
+        rep = Representation("permutation", tuple(
+            PermSegment(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 8))))
+        g = build_intersection_graph("permutation", rep)
+        prov = make_instance("permutation", rep).provenance
+        assert prov["clique"] == max_clique(g)
+        assert prov["mis"] == max_independent_set(g)
 
 
 def test_permutation_subgraph_iso():
@@ -294,7 +341,7 @@ def test_box_examples():
     xs = [(Fr(0), Fr(7)), (Fr(1), Fr(6)), (Fr(2), Fr(5)), (Fr(3), Fr(4))]
     ys = [(Fr(0), Fr(1)), (Fr(0), Fr(1)), (Fr(2), Fr(3)), (Fr(4), Fr(5))]
     boxes = [Box(Interval(*x), Interval(*y)) for x, y in zip(xs, ys)]
-    inst = box_interpretation(boxes)
+    inst = _instance("box", boxes)
     assert inst.width_bound == 5
     # k counts the three distinct y-intervals too; the larger count is kx
     assert inst.provenance == {"class": "box", "k": 4, "kx": 4, "ell": 3}
@@ -312,10 +359,10 @@ def test_box_single_row_is_interval_graph():
 
 def test_unit_disk_examples():
     one_row = [Disk(Fr(0), Fr(0)), Disk(Fr(1, 2), Fr(0)), Disk(Fr(2), Fr(0))]
-    inst = unit_disk_interpretation(one_row)
+    inst = _instance("unit_disk", one_row)
     assert inst.width_bound == 2
     tri = [Disk(Fr(0), Fr(0)), Disk(Fr(3, 4), Fr(0)), Disk(Fr(3, 8), Fr(3, 4))]
-    inst = unit_disk_interpretation(tri)
+    inst = _instance("unit_disk", tri)
     g = build_intersection_graph("unit_disk", Representation("unit_disk", tuple(tri)))
     assert instance_graph(inst).edges == g.edges
 
@@ -325,7 +372,7 @@ def test_unit_disk_ties_and_tangencies():
     disks = [Disk(Fr(0), Fr(0)), Disk(Fr(0), Fr(0)), Disk(Fr(0), Fr(1)),
              Disk(Fr(1, 2), Fr(1)), Disk(Fr(0), Fr(3))]
     g = build_intersection_graph("unit_disk", Representation("unit_disk", tuple(disks)))
-    inst = unit_disk_interpretation(disks)
+    inst = _instance("unit_disk", disks)
     assert instance_graph(inst).edges == g.edges
     assert g.has_edge(0, 2) and not g.has_edge(0, 4)
 
@@ -336,7 +383,7 @@ def test_unit_disk_exact_endpoint_relation():
     rng = random.Random(44)
     for _ in range(40):
         disks = rand_disks(rng, rng.randint(1, 9)).objects
-        p = unit_disk_interpretation(disks).poset
+        p = _instance("unit_disk", disks).poset
         rows = sorted({d.cy for d in disks})
         for name, elems in p.labels.items():
             if not name.startswith("D_"):
@@ -355,7 +402,7 @@ def test_unit_disk_exact_endpoint_relation():
 
 def test_visibility_convex_polygon():
     pts = tuple((Fr(i), Fr(i * (5 - i))) for i in range(6))
-    inst = visibility_interpretation(Polygon(pts))
+    inst = _instance("visibility", [Polygon(pts)])
     assert inst.width_bound == 1
     assert len(instance_graph(inst).edges) == 15  # K6
 
@@ -369,7 +416,7 @@ def test_visibility_empty_interior_ear_chain_count():
     empty = sum(1 for a in interiors if not a)
     nonempty = sum(1 for a in interiors if a)
     assert len(interiors) == len(report.reflex_vertices) + 1
-    inst = visibility_interpretation(poly)
+    inst = _instance("visibility", [poly])
     chains = {name.split("]")[0] for name in inst.poset.names if name.startswith("b[")}
     assert len(chains) == nonempty * (nonempty - 1) // 2
 
@@ -400,7 +447,7 @@ def test_visibility_blue_chain_staircase():
     rng = random.Random(19)
     for _ in range(10):
         poly = rand_fan(rng, rng.randint(5, 11))
-        inst = visibility_interpretation(poly)
+        inst = _instance("visibility", [poly])
         p = inst.poset
         chains = {}
         for e, name in enumerate(p.names):
@@ -418,7 +465,7 @@ def test_visibility_rejects_reflex_uv():
                     (Fr(6), Fr(0))))
     if 0 in polygon_report(poly).reflex_vertices:
         with pytest.raises(GeometryError):
-            visibility_interpretation(poly)
+            _instance("visibility", [poly])
 
 
 def test_full_roundtrip_model_checks():
@@ -441,11 +488,10 @@ def test_box_figure_instance():
             ((15, 18), (2, 7)), ((14, 19), (9, 14))]
     boxes = [Box(Interval(Fr(a), Fr(b)), Interval(Fr(c), Fr(d)))
              for (a, b), (c, d) in data]
-    inst = box_interpretation(boxes)
+    inst = _instance("box", boxes)
     assert inst.provenance["kx"] == 3
     assert inst.provenance["ell"] == 3
     assert inst.width_bound == 4
-    from geomfo.poset import poset_width
     assert poset_width(inst.poset) <= 4
     g = build_intersection_graph("box", Representation("box", tuple(boxes)))
     assert instance_graph(inst).edges == g.edges

@@ -5,14 +5,29 @@ import pytest
 
 from geomfo.checker import eval_structure
 from geomfo.formula import Var
-from geomfo.geometry import GeometryError, Interval
-from geomfo.interpret import interval_nu, interval_psi, interval_theta
-from geomfo.poset import (LabeledPoset, PosetError, build_interval_poset,
-                          generated_poset, poset_width, transitive_closure,
-                          validate_poset)
+from geomfo.geometry import (GeometryError, Interval, Representation, _proper_parts,
+                             perturb_endpoints)
+from geomfo.interpret import interval_nu, interval_psi, interval_theta, make_instance
+from geomfo.poset import (LabeledPoset, PosetError, _ranked_interval_poset,
+                          generated_poset, transitive_closure, validate_poset)
 
-from helpers import brute_force_width, fixpoint_closure, overlaps, rand_intervals
-from geomfo.geometry import perturb_endpoints, proper_partition
+from helpers import (brute_force_width, fixpoint_closure, interval_grid, overlaps,
+                     poset_width, rand_intervals)
+
+
+def _interval_poset(items):
+    """The interval instance's poset of intervals with distinct ends, the
+    element of each interval, and the element of each end value: endpoint
+    elements come first, in increasing order."""
+    inst = make_instance("interval", Representation("interval", tuple(items)))
+    ends = sorted(e for it in items for e in (it.lo, it.hi))
+    return inst, inst.vertex_map, {v: r for r, v in enumerate(ends)}
+
+
+def _parted_poset(items, parts, labels=None):
+    """``_ranked_interval_poset`` of intervals with distinct ends in the
+    given parts, on their grid ranks."""
+    return _ranked_interval_poset(*interval_grid(items), parts, labels)
 
 
 def test_validate_examples():
@@ -96,7 +111,8 @@ def test_width_rejects_invalid():
 
 
 def test_build_interval_poset_single_interval():
-    p, ids, dmap = build_interval_poset([Interval(Fr(1), Fr(2))], [1])
+    inst, ids, dmap = _interval_poset([Interval(Fr(1), Fr(2))])
+    p = inst.poset
     assert p.n == 3
     a, b = dmap[Fr(1)], dmap[Fr(2)]
     t = ids[0]
@@ -106,9 +122,9 @@ def test_build_interval_poset_single_interval():
 
 def test_build_interval_poset_two_overlapping():
     items = [Interval(Fr(1), Fr(3)), Interval(Fr(2), Fr(4))]
-    k, parts = proper_partition(items)
-    assert k == 1
-    p, ids, dmap = build_interval_poset(items, parts)
+    inst, ids, dmap = _interval_poset(items)
+    assert inst.provenance["k"] == 1
+    p = inst.poset
     assert p.n == 6
     # [1,3] incomparable with endpoint 2
     e2 = dmap[Fr(2)]
@@ -119,19 +135,20 @@ def test_build_interval_poset_two_overlapping():
 
 def test_build_interval_poset_rejects_nonproper_part():
     items = [Interval(Fr(1), Fr(4)), Interval(Fr(2), Fr(3))]
-    with pytest.raises(PosetError):
-        build_interval_poset(items, [1, 1])
+    with pytest.raises(PosetError, match=r"^part 1 is not proper: interval 0 contains "):
+        _parted_poset(items, [1, 1])
     # [1,9] contains [3,8], two apart in left-end order
     items = [Interval(Fr(1), Fr(9)), Interval(Fr(2), Fr(10)), Interval(Fr(3), Fr(8))]
-    with pytest.raises(PosetError):
-        build_interval_poset(items, [1, 1, 1])
+    with pytest.raises(PosetError, match=r"^part 1 is not proper: interval 1 contains "):
+        _parted_poset(items, [1, 1, 1])
 
 
 def test_build_interval_poset_rejects_duplicate_endpoints():
     for items in ([Interval(Fr(1), Fr(3)), Interval(Fr(3), Fr(4))],
                   [Interval(Fr(1, 3), Fr(1)), Interval(Fr(2, 6), Fr(2))]):
-        with pytest.raises(GeometryError, match="duplicate endpoints"):
-            build_interval_poset(items, [1, 2])
+        with pytest.raises(GeometryError,
+                           match=r"^shared endpoints; apply perturb_endpoints first$"):
+            _parted_poset(items, [1, 2])
 
 
 def test_build_interval_poset_exact_endpoint_relation():
@@ -139,8 +156,8 @@ def test_build_interval_poset_exact_endpoint_relation():
     rng = random.Random(9)
     for _ in range(60):
         items = perturb_endpoints(rand_intervals(rng, rng.randint(1, 10))).objects
-        k, parts = proper_partition(items)
-        p, ids, dmap = build_interval_poset(items, parts)
+        inst, ids, dmap = _interval_poset(items)
+        p = inst.poset
         for it, t in zip(items, ids):
             for v, e in dmap.items():
                 assert p.lt(e, t) == (v <= it.lo)
@@ -149,7 +166,7 @@ def test_build_interval_poset_exact_endpoint_relation():
 
 def test_build_interval_poset_extra_labels_by_index():
     items = [Interval(Fr(1), Fr(3)), Interval(Fr(2), Fr(4)), Interval(Fr(5), Fr(6))]
-    p, ids, _ = build_interval_poset(items, [0, 0, 0], {"red": [2, 0], "blue": []})
+    p, ids = _parted_poset(items, [0, 0, 0], {"red": [2, 0], "blue": []})
     assert list(p.labels) == ["D", "red", "blue"]
     assert p.labels["red"] == frozenset({ids[0], ids[2]})
     assert p.labels["blue"] == frozenset()
@@ -159,9 +176,8 @@ def test_build_interval_poset_random_properties():
     rng = random.Random(8)
     for _ in range(40):
         rep = perturb_endpoints(rand_intervals(rng, rng.randint(1, 10)))
-        items = rep.objects
-        k, parts = proper_partition(items)
-        p, ids, _ = build_interval_poset(items, parts)
+        inst, _, _ = _interval_poset(rep.objects)
+        p, k = inst.poset, inst.provenance["k"]
         assert validate_poset(p) is None
         assert poset_width(p) <= k + 1
 
@@ -173,8 +189,8 @@ def test_lemma_formula_semantics():
     for _ in range(30):
         rep = perturb_endpoints(rand_intervals(rng, rng.randint(1, 8)))
         items = rep.objects
-        k, parts = proper_partition(items)
-        p, ids, dmap = build_interval_poset(items, parts)
+        inst, ids, _ = _interval_poset(items)
+        p = inst.poset
         nu = interval_nu()
         for e in range(p.n):
             assert eval_structure(p, nu, {x: e}) == (e in ids)
@@ -191,9 +207,10 @@ def test_chain_cover_structure():
     rng = random.Random(13)
     rep = perturb_endpoints(rand_intervals(rng, 9))
     items = rep.objects
-    k, parts = proper_partition(items)
-    p, ids, dmap = build_interval_poset(items, parts)
-    dset = sorted(dmap.values())
+    grid = interval_grid(items)
+    _, parts = _proper_parts(*grid[2:])
+    p, ids = _ranked_interval_poset(*grid, parts)
+    dset = sorted(p.labels["D"])
     for i in range(len(dset)):
         for j in range(i + 1, len(dset)):
             assert p.lt(dset[i], dset[j]) or p.lt(dset[j], dset[i])
