@@ -637,15 +637,21 @@ def _model_checker(cls: str, rep: Representation):
             _context(g)
             _context(inst.poset)
             built[:] = g, inst
-        g, inst = built
-        phi_eff = F.complement_edges(phi) if inst.complemented else phi
-        phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)
-        gv = eval_structure(g, phi)
-        pv = eval_structure(inst.poset, phi_i)
-        if gv != pv:
-            raise AgreementError(
-                f"graph verdict {gv} != poset verdict {pv} for class {cls} "
-                f"on {len(rep.objects)} objects: {F.print_formula(phi)}")
-        return ModelCheckResult(gv, pv, inst, g, phi_i)
+        return _decide(cls, rep, *built, phi)
 
     return check
+
+
+def _decide(cls: str, rep: Representation, g: LabeledGraph,
+            inst: "InterpretationInstance", phi: F.Formula) -> ModelCheckResult:  # noqa: F821
+    """``model_check`` of a checked sentence on the graph and instance built
+    from ``rep``: evaluate it on the graph, and rewritten on the poset."""
+    phi_eff = F.complement_edges(phi) if inst.complemented else phi
+    phi_i = F.rewrite_under_interpretation(phi_eff, inst.interp)
+    gv = eval_structure(g, phi)
+    pv = eval_structure(inst.poset, phi_i)
+    if gv != pv:
+        raise AgreementError(
+            f"graph verdict {gv} != poset verdict {pv} for class {cls} "
+            f"on {len(rep.objects)} objects: {F.print_formula(phi)}")
+    return ModelCheckResult(gv, pv, inst, g, phi_i)

@@ -213,17 +213,17 @@ def hardness_formulas(complement: bool) -> tuple[Formula, Formula]:
 
 
 MAX_HARDNESS_VERTICES = 8  # hardness_instance's H; its witness has order n + 2
+HARDNESS_EPS = Fr(1, 4)  # the eps of hardness_instance's consecutive witness
 
 
-def hardness_instance(h: LabeledGraph, cls: str,
-                      eps: Fraction = Fr(1, 4)) -> HardnessInstance:
+def hardness_instance(h: LabeledGraph, cls: str) -> HardnessInstance:
     """Build G_H in the class so that the labelled interpretation gives H back."""
     n = h.n
     if n < 1:
         raise GeometryError("H needs at least one vertex")
     if n > MAX_HARDNESS_VERTICES:
         raise GeometryError(f"H on {n} vertices exceeds the size cap")
-    wit = consecutive_witness(cls, n + 2, eps)
+    wit = consecutive_witness(cls, n + 2, HARDNESS_EPS)
     # paper index t in 0..n+1 is witness key t+1
     p_keys = [(t + 1, t + 2) for t in range(n + 1)]
     q_keys = [(u + 2, v + 2) for u, v in sorted(h.edges)]
@@ -266,12 +266,12 @@ def twin_formula(x: Var, y: Var, z: Var) -> Formula:
                                      Implies(Edge(y, z), Edge(x, z))))))
 
 
-def dupl_formula(d: int, x: Var, prefix: str = "zt") -> Formula:
+def dupl_formula(d: int, x: Var) -> Formula:
     """x belongs to a class of at least d true twins."""
-    ws = [Var(f"{prefix}{i}") for i in range(d - 1)]
+    ws = [Var(f"zt{i}") for i in range(d - 1)]
     parts: list[Formula] = [Not(Eq(w, x)) for w in ws]
     parts += [Not(Eq(ws[i], ws[j])) for i in range(len(ws)) for j in range(i + 1, len(ws))]
-    parts += [twin_formula(x, w, Var(f"{prefix}q{i}")) for i, w in enumerate(ws)]
+    parts += [twin_formula(x, w, Var(f"ztq{i}")) for i, w in enumerate(ws)]
     return exists_many(ws, big_and(parts))
 
 
@@ -475,9 +475,8 @@ def _efo_unit_box(h: LabeledGraph) -> EfoInstance:
     """
     n = h.n
     ell = n + 2
-    eps = Fr(1, 4)
-    delta = eps / ell
-    base = hardness_instance(h, "unit_box", eps)
+    delta = HARDNESS_EPS / ell
+    base = hardness_instance(h, "unit_box")
     boxes = list(base.rep.objects)
     blue = sorted(base.graph.labels["blue"])
     green = set(base.graph.labels["green"])

@@ -11,18 +11,17 @@ only at its own two ends) and, with the cone tests, whether a segment from
 a vertex lies in the polygon, both toward another vertex and toward a
 vertex's perpendicular foot on the closing edge; the foot is a point of the
 polygon's grid scaled once more, by the squared length of that edge.
-Perturbation (``_perturbed``) and the proper parts of an interval family
-(``_proper_parts``) work on integer endpoints and their ranks, and hand
-integers on to the poset builders.
+The proper parts of an interval family (``_proper_parts``) work on
+endpoint ranks, and the poset builders take integers.
 Angular positions live in [0,1) turns measured clockwise from angle
 0 (a half turn is exactly 1/2).
 
 Each intersection class is described once, in ``_OBJECTS``: its object
 type, file keyword, coordinates in file order and constructor, and the
-array predicate that decides which objects meet.  File I/O, intersection
-graphs and perturbation all read that table.  An intersection graph comes
-from the class's predicate, evaluated over row blocks of at most
-``_PAIR_CELLS`` object pairs, so no n x n array is allocated.  Interval,
+array predicate that decides which objects meet.  File I/O and intersection
+graphs both read that table.  An intersection graph comes from the class's
+predicate, evaluated over row blocks of at most ``_PAIR_CELLS`` object
+pairs, so no n x n array is allocated.  Interval,
 arc, chord, permutation and box tests only compare coordinates, so they
 run on int64 dense ranks of the rescaled ints (equal values share a rank,
 so every ``<``, ``<=`` and tie is kept).  The unit-disk test
@@ -35,9 +34,11 @@ once, for ``_grid`` (the one rescale of an intersection class) and for
 
 Intersection semantics: closed-set intersection for intervals, arcs, boxes
 and disks (tangency is an edge); strict crossing for chords and permutation
-segments (shared endpoints are not an edge).  Tied permutation coordinates
+segments (shared endpoints are not an edge).  Every class breaks ties by a
+rule on ranks, never by moving a coordinate.  Tied permutation coordinates
 are broken once, by ``_permutation_ranks``, so that tied segments never
 cross; the chord map and the permutation instance read only those ranks.
+The interval-family instances order tied ends by ``interpret._tie_keys``.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class Interval:
         _exact(self)
         if not self.lo < self.hi:
             raise GeometryError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
 
 @dataclass(frozen=True)
@@ -476,7 +474,7 @@ class _Objects:
 
 
 # The one description of each intersection class: file I/O, intersection
-# graphs and perturbation all read it.
+# graphs both read it.
 _OBJECTS = {
     "interval": _Objects(Interval, "interval", ("lo", "hi"), Interval, ((0, 1),),
                          _intervals_meet),
@@ -608,7 +606,7 @@ def permutation_to_chords(segments: Sequence[PermSegment]) -> list[Chord]:
 
 
 # ---------------------------------------------------------------------------
-# proper partitions and perturbation
+# proper partitions
 
 def increasing_run_lengths(keys: Sequence) -> list[int]:
     """Length of the longest strictly increasing subsequence of ``keys`` that
@@ -622,19 +620,6 @@ def increasing_run_lengths(keys: Sequence) -> list[int]:
     return out
 
 
-def _endpoint_ranks(keys: Sequence[int], message: str) -> tuple[list[int], list[int]]:
-    """The positions of ``keys`` in increasing order, and the rank of each
-    position, from one sort; equal keys raise GeometryError(message)."""
-    by_value = sorted(range(len(keys)), key=keys.__getitem__)
-    for a, b in zip(by_value, by_value[1:]):
-        if keys[a] == keys[b]:
-            raise GeometryError(message)
-    rank = [0] * len(keys)
-    for r, e in enumerate(by_value):
-        rank[e] = r
-    return by_value, rank
-
-
 def _proper_parts(by_value: Sequence[int], rank: Sequence[int]) -> tuple[int, list[int]]:
     """Mirsky decomposition of the containment order, on endpoint ranks:
     item i's ends are positions 2i and 2i+1, and ``by_value`` lists the
@@ -643,7 +628,7 @@ def _proper_parts(by_value: Sequence[int], rank: Sequence[int]) -> tuple[int, li
     Returns (k, assignment) where the part of item i counts the longest
     chain of items nested around item i (itself included); items left out
     get part 0.  k is minimal, i.e. the family is k-fold proper but not
-    (k-1)-fold proper.  With distinct endpoints, the items around i come
+    (k-1)-fold proper.  On distinct ranks, the items around i come
     before it in left-end order and end after it, so its part is a longest
     strictly decreasing run of right-end ranks in that order.
     """
@@ -652,91 +637,6 @@ def _proper_parts(by_value: Sequence[int], rank: Sequence[int]) -> tuple[int, li
     for i, depth in zip(order, increasing_run_lengths([-rank[2 * i + 1] for i in order])):
         h[i] = depth
     return (max(h, default=0), h)
-
-
-_PERTURBED = ("interval", "circular_arc", "circle")  # the classes perturbation is defined on
-
-
-def perturb_endpoints(rep: Representation) -> Representation:
-    """Make all endpoints pairwise distinct without changing the graph.
-
-    Intervals and arcs are dilated (object j grows by j*eps at each end), so
-    closed-set tangencies stay edges; chords are nudged rotationally with a
-    fan-out rule at shared endpoints, so strict crossings are unchanged.
-    Arc and chord endpoints also end up away from angle 0.  The work is
-    ``_perturbed``'s, on the integer endpoints of one rescale; only here are
-    its ends turned into ``Fraction`` objects.  A representation whose
-    endpoints are already distinct is returned as it is.
-    """
-    cls = rep.cls
-    if cls not in _PERTURBED:
-        raise GeometryError(f"perturbation undefined for class {cls!r}")
-    scale, keys = _grid(cls, rep)
-    turn, new = _perturbed(cls, scale, keys)
-    if new is keys:
-        return rep
-    ends = [Fraction(k, turn) for k in new]
-    make = _OBJECTS[cls].make
-    return Representation(cls, tuple([make(a, b) for a, b in zip(ends[::2], ends[1::2])]))
-
-
-def _perturbed(cls: str, scale: int, keys: list[int],
-               pairs: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[int, list[int]]:
-    """``perturb_endpoints`` on integer endpoints: ``keys`` holds the objects'
-    ends in file order at ``scale``, and ``pairs`` their meeting pairs
-    there, if already known.  Returns the new scale and ends, or ``(scale,
-    keys)`` themselves when the ends are already distinct (and, on the
-    circle, away from 0).
-
-    With the least positive gap g and m = 4 * (number of ends), eps = g/m at
-    scale S, so the new ends are integers at scale mS.  The meeting pairs of
-    the new ends must be ``pairs``: the check that the graph is unchanged.
-    """
-    circular = cls != "interval"
-    # on the circle, angle 0 counts as one more endpoint to stay away from
-    vals = sorted(keys + [0] if circular else keys)
-    if all(a != b for a, b in zip(vals, vals[1:])):
-        return scale, keys
-    if vals[0] == vals[-1]:
-        raise GeometryError("all endpoints identical")
-    gap = min(b - a for a, b in zip(vals, vals[1:]) if b != a)
-    if circular:
-        gap = min(gap, vals[0] - vals[-1] + scale)
-    m = 4 * len(keys)
-    turn = m * scale
-
-    if cls != "circle":
-        # object j's first end moves down by (j + 1) * eps, its second end up
-        new = [m * k + (e // 2 + 1) * gap * (1 if e & 1 else -1) for e, k in enumerate(keys)]
-        if circular:
-            new = [k % turn for k in new]
-    else:
-        new = [0] * len(keys)
-        by_value: dict[int, list[tuple[int, int]]] = {}
-        for e, k in enumerate(keys):
-            by_value.setdefault(k, []).append((e, keys[e ^ 1]))
-        for value, group in by_value.items():
-            # Fan shared endpoints out so that chords from one point do not
-            # start crossing each other: farther other-ends get smaller
-            # offsets.  Ties (duplicate chords) anti-align at the two ends.
-            def sort_key(item):
-                e, far = item
-                idx = e // 2
-                tie = idx if value < far else -idx
-                return (-((far - value) % scale), tie)
-            for t, (e, _) in enumerate(sorted(group, key=sort_key), start=1):
-                new[e] = (m * value + t * gap) % turn
-
-    if pairs is None:
-        pairs = _pair_arrays(cls, keys, scale)
-    if not all(map(np.array_equal, pairs, _pair_arrays(cls, new, turn))):
-        raise GeometryError("perturbation changed the intersection graph")
-    new_vals = sorted(new)
-    if any(a == b for a, b in zip(new_vals, new_vals[1:])):
-        raise GeometryError("perturbation left duplicate endpoints")
-    if circular and new_vals[0] == 0:
-        raise GeometryError("perturbation left an endpoint at angle 0")
-    return turn, new
 
 
 # ---------------------------------------------------------------------------

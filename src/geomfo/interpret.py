@@ -10,11 +10,13 @@ order, and uv is an edge iff the poset models psi(u,v) | psi(v,u).
 
 Each intersection class is built on its grid, ``geometry._grid``, which
 checks the representation and gives its objects' coordinates as ints at
-one scale.  Interval, circular-arc and circle ends are perturbed there
-first (``geometry._perturbed``), and the perturbed ints go straight to the
-endpoint ranks and the poset; no ``Fraction`` is made.  ``make_instance``
-rescales once; ``_build``, the build ``model_check`` runs, rescales once
-for the graph and the instance together, and the perturbation's check
+one scale.  Interval, circular-arc, circle and box ends stay where they
+are: one sort by ``_tie_keys``, a rule on the ints that breaks every tie,
+ranks them, and the ranks go straight to the poset; no ``Fraction`` is
+made.  When the rule broke a tie, the objects on their ranks must meet where
+the objects meet.  ``make_instance`` rescales once and finds the meeting
+pairs only for that check; ``_build``, the build ``model_check`` runs,
+rescales once for the graph and the instance together, and the check
 compares against the meeting pairs the graph was built from.
 """
 
@@ -23,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .formula import (And, Eq, Exists, Forall, Formula, Implies, Interpretation,
                       Label, Leq, Not, Or, Var, X, Y, big_and, big_or)
-from .geometry import (_PERTURBED, GeometryError, LabeledGraph, PermSegment, Polygon,
-                       Representation, _endpoint_ranks, _grid, _pair_arrays,
-                       _permutation_ranks, _perturbed, _proper_parts, _rank_chord_ends,
-                       _single_polygon, increasing_run_lengths, polygon_report,
-                       visibility_graph)
+from .geometry import (GeometryError, LabeledGraph, PermSegment, Polygon, Representation,
+                       _grid, _pair_arrays, _permutation_ranks, _proper_parts,
+                       _rank_chord_ends, _single_polygon, increasing_run_lengths,
+                       polygon_report, visibility_graph)
 from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
 
 Z = Var("z")
@@ -71,26 +74,60 @@ def interval_theta(x: Var = X, y: Var = Y, z: Var = Z) -> Formula:
     ))
 
 
-def _ranked_ends(keys: Sequence[int]):
-    """The interval family of the pairs (keys[2i], keys[2i+1]), each put in
-    increasing order, on ranks.
+def _tie_keys(cls: str, scale: int, keys: Sequence[int]) -> list[tuple]:
+    """The sort key of each end of an interval, arc or chord family: object
+    j's first end is ``keys[2j]`` and its second ``keys[2j+1]``, ints at
+    ``scale`` (one turn, on the circle).
 
-    The keys are integer ends at a common scale; one sort ranks them.
-    Returns the ends in that order (a new list), whether each pair was
-    reversed, the end positions in increasing order, and the rank of each
-    position.
+    The one rule for tied ends, which changes no pair's meeting.  Interval
+    and arc ends at one value are ordered as if object j grew by j + 1
+    infinitesimals at each end: first ends before second ends, so closed
+    ends that touch still overlap, first ends in decreasing and second ends
+    in increasing object order.  An arc that starts at angle 0 starts one
+    full turn on, so it wraps.  Chord ends at one point fan out, the chord
+    whose other end lies farther clockwise first, so chords from one point
+    do not cross; equal chords anti-align.  The object index makes every
+    key distinct.
     """
-    keys = list(keys)
-    flipped = [keys[2 * i] > keys[2 * i + 1] for i in range(len(keys) // 2)]
-    for i, f in enumerate(flipped):
-        if f:
-            keys[2 * i], keys[2 * i + 1] = keys[2 * i + 1], keys[2 * i]
-    by_value, rank = _endpoint_ranks(keys, "shared endpoints; apply perturb_endpoints first")
-    return keys, flipped, by_value, rank
+    if cls == "circle":
+        return [(v, -((keys[e ^ 1] - v) % scale), e >> 1 if v < keys[e ^ 1] else -(e >> 1))
+                for e, v in enumerate(keys)]
+    arcs = cls == "circular_arc"
+    return [(v, 1, e >> 1) if e & 1 else (scale if arcs and v == 0 else v, 0, -(e >> 1))
+            for e, v in enumerate(keys)]
 
 
-def _interval_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    keys, _, by_value, rank = _ranked_ends(keys)
+def _ranked_ends(cls: str, scale: int, keys: Sequence[int],
+                 pairs: Optional[tuple] = None):
+    """The interval family of the objects of ``cls`` with ends (keys[2j],
+    keys[2j+1]) at ``scale``, on ranks from one sort by ``_tie_keys``.
+
+    An object whose first end ranks after its second (a wrapping arc, or a
+    chord whose first end is the later one) is flipped: its two ends swap
+    places.  When the rule broke a tie, the objects with their ends replaced
+    by their ranks, in each object's own order, must meet exactly where the
+    objects meet, which ``pairs`` gives when known.  Returns the ends with
+    every flipped pair swapped (a new list), whether each pair was flipped,
+    the end positions in increasing order, and the rank of each position.
+    """
+    tie = _tie_keys(cls, scale, keys)
+    by_value = sorted(range(len(tie)), key=tie.__getitem__)
+    rank = [0] * len(tie)
+    for r, e in enumerate(by_value):
+        rank[e] = r
+    if any(tie[a][0] == tie[b][0] for a, b in zip(by_value, by_value[1:])):
+        if pairs is None:
+            pairs = _pair_arrays(cls, keys, scale)
+        if not all(map(np.array_equal, pairs, _pair_arrays(cls, rank, len(rank)))):
+            raise GeometryError("breaking endpoint ties changed the intersection graph")
+    flipped = [rank[e] > rank[e + 1] for e in range(0, len(rank), 2)]
+    at = [e ^ flipped[e >> 1] for e in range(len(rank))]  # where each end goes; an involution
+    return [keys[e] for e in at], flipped, [at[e] for e in by_value], [rank[e] for e in at]
+
+
+def _interval_instance(scale: int, keys: Sequence[int],
+                       pairs: Optional[tuple] = None) -> InterpretationInstance:
+    keys, _, by_value, rank = _ranked_ends("interval", scale, keys, pairs)
     k, parts = _proper_parts(by_value, rank)
     poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
     interp = Interpretation(interval_nu(), interval_psi(), frozenset({"D"}))
@@ -98,12 +135,11 @@ def _interval_instance(scale: int, keys: Sequence[int]) -> InterpretationInstanc
                                   {"class": "interval", "k": k})
 
 
-def _arc_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    # a wrapping arc (start > end) stands for its complement [end, start],
-    # which avoids 0; it is red
-    keys, red, by_value, rank = _ranked_ends(keys)
-    if 0 in keys:
-        raise GeometryError("arc endpoint at angle 0; apply perturb_endpoints first")
+def _arc_instance(scale: int, keys: Sequence[int],
+                  pairs: Optional[tuple] = None) -> InterpretationInstance:
+    # a wrapping arc (its start ranks after its end) stands for its
+    # complement [end, start], which avoids 0; it is red
+    keys, red, by_value, rank = _ranked_ends("circular_arc", scale, keys, pairs)
     k_plain, _ = _proper_parts([e for e in by_value if not red[e >> 1]], rank)
     k_red, _ = _proper_parts([e for e in by_value if red[e >> 1]], rank)
     k_b, parts = _proper_parts(by_value, rank)
@@ -122,8 +158,9 @@ def _arc_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
                                   {"class": "circular_arc", "k": k, "k_flat": k_b})
 
 
-def _circle_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
-    keys, _, by_value, rank = _ranked_ends(keys)
+def _circle_instance(scale: int, keys: Sequence[int],
+                     pairs: Optional[tuple] = None) -> InterpretationInstance:
+    keys, _, by_value, rank = _ranked_ends("circle", scale, keys, pairs)
     k, parts = _proper_parts(by_value, rank)
     poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
     sigma = big_and([interval_psi(),
@@ -147,7 +184,8 @@ def _longest_chain(top: Sequence[int], bottom: Sequence[int], crossing: bool) ->
     return max(increasing_run_lengths(by_top), default=0)
 
 
-def _permutation_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+def _permutation_instance(scale: int, keys: Sequence[int],
+                          pairs: Optional[tuple] = None) -> InterpretationInstance:
     """Reduce via circle graphs, complementing when the clique side is smaller.
 
     ``keys`` holds the segments' (top, bottom) at a common scale.  The
@@ -182,9 +220,9 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
     A clique of size |V(h)| settles the question immediately: the
     permutation instance counts the largest one, a longest crossing chain.
     Otherwise the FO sentence guessing the subgraph is decided through the
-    poset pipeline.
+    poset pipeline, on the same build.
     """
-    from .checker import model_check
+    from .checker import _decide
     from .formula import Edge
 
     k = h.n
@@ -195,7 +233,8 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
     if k > len(segments):
         return False
     rep = Representation("permutation", tuple(segments))
-    if make_instance("permutation", rep).provenance["clique"] >= k:
+    g, inst = _build("permutation", rep)
+    if inst.provenance["clique"] >= k:
         return True
     vs = [Var(f"x{i + 1}") for i in range(k)]
     parts: list[Formula] = [Not(Eq(vs[i], vs[j]))
@@ -205,28 +244,29 @@ def permutation_subgraph_iso(segments: Sequence[PermSegment], h: LabeledGraph) -
     phi = big_and(parts, if_empty=Eq(vs[0], vs[0]))
     for v in reversed(vs):
         phi = Exists(v, phi)
-    return model_check("permutation", rep, phi).graph_verdict
+    return _decide("permutation", rep, g, inst, phi).graph_verdict
 
 
 # ---------------------------------------------------------------------------
 # boxes
 
-def _box_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+def _box_instance(scale: int, keys: Sequence[int],
+                  pairs: Optional[tuple] = None) -> InterpretationInstance:
     """The boxes' instance from their (x.lo, x.hi, y.lo, y.hi) at a common
-    scale.  The x-intervals are perturbed as an interval family; the
-    distinct y-intervals, ordered, are the labels L1, L2, ..."""
+    scale.  The x-intervals are ranked as an interval family, whose meeting
+    pairs are not the boxes' ``pairs``; the distinct y-intervals, ordered,
+    are the labels L1, L2, ..."""
     x_keys = [c for t in range(0, len(keys), 4) for c in keys[t:t + 2]]
     y_of = list(zip(keys[2::4], keys[3::4]))
     ys = sorted(set(y_of))
     ell = len(ys)
-    x_scale, x_keys = _perturbed("interval", scale, x_keys)
-    x_keys, _, by_value, rank = _ranked_ends(x_keys)
+    x_keys, _, by_value, rank = _ranked_ends("interval", scale, x_keys)
     kx, parts = _proper_parts(by_value, rank)
     lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
     members: dict[str, list[int]] = {lab_name[t]: [] for t in ys}
     for i, t in enumerate(y_of):
         members[lab_name[t]].append(i)
-    poset, ids = _ranked_interval_poset(x_scale, x_keys, by_value, rank, parts, members)
+    poset, ids = _ranked_interval_poset(scale, x_keys, by_value, rank, parts, members)
 
     clauses = []
     for ti in ys:
@@ -269,7 +309,8 @@ def _chord_ends(xs: Sequence, along: Sequence[int], q4w2) -> list[tuple[int, int
     return out
 
 
-def _unit_disk_instance(scale: int, keys: Sequence[int]) -> InterpretationInstance:
+def _unit_disk_instance(scale: int, keys: Sequence[int],
+                        pairs: Optional[tuple] = None) -> InterpretationInstance:
     """Per-row-pair chord posets on midlines, merged along the x order.
 
     ``keys`` holds the centres (cx, cy) after one rescale by the lcm S of
@@ -463,8 +504,9 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
 # ---------------------------------------------------------------------------
 # dispatch
 
-# Each intersection class's instance on its grid (``geometry._grid``); the
-# classes in ``_PERTURBED`` are perturbed on the grid first.
+# Each intersection class's instance on its grid (``geometry._grid``) and,
+# when known, its objects' meeting pairs there, which the interval, arc and
+# circle builders check their broken ties against; the others do not read them.
 _ON_GRID = {"interval": _interval_instance, "circular_arc": _arc_instance,
             "circle": _circle_instance, "permutation": _permutation_instance,
             "box": _box_instance, "unit_disk": _unit_disk_instance}
@@ -480,21 +522,18 @@ def make_instance(cls: str, rep: Representation) -> InterpretationInstance:
 def _grid_instance(cls: str, scale: int, keys: list[int],
                    pairs: Optional[tuple] = None) -> InterpretationInstance:
     """``make_instance`` of an intersection class from its grid and, when
-    known, the meeting pairs on it, which the perturbation's check reads."""
+    known, the meeting pairs on it."""
     if not keys:
         raise GeometryError("empty representation")
-    if cls in _PERTURBED:
-        scale, keys = _perturbed(cls, scale, keys, pairs)
-    return _ON_GRID[cls](scale, keys)
+    return _ON_GRID[cls](scale, keys, pairs)
 
 
 def _build(cls: str, rep: Representation) -> tuple[LabeledGraph, InterpretationInstance]:
     """``build_graph`` and ``make_instance`` of one representation, built
     together on one check of it: an intersection class is rescaled once, and
-    its meeting pairs,
-    computed once, give the graph and are the pairs the perturbation must
-    keep.  An intersection class raises ``build_graph``'s errors first, as
-    calling the two in turn would."""
+    its meeting pairs, computed once, give the graph and are the pairs that
+    breaking endpoint ties must keep.  An intersection class raises
+    ``build_graph``'s errors first, as calling the two in turn would."""
     if cls == "visibility":
         w = _single_polygon(rep)
         return visibility_graph(w), _visibility_instance(w)

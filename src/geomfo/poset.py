@@ -163,16 +163,18 @@ def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[i
     """Poset on endpoints plus intervals for a k-fold proper family, on
     endpoint ranks.
 
-    Interval i has ends ``keys[2i] < keys[2i+1]``, distinct ints at
-    ``scale``; ``by_value`` lists the end positions in increasing order and
-    ``rank`` gives each position's place in it (see
-    ``geometry._endpoint_ranks``).  ``parts`` assigns each interval to a
+    Interval i has ends ``keys[2i]`` and ``keys[2i+1]``, ints at ``scale``
+    that may equal other ends; ``by_value`` lists the end positions in increasing
+    order, ties broken (see ``interpret._ranked_ends``), and ``rank`` gives
+    each position's place in it, so the ranks are distinct and rank[2i] <
+    rank[2i+1].  ``parts`` assigns each interval to a
     proper part (any hashable part ids; each part must be nest-free).
     Endpoints carry label ``D`` and are ordered by rank; each part is
     ordered left to right; an interval sits above its left end and below
     its right end.  ``labels`` names further label sets by interval index.
     Returns the poset and the element id of each interval.  The ends only
-    name the endpoint elements, as ``str`` names their ``Fraction``s.
+    name the endpoint elements, as ``str`` names their ``Fraction``s, so
+    tied ends share a name.
     """
     nd = len(keys)
     interval_ids = list(range(nd, nd + nd // 2))
@@ -186,7 +188,7 @@ def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[i
             by_part[parts[e >> 1]].append(e >> 1)
     for pid, members in by_part.items():
         for a, b in zip(members, members[1:]):
-            # with distinct endpoints, a part nests iff two neighbours in
+            # on distinct ranks, a part nests iff two neighbours in
             # left-end order do
             if rank[2 * b + 1] < rank[2 * a + 1]:
                 raise PosetError(f"part {pid!r} is not proper: "

@@ -17,7 +17,7 @@ import numpy as np
 from geomfo import checker, formula as F
 from geomfo.checker import EvalError
 from geomfo.generators import graph_interpretation
-from geomfo.interpret import _ranked_ends
+from geomfo.interpret import _ranked_ends, make_instance
 from geomfo.poset import PosetError, Violation, validate_poset
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
                              PermSegment, Polygon, Representation, _grid, _proper_parts)
@@ -137,6 +137,11 @@ def rand_sentence(rng, depth=3, labels=()):
 def overlaps(a: Interval, b: Interval) -> bool:
     """The closed intervals a and b meet."""
     return a.lo <= b.hi and b.lo <= a.hi
+
+
+def contains(a: Interval, b: Interval) -> bool:
+    """b lies inside the closed interval a."""
+    return a.lo <= b.lo and b.hi <= a.hi
 
 
 def strictly_contains(a: Interval, b: Interval) -> bool:
@@ -967,13 +972,45 @@ def ref_perturb_endpoints(rep: Representation) -> Representation:
     return out
 
 
+def object_ends(o) -> tuple:
+    """The two ends an interval-family instance ranks: a box's are its x-interval's."""
+    if isinstance(o, Box):
+        o = o.x
+    return (o.lo, o.hi) if isinstance(o, Interval) else \
+        (o.start, o.end) if isinstance(o, Arc) else (o.a, o.b)
+
+
+def tie_rule_names(objects, moved, names):
+    """The element names of an instance built on ``moved``, the objects
+    with their ends moved apart by ``ref_perturb_endpoints``, renamed as
+    the tie rule names them: each endpoint element by the unmoved value of
+    its own end, so tied ends share a name."""
+    unmoved = {m: e for o, mo in zip(objects, moved)
+               for m, e in zip(object_ends(mo), object_ends(o))}
+    nd = 2 * len(objects)
+    return [str(unmoved[Fr(x)]) for x in names[:nd]] + list(names[nd:])
+
+
+def unnamed_fields(inst):
+    """Everything an instance holds but its element names and formulas."""
+    p = inst.poset
+    return (p.n, p.rows, p.labels, inst.vertex_map, inst.width_bound, inst.provenance,
+            inst.complemented)
+
+
+def ref_tie_instance(cls, objects):
+    """``make_instance`` of the objects after ``ref_perturb_endpoints``: the
+    reference for building on tied ends, element names aside."""
+    return make_instance(cls, ref_perturb_endpoints(Representation(cls, tuple(objects))))
+
+
 def interval_grid(items):
     """Intervals as the interval instance reads them: their grid and
     endpoint ranks (scale, keys, by_value, rank), the arguments of
-    ``poset._ranked_interval_poset``.  Shared ends are refused as the
-    instance refuses them."""
+    ``poset._ranked_interval_poset``.  Shared ends are ranked by the
+    instance's tie rule."""
     scale, keys = _grid("interval", Representation("interval", tuple(items)))
-    keys, _, by_value, rank = _ranked_ends(keys)
+    keys, _, by_value, rank = _ranked_ends("interval", scale, keys)
     return scale, keys, by_value, rank
 
 
@@ -1076,7 +1113,14 @@ def ref_unit_disk_poset(disks, k=None):
 def ref_interval_family_instance(cls: str, rep: Representation):
     """(poset, vertex_map, width_bound, provenance) of ``make_instance`` for
     the interval, circular-arc, circle and box classes, from the reference
-    builders above."""
+    builders above on ``ref_perturb_endpoints``' ends, with the endpoint
+    elements named by the tie rule (``tie_rule_names``)."""
+    poset, ids, width, prov, moved = _ref_moved_instance(cls, rep)
+    poset.names = tie_rule_names(rep.objects, moved, poset.names)
+    return poset, ids, width, prov
+
+
+def _ref_moved_instance(cls: str, rep: Representation):
     if cls == "box":
         xs = list(ref_perturb_endpoints(
             Representation("interval", tuple(b.x for b in rep.objects))).objects)
@@ -1088,17 +1132,18 @@ def ref_interval_family_instance(cls: str, rep: Representation):
             members[lab_name[(b.y.lo, b.y.hi)]].append(i)
         poset, ids, _ = ref_build_interval_poset(xs, parts, members)
         ell = len(ys)
-        return poset, ids, kx + 1, {"class": "box", "k": max(kx, ell), "kx": kx, "ell": ell}
+        return (poset, ids, kx + 1, {"class": "box", "k": max(kx, ell), "kx": kx, "ell": ell},
+                xs)
     objs = ref_perturb_endpoints(rep).objects
     if cls == "interval":
         k, parts = ref_proper_partition(objs)
         poset, ids, _ = ref_build_interval_poset(objs, parts)
-        return poset, ids, k + 1, {"class": "interval", "k": k}
+        return poset, ids, k + 1, {"class": "interval", "k": k}, objs
     if cls == "circle":
         flat = [Interval(min(c.a, c.b), max(c.a, c.b)) for c in objs]
         k, parts = ref_proper_partition(flat)
         poset, ids, _ = ref_build_interval_poset(flat, parts)
-        return poset, ids, k + 1, {"class": "circle", "k": k}
+        return poset, ids, k + 1, {"class": "circle", "k": k}, objs
     red = {i for i, a in enumerate(objs) if a.wraps()}
     flat = [Interval(a.end, a.start) if i in red else Interval(a.start, a.end)
             for i, a in enumerate(objs)]
@@ -1107,7 +1152,7 @@ def ref_interval_family_instance(cls: str, rep: Representation):
     k_b, parts = ref_proper_partition(flat)
     poset, ids, _ = ref_build_interval_poset(flat, parts, {"red": red})
     k = max(k_plain, k_red)
-    return poset, ids, 2 * k + 1, {"class": "circular_arc", "k": k, "k_flat": k_b}
+    return poset, ids, 2 * k + 1, {"class": "circular_arc", "k": k, "k_flat": k_b}, objs
 
 
 def poset_digest(p) -> str:

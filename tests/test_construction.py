@@ -8,15 +8,15 @@ from fractions import Fraction as Fr
 import pytest
 
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, PermSegment,
-                             Representation, build_intersection_graph, perturb_endpoints)
-from geomfo.interpret import _chord_ends, make_instance
+                             Representation, _grid, build_intersection_graph)
+from geomfo.interpret import _chord_ends, _ranked_ends, make_instance
 from geomfo.poset import LabeledPoset, _ranked_interval_poset, transitive_closure, validate_poset
 
 from helpers import (disk_endpoint_cmp, fixpoint_closure, instance_graph, interval_grid,
                      longest_chain_dp, mirsky_partition, poset_digest, proper_parts,
-                     rand_intervals, ref_build_interval_poset, ref_interval_family_instance,
-                     ref_perturb_endpoints, ref_proper_partition, ref_unit_disk_poset,
-                     validate_poset_scan)
+                     object_ends, rand_intervals, ref_build_interval_poset,
+                     ref_interval_family_instance, ref_perturb_endpoints, ref_proper_partition,
+                     ref_unit_disk_poset, validate_poset_scan)
 
 
 def _poset(rows):
@@ -107,15 +107,17 @@ def test_proper_partition_matches_mirsky_loop():
     for _ in range(300):
         n = rng.randint(0, 40)
         items = (_nested_family(rng, n) if rng.random() < 0.7
-                 else list(perturb_endpoints(rand_intervals(rng, n)).objects))
+                 else list(ref_perturb_endpoints(rand_intervals(rng, n)).objects))
         got = proper_parts(items)
         assert got == mirsky_partition(items)
         depths.add(got[0])
     assert max(depths) >= 6
     onion = [Interval(Fr(-i), Fr(i)) for i in range(1, 9)]
     assert proper_parts(onion) == mirsky_partition(onion) == (8, list(range(8, 0, -1)))
-    with pytest.raises(GeometryError):
-        proper_parts([Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))])
+    # a shared right end: the tie rule ends [1,2] after [0,2], so neither nests
+    tied = Representation("interval", (Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))))
+    assert proper_parts(tied.objects) == mirsky_partition(
+        ref_perturb_endpoints(tied).objects) == (1, [1, 1])
 
 
 def test_chord_ends_match_comparator_sort():
@@ -220,13 +222,12 @@ def _summary(poset, vertex_map, width_bound, provenance):
     return poset_digest(poset), vertex_map, width_bound, provenance
 
 
-def _ends(o):
-    return (o.lo, o.hi) if isinstance(o, Interval) else \
-        (o.start, o.end) if isinstance(o, Arc) else (o.a, o.b)
-
-
 @pytest.mark.parametrize("cls", ["interval", "circular_arc", "circle", "box"])
 def test_interval_family_builds_equal_the_fraction_builds(cls):
+    """On tie-heavy families, the instance is the reference build on the
+    ends moved apart by ``ref_perturb_endpoints``, with each endpoint
+    element named by its own end's value, and the tie rule ranks the ends
+    in the order the moved ends take."""
     rng = random.Random(75)
     seen = {"perturbed": 0, "big": 0, "at_zero": 0, "wraps": 0}
     for _ in range(150):
@@ -237,9 +238,10 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
         assert instance_graph(inst).edges == build_intersection_graph(cls, rep).edges
         base = (Representation("interval", tuple(b.x for b in rep.objects))
                 if cls == "box" else rep)
-        out = perturb_endpoints(base)
-        assert out.objects == ref_perturb_endpoints(base).objects
-        ends = [e for o in base.objects for e in _ends(o)]
+        out = ref_perturb_endpoints(base)
+        ranked = [_ranked_ends(base.cls, *_grid(r.cls, r))[1:] for r in (base, out)]
+        assert ranked[0] == ranked[1]
+        ends = [e for o in base.objects for e in object_ends(o)]
         seen["perturbed"] += out is not base
         seen["big"] += any(e.denominator % _BIG == 0 for e in ends)
         seen["at_zero"] += 0 in ends

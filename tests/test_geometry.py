@@ -14,15 +14,15 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              _grid, _transversal_ok, build_intersection_graph,
                              cliquewidth_certificate_check,
                              gradually_connected_check, parse_rat, permutation_to_chords,
-                             perturb_endpoints, polygon_report, sees,
-                             sees_foot, visibility_graph)
+                             polygon_report, sees, sees_foot, visibility_graph)
 from geomfo.interpret import _interval_instance
 
 from helpers import (RefGraph, adjacency_rows, exhaustive_transversal,
-                     longest_nesting_chain, oracle_segment_inside, oracle_sees, proper_parts,
-                     ref_polygon_simple, rand_arcs, rand_boxes, rand_chords, rand_disks,
-                     rand_fan, rand_grid_star, rand_intervals, rand_segments,
-                     ref_intersection_edges, strictly_contains)
+                     longest_nesting_chain, mirsky_partition, oracle_segment_inside,
+                     oracle_sees, proper_parts, ref_polygon_simple, rand_arcs, rand_boxes,
+                     rand_chords, rand_disks, rand_fan, rand_grid_star, rand_intervals,
+                     rand_segments, ref_intersection_edges, ref_perturb_endpoints,
+                     ref_tie_instance, strictly_contains, unnamed_fields)
 
 
 def iv(a, b):
@@ -75,24 +75,27 @@ def test_proper_partition_examples():
     assert k == 2 and parts[1] == 2 and parts[0] == 1 and parts[2] == 1
     k, _ = proper_parts([iv(0, 2), iv(1, 3), iv(Fr(5, 2), 4)])
     assert k == 1
-    with pytest.raises(GeometryError):
-        proper_parts([iv(1, 2), iv(1, 3)])
+    # a shared left end: the tie rule nests [1,2] inside [1,3]
+    tied = Representation("interval", (iv(1, 2), iv(1, 3)))
+    assert proper_parts(tied.objects) == mirsky_partition(
+        ref_perturb_endpoints(tied).objects) == (2, [2, 1])
 
 
 def test_proper_partition_rejects_duplicate_endpoints():
+    """Shared ends, tangencies and huge denominators included, give the
+    instance of the ends moved apart, element names aside."""
     big = 10 ** 30
     for items in ([iv(1, 2), iv(1, 3)], [iv(0, 2), iv(2, 3)],
                   [iv(Fr(1, 3), Fr(big + 1, big)), iv(Fr(big + 1, big), 2)]):
-        with pytest.raises(GeometryError,
-                           match=r"^shared endpoints; apply perturb_endpoints first$"):
-            _interval_instance(*_grid("interval", Representation("interval", tuple(items))))
+        inst = _interval_instance(*_grid("interval", Representation("interval", tuple(items))))
+        assert unnamed_fields(inst) == unnamed_fields(ref_tie_instance("interval", items))
 
 
 def test_proper_partition_minimality_oracle():
     rng = random.Random(9)
     for _ in range(60):
         rep = rand_intervals(rng, rng.randint(1, 10))
-        rep = perturb_endpoints(rep)
+        rep = ref_perturb_endpoints(rep)
         items = rep.objects
         k, parts = proper_parts(items)
         assert k == longest_nesting_chain(items)
@@ -105,14 +108,16 @@ def test_proper_partition_minimality_oracle():
                     assert i == j or not strictly_contains(items[i], items[j])
 
 
+# ``ref_perturb_endpoints``, the oracle the instances' tie rule is tested against
+
 def test_perturb_identity_when_distinct():
     rep = Representation("interval", (iv(1, 2), iv(3, 4)))
-    assert perturb_endpoints(rep) is rep
+    assert ref_perturb_endpoints(rep) is rep
 
 
 def test_perturb_shared_endpoint():
     rep = Representation("interval", (iv(1, 2), iv(1, 3)))
-    out = perturb_endpoints(rep)
+    out = ref_perturb_endpoints(rep)
     ends = [e for o in out.objects for e in (o.lo, o.hi)]
     assert len(set(ends)) == 4
     assert build_intersection_graph("interval", out).edges == \
@@ -125,13 +130,13 @@ def test_perturb_preserves_graphs_randomized():
     for cls, mk in makers.items():
         for _ in range(40):
             rep = mk(rng, rng.randint(1, 9))
-            out = perturb_endpoints(rep)
+            out = ref_perturb_endpoints(rep)
             assert build_intersection_graph(cls, out).edges == \
                 build_intersection_graph(cls, rep).edges
     # duplicated chords and shared endpoints specifically
     rep = Representation("circle", (Chord(Fr(0), Fr(1, 2)), Chord(Fr(0), Fr(1, 2)),
                                     Chord(Fr(1, 2), Fr(3, 4)), Chord(Fr(1, 4), Fr(5, 8))))
-    out = perturb_endpoints(rep)
+    out = ref_perturb_endpoints(rep)
     assert build_intersection_graph("circle", out).edges == \
         build_intersection_graph("circle", rep).edges
 
@@ -628,7 +633,7 @@ def test_integer_coordinates_stay_exact():
 
 def test_perturb_integer_endpoints_stay_exact():
     rep = Representation("interval", (Interval(0, 2), Interval(2, 4)))
-    out = perturb_endpoints(rep)
+    out = ref_perturb_endpoints(rep)
     ends = [e for it in out.objects for e in (it.lo, it.hi)]
     assert len(set(ends)) == 4 and all(type(e) is Fr for e in ends)
     assert build_intersection_graph("interval", out).edges == frozenset({(0, 1)})

@@ -7,8 +7,7 @@ from geomfo.checker import build_graph, eval_structure, model_check
 from geomfo.formula import GRAPH, Var, parse_formula
 from geomfo.geometry import (ALL_CLASSES, Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
-                             build_intersection_graph, perturb_endpoints,
-                             polygon_report, visibility_graph)
+                             build_intersection_graph, polygon_report, visibility_graph)
 from geomfo import geometry, interpret, poset as P
 from geomfo.generators import terfan_polygon
 from geomfo.interpret import (_arc_instance, _circle_instance, _interval_instance,
@@ -18,7 +17,8 @@ from geomfo.poset import validate_poset
 from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
 from helpers import (instance_graph, max_clique, max_independent_set, has_subgraph,
                      poset_width, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
-                     rand_intervals, rand_segments, rand_sentence)
+                     rand_intervals, rand_segments, rand_sentence, ref_perturb_endpoints,
+                     ref_tie_instance, tie_rule_names, unnamed_fields)
 
 
 def _instance(cls, objects):
@@ -26,9 +26,8 @@ def _instance(cls, objects):
     return make_instance(cls, Representation(cls, tuple(objects)))
 
 
-def _unperturbed(build, cls, objects):
-    """A private grid builder run on the objects' grid as it is, with no
-    perturbation first, so that its own refusals show."""
+def _on_grid(build, cls, objects):
+    """A private grid builder run on the objects' grid as it is."""
     return build(*geometry._grid(cls, Representation(cls, tuple(objects))))
 
 
@@ -45,26 +44,27 @@ def test_visibility_instance_needs_one_polygon():
 
 
 def test_interpretations_reject_shared_endpoints():
-    """The grid builders refuse shared ends, which ``make_instance`` perturbs
-    away first."""
-    msg = r"^shared endpoints; apply perturb_endpoints first$"
+    """The grid builders take shared ends as they are: the tie rule gives
+    the instance of the ends moved apart, element names aside."""
     for build, cls, objects in (
             (_interval_instance, "interval", [Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))]),
             (_circle_instance, "circle", [Chord(Fr(1, 4), Fr(1, 2)), Chord(Fr(3, 4), Fr(1, 2))]),
             (_arc_instance, "circular_arc",
              [Arc(Fr(1, 4), Fr(1, 2)), Arc(Fr(1, 2), Fr(3, 4))])):
-        with pytest.raises(GeometryError, match=msg):
-            _unperturbed(build, cls, objects)
+        assert (unnamed_fields(_on_grid(build, cls, objects))
+                == unnamed_fields(ref_tie_instance(cls, objects))), cls
         rep = Representation(cls, tuple(objects))
         assert instance_graph(make_instance(cls, rep)).edges == build_graph(cls, rep).edges
 
 
 def test_circular_arc_interpretation_rejects_an_end_at_angle_0():
-    msg = r"^arc endpoint at angle 0; apply perturb_endpoints first$"
+    """An arc that starts at angle 0 wraps, as one that starts just below a
+    full turn does; an arc may end at 0."""
     for arcs in ([Arc(Fr(0), Fr(1, 2)), Arc(Fr(1, 4), Fr(3, 4))],
                  [Arc(Fr(1, 4), Fr(3, 4)), Arc(Fr(7, 8), Fr(0))]):
-        with pytest.raises(GeometryError, match=msg):
-            _unperturbed(_arc_instance, "circular_arc", arcs)
+        inst = _on_grid(_arc_instance, "circular_arc", arcs)
+        assert unnamed_fields(inst) == unnamed_fields(ref_tie_instance("circular_arc", arcs))
+    assert inst.poset.labels["red"] == {inst.vertex_map[1]}
 
 
 # one small representation of each class
@@ -122,25 +122,29 @@ def _check_instance(cls, rep):
 
 
 def _fraction_route(cls, rep):
-    """The instance built the long way: ``perturb_endpoints`` makes new
-    ``Fraction`` objects, whose ends are distinct, and ``make_instance``
-    reads them again."""
+    """The instance's fields built the long way: ``ref_perturb_endpoints``
+    moves the ends apart as new ``Fraction`` objects, ``make_instance``
+    reads them again, and the endpoint elements are named by the tie rule."""
     if cls == "box":
-        xs = perturb_endpoints(Representation("interval", tuple(b.x for b in rep.objects)))
-        return _instance("box", [Box(x, b.y) for x, b in zip(xs.objects, rep.objects)])
-    return make_instance(cls, perturb_endpoints(rep))
+        moved = ref_perturb_endpoints(
+            Representation("interval", tuple(b.x for b in rep.objects))).objects
+        inst = _instance("box", [Box(x, b.y) for x, b in zip(moved, rep.objects)])
+    else:
+        moved = ref_perturb_endpoints(rep).objects
+        inst = make_instance(cls, Representation(cls, moved))
+    return (*unnamed_fields(inst), tie_rule_names(rep.objects, moved, inst.poset.names))
 
 
 def _instance_fields(inst):
-    p = inst.poset
-    return (p.n, p.rows, p.names, p.labels, inst.vertex_map, inst.width_bound, inst.provenance)
+    return (*unnamed_fields(inst), inst.poset.names)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_integer_route_matches_fraction_route(seed):
-    """``make_instance`` and the build ``model_check`` reads hand the
-    perturbed integer ends straight to the poset; the result is the
-    instance of the perturbed ``Fraction`` objects, names included."""
+    """``make_instance`` and the build ``model_check`` reads rank the integer
+    ends by the tie rule and hand the ranks straight to the poset; the
+    result is the instance of the ends moved apart as ``Fraction``s, and
+    each endpoint element is named by its own end's value."""
     rng = random.Random(seed)
     perturbed = 0
     for cls in ("interval", "circular_arc", "circle", "box"):
@@ -148,19 +152,19 @@ def test_integer_route_matches_fraction_route(seed):
             rep = CLASS_MAKERS[cls](rng, rng.randint(1, 14))
             flat = rep if cls != "box" else Representation(
                 "interval", tuple(b.x for b in rep.objects))
-            perturbed += perturb_endpoints(flat) is not flat
-            want = _instance_fields(_fraction_route(cls, rep))
+            perturbed += ref_perturb_endpoints(flat) is not flat
+            want = _fraction_route(cls, rep)
             assert _instance_fields(make_instance(cls, rep)) == want, cls
             graph, inst = interpret._build(cls, rep)
             assert _instance_fields(inst) == want, cls
             assert graph == build_graph(cls, rep)
-    assert perturbed >= 24  # most draws share endpoints, so the perturbation runs
+    assert perturbed >= 24  # most draws share endpoints, so the tie rule runs
 
 
 def test_model_check_computes_meeting_pairs_twice(monkeypatch):
     """One check of intervals with shared endpoints finds the meeting pairs
-    once for the graph and once for the perturbed ends, whose pairs must be
-    the graph's."""
+    once for the graph and once for the ends on their ranks, whose pairs
+    must be the graph's."""
     calls = []
     pair_arrays = geometry._pair_arrays
     counted = lambda *args: calls.append(args[0]) or pair_arrays(*args)
@@ -168,7 +172,8 @@ def test_model_check_computes_meeting_pairs_twice(monkeypatch):
         monkeypatch.setattr(module, "_pair_arrays", counted)
     rep = Representation("interval", tuple(Interval(Fr(a), Fr(b))
                                            for a, b in ((0, 2), (2, 4), (1, 2), (3, 5))))
-    assert perturb_endpoints(rep) is not rep
+    ends = [e for it in rep.objects for e in (it.lo, it.hi)]
+    assert len(set(ends)) < len(ends)
     calls.clear()
     res = model_check("interval", rep, parse_formula("exists x. exists y. edge(x,y)", GRAPH))
     assert res.graph_verdict and res.poset_verdict
@@ -218,9 +223,39 @@ def test_interval_width_examples():
 
 
 def test_interval_requires_distinct_endpoints():
-    with pytest.raises(GeometryError):
-        _unperturbed(_interval_instance, "interval",
-                     [Interval(Fr(0), Fr(1)), Interval(Fr(0), Fr(2))])
+    """Intervals that share an end need no preparation: the tie rule ranks
+    them as if moved apart."""
+    items = [Interval(Fr(0), Fr(1)), Interval(Fr(0), Fr(2))]
+    assert (unnamed_fields(_on_grid(_interval_instance, "interval", items))
+            == unnamed_fields(ref_tie_instance("interval", items)))
+
+
+def test_a_wrong_tie_rule_is_caught_by_the_graph_check(monkeypatch):
+    """Second ends before first ends at one value would part [0,1] and
+    [1,2], which meet; the check on the ranks refuses it."""
+    monkeypatch.setattr(interpret, "_tie_keys", lambda cls, scale, keys: [
+        (v, 0 if e & 1 else 1, e) for e, v in enumerate(keys)])
+    rep = Representation("interval", (Interval(0, 1), Interval(1, 2)))
+    with pytest.raises(GeometryError, match="^breaking endpoint ties changed the "
+                                            "intersection graph$"):
+        make_instance("interval", rep)
+
+
+def test_permutation_subgraph_iso_builds_once(monkeypatch):
+    """The clique shortcut and the sentence read one build of the segments."""
+    builds = []
+    for name in ("_build", "make_instance"):
+        fn = getattr(interpret, name)
+        monkeypatch.setattr(interpret, name,
+                            lambda *a, _fn=fn, _name=name: builds.append(_name) or _fn(*a))
+    parallel = [PermSegment(i, i) for i in range(5)]
+    for segments, h, want in ((parallel, LabeledGraph(2, {(0, 1)}), False),
+                              (parallel, LabeledGraph(2), True),
+                              ([PermSegment(0, 1), PermSegment(1, 0)],
+                               LabeledGraph(2, {(0, 1)}), True)):
+        builds.clear()
+        assert permutation_subgraph_iso(segments, h) is want
+        assert builds == ["_build"]
 
 
 def test_circular_arc_all_contain_zero():
@@ -234,8 +269,7 @@ def test_circular_arc_all_contain_zero():
 def test_circular_arc_proper_gives_two_fold_b():
     # proper arcs, some wrapping: the flattened family is at most 2-fold proper
     arcs = [Arc(Fr(i, 8), Fr((i + 3) % 8, 8)) for i in range(8)]
-    rep = perturb_endpoints(Representation("circular_arc", tuple(arcs)))
-    inst = make_instance("circular_arc", rep)
+    inst = _instance("circular_arc", arcs)
     assert inst.provenance["k"] == 1
     assert inst.provenance["k_flat"] <= 2
     assert inst.width_bound == 3
@@ -250,7 +284,7 @@ def test_circular_arc_avoiding_zero_equals_interval():
             a = Fr(rng.randint(1, 60), 128)
             b = Fr(rng.randint(62, 127), 128)
             arcs.append(Arc(a, b))
-        rep = perturb_endpoints(Representation("circular_arc", tuple(arcs)))
+        rep = Representation("circular_arc", tuple(arcs))
         inst = make_instance("circular_arc", rep)
         flat = [Interval(a.start, a.end) for a in rep.objects]
         g_int = build_intersection_graph("interval", Representation("interval", tuple(flat)))

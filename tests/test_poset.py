@@ -5,14 +5,13 @@ import pytest
 
 from geomfo.checker import eval_structure
 from geomfo.formula import Var
-from geomfo.geometry import (GeometryError, Interval, Representation, _proper_parts,
-                             perturb_endpoints)
+from geomfo.geometry import Interval, Representation, _proper_parts
 from geomfo.interpret import interval_nu, interval_psi, interval_theta, make_instance
 from geomfo.poset import (LabeledPoset, PosetError, _ranked_interval_poset,
                           generated_poset, transitive_closure, validate_poset)
 
-from helpers import (brute_force_width, fixpoint_closure, interval_grid, overlaps,
-                     poset_width, rand_intervals)
+from helpers import (brute_force_width, contains, fixpoint_closure, interval_grid, overlaps,
+                     poset_width, rand_intervals, ref_perturb_endpoints)
 
 
 def _interval_poset(items):
@@ -25,8 +24,8 @@ def _interval_poset(items):
 
 
 def _parted_poset(items, parts, labels=None):
-    """``_ranked_interval_poset`` of intervals with distinct ends in the
-    given parts, on their grid ranks."""
+    """``_ranked_interval_poset`` of intervals in the given parts, on their
+    grid ranks."""
     return _ranked_interval_poset(*interval_grid(items), parts, labels)
 
 
@@ -144,18 +143,21 @@ def test_build_interval_poset_rejects_nonproper_part():
 
 
 def test_build_interval_poset_rejects_duplicate_endpoints():
+    """Shared ends are ranked by the tie rule: the poset is the one on the
+    ends moved apart, element names aside."""
     for items in ([Interval(Fr(1), Fr(3)), Interval(Fr(3), Fr(4))],
                   [Interval(Fr(1, 3), Fr(1)), Interval(Fr(2, 6), Fr(2))]):
-        with pytest.raises(GeometryError,
-                           match=r"^shared endpoints; apply perturb_endpoints first$"):
-            _parted_poset(items, [1, 2])
+        p, ids = _parted_poset(items, [1, 2])
+        moved = ref_perturb_endpoints(Representation("interval", tuple(items))).objects
+        rp, rids = _parted_poset(moved, [1, 2])
+        assert (p.n, p.rows, p.labels, ids) == (rp.n, rp.rows, rp.labels, rids)
 
 
 def test_build_interval_poset_exact_endpoint_relation():
     """Endpoint e < I iff value(e) <= I.lo and I < e iff value(e) >= I.hi."""
     rng = random.Random(9)
     for _ in range(60):
-        items = perturb_endpoints(rand_intervals(rng, rng.randint(1, 10))).objects
+        items = ref_perturb_endpoints(rand_intervals(rng, rng.randint(1, 10))).objects
         inst, ids, dmap = _interval_poset(items)
         p = inst.poset
         for it, t in zip(items, ids):
@@ -175,7 +177,7 @@ def test_build_interval_poset_extra_labels_by_index():
 def test_build_interval_poset_random_properties():
     rng = random.Random(8)
     for _ in range(40):
-        rep = perturb_endpoints(rand_intervals(rng, rng.randint(1, 10)))
+        rep = ref_perturb_endpoints(rand_intervals(rng, rng.randint(1, 10)))
         inst, _, _ = _interval_poset(rep.objects)
         p, k = inst.poset, inst.provenance["k"]
         assert validate_poset(p) is None
@@ -187,7 +189,7 @@ def test_lemma_formula_semantics():
     rng = random.Random(12)
     x, y = Var("x"), Var("y")
     for _ in range(30):
-        rep = perturb_endpoints(rand_intervals(rng, rng.randint(1, 8)))
+        rep = ref_perturb_endpoints(rand_intervals(rng, rng.randint(1, 8)))
         items = rep.objects
         inst, ids, _ = _interval_poset(items)
         p = inst.poset
@@ -199,13 +201,13 @@ def test_lemma_formula_semantics():
         for i, a in enumerate(items):
             for j, b in enumerate(items):
                 assert eval_structure(p, psi, {x: ids[i], y: ids[j]}) == overlaps(a, b)
-                assert eval_structure(p, theta, {x: ids[i], y: ids[j]}) == b.contains(a)
+                assert eval_structure(p, theta, {x: ids[i], y: ids[j]}) == contains(b, a)
 
 
 def test_chain_cover_structure():
     """D and the proper parts each form chains covering the poset."""
     rng = random.Random(13)
-    rep = perturb_endpoints(rand_intervals(rng, 9))
+    rep = ref_perturb_endpoints(rand_intervals(rng, 9))
     items = rep.objects
     grid = interval_grid(items)
     _, parts = _proper_parts(*grid[2:])
