@@ -318,6 +318,11 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
     involve square roots and are never materialized; all order decisions
     reduce to squared-distance comparisons on these integer centres.  Row
     pairs more than a diameter apart contribute no chords and no clause.
+
+    The poset is the disk chain in (x, index) order and one chord chain per
+    kept row pair, each disk between its own ends on every chord chain that
+    holds it.  Its rows are written closed in one backward sweep over those
+    chains, with no closure pass.
     """
     xs, ys = keys[::2], keys[1::2]
     rows = sorted(set(ys))
@@ -332,9 +337,12 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
         labels[f"B{r + 1}"].add(i)
 
     order = sorted(range(n), key=xs.__getitem__)  # stable: ties in index order
-    pairs = list(zip(order, order[1:]))
 
     kept_pairs: list[tuple[int, int]] = []
+    # each kept pair's chord chain as (element, its disk if a left end else
+    # -1), and each disk's right ends as (chain, position)
+    chains: list[list[tuple[int, int]]] = []
+    right_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for ri in range(ell):
         for rj in range(ri, ell):
             dy = rows[rj] - rows[ri]
@@ -352,19 +360,51 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
                     elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
                     labels[dlabel].add(eid)
                     end_elem[(i, s)] = eid
-            chain = [end_elem[e] for e in _chord_ends(xs, along, q4w2)]
-            pairs += zip(chain, chain[1:])
-            for i in along:  # each disk sits between its own chord ends
-                pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]
+            chain = []
+            for i, s in _chord_ends(xs, along, q4w2):
+                if s > 0:
+                    right_at[i].append((len(chains), len(chain)))
+                chain.append((end_elem[(i, s)], i if s < 0 else -1))
+            chains.append(chain)
 
-    poset = generated_poset(len(elems), pairs, labels, elems)
+    # Disk d is below the next disk in (x, index) order and its right end on
+    # each chain; a chord end is below the next end and, a left end, its
+    # disk.  A right end before a left end on a chain means the left end's
+    # disk lies strictly further right, so sweeping the disks from the right
+    # and each chain backwards just down to the disk's right end meets only
+    # disks whose rows are complete.
+    order_rows = [0] * len(elems)
+    reached = [len(chain) for chain in chains]
+    above = [0] * len(chains)  # each chain's elements from ``reached`` on, and all above them
+
+    def sweep(c: int, stop: int) -> None:
+        chain, t, acc = chains[c], reached[c], above[c]
+        while t > stop:
+            t -= 1
+            eid, disk = chain[t]
+            if disk >= 0:
+                acc |= 1 << disk | order_rows[disk]
+            order_rows[eid] = acc
+            acc |= 1 << eid
+        reached[c], above[c] = t, acc
+
+    after = 0  # the disks after d in (x, index) order, and all above them
+    for d in reversed(order):
+        acc = after
+        for c, t in right_at[d]:
+            sweep(c, t)
+            acc |= above[c]
+        order_rows[d] = acc
+        after = acc | 1 << d
+    for c in range(len(chains)):
+        sweep(c, 0)
+    poset = LabeledPoset(len(elems), (), labels, elems, rows=order_rows)
 
     clauses = []
     for ri, rj in kept_pairs:
+        dpsi = interval_psi(f"D_{ri + 1}_{rj + 1}")
         for a, b in ((ri, rj), (rj, ri)) if ri != rj else ((ri, ri),):
-            dlabel = f"D_{ri + 1}_{rj + 1}"
-            clauses.append(big_and([Label(f"B{a + 1}", X), Label(f"B{b + 1}", Y),
-                                    interval_psi(dlabel)]))
+            clauses.append(big_and([Label(f"B{a + 1}", X), Label(f"B{b + 1}", Y), dpsi]))
     nu = big_or([Label(f"B{i + 1}", X) for i in range(ell)])
     psi = big_or(clauses)
     interp = Interpretation(nu, psi, frozenset(labels))

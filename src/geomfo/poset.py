@@ -4,14 +4,16 @@ The strict relation is stored transitively closed, as packed bit rows (the
 form ``LabeledGraph`` keeps its adjacency in), since formula evaluation
 queries arbitrary pairs and instances are desk-scale.  The rows are given
 to the constructor, either as pairs or as the rows themselves, and cannot
-be reassigned afterwards.  Builders give only generating pairs (chains as
-consecutive pairs, each object between its own endpoints);
-``generated_poset`` closes them in one pass over a topological order,
-which rejects every cycle, so its result is a strict order by
-construction and is not checked again.  ``validate_poset`` checks a poset
-built any other way, on its bit rows.  ``_ranked_interval_poset`` is the
-interval-family poset the interval, circular-arc, circle, permutation and
-box instances are built on.
+be reassigned afterwards.  An intersection-class poset is a few known
+chains and the links between them, so its builder writes the closed rows
+itself, in one backward sweep over the chains: ``_ranked_interval_poset``
+for the interval, circular-arc, circle, permutation and box instances, and
+``interpret._unit_disk_instance``.  The visibility builder gives only
+generating pairs (chains as consecutive pairs); the generic closure below
+closes them in one pass over a topological order, which rejects every
+cycle, so its result is a strict order by construction and is not checked
+again.  ``validate_poset`` checks a poset built any other way, on its bit
+rows.
 """
 
 from __future__ import annotations
@@ -175,29 +177,40 @@ def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[i
     Returns the poset and the element id of each interval.  The ends only
     name the endpoint elements, as ``str`` names their ``Fraction``s, so
     tied ends share a name.
+
+    The rows are written closed in one sweep from the highest rank down, with
+    no closure pass.  The endpoint at rank r is below every endpoint above
+    it and every interval whose left end ranks at or after r.  Interval i,
+    with right-end rank R, is below endpoint R and all that is above it, and
+    below the intervals after i in its part.  That is the whole order: a
+    path from i through an endpoint passes R, and a step along a proper part
+    raises both ends.  Raises PosetError on a part that is not proper,
+    naming two of its neighbours in left-end order that nest.
     """
     nd = len(keys)
     interval_ids = list(range(nd, nd + nd // 2))
-
-    pairs = [(i, i + 1) for i in range(nd - 1)]
-    for i, iid in enumerate(interval_ids):
-        pairs += [(rank[2 * i], iid), (iid, rank[2 * i + 1])]
-    by_part: dict = {pid: [] for pid in parts}
-    for e in by_value:
-        if not e & 1:  # a left end: its interval, in left-end order
-            by_part[parts[e >> 1]].append(e >> 1)
-    for pid, members in by_part.items():
-        for a, b in zip(members, members[1:]):
+    rows = [0] * (nd + nd // 2)
+    above = 0  # endpoints above rank r and intervals whose left end ranks at or after r
+    tail: dict = {}  # each part: its interval of least left-end rank after r, all of them as bits
+    for r in range(nd - 1, -1, -1):
+        e = by_value[r]
+        if not e & 1:  # the left end of interval i
+            i, pid, right = e >> 1, parts[e >> 1], rank[e + 1]
+            iid = interval_ids[i]
+            b, later = tail.get(pid, (None, 0))
             # on distinct ranks, a part nests iff two neighbours in
             # left-end order do
-            if rank[2 * b + 1] < rank[2 * a + 1]:
+            if b is not None and rank[2 * b + 1] < right:
                 raise PosetError(f"part {pid!r} is not proper: "
-                                 f"interval {a} contains interval {b}")
-            pairs.append((interval_ids[a], interval_ids[b]))
+                                 f"interval {i} contains interval {b}")
+            rows[iid] = rows[right] | 1 << right | later
+            tail[pid] = i, later | 1 << iid
+            above |= 1 << iid
+        rows[r] = above
+        above |= 1 << r
 
     names = [_format_ratio(keys[e], scale) for e in by_value] + [f"I{i}" for i in range(nd // 2)]
     all_labels = {"D": range(nd)}
     for name, members in (labels or {}).items():
         all_labels[name] = [interval_ids[i] for i in members]
-    poset = generated_poset(nd + nd // 2, pairs, all_labels, names)
-    return poset, interval_ids
+    return LabeledPoset(nd + nd // 2, (), all_labels, names, rows=rows), interval_ids

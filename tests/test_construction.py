@@ -206,12 +206,18 @@ def _tie_family(rng, cls, n):
     return Representation(cls, tuple(objs))
 
 
-def _tie_disks(rng, n):
+def _tie_disks(rng, n, far=False):
     """Disks on up to three rows drawn from a pool with gaps 0, 4/5 and 1, so
     tangent pairs at dy = 4/5 (dx = 3/5), dy = 1 (dx = 0) and dy = 0 (dx = 1)
-    occur; centres share abscissae, and some carry a 10^30 denominator."""
+    occur; centres share abscissae, and some carry a 10^30 denominator.
+    With ``far``, two to four rows from a pool with gaps 4/5 and 2 or more,
+    so that some row pairs are more than a diameter apart and a disk lies on
+    fewer chord chains than the rows."""
     base = rng.choice((Fr(0), Fr(1, 3), Fr(1, _BIG)))
-    rows = rng.sample([base, base + Fr(4, 5), base + 1, base + Fr(1, 2)], rng.randint(1, 3))
+    if far:
+        rows = rng.sample([base, base + Fr(4, 5), base + 2, base + Fr(14, 5)], rng.randint(2, 4))
+    else:
+        rows = rng.sample([base, base + Fr(4, 5), base + 1, base + Fr(1, 2)], rng.randint(1, 3))
     xs = [Fr(rng.randrange(12), 5) + rng.choice((0, 0, Fr(1, _BIG))) for _ in range(n)]
     return Representation("unit_disk", tuple(
         Disk(rng.choice(xs[:max(1, n // 2)]) if rng.random() < 0.4 else xs[i],
@@ -265,17 +271,37 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
 
 
 def test_unit_disk_build_equals_the_fraction_build():
+    """Tie-heavy disks on rows at most a diameter apart, then on rows some
+    of which are farther apart, build the reference instance."""
     rng = random.Random(76)
-    seen = {"tangent": 0, "equal_cx": 0, "big": 0}
-    for _ in range(150):
-        rep = _tie_disks(rng, rng.randint(1, 12))
-        inst = make_instance("unit_disk", rep)
-        assert (_summary(inst.poset, inst.vertex_map, inst.width_bound, inst.provenance)
-                == _summary(*ref_unit_disk_poset(rep.objects)))
-        disks = rep.objects
-        pairs = [(a, b) for i, a in enumerate(disks) for b in disks[i + 1:]]
-        seen["tangent"] += any((a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 == 1 for a, b in pairs)
-        seen["equal_cx"] += any(a.cx == b.cx for a, b in pairs)
-        seen["big"] += any(d.cx.denominator % _BIG == 0 or d.cy.denominator % _BIG == 0
-                           for d in disks)
-    assert all(v > 20 for v in seen.values()), seen
+    for far in (False, True):
+        seen = {"tangent": 0, "equal_cx": 0, "big": 0, "far": 0}
+        for _ in range(150):
+            rep = _tie_disks(rng, rng.randint(1, 12), far)
+            inst = make_instance("unit_disk", rep)
+            assert (_summary(inst.poset, inst.vertex_map, inst.width_bound, inst.provenance)
+                    == _summary(*ref_unit_disk_poset(rep.objects)))
+            disks = rep.objects
+            pairs = [(a, b) for i, a in enumerate(disks) for b in disks[i + 1:]]
+            seen["tangent"] += any((a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 == 1
+                                   for a, b in pairs)
+            seen["equal_cx"] += any(a.cx == b.cx for a, b in pairs)
+            seen["big"] += any(d.cx.denominator % _BIG == 0 or d.cy.denominator % _BIG == 0
+                               for d in disks)
+            seen["far"] += any(abs(a.cy - b.cy) > 1 for a, b in pairs)
+        assert all(v > 20 for k, v in seen.items() if far or k != "far"), seen
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_ranked_interval_poset_equals_the_closed_pairs_at_scale(n):
+    """At the sizes a scale check reaches, the rows the sweep writes are the
+    closure of the generating pairs, on the least proper partition and on a
+    finer one (a part of a proper part is proper)."""
+    rng = random.Random(n)
+    flat = ref_perturb_endpoints(rand_intervals(rng, n)).objects
+    _, parts = proper_parts(flat)
+    grid = interval_grid(flat)
+    for ps in (parts, [(pid, rng.randrange(3)) for pid in parts]):
+        p, ids = _ranked_interval_poset(*grid, ps)
+        rp, rids, _ = ref_build_interval_poset(flat, ps)
+        assert (poset_digest(p), ids) == (poset_digest(rp), rids)

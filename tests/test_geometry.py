@@ -81,7 +81,7 @@ def test_proper_partition_examples():
         ref_perturb_endpoints(tied).objects) == (2, [2, 1])
 
 
-def test_proper_partition_rejects_duplicate_endpoints():
+def test_proper_partition_on_tied_ends_builds_the_reference_instance():
     """Shared ends, tangencies and huge denominators included, give the
     instance of the ends moved apart, element names aside."""
     big = 10 ** 30

@@ -142,7 +142,7 @@ def test_build_interval_poset_rejects_nonproper_part():
         _parted_poset(items, [1, 1, 1])
 
 
-def test_build_interval_poset_rejects_duplicate_endpoints():
+def test_build_interval_poset_on_tied_ends_builds_the_reference_poset():
     """Shared ends are ranked by the tie rule: the poset is the one on the
     ends moved apart, element names aside."""
     for items in ([Interval(Fr(1), Fr(3)), Interval(Fr(3), Fr(4))],
