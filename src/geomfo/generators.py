@@ -68,12 +68,17 @@ def _disk_gadget_height(d: int, delta: Fraction) -> Fraction:
     raise GeometryError("gadget height needs denominators above the cap")
 
 
+MAX_WITNESS_ORDER = 64  # consecutive_witness has ell(ell + 1)/2 objects
+
+
 def consecutive_witness(cls: str, ell: int, eps: Fraction = Fr(1, 4)) -> ConsecutiveWitness:
     """A representation whose graph (or complement) represents consecutive
     neighbourhoods of the given order, inside the class's confinement region."""
     eps = Fr(eps)
     if ell < 2:
         raise GeometryError("witness order must be at least 2")
+    if ell > MAX_WITNESS_ORDER:
+        raise GeometryError(f"witness order {ell} exceeds the size cap")
     if eps <= 0:
         raise GeometryError("eps must be a positive rational")
     pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]

@@ -89,12 +89,6 @@ def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _format_ratio(k: int, scale: int) -> str:
-    """``format_rat(Fraction(k, scale))``, which is also its ``str``, for scale > 0."""
-    g = math.gcd(k, scale)
-    return str(k // g) if g == scale else f"{k // g}/{scale // g}"
-
-
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
@@ -337,62 +331,9 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={sum(r.bit_count() for r in self._rows) // 2})"
 
 
-def diameter(g: LabeledGraph) -> int:
-    """Largest finite BFS eccentricity; raises if the graph is disconnected."""
-    best = 0
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = [src]
-        for v in queue:
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        if min(dist) < 0:
-            raise GeometryError("graph is disconnected")
-        best = max(best, max(dist))
-    return best
-
-
 def true_twins(g: LabeledGraph, u: int, v: int) -> bool:
     """Closed neighbourhoods coincide (u,v adjacent and same neighbours)."""
     return u != v and g.has_edge(u, v) and g.rows[u] | 1 << u == g.rows[v] | 1 << v
-
-
-def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
-    """Is there a label-respecting induced embedding of h into g?"""
-    if h.n > g.n:
-        return False
-    names = sorted(h.labels)
-    hl = [h.labels[n] for n in names]
-    gl = [g.labels.get(n, frozenset()) for n in names]
-
-    def ok(mapping: list[int], v: int, img: int) -> bool:
-        for name_idx in range(len(names)):
-            if (v in hl[name_idx]) != (img in gl[name_idx]):
-                return False
-        for u in range(v):
-            if h.has_edge(u, v) != g.has_edge(mapping[u], img):
-                return False
-        return True
-
-    used = [False] * g.n
-
-    def rec(v: int, mapping: list[int]) -> bool:
-        if v == h.n:
-            return True
-        for img in range(g.n):
-            if not used[img] and ok(mapping, v, img):
-                used[img] = True
-                mapping.append(img)
-                if rec(v + 1, mapping):
-                    return True
-                mapping.pop()
-                used[img] = False
-        return False
-
-    return rec(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -759,12 +700,20 @@ def _single_polygon(rep: Representation) -> Polygon:
     return objects[0]
 
 
+def _vertex(poly: Polygon, i: int) -> int:
+    """``i``, which must be a vertex index of ``poly``: 0..n-1, no wrapping."""
+    if not 0 <= i < poly.n:
+        raise GeometryError(f"vertex index {i} outside 0..{poly.n - 1}")
+    return i
+
+
 def sees(poly: Polygon, i: int, j: int) -> bool:
     """Vertices i and j are mutually visible.
 
     The closed segment between them lies in the closed polygon, so grazing a
     vertex or running along an edge counts.
     """
+    i, j = _vertex(poly, i), _vertex(poly, j)
     return i != j and _sight_line(poly._grid, i, poly._grid[j], j)
 
 
@@ -778,7 +727,7 @@ def sees_foot(poly: Polygon, i: int) -> bool:
     v->u; from the other side the segment reaches uv from outside.
     """
     grid = poly._grid
-    (ux, uy), v, p = grid[0], grid[-1], grid[i]
+    (ux, uy), v, p = grid[0], grid[-1], grid[_vertex(poly, i)]
     dx, dy = v[0] - ux, v[1] - uy
     d = dx * dx + dy * dy
     t = (p[0] - ux) * dx + (p[1] - uy) * dy
@@ -820,6 +769,7 @@ class PolygonReport:
 
     def is_convex_fan_at(self, v: int) -> bool:
         """Vertex-level test: v is convex and sees every vertex."""
+        v = _vertex(self.polygon, v)
         g = visibility_graph(self.polygon)
         return v not in self.reflex_vertices and g.rows[v] | 1 << v == (1 << g.n) - 1
 

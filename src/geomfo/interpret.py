@@ -18,6 +18,12 @@ the objects meet.  ``make_instance`` rescales once and finds the meeting
 pairs only for that check; ``_build``, the build ``model_check`` runs,
 rescales once for the graph and the instance together, and the check
 compares against the meeting pairs the graph was built from.
+
+Every builder writes its poset's rows closed, in one backward sweep over
+the chains it is made of, and hands them to ``LabeledPoset``; no build runs
+a closure pass or a check of the order.  Poset elements carry no names:
+each builder documents which element ids its ends, disks, chord ends,
+vertices and copies take.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .geometry import (GeometryError, LabeledGraph, PermSegment, Polygon, Repres
                        _grid, _pair_arrays, _permutation_ranks, _proper_parts,
                        _rank_chord_ends, _single_polygon, increasing_run_lengths,
                        polygon_report, visibility_graph)
-from .poset import LabeledPoset, _ranked_interval_poset, generated_poset
+from .poset import LabeledPoset, _ranked_interval_poset
 
 Z = Var("z")
 
@@ -106,9 +112,9 @@ def _ranked_ends(cls: str, scale: int, keys: Sequence[int],
     chord whose first end is the later one) is flipped: its two ends swap
     places.  When the rule broke a tie, the objects with their ends replaced
     by their ranks, in each object's own order, must meet exactly where the
-    objects meet, which ``pairs`` gives when known.  Returns the ends with
-    every flipped pair swapped (a new list), whether each pair was flipped,
-    the end positions in increasing order, and the rank of each position.
+    objects meet, which ``pairs`` gives when known.  Returns whether each
+    pair was flipped, and, with every flipped pair's ends swapped, the end
+    positions in increasing order and the rank of each position.
     """
     tie = _tie_keys(cls, scale, keys)
     by_value = sorted(range(len(tie)), key=tie.__getitem__)
@@ -122,14 +128,14 @@ def _ranked_ends(cls: str, scale: int, keys: Sequence[int],
             raise GeometryError("breaking endpoint ties changed the intersection graph")
     flipped = [rank[e] > rank[e + 1] for e in range(0, len(rank), 2)]
     at = [e ^ flipped[e >> 1] for e in range(len(rank))]  # where each end goes; an involution
-    return [keys[e] for e in at], flipped, [at[e] for e in by_value], [rank[e] for e in at]
+    return flipped, [at[e] for e in by_value], [rank[e] for e in at]
 
 
 def _interval_instance(scale: int, keys: Sequence[int],
                        pairs: Optional[tuple] = None) -> InterpretationInstance:
-    keys, _, by_value, rank = _ranked_ends("interval", scale, keys, pairs)
+    _, by_value, rank = _ranked_ends("interval", scale, keys, pairs)
     k, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
+    poset, ids = _ranked_interval_poset(by_value, rank, parts)
     interp = Interpretation(interval_nu(), interval_psi(), frozenset({"D"}))
     return InterpretationInstance(poset, interp, ids, k + 1,
                                   {"class": "interval", "k": k})
@@ -139,11 +145,11 @@ def _arc_instance(scale: int, keys: Sequence[int],
                   pairs: Optional[tuple] = None) -> InterpretationInstance:
     # a wrapping arc (its start ranks after its end) stands for its
     # complement [end, start], which avoids 0; it is red
-    keys, red, by_value, rank = _ranked_ends("circular_arc", scale, keys, pairs)
+    red, by_value, rank = _ranked_ends("circular_arc", scale, keys, pairs)
     k_plain, _ = _proper_parts([e for e in by_value if not red[e >> 1]], rank)
     k_red, _ = _proper_parts([e for e in by_value if red[e >> 1]], rank)
     k_b, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts,
+    poset, ids = _ranked_interval_poset(by_value, rank, parts,
                                         {"red": [i for i, r in enumerate(red) if r]})
 
     psi1 = big_or([
@@ -160,9 +166,9 @@ def _arc_instance(scale: int, keys: Sequence[int],
 
 def _circle_instance(scale: int, keys: Sequence[int],
                      pairs: Optional[tuple] = None) -> InterpretationInstance:
-    keys, _, by_value, rank = _ranked_ends("circle", scale, keys, pairs)
+    _, by_value, rank = _ranked_ends("circle", scale, keys, pairs)
     k, parts = _proper_parts(by_value, rank)
-    poset, ids = _ranked_interval_poset(scale, keys, by_value, rank, parts)
+    poset, ids = _ranked_interval_poset(by_value, rank, parts)
     sigma = big_and([interval_psi(),
                      Not(interval_theta(X, Y)),
                      Not(interval_theta(Y, X))])
@@ -260,13 +266,13 @@ def _box_instance(scale: int, keys: Sequence[int],
     y_of = list(zip(keys[2::4], keys[3::4]))
     ys = sorted(set(y_of))
     ell = len(ys)
-    x_keys, _, by_value, rank = _ranked_ends("interval", scale, x_keys)
+    _, by_value, rank = _ranked_ends("interval", scale, x_keys)
     kx, parts = _proper_parts(by_value, rank)
     lab_name = {t: f"L{i + 1}" for i, t in enumerate(ys)}
     members: dict[str, list[int]] = {lab_name[t]: [] for t in ys}
     for i, t in enumerate(y_of):
         members[lab_name[t]].append(i)
-    poset, ids = _ranked_interval_poset(scale, x_keys, by_value, rank, parts, members)
+    poset, ids = _ranked_interval_poset(by_value, rank, parts, members)
 
     clauses = []
     for ti in ys:
@@ -322,7 +328,10 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
     The poset is the disk chain in (x, index) order and one chord chain per
     kept row pair, each disk between its own ends on every chord chain that
     holds it.  Its rows are written closed in one backward sweep over those
-    chains, with no closure pass.
+    chains, with no closure pass.  Element ids: disk i is element i; then
+    each kept row pair (ri <= rj, in lexicographic order) takes two ids per
+    disk on its rows, in disk index order, the left chord end's and then
+    the right one's.
     """
     xs, ys = keys[::2], keys[1::2]
     rows = sorted(set(ys))
@@ -331,7 +340,7 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
     row = [row_of[y] for y in ys]  # each disk's row index
     n = len(xs)
 
-    elems: list[str] = [f"d{i}" for i in range(n)]  # disks first
+    size = n  # disks first
     labels: dict[str, set[int]] = {f"B{i + 1}": set() for i in range(ell)}
     for i, r in enumerate(row):
         labels[f"B{r + 1}"].add(i)
@@ -351,20 +360,14 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
             kept_pairs.append((ri, rj))
             q4w2 = scale * scale - dy * dy  # (2w)^2 on the midline
             along = [i for i in order if row[i] == ri or row[i] == rj]
-            dlabel = f"D_{ri + 1}_{rj + 1}"
-            labels.setdefault(dlabel, set())
-            end_elem: dict[tuple[int, int], int] = {}
-            for i in sorted(along):  # element ids in disk order
-                for s in (-1, 1):
-                    eid = len(elems)
-                    elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
-                    labels[dlabel].add(eid)
-                    end_elem[(i, s)] = eid
+            left_end = {i: size + 2 * t for t, i in enumerate(sorted(along))}
+            labels[f"D_{ri + 1}_{rj + 1}"] = set(range(size, size + 2 * len(along)))
+            size += 2 * len(along)
             chain = []
             for i, s in _chord_ends(xs, along, q4w2):
                 if s > 0:
                     right_at[i].append((len(chains), len(chain)))
-                chain.append((end_elem[(i, s)], i if s < 0 else -1))
+                chain.append((left_end[i] + (s > 0), i if s < 0 else -1))
             chains.append(chain)
 
     # Disk d is below the next disk in (x, index) order and its right end on
@@ -373,7 +376,7 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
     # disk lies strictly further right, so sweeping the disks from the right
     # and each chain backwards just down to the disk's right end meets only
     # disks whose rows are complete.
-    order_rows = [0] * len(elems)
+    order_rows = [0] * size
     reached = [len(chain) for chain in chains]
     above = [0] * len(chains)  # each chain's elements from ``reached`` on, and all above them
 
@@ -398,7 +401,7 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
         after = acc | 1 << d
     for c in range(len(chains)):
         sweep(c, 0)
-    poset = LabeledPoset(len(elems), (), labels, elems, rows=order_rows)
+    poset = LabeledPoset(size, (), labels, rows=order_rows)
 
     clauses = []
     for ri, rj in kept_pairs:
@@ -466,6 +469,20 @@ def _beta2(x: Var, y: Var, k: int) -> Formula:
 
 
 def _visibility_instance(w: Polygon) -> InterpretationInstance:
+    """The green chain of the vertices in boundary order and, for each pair
+    of ears a < b with nonempty interiors, a blue chain of copies of their
+    interior vertices, ordered by the staircase of visibility between them.
+    Each vertex of ear a is below its copy, and each copy of a vertex of ear
+    b below that vertex.  Element ids: vertex i is element i; then each such
+    ear pair, in lexicographic order, takes one id per copy, ear b's copies
+    in boundary order and then ear a's.
+
+    The rows are written closed in one backward sweep down the green chain,
+    with no closure pass.  Every vertex of ear b comes after the last
+    interior vertex of ear a, so when the sweep reaches that vertex the rows
+    the pair's blue chain links down to are complete, and the chain is swept
+    backwards then; each vertex of ear a reads its copies' rows after it.
+    """
     report = polygon_report(w)
     n = w.n
     if 0 in report.reflex_vertices or n - 1 in report.reflex_vertices:
@@ -477,9 +494,7 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
     g = visibility_graph(w)
     interiors = report.ear_interiors()
 
-    elems = [f"v{i}" for i in range(n)]
-    pairs = [(i, i + 1) for i in range(n - 1)]  # the green chain, in boundary order
-
+    size = n  # the vertices first
     labels: dict[str, set[int]] = {
         "green": set(range(n)),
         "black": set(refl) | {0, n - 1},
@@ -490,6 +505,10 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
         labels[f"L0_{t}"] = {r}
         labels[f"L1_{t}"] = set(g.neighbors(r))
 
+    copies: list[list[int]] = [[] for _ in range(n)]  # each vertex of an ear a: its copies
+    # at the last interior vertex of each ear a: the blue chains of its pairs,
+    # as (element, the vertex of ear b it copies or -1)
+    chains_at: dict[int, list[list[tuple[int, int]]]] = {}
     for a in range(len(interiors)):
         for b in range(a + 1, len(interiors)):
             aa, ab = interiors[a], interiors[b]
@@ -508,22 +527,34 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
             if any(t2 < t1 for t1, t2 in zip(tau, tau[1:])):
                 raise GeometryError("ear visibility staircase is not monotone")
 
-            chain = []  # (sort key, element id)
-            copy_of: dict[int, int] = {}
-            keyed = ([((2 * pos, 0, vj), vj) for pos, vj in enumerate(ab)]
-                     + [((2 * tau[pos] - 1, 1, vi), vi) for pos, vi in enumerate(aa)])
-            for key, v in keyed:  # one blue copy of each ear vertex
-                eid = len(elems)
-                elems.append(f"b[{a},{b}]{v}")
-                labels["blue"].add(eid)
-                copy_of[v] = eid
-                chain.append((key, eid))
-            chain.sort(key=lambda it: it[0])
-            pairs += [(e1, e2) for (_, e1), (_, e2) in zip(chain, chain[1:])]
-            pairs += [(vi, copy_of[vi]) for vi in aa]
-            pairs += [(copy_of[vj], vj) for vj in ab]
+            # (place on the chain, element, the vertex of ear b it copies or
+            # -1): the copy of vi goes just before the first vertex of ear b
+            # that vi sees, and copies at one place keep boundary order
+            keyed = ([(2 * pos, size + pos, vj) for pos, vj in enumerate(ab)]
+                     + [(2 * t - 1, size + len(ab) + pos, -1) for pos, t in enumerate(tau)])
+            for pos, vi in enumerate(aa):
+                copies[vi].append(size + len(ab) + pos)
+            labels["blue"].update(range(size, size + len(keyed)))
+            size += len(keyed)
+            chains_at.setdefault(aa[-1], []).append(
+                [(eid, down) for _, eid, down in sorted(keyed)])
 
-    poset = generated_poset(len(elems), pairs, labels, elems)
+    rows = [0] * size
+    above = 0  # the vertices after v, and all above them
+    for v in range(n - 1, -1, -1):
+        for chain in chains_at.get(v, ()):
+            acc = 0
+            for eid, down in reversed(chain):
+                if down >= 0:
+                    acc |= 1 << down | rows[down]
+                rows[eid] = acc
+                acc |= 1 << eid
+        acc = above
+        for eid in copies[v]:
+            acc |= 1 << eid | rows[eid]
+        rows[v] = acc
+        above = acc | 1 << v
+    poset = LabeledPoset(size, (), labels, rows=rows)
 
     psi = big_and([
         Label("green", X), Label("green", Y),

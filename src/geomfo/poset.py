@@ -1,19 +1,19 @@
 """Labelled strict partial orders and the interval-to-poset construction.
 
-The strict relation is stored transitively closed, as packed bit rows (the
-form ``LabeledGraph`` keeps its adjacency in), since formula evaluation
-queries arbitrary pairs and instances are desk-scale.  The rows are given
-to the constructor, either as pairs or as the rows themselves, and cannot
-be reassigned afterwards.  An intersection-class poset is a few known
-chains and the links between them, so its builder writes the closed rows
-itself, in one backward sweep over the chains: ``_ranked_interval_poset``
-for the interval, circular-arc, circle, permutation and box instances, and
-``interpret._unit_disk_instance``.  The visibility builder gives only
-generating pairs (chains as consecutive pairs); the generic closure below
-closes them in one pass over a topological order, which rejects every
-cycle, so its result is a strict order by construction and is not checked
-again.  ``validate_poset`` checks a poset built any other way, on its bit
-rows.
+A poset is its elements 0..n-1, its strict order and its unary labels;
+elements carry no names.  The order is stored transitively closed, as
+packed bit rows (the form ``LabeledGraph`` keeps its adjacency in), since
+formula evaluation queries arbitrary pairs and instances are desk-scale.
+The rows are given to the constructor, either as pairs or as the rows
+themselves, and cannot be reassigned afterwards.  Every instance poset is a
+few known chains and the links between them, so its builder writes the
+closed rows itself, in one backward sweep over the chains:
+``_ranked_interval_poset`` for the interval, circular-arc, circle,
+permutation and box instances, and ``interpret._unit_disk_instance`` and
+``interpret._visibility_instance``.  ``transitive_closure`` closes
+generating pairs in one pass over a topological order, which rejects every
+cycle; ``fileio.read_poset`` checks a poset file's relation against it.
+``validate_poset`` checks a poset built any other way, on its bit rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import GeomfoError
-from .geometry import _format_ratio
 
 
 class PosetError(GeomfoError):
@@ -39,7 +38,7 @@ class Violation:
 
 
 class LabeledPoset:
-    """Elements 0..n-1 with a strict order and named element-label sets.
+    """Elements 0..n-1 with a strict order and named label sets.
 
     The order is given as pairs ``lt``, as ``rows`` (bit b of ``rows[a]``
     set iff a < b) or as both (their union), and is fixed at construction.
@@ -47,7 +46,6 @@ class LabeledPoset:
 
     def __init__(self, n: int, lt: Iterable[tuple[int, int]] = (),
                  labels: Optional[dict[str, Iterable[int]]] = None,
-                 names: Optional[Sequence[str]] = None,
                  rows: Optional[Sequence[int]] = None):
         self.n = n
         acc = list(rows) if rows is not None else [0] * n
@@ -65,9 +63,6 @@ class LabeledPoset:
                 raise PosetError(f"label {name!r} mentions element outside 0..{n - 1}")
             labs[name] = vs
         self.labels: dict[str, frozenset[int]] = labs
-        self.names = list(names) if names is not None else [str(i) for i in range(n)]
-        if len(self.names) != n:
-            raise PosetError("names must match element count")
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -145,38 +140,23 @@ def validate_poset(p: LabeledPoset) -> Optional[Violation]:
     return None
 
 
-def generated_poset(n: int, pairs: Iterable[tuple[int, int]],
-                    labels: Optional[dict[str, Iterable[int]]] = None,
-                    names: Optional[Sequence[str]] = None) -> LabeledPoset:
-    """The poset that ``pairs`` generate, closed and labelled.
-
-    ``transitive_closure`` refuses a cycle (a self-pair included) and ORs
-    each element's already-closed successor rows into its own, so the rows
-    are irreflexive and transitive: a strict order, with nothing left for
-    ``validate_poset`` to find.
-    """
-    return LabeledPoset(n, (), labels, names, rows=transitive_closure(n, pairs))
-
-
-def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[int],
-                           rank: Sequence[int], parts: Sequence,
+def _ranked_interval_poset(by_value: Sequence[int], rank: Sequence[int], parts: Sequence,
                            labels: Optional[dict[str, Iterable[int]]] = None
                            ) -> tuple[LabeledPoset, list[int]]:
     """Poset on endpoints plus intervals for a k-fold proper family, on
     endpoint ranks.
 
-    Interval i has ends ``keys[2i]`` and ``keys[2i+1]``, ints at ``scale``
-    that may equal other ends; ``by_value`` lists the end positions in increasing
-    order, ties broken (see ``interpret._ranked_ends``), and ``rank`` gives
-    each position's place in it, so the ranks are distinct and rank[2i] <
-    rank[2i+1].  ``parts`` assigns each interval to a
-    proper part (any hashable part ids; each part must be nest-free).
-    Endpoints carry label ``D`` and are ordered by rank; each part is
-    ordered left to right; an interval sits above its left end and below
-    its right end.  ``labels`` names further label sets by interval index.
-    Returns the poset and the element id of each interval.  The ends only
-    name the endpoint elements, as ``str`` names their ``Fraction``s, so
-    tied ends share a name.
+    Interval i has ends at positions 2i and 2i+1; ``by_value`` lists the end
+    positions in increasing order, ties broken (see
+    ``interpret._ranked_ends``), and ``rank`` gives each position's place in
+    it, so the ranks are distinct and rank[2i] < rank[2i+1].  ``parts``
+    assigns each interval to a proper part (any hashable part ids; each part
+    must be nest-free).  Endpoints carry label ``D`` and are ordered by
+    rank; each part is ordered left to right; an interval sits above its
+    left end and below its right end.  ``labels`` names further label sets
+    by interval index.  Element ids: the end of rank r is element r, and
+    interval i is element 2m + i of m intervals.  Returns the poset and the
+    element id of each interval.
 
     The rows are written closed in one sweep from the highest rank down, with
     no closure pass.  The endpoint at rank r is below every endpoint above
@@ -187,7 +167,7 @@ def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[i
     raises both ends.  Raises PosetError on a part that is not proper,
     naming two of its neighbours in left-end order that nest.
     """
-    nd = len(keys)
+    nd = len(by_value)
     interval_ids = list(range(nd, nd + nd // 2))
     rows = [0] * (nd + nd // 2)
     above = 0  # endpoints above rank r and intervals whose left end ranks at or after r
@@ -209,8 +189,7 @@ def _ranked_interval_poset(scale: int, keys: Sequence[int], by_value: Sequence[i
         rows[r] = above
         above |= 1 << r
 
-    names = [_format_ratio(keys[e], scale) for e in by_value] + [f"I{i}" for i in range(nd // 2)]
     all_labels = {"D": range(nd)}
     for name, members in (labels or {}).items():
         all_labels[name] = [interval_ids[i] for i in members]
-    return LabeledPoset(nd + nd // 2, (), all_labels, names, rows=rows), interval_ids
+    return LabeledPoset(nd + nd // 2, (), all_labels, rows=rows), interval_ids

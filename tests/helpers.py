@@ -18,9 +18,10 @@ from geomfo import checker, formula as F
 from geomfo.checker import EvalError
 from geomfo.generators import graph_interpretation
 from geomfo.interpret import _ranked_ends, make_instance
-from geomfo.poset import PosetError, Violation, validate_poset
+from geomfo.poset import LabeledPoset, PosetError, Violation, transitive_closure, validate_poset
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval, LabeledGraph,
-                             PermSegment, Polygon, Representation, _grid, _proper_parts)
+                             PermSegment, Polygon, Representation, _grid, _proper_parts,
+                             polygon_report, visibility_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,59 @@ def eval_slow(structure, phi, assignment=None) -> bool:
         raise EvalError(f"not a formula: {g!r}")
 
     return rec(phi, dict(assignment or {}))
+
+
+def diameter(g: LabeledGraph) -> int:
+    """Largest finite BFS eccentricity; raises if the graph is disconnected."""
+    best = 0
+    for src in range(g.n):
+        dist = [-1] * g.n
+        dist[src] = 0
+        queue = [src]
+        for v in queue:
+            for w in g.neighbors(v):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if min(dist) < 0:
+            raise GeometryError("graph is disconnected")
+        best = max(best, max(dist))
+    return best
+
+
+def induced_embeds(h: LabeledGraph, g: LabeledGraph) -> bool:
+    """Is there a label-respecting induced embedding of h into g?"""
+    if h.n > g.n:
+        return False
+    names = sorted(h.labels)
+    hl = [h.labels[n] for n in names]
+    gl = [g.labels.get(n, frozenset()) for n in names]
+
+    def ok(mapping: list[int], v: int, img: int) -> bool:
+        for name_idx in range(len(names)):
+            if (v in hl[name_idx]) != (img in gl[name_idx]):
+                return False
+        for u in range(v):
+            if h.has_edge(u, v) != g.has_edge(mapping[u], img):
+                return False
+        return True
+
+    used = [False] * g.n
+
+    def rec(v: int, mapping: list[int]) -> bool:
+        if v == h.n:
+            return True
+        for img in range(g.n):
+            if not used[img] and ok(mapping, v, img):
+                used[img] = True
+                mapping.append(img)
+                if rec(v + 1, mapping):
+                    return True
+                mapping.pop()
+                used[img] = False
+        return False
+
+    return rec(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +826,13 @@ def exhaustive_transversal(adj, x_parts, y_parts) -> bool:
 # ---------------------------------------------------------------------------
 # poset oracles
 
+def generated_poset(n: int, pairs, labels=None) -> LabeledPoset:
+    """The poset that ``pairs`` generate, closed by ``transitive_closure``
+    (which refuses a cycle) and labelled: the oracle for the builders that
+    write their rows closed."""
+    return LabeledPoset(n, (), labels, rows=transitive_closure(n, pairs))
+
+
 def fixpoint_closure(n: int, pairs) -> set:
     """Transitive closure by repeating row unions until nothing changes."""
     rows = [0] * n
@@ -980,19 +1041,8 @@ def object_ends(o) -> tuple:
         (o.start, o.end) if isinstance(o, Arc) else (o.a, o.b)
 
 
-def tie_rule_names(objects, moved, names):
-    """The element names of an instance built on ``moved``, the objects
-    with their ends moved apart by ``ref_perturb_endpoints``, renamed as
-    the tie rule names them: each endpoint element by the unmoved value of
-    its own end, so tied ends share a name."""
-    unmoved = {m: e for o, mo in zip(objects, moved)
-               for m, e in zip(object_ends(mo), object_ends(o))}
-    nd = 2 * len(objects)
-    return [str(unmoved[Fr(x)]) for x in names[:nd]] + list(names[nd:])
-
-
-def unnamed_fields(inst):
-    """Everything an instance holds but its element names and formulas."""
+def instance_fields(inst):
+    """Everything an instance holds but its formulas."""
     p = inst.poset
     return (p.n, p.rows, p.labels, inst.vertex_map, inst.width_bound, inst.provenance,
             inst.complemented)
@@ -1000,23 +1050,22 @@ def unnamed_fields(inst):
 
 def ref_tie_instance(cls, objects):
     """``make_instance`` of the objects after ``ref_perturb_endpoints``: the
-    reference for building on tied ends, element names aside."""
+    reference for building on tied ends."""
     return make_instance(cls, ref_perturb_endpoints(Representation(cls, tuple(objects))))
 
 
 def interval_grid(items):
-    """Intervals as the interval instance reads them: their grid and
-    endpoint ranks (scale, keys, by_value, rank), the arguments of
+    """Intervals as the interval instance reads them: their endpoint ranks
+    (by_value, rank), the first arguments of
     ``poset._ranked_interval_poset``.  Shared ends are ranked by the
     instance's tie rule."""
     scale, keys = _grid("interval", Representation("interval", tuple(items)))
-    keys, _, by_value, rank = _ranked_ends("interval", scale, keys)
-    return scale, keys, by_value, rank
+    return _ranked_ends("interval", scale, keys)[1:]
 
 
 def proper_parts(items):
     """``geometry._proper_parts`` of intervals, on the ranks of ``interval_grid``."""
-    return _proper_parts(*interval_grid(items)[2:])
+    return _proper_parts(*interval_grid(items))
 
 
 def ref_proper_partition(items):
@@ -1038,8 +1087,6 @@ def ref_proper_partition(items):
 
 
 def ref_build_interval_poset(intervals, parts, labels=None):
-    from geomfo.poset import PosetError, generated_poset
-
     ends = [e for it in intervals for e in (it.lo, it.hi)]
     if len(set(ends)) != len(ends):
         raise GeometryError("duplicate endpoints")
@@ -1060,25 +1107,21 @@ def ref_build_interval_poset(intervals, parts, labels=None):
                 raise PosetError(f"part {pid!r} is not proper: "
                                  f"interval {a} contains interval {b}")
             pairs.append((interval_ids[a], interval_ids[b]))
-    names = [str(v) for v in endpoint_values] + [f"I{i}" for i in range(len(intervals))]
     all_labels = {"D": range(nd)}
     for name, members in (labels or {}).items():
         all_labels[name] = [interval_ids[i] for i in members]
-    return (generated_poset(nd + len(intervals), pairs, all_labels, names),
-            interval_ids, d_id)
+    return generated_poset(nd + len(intervals), pairs, all_labels), interval_ids, d_id
 
 
 def ref_unit_disk_poset(disks, k=None):
     """(poset, vertex_map, width_bound, provenance) of the unit-disk build,
     with every chord-end order decided by ``disk_endpoint_cmp`` on Fractions."""
-    from geomfo.poset import generated_poset
-
     rows = sorted({d.cy for d in disks})
     ell = len(rows)
     k = ell if k is None else k
     row_of = {y: i for i, y in enumerate(rows)}
     n = len(disks)
-    elems = [f"d{i}" for i in range(n)]
+    size = n  # disks first
     labels = {f"B{i + 1}": set() for i in range(ell)}
     for i, d in enumerate(disks):
         labels[f"B{row_of[d.cy] + 1}"].add(i)
@@ -1096,31 +1139,54 @@ def ref_unit_disk_poset(disks, k=None):
             end_elem = {}
             for i in sorted(along):
                 for s in (-1, 1):
-                    eid = len(elems)
-                    elems.append(f"e{dlabel}[{i},{'R' if s > 0 else 'L'}]")
-                    labels[dlabel].add(eid)
-                    end_elem[(i, s)] = eid
+                    labels[dlabel].add(size)
+                    end_elem[(i, s)] = size
+                    size += 1
             ends = sorted(((disks[i].cx, s, i) for i in along for s in (-1, 1)),
                           key=functools.cmp_to_key(disk_endpoint_cmp(q4w2)))
             chain = [end_elem[(i, s)] for _, s, i in ends]
             pairs += zip(chain, chain[1:])
             for i in along:
                 pairs += [(end_elem[(i, -1)], i), (i, end_elem[(i, 1)])]
-    poset = generated_poset(len(elems), pairs, labels, elems)
+    poset = generated_poset(size, pairs, labels)
     return poset, list(range(n)), k * k + 1, {"class": "unit_disk", "k": k, "rows": ell}
+
+
+def ref_visibility_poset(w: Polygon):
+    """The visibility instance's poset, closed from its generating pairs by
+    ``generated_poset``, on the builder's element ids: the green chain of
+    the vertices, and for each pair of ears a < b with nonempty interiors
+    the copies of their interior vertices, each ear's copies in boundary
+    order, a copy of vi in ear a below a copy of vj in ear b iff vi sees vj
+    (and above it otherwise), each vertex of ear a below its copy and each
+    copy of a vertex of ear b below that vertex."""
+    report, g, n = polygon_report(w), visibility_graph(w), w.n
+    refl = [r for r in report.reflex_vertices if 0 < r < n - 1]
+    labels = {"green": set(range(n)), "black": set(refl) | {0, n - 1}, "blue": set()}
+    for t, r in enumerate([0] + refl + [n - 1]):
+        labels[f"L0_{t}"] = {r}
+        labels[f"L1_{t}"] = set(g.neighbors(r))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    size = n
+    interiors = report.ear_interiors()
+    for a, aa in enumerate(interiors):
+        for ab in interiors[a + 1:]:
+            if not aa or not ab:
+                continue
+            ids = {v: size + t for t, v in enumerate(ab + aa)}  # ear b's copies first
+            pairs += [(ids[u], ids[v]) for ear in (aa, ab) for u, v in zip(ear, ear[1:])]
+            pairs += [(ids[vi], ids[vj]) if g.has_edge(vi, vj) else (ids[vj], ids[vi])
+                      for vi in aa for vj in ab]
+            pairs += [(vi, ids[vi]) for vi in aa] + [(ids[vj], vj) for vj in ab]
+            labels["blue"].update(ids.values())
+            size += len(ids)
+    return generated_poset(size, pairs, labels)
 
 
 def ref_interval_family_instance(cls: str, rep: Representation):
     """(poset, vertex_map, width_bound, provenance) of ``make_instance`` for
     the interval, circular-arc, circle and box classes, from the reference
-    builders above on ``ref_perturb_endpoints``' ends, with the endpoint
-    elements named by the tie rule (``tie_rule_names``)."""
-    poset, ids, width, prov, moved = _ref_moved_instance(cls, rep)
-    poset.names = tie_rule_names(rep.objects, moved, poset.names)
-    return poset, ids, width, prov
-
-
-def _ref_moved_instance(cls: str, rep: Representation):
+    builders above on ``ref_perturb_endpoints``' ends."""
     if cls == "box":
         xs = list(ref_perturb_endpoints(
             Representation("interval", tuple(b.x for b in rep.objects))).objects)
@@ -1132,18 +1198,17 @@ def _ref_moved_instance(cls: str, rep: Representation):
             members[lab_name[(b.y.lo, b.y.hi)]].append(i)
         poset, ids, _ = ref_build_interval_poset(xs, parts, members)
         ell = len(ys)
-        return (poset, ids, kx + 1, {"class": "box", "k": max(kx, ell), "kx": kx, "ell": ell},
-                xs)
+        return poset, ids, kx + 1, {"class": "box", "k": max(kx, ell), "kx": kx, "ell": ell}
     objs = ref_perturb_endpoints(rep).objects
     if cls == "interval":
         k, parts = ref_proper_partition(objs)
         poset, ids, _ = ref_build_interval_poset(objs, parts)
-        return poset, ids, k + 1, {"class": "interval", "k": k}, objs
+        return poset, ids, k + 1, {"class": "interval", "k": k}
     if cls == "circle":
         flat = [Interval(min(c.a, c.b), max(c.a, c.b)) for c in objs]
         k, parts = ref_proper_partition(flat)
         poset, ids, _ = ref_build_interval_poset(flat, parts)
-        return poset, ids, k + 1, {"class": "circle", "k": k}, objs
+        return poset, ids, k + 1, {"class": "circle", "k": k}
     red = {i for i, a in enumerate(objs) if a.wraps()}
     flat = [Interval(a.end, a.start) if i in red else Interval(a.start, a.end)
             for i, a in enumerate(objs)]
@@ -1152,14 +1217,14 @@ def _ref_moved_instance(cls: str, rep: Representation):
     k_b, parts = ref_proper_partition(flat)
     poset, ids, _ = ref_build_interval_poset(flat, parts, {"red": red})
     k = max(k_plain, k_red)
-    return poset, ids, 2 * k + 1, {"class": "circular_arc", "k": k, "k_flat": k_b}, objs
+    return poset, ids, 2 * k + 1, {"class": "circular_arc", "k": k, "k_flat": k_b}
 
 
 def poset_digest(p) -> str:
-    """sha256 of (n, rows, labels, names): equal iff the posets are identical.
+    """sha256 of (n, rows, labels): equal iff the posets are identical.
     The rows enter as a list, so a digest does not depend on their container."""
     labels = sorted((name, sorted(vs)) for name, vs in p.labels.items())
-    return hashlib.sha256(repr((p.n, list(p.rows), labels, p.names)).encode()).hexdigest()
+    return hashlib.sha256(repr((p.n, list(p.rows), labels)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,15 @@ from geomfo.generators import (cliquewidth_family, consecutive_witness,
                                witness_confinement)
 from geomfo.geometry import (GeometryError, LabeledGraph, Polygon,
                              Representation, build_intersection_graph,
-                             cliquewidth_certificate_check, diameter,
-                             induced_embeds, polygon_report,
+                             cliquewidth_certificate_check, polygon_report,
                              visibility_graph)
 from geomfo.interpret import (interval_nu, interval_psi, interval_theta, make_instance,
                               permutation_subgraph_iso)
 
-from helpers import (contains, graphs_up_to, max_clique, max_independent_set, has_subgraph,
-                     nonisomorphic_graphs, overlaps, poset_width, rand_arcs, rand_boxes,
-                     rand_chords, rand_disks, rand_fan, rand_intervals, rand_segments,
-                     rand_sentence, ref_perturb_endpoints)
+from helpers import (contains, diameter, graphs_up_to, induced_embeds, max_clique,
+                     max_independent_set, has_subgraph, nonisomorphic_graphs, overlaps,
+                     poset_width, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
+                     rand_intervals, rand_segments, rand_sentence, ref_perturb_endpoints)
 
 CLASS_MAKERS = {
     "interval": rand_intervals,

@@ -15,11 +15,12 @@ from geomfo.formula import GRAPH, POSET, Var, parse_formula
 from geomfo.generators import gamma_k_formula
 from geomfo.geometry import Interval, LabeledGraph, Polygon, Representation
 from geomfo.interpret import interval_psi, interval_theta, make_instance
-from geomfo.poset import LabeledPoset, generated_poset
+from geomfo.poset import LabeledPoset
 
-from helpers import (eval_slow, has_dominating_set, instance_graph, leq, path_sentence,
-                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, rand_intervals,
-                     rand_segments, rand_sentence, ref_truth_table, with_broken_interval_psi)
+from helpers import (eval_slow, generated_poset, has_dominating_set, instance_graph, leq,
+                     path_sentence, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
+                     rand_intervals, rand_segments, rand_sentence, ref_truth_table,
+                     with_broken_interval_psi)
 
 
 def test_tautology_on_one_vertex():

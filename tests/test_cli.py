@@ -8,7 +8,7 @@ import pytest
 from geomfo import checker, cli, fileio, interpret
 from geomfo.cli import main
 from geomfo.formula import POSET, print_formula
-from geomfo.generators import terfan_polygon
+from geomfo.generators import MAX_WITNESS_ORDER, terfan_polygon
 from geomfo.geometry import (Arc, Box, Chord, Disk, Interval, LabeledGraph, PermSegment,
                              Polygon, Representation)
 from geomfo.poset import LabeledPoset, PosetError
@@ -304,6 +304,17 @@ def test_cli_generate_bad_param(tmp_path, capsys, kind, param):
                  "--out", str(tmp_path / "o.rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_generate_consecutive_over_the_order_cap_exits_2(tmp_path, capsys):
+    """An order past ``MAX_WITNESS_ORDER`` is refused before any object is
+    made: one error line, no file."""
+    out = tmp_path / "o.rep"
+    assert main(["generate", "--kind", "consecutive", "--class", "permutation",
+                 "--param", str(MAX_WITNESS_ORDER + 1), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: witness order {MAX_WITNESS_ORDER + 1} exceeds the size cap\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_graph_output(tmp_path, capsys):

@@ -231,9 +231,8 @@ def _summary(poset, vertex_map, width_bound, provenance):
 @pytest.mark.parametrize("cls", ["interval", "circular_arc", "circle", "box"])
 def test_interval_family_builds_equal_the_fraction_builds(cls):
     """On tie-heavy families, the instance is the reference build on the
-    ends moved apart by ``ref_perturb_endpoints``, with each endpoint
-    element named by its own end's value, and the tie rule ranks the ends
-    in the order the moved ends take."""
+    ends moved apart by ``ref_perturb_endpoints``, and the tie rule ranks
+    the ends in the order the moved ends take."""
     rng = random.Random(75)
     seen = {"perturbed": 0, "big": 0, "at_zero": 0, "wraps": 0}
     for _ in range(150):
@@ -245,7 +244,7 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
         base = (Representation("interval", tuple(b.x for b in rep.objects))
                 if cls == "box" else rep)
         out = ref_perturb_endpoints(base)
-        ranked = [_ranked_ends(base.cls, *_grid(r.cls, r))[1:] for r in (base, out)]
+        ranked = [_ranked_ends(base.cls, *_grid(r.cls, r)) for r in (base, out)]
         assert ranked[0] == ranked[1]
         ends = [e for o in base.objects for e in object_ends(o)]
         seen["perturbed"] += out is not base
@@ -260,7 +259,7 @@ def test_interval_family_builds_equal_the_fraction_builds(cls):
             odd = {"odd": range(1, len(flat), 2)}
             p, ids = _ranked_interval_poset(*grid, parts, odd)
             ends = [e for it in flat for e in (it.lo, it.hi)]
-            dmap = {ends[e]: r for r, e in enumerate(grid[2])}
+            dmap = {ends[e]: r for r, e in enumerate(grid[0])}
             rp, rids, rdmap = ref_build_interval_poset(flat, parts, odd)
             assert (poset_digest(p), ids, dmap) == (poset_digest(rp), rids, rdmap)
     assert seen["perturbed"] > 50 and seen["big"] > 30, seen

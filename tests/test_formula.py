@@ -11,12 +11,12 @@ from geomfo.formula import (Edge, Eq, Exists, Forall, GRAPH, POSET, Implies,
                             Var, efo_to_patterns, free_vars, label_names, parse_formula,
                             pattern_formula, print_formula, quantifier_depth,
                             rewrite_under_interpretation)
-from geomfo.geometry import LabeledGraph, induced_embeds
+from geomfo.geometry import LabeledGraph
 
-from helpers import (rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
-                     rand_intervals, rand_segments, rand_sentence, ref_formula_signature,
-                     ref_free_vars, ref_key, ref_label_names, ref_nodes, ref_quantifier_depth,
-                     ref_repr)
+from helpers import (induced_embeds, rand_arcs, rand_boxes, rand_chords, rand_disks,
+                     rand_fan, rand_intervals, rand_segments, rand_sentence,
+                     ref_formula_signature, ref_free_vars, ref_key, ref_label_names, ref_nodes,
+                     ref_quantifier_depth, ref_repr)
 
 
 def test_parse_single_atom():

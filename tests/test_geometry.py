@@ -7,7 +7,6 @@ import pytest
 from geomfo import geometry
 from geomfo.checker import model_check
 from geomfo.formula import GRAPH, parse_formula
-from geomfo.poset import generated_poset
 from geomfo.generators import cliquewidth_family
 from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
@@ -17,12 +16,12 @@ from geomfo.geometry import (Arc, Box, Chord, Disk, GeometryError, Interval,
                              polygon_report, sees, sees_foot, visibility_graph)
 from geomfo.interpret import _interval_instance
 
-from helpers import (RefGraph, adjacency_rows, exhaustive_transversal,
-                     longest_nesting_chain, mirsky_partition, oracle_segment_inside,
-                     oracle_sees, proper_parts, ref_polygon_simple, rand_arcs, rand_boxes,
-                     rand_chords, rand_disks, rand_fan, rand_grid_star, rand_intervals,
-                     rand_segments, ref_intersection_edges, ref_perturb_endpoints,
-                     ref_tie_instance, strictly_contains, unnamed_fields)
+from helpers import (RefGraph, adjacency_rows, exhaustive_transversal, generated_poset,
+                     instance_fields, longest_nesting_chain, mirsky_partition,
+                     oracle_segment_inside, oracle_sees, proper_parts, ref_polygon_simple,
+                     rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan, rand_grid_star,
+                     rand_intervals, rand_segments, ref_intersection_edges,
+                     ref_perturb_endpoints, ref_tie_instance, strictly_contains)
 
 
 def iv(a, b):
@@ -83,12 +82,12 @@ def test_proper_partition_examples():
 
 def test_proper_partition_on_tied_ends_builds_the_reference_instance():
     """Shared ends, tangencies and huge denominators included, give the
-    instance of the ends moved apart, element names aside."""
+    instance of the ends moved apart."""
     big = 10 ** 30
     for items in ([iv(1, 2), iv(1, 3)], [iv(0, 2), iv(2, 3)],
                   [iv(Fr(1, 3), Fr(big + 1, big)), iv(Fr(big + 1, big), 2)]):
         inst = _interval_instance(*_grid("interval", Representation("interval", tuple(items))))
-        assert unnamed_fields(inst) == unnamed_fields(ref_tie_instance("interval", items))
+        assert instance_fields(inst) == instance_fields(ref_tie_instance("interval", items))
 
 
 def test_proper_partition_minimality_oracle():
@@ -574,6 +573,24 @@ def test_polygon_holds_one_visibility_graph():
         want = v not in report.reflex_vertices and all(
             u == v or sees(poly, v, u) for u in range(poly.n))
         assert report.is_convex_fan_at(v) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda poly, i: sees(poly, i, 4),
+    lambda poly, i: sees(poly, 0, i),
+    sees_foot,
+    lambda poly, i: polygon_report(poly).is_convex_fan_at(i),
+], ids=["sees_from", "sees_to", "sees_foot", "is_convex_fan_at"])
+def test_vertex_index_outside_the_polygon_is_refused(call):
+    """A vertex index is 0..n-1: a negative one does not wrap round to the
+    end, and one past the end is a GeometryError, not an IndexError."""
+    poly = Polygon(((0, 0), (1, 2), (2, 1), (3, 3), (4, 0)))
+    for i in (-1, -5, 5, 6):
+        with pytest.raises(GeometryError, match=rf"^vertex index {i} outside 0\.\.4$"):
+            call(poly, i)
+    assert not sees(poly, 4, 4)  # what -1 would have wrapped to
+    for i in range(poly.n):
+        call(poly, i)
 
 
 def test_certificate_malformed():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -8,17 +10,17 @@ from geomfo.formula import GRAPH, Var, parse_formula
 from geomfo.geometry import (ALL_CLASSES, Arc, Box, Chord, Disk, GeometryError, Interval,
                              LabeledGraph, PermSegment, Polygon, Representation,
                              build_intersection_graph, polygon_report, visibility_graph)
-from geomfo import geometry, interpret, poset as P
+from geomfo import geometry, interpret
 from geomfo.generators import terfan_polygon
 from geomfo.interpret import (_arc_instance, _circle_instance, _interval_instance,
                               interval_theta, make_instance, permutation_subgraph_iso)
 from geomfo.poset import validate_poset
 
 from helpers import disk_endpoint_cmp as _disk_endpoint_cmp
-from helpers import (instance_graph, max_clique, max_independent_set, has_subgraph,
-                     poset_width, rand_arcs, rand_boxes, rand_chords, rand_disks, rand_fan,
-                     rand_intervals, rand_segments, rand_sentence, ref_perturb_endpoints,
-                     ref_tie_instance, tie_rule_names, unnamed_fields)
+from helpers import (instance_fields, instance_graph, max_clique, max_independent_set,
+                     has_subgraph, poset_width, rand_arcs, rand_boxes, rand_chords, rand_disks,
+                     rand_fan, rand_intervals, rand_segments, rand_sentence,
+                     ref_perturb_endpoints, ref_tie_instance, ref_visibility_poset)
 
 
 def _instance(cls, objects):
@@ -45,14 +47,14 @@ def test_visibility_instance_needs_one_polygon():
 
 def test_interpretations_on_tied_ends_build_the_reference_instance():
     """The grid builders take shared ends as they are: the tie rule gives
-    the instance of the ends moved apart, element names aside."""
+    the instance of the ends moved apart."""
     for build, cls, objects in (
             (_interval_instance, "interval", [Interval(Fr(0), Fr(2)), Interval(Fr(1), Fr(2))]),
             (_circle_instance, "circle", [Chord(Fr(1, 4), Fr(1, 2)), Chord(Fr(3, 4), Fr(1, 2))]),
             (_arc_instance, "circular_arc",
              [Arc(Fr(1, 4), Fr(1, 2)), Arc(Fr(1, 2), Fr(3, 4))])):
-        assert (unnamed_fields(_on_grid(build, cls, objects))
-                == unnamed_fields(ref_tie_instance(cls, objects))), cls
+        assert (instance_fields(_on_grid(build, cls, objects))
+                == instance_fields(ref_tie_instance(cls, objects))), cls
         rep = Representation(cls, tuple(objects))
         assert instance_graph(make_instance(cls, rep)).edges == build_graph(cls, rep).edges
 
@@ -63,7 +65,7 @@ def test_circular_arc_end_at_angle_0_builds_the_reference_instance():
     for arcs in ([Arc(Fr(0), Fr(1, 2)), Arc(Fr(1, 4), Fr(3, 4))],
                  [Arc(Fr(1, 4), Fr(3, 4)), Arc(Fr(7, 8), Fr(0))]):
         inst = _on_grid(_arc_instance, "circular_arc", arcs)
-        assert unnamed_fields(inst) == unnamed_fields(ref_tie_instance("circular_arc", arcs))
+        assert instance_fields(inst) == instance_fields(ref_tie_instance("circular_arc", arcs))
     assert inst.poset.labels["red"] == {inst.vertex_map[1]}
 
 
@@ -123,28 +125,22 @@ def _check_instance(cls, rep):
 
 def _fraction_route(cls, rep):
     """The instance's fields built the long way: ``ref_perturb_endpoints``
-    moves the ends apart as new ``Fraction`` objects, ``make_instance``
-    reads them again, and the endpoint elements are named by the tie rule."""
+    moves the ends apart as new ``Fraction`` objects, and ``make_instance``
+    reads them again."""
     if cls == "box":
         moved = ref_perturb_endpoints(
             Representation("interval", tuple(b.x for b in rep.objects))).objects
         inst = _instance("box", [Box(x, b.y) for x, b in zip(moved, rep.objects)])
     else:
-        moved = ref_perturb_endpoints(rep).objects
-        inst = make_instance(cls, Representation(cls, moved))
-    return (*unnamed_fields(inst), tie_rule_names(rep.objects, moved, inst.poset.names))
-
-
-def _instance_fields(inst):
-    return (*unnamed_fields(inst), inst.poset.names)
+        inst = make_instance(cls, ref_perturb_endpoints(rep))
+    return instance_fields(inst)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_integer_route_matches_fraction_route(seed):
     """``make_instance`` and the build ``model_check`` reads rank the integer
     ends by the tie rule and hand the ranks straight to the poset; the
-    result is the instance of the ends moved apart as ``Fraction``s, and
-    each endpoint element is named by its own end's value."""
+    result is the instance of the ends moved apart as ``Fraction``s."""
     rng = random.Random(seed)
     perturbed = 0
     for cls in ("interval", "circular_arc", "circle", "box"):
@@ -154,9 +150,9 @@ def test_integer_route_matches_fraction_route(seed):
                 "interval", tuple(b.x for b in rep.objects))
             perturbed += ref_perturb_endpoints(flat) is not flat
             want = _fraction_route(cls, rep)
-            assert _instance_fields(make_instance(cls, rep)) == want, cls
+            assert instance_fields(make_instance(cls, rep)) == want, cls
             graph, inst = interpret._build(cls, rep)
-            assert _instance_fields(inst) == want, cls
+            assert instance_fields(inst) == want, cls
             assert graph == build_graph(cls, rep)
     assert perturbed >= 24  # most draws share endpoints, so the tie rule runs
 
@@ -189,24 +185,59 @@ def test_instance_invariants_all_classes():
         _check_instance("visibility", Representation("visibility", (rand_fan(rng, rng.randint(4, 10)),)))
 
 
-def test_make_instance_closes_only_visibility_and_never_validates(monkeypatch):
-    """The six intersection classes write their rows closed, with no
-    closure pass; the visibility build closes its generating pairs once.
-    No build runs a second check: the rows are a strict order by
-    construction."""
+def test_no_build_closes_or_validates(monkeypatch):
+    """Every class, visibility included, writes its rows closed: neither
+    ``make_instance`` nor the build ``model_check`` runs calls
+    ``transitive_closure`` or ``validate_poset``, wherever a module of the
+    package binds them."""
     calls = []
-    for name in ("transitive_closure", "validate_poset"):
-        fn = getattr(P, name)
-        monkeypatch.setattr(P, name, lambda *a, _fn=fn, _name=name:
-                            calls.append(_name) or _fn(*a))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "geomfo":
+            continue
+        for fn_name in ("transitive_closure", "validate_poset"):
+            fn = getattr(module, fn_name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, fn_name, lambda *a, _fn=fn, _name=fn_name:
+                                    calls.append(_name) or _fn(*a))
     rng = random.Random(43)
     cases = [(cls, mk(rng, n)) for cls, mk in CLASS_MAKERS.items() for n in (1, 7)]
     cases += [("visibility", Representation("visibility", (poly,))) for poly in
               (rand_fan(rng, 8), terfan_polygon(LabeledGraph(3, {(0, 1)})).polygon)]
+    assert {cls for cls, _ in cases} == set(ALL_CLASSES)
     for cls, rep in cases:
-        calls.clear()
         make_instance(cls, rep)
-        assert calls == (["transitive_closure"] if cls == "visibility" else []), cls
+        interpret._build(cls, rep)
+        assert calls == [], cls
+
+
+def _same_rows_and_labels(w):
+    p = make_instance("visibility", Representation("visibility", (w,))).poset
+    ref = ref_visibility_poset(w)
+    assert (p.n, p.rows, p.labels) == (ref.n, ref.rows, ref.labels)
+    return p
+
+
+def test_visibility_sweep_equals_the_closed_pairs_on_terfan_polygons():
+    """The rows the visibility sweep writes are the closure of the generating
+    pairs, on the terrain/fan polygon of every graph on 2 and 3 vertices."""
+    blue = 0
+    for n in (2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            h = LabeledGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            blue += len(_same_rows_and_labels(terfan_polygon(h).polygon).labels["blue"])
+    assert blue > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_visibility_sweep_equals_the_closed_pairs_on_fans(seed):
+    """The same on ``rand_fan`` polygons of 4 to 80 vertices."""
+    rng = random.Random(seed)
+    chains = 0
+    for n in range(4, 81):
+        p = _same_rows_and_labels(rand_fan(rng, n))
+        chains += bool(p.labels["blue"])
+    assert chains > 40
 
 
 def test_interval_width_examples():
@@ -228,8 +259,8 @@ def test_interval_tied_ends_build_the_reference_instance():
     """Intervals that share an end need no preparation: the tie rule ranks
     them as if moved apart."""
     items = [Interval(Fr(0), Fr(1)), Interval(Fr(0), Fr(2))]
-    assert (unnamed_fields(_on_grid(_interval_instance, "interval", items))
-            == unnamed_fields(ref_tie_instance("interval", items)))
+    assert (instance_fields(_on_grid(_interval_instance, "interval", items))
+            == instance_fields(ref_tie_instance("interval", items)))
 
 
 def test_a_wrong_tie_rule_is_caught_by_the_graph_check(monkeypatch):
@@ -426,9 +457,12 @@ def test_unit_disk_exact_endpoint_relation():
                 continue
             ri, rj = (rows[int(r) - 1] for r in name.split("_")[1:])
             cmp = _disk_endpoint_cmp(1 - (rj - ri) ** 2)
-            for eid in elems:
-                i, side = p.names[eid].split("[")[1].rstrip("]").split(",")
-                e = (disks[int(i)].cx, 1 if side == "R" else -1, int(i))
+            # the id layout: two ids per disk on the pair, in disk order,
+            # the left end's and then the right end's
+            along = [i for i, d in enumerate(disks) if d.cy in (ri, rj)]
+            for t, eid in enumerate(sorted(elems)):
+                i = along[t // 2]
+                e = (disks[i].cx, 1 if t & 1 else -1, i)
                 for d, disk in enumerate(disks):
                     if disk.cy not in (ri, rj):
                         continue
@@ -452,9 +486,15 @@ def test_visibility_empty_interior_ear_chain_count():
     empty = sum(1 for a in interiors if not a)
     nonempty = sum(1 for a in interiors if a)
     assert len(interiors) == len(report.reflex_vertices) + 1
-    inst = _instance("visibility", [poly])
-    chains = {name.split("]")[0] for name in inst.poset.names if name.startswith("b[")}
-    assert len(chains) == nonempty * (nonempty - 1) // 2
+    p = _instance("visibility", [poly]).poset
+    # the id layout: the blue copies follow the vertices; a blue chain
+    # starts at a copy that covers no other copy
+    blue = range(poly.n, p.n)
+    assert p.labels["blue"] == set(blue)
+    chains = sum(1 for e in blue
+                 if not any(p.lt(d, e) and not any(p.lt(d, f) and p.lt(f, e) for f in range(p.n))
+                            for d in blue))
+    assert chains == nonempty * (nonempty - 1) // 2
 
 
 def test_vischar_claim_on_random_fans():
@@ -485,11 +525,16 @@ def test_visibility_blue_chain_staircase():
         poly = rand_fan(rng, rng.randint(5, 11))
         inst = _instance("visibility", [poly])
         p = inst.poset
-        chains = {}
-        for e, name in enumerate(p.names):
-            if name.startswith("b["):
-                chains.setdefault(name.split("]")[0], []).append(e)
-        for elems in chains.values():
+        # the id layout: after the vertices, one block of copies per pair of
+        # ears with nonempty interiors, ear b's copies before ear a's
+        interiors = [ear for ear in polygon_report(poly).ear_interiors() if ear]
+        chains, start = [], poly.n
+        for a, aa in enumerate(interiors):
+            for ab in interiors[a + 1:]:
+                chains.append(list(range(start, start + len(ab) + len(aa))))
+                start += len(ab) + len(aa)
+        assert start == p.n
+        for elems in chains:
             for a in elems:
                 for b in elems:
                     assert a == b or p.lt(a, b) or p.lt(b, a)

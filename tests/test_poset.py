@@ -8,10 +8,11 @@ from geomfo.formula import Var
 from geomfo.geometry import Interval, Representation, _proper_parts
 from geomfo.interpret import interval_nu, interval_psi, interval_theta, make_instance
 from geomfo.poset import (LabeledPoset, PosetError, _ranked_interval_poset,
-                          generated_poset, transitive_closure, validate_poset)
+                          transitive_closure, validate_poset)
 
-from helpers import (brute_force_width, contains, fixpoint_closure, interval_grid, overlaps,
-                     poset_width, rand_intervals, ref_perturb_endpoints)
+from helpers import (brute_force_width, contains, fixpoint_closure, generated_poset,
+                     interval_grid, overlaps, poset_width, rand_intervals,
+                     ref_perturb_endpoints)
 
 
 def _interval_poset(items):
@@ -144,7 +145,7 @@ def test_build_interval_poset_rejects_nonproper_part():
 
 def test_build_interval_poset_on_tied_ends_builds_the_reference_poset():
     """Shared ends are ranked by the tie rule: the poset is the one on the
-    ends moved apart, element names aside."""
+    ends moved apart."""
     for items in ([Interval(Fr(1), Fr(3)), Interval(Fr(3), Fr(4))],
                   [Interval(Fr(1, 3), Fr(1)), Interval(Fr(2, 6), Fr(2))]):
         p, ids = _parted_poset(items, [1, 2])
@@ -210,7 +211,7 @@ def test_chain_cover_structure():
     rep = ref_perturb_endpoints(rand_intervals(rng, 9))
     items = rep.objects
     grid = interval_grid(items)
-    _, parts = _proper_parts(*grid[2:])
+    _, parts = _proper_parts(*grid)
     p, ids = _ranked_interval_poset(*grid, parts)
     dset = sorted(p.labels["D"])
     for i in range(len(dset)):
