@@ -33,16 +33,16 @@ table's axes.  How a table is made from others depends only on its key.
 A connective's or an atom's key already holds it: its children's keys
 and where their axes sit among its own.  A quantifier's plan is compiled
 from its key once, on first use, into the key's ``plan`` slot, so it lives
-as long as the key and serves every structure: the body's branches, each
-with its guards as one set and its other literals, and for each branch,
-on its first use of either, the lifts that broadcast its literals and the
-grouping, lifts and join that contract them.  Tables are filled by one
-loop over an explicit stack of (key, domains) demands: a step reads its
-children's tables from the cache, or pushes the demands it lacks and runs
-again once they are filled, so no formula depth reaches Python's recursion
-limit, and tables are filled in the order a recursive evaluation would
-fill them.  What depends on the structure is decided when a step runs:
-the domains, broadcast or contraction, the cache and every budget check.
+as long as the key and serves every structure: one ``_Branch`` per
+disjunct of the body, with its guards and its other literals, which gets
+on its first use of each the lifts that broadcast its literals and the
+``_Join`` that contracts them.  Tables are filled by one loop over an
+explicit stack of (key, domains) demands: a step reads its children's
+tables from the cache, or pushes the demands it lacks and runs again once
+they are filled, so no formula depth reaches Python's recursion limit,
+and tables are filled in the order a recursive evaluation would fill
+them.  What depends on the structure is decided when a step runs: the
+domains, broadcast or contraction, the cache and every budget check.
 
 Every table and every contraction is checked against ``MAX_CELLS`` (the
 product of its axes' domain sizes) before it is allocated, and einsum
@@ -55,6 +55,7 @@ read through (adjacency, or the reflexive order) is checked against
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -142,8 +143,7 @@ def _put(arr: np.ndarray, lift: Optional[tuple]) -> np.ndarray:
 
 
 def _lift(arr: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
-    """``arr`` as a k-axis array whose axis ``pos[i]`` is its axis i; the
-    other axes have length 1."""
+    """``arr`` with its axis i on axis ``pos[i]`` of k, the others of length 1."""
     return _put(arr, _lifter(pos, k))
 
 
@@ -171,27 +171,21 @@ def _shape(ctx: _Context, doms: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple([ctx.sizes[d] for d in doms]) if doms else (ctx.n,) * k
 
 
-def _table(ctx: _Context, key: F.Key, doms: tuple[int, ...] = ()) -> np.ndarray:
-    """The table of ``key`` over the domains ``doms``, filled on first use."""
-    at = (key, *doms) if doms else key
-    table = ctx.tables.get(at)
-    return _run(ctx, key, doms, at) if table is None else table
-
-
 # A demand is (key, doms, at): the table of ``key`` over ``doms``, cached
 # under ``at``.  The step of a key's kind is called with the context, the key
 # and the demand's domains; it returns the table, or the demands it waits
 # for as a list, the first needed last.
 
-def _run(ctx: _Context, key: F.Key, doms: tuple[int, ...], at) -> np.ndarray:
-    """Fill the table of ``key`` over ``doms``, and first every table it
-    needs that is not cached, in the order a recursive evaluation would."""
-    tables, root = ctx.tables, at
-    todo = [(key, doms, at)]
+def _table(ctx: _Context, key: F.Key) -> np.ndarray:
+    """The table of ``key`` over all n elements, filled on first use after
+    every table it needs that is not cached, in the order a recursive
+    evaluation would fill them."""
+    tables, root = ctx.tables, key
+    todo = [(key, (), key)]
     paused: dict = {}  # at -> the state of a quantifier that waits
     while todo:
         key, doms, at = todo[-1]
-        if at in tables:  # demanded twice
+        if at in tables:  # cached, or demanded twice
             todo.pop()
             continue
         if ctx.n ** key.arity > MAX_CELLS:  # no domain has more than n elements
@@ -209,7 +203,7 @@ def _run(ctx: _Context, key: F.Key, doms: tuple[int, ...], at) -> np.ndarray:
 
 def _leaf(ctx: _Context, key: F.Key, doms: tuple[int, ...], at) -> Optional[np.ndarray]:
     """The table of an atom without children, filled and cached now as
-    ``_run`` would fill it; None for any other key.  A step fills a missing
+    ``_table`` would fill it; None for any other key.  A step fills a missing
     child so while no child before it waits: that keeps the order of a
     recursive evaluation, and saves the child and its parent a turn of the
     loop each."""
@@ -233,15 +227,11 @@ def _connect(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
     ``desc[3]`` places its right child's."""
     desc, (left, right) = key.desc, key.kids
     ka, rpos = left.arity, desc[3]
-    if doms:
-        ldoms, rdoms = doms[:ka], _pick(doms, rpos)
-        if not any(ldoms):
-            ldoms = ()
-        lat = (left, *ldoms) if ldoms else left
-        rat = (right, *rdoms) if rdoms else right
-    else:
-        ldoms = rdoms = ()
-        lat, rat = left, right
+    ldoms, rdoms = (doms[:ka], _pick(doms, rpos)) if doms else ((), ())
+    if ldoms and not any(ldoms):
+        ldoms = ()
+    lat = (left, *ldoms) if ldoms else left
+    rat = (right, *rdoms) if rdoms else right
     la, ra = ctx.tables.get(lat), ctx.tables.get(rat)
     if la is None:
         la = _leaf(ctx, left, ldoms, lat)
@@ -257,9 +247,7 @@ def _connect(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
         la = la.reshape(la.shape + (1,) * (k - ka))
     ra = _lift(ra, rpos, k)
     kind = desc[0]
-    if kind is F.And:
-        return la & ra
-    return la | ra if kind is F.Or else ~la | ra
+    return la & ra if kind is F.And else la | ra if kind is F.Or else ~la | ra
 
 
 def _atom(ctx: _Context, key: F.Key, doms: tuple[int, ...]) -> object:
@@ -321,15 +309,24 @@ def _domain(ctx: _Context, guards: tuple[F.Key, ...]) -> int:
     return d
 
 
-# A literal is (key, pos, neg): the table of ``key`` with its axis i on the
-# quantifier body's axis pos[i], negated when ``neg``.  A branch is [guard
-# keys or None, literals, broadcast form, contraction form]; each form is
-# made on the branch's first use of it (``_exists``).
+class _Branch:
+    """One disjunct of a quantifier's body: ``guards``, its guard keys in a
+    set's order, or None; ``lits``, its other literals, each (key, pos, neg):
+    the table of key with its axis i on the body's axis pos[i], negated when
+    neg; ``lifts``, their lifts onto the body axes, to broadcast them;
+    ``join``, the ``_Join`` that contracts them.  The last two are made on
+    the branch's first use of each."""
 
-def _branches(body: F.Key, k: int, ax: int, neg: bool) -> tuple[list, ...]:
+    __slots__ = ("guards", "lits", "lifts", "join")
+
+    def __init__(self, guards: Optional[tuple], lits: tuple):
+        self.guards, self.lits, self.lifts, self.join = guards, lits, None, None
+
+
+def _branches(body: F.Key, k: int, ax: int, neg: bool) -> tuple[_Branch, ...]:
     """The body of a k-ary quantifier on body axis ``ax``, negated when
     ``neg``, as a disjunction of conjunctions of literals that are no
-    conjunction, each as a branch with neither form made yet.
+    conjunction, one ``_Branch`` each.
 
     A disjunction is split when it is the whole conjunction, or when it
     mentions the quantified axis ``ax`` with three or more axes and no
@@ -367,8 +364,8 @@ def _branches(body: F.Key, k: int, ax: int, neg: bool) -> tuple[list, ...]:
                 done.append(lit)
         else:
             # the guards in a set's order, kept as a tuple: a frozenset takes 216 bytes
-            branches.append([tuple(frozenset(guards)) if guards else None, tuple(done),
-                             None, None])
+            branches.append(_Branch(tuple(frozenset(guards)) if guards else None,
+                                    tuple(done)))
     return tuple(branches)
 
 
@@ -386,13 +383,11 @@ def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...], at, paused: dict
         body_at = (body, *doms) if doms else body
         table = tables.get(body_at)
         return [(body, doms, body_at)] if table is None else table
-    branches = key.plan
-    if branches is None:  # the key's plan, compiled on its first use
-        branches = key.plan = _branches(body, k, ax, forall)
+    branches = key.plan = key.plan or _branches(body, k, ax, forall)  # compiled on first use
     i, out, ats = paused.pop(at, None) or (0, None, None)
     while i < len(branches):
         branch = branches[i]
-        guards, lits = branch[0], branch[1]
+        guards, lits = branch.guards, branch.lits
         d = 0
         if guards is not None:
             d = ctx.guards.get(guards)
@@ -408,7 +403,8 @@ def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...], at, paused: dict
             body_sizes = sizes[:ax] + (size,) + sizes[ax:]
             small = math.prod(body_sizes) <= min(_SMALL_CELLS, MAX_CELLS)
             if not small:
-                lits = (branch[3] or _group(branch, ax, k))[0]
+                join = branch.join = branch.join or _Join(lits, ax, k)
+                lits = join.lits
             if ats is None:  # the literals' tables over the body's domains
                 outer = doms or (0,) * k
                 inner = outer[:ax] + (d,) + outer[ax:] if d or doms else ()
@@ -431,7 +427,7 @@ def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...], at, paused: dict
                     return wait
             else:
                 got = [tables[lat] for lat in ats]
-            part = _exists(ctx, branch, ax, lits, got, body_sizes, small)
+            part = _exists(ctx, branch, ax, got, body_sizes, small)
             ats = None
         else:  # a conjunction of guards holds on its domain if that has an element
             part = np.full((1,) * k, size > 0)
@@ -443,103 +439,101 @@ def _quantify(ctx: _Context, key: F.Key, doms: tuple[int, ...], at, paused: dict
     return out if out.shape == sizes else np.broadcast_to(out, sizes)
 
 
-def _exists(ctx: _Context, branch: list, ax: int, lits: tuple, tables: list,
+def _exists(ctx: _Context, branch: _Branch, ax: int, tables: list,
             sizes: tuple[int, ...], small: bool) -> np.ndarray:
-    """exists ax over the conjunction of the branch's literals ``lits``,
-    whose tables are ``tables``, in the order of its broadcast form if
-    ``small`` and of its contraction form if not; the body has ``sizes[i]``
-    elements on axis i (none empty), and the result has the body axes after
-    ``ax`` shifted down by one; axes no literal mentions have length 1."""
-    k = len(sizes) - 1
-    if small:
-        lifts = branch[2]
-        if lifts is None:  # each literal's lift onto the body axes
-            lifts = branch[2] = tuple([_lifter(pos, k + 1) for _, pos, _ in lits])
+    """exists ax over the AND of the branch's literals, whose tables are
+    ``tables`` in the order of its ``lits`` if ``small`` and of its join's
+    if not; the body has ``sizes[i]`` elements on axis i (none empty), and
+    the result drops axis ``ax``; axes no literal mentions have length 1."""
+    if small:  # one broadcast AND on the body axes
+        if branch.lifts is None:
+            branch.lifts = tuple([_lifter(pos, len(sizes)) for _, pos, _ in branch.lits])
         found = None
-        for (_, _, neg), lift, table in zip(lits, lifts, tables):
+        for (_, _, neg), lift, table in zip(branch.lits, branch.lifts, tables):
             table = _put(~table if neg else table, lift)
             found = table if found is None else found & table
         return np.logical_or.reduce(found, axis=ax)
-    form = branch[3]
-    into, groups, rest = form[1], form[2], form[4]
-    outside, joined = None, [None] * len(groups)  # the conjuncts without ax; each group's AND
-    for (_, _, neg), (g, lift), table in zip(lits, into, tables):
+    join = branch.join
+    outside, joined = None, [None] * len(join.groups)  # the conjuncts without ax; each group's AND
+    for (_, _, neg), (g, lift), table in zip(join.lits, join.into, tables):
         table = _put(~table if neg else table, lift)
         if g < 0:
             outside = table if outside is None else outside & table
         else:
             joined[g] = table if joined[g] is None else joined[g] & table
-    if not groups:
+    if not joined:
         return outside
-    if len(groups) == 1:
-        found = np.logical_or.reduce(joined[0], axis=form[3])
-    else:
-        _check(ctx, [sizes[b] for b in rest])
-        found = _contract(form, joined)
-    found = _put(found, form[5])
+    found = _put(_contract(ctx, join, joined, sizes), join.lift)
     return found if outside is None else found & outside
 
 
-def _group(branch: list, ax: int, k: int) -> tuple:
-    """A branch's contraction form, filed in its last slot: its literals,
-    longest first; for each, the group it joins (-1 when it lacks ax, so it
-    is ANDed outside) and the lift into that group's axes (or the k result
-    axes); each group's axis mask and axes; how the groups are joined (see
-    ``_contract``; for one group, the position of ax in it); the body axes
-    the join keeps, and their lift onto the result's.  A literal joins the
-    first group whose axes hold its own, and costs no cells there.  Its
-    tuples are built from lists; the comment above ``geometry._scaled``
-    says why."""
-    lits = sorted(branch[1], key=lambda lit: len(lit[1]), reverse=True)
-    into, groups, union = [], [], 0
-    for _, pos, _ in lits:
-        mask = 0
-        for b in pos:
-            mask |= 1 << b
-        if not mask >> ax & 1:
-            into.append((-1, _lifter(tuple([b - (b > ax) for b in pos]), k)))
-            continue
-        for g, (group, axes) in enumerate(groups):
-            if not mask & ~group:
-                into.append((g, _lifter(tuple(map(axes.index, pos)), len(axes))))
-                break
+class _Join:
+    """A branch's contraction: ``lits``, its literals, longest first;
+    ``into``, for each, the group it joins (-1 when it lacks ax: it is
+    ANDed outside) and its lift onto that group's axes (or the k result
+    axes); ``groups``, each group's axes; ``axis``, for one group, where ax
+    is in it; ``transposes``, for two that share only ax, those that put ax
+    last in the first and first in the second; more groups have neither;
+    ``rest``, the body axes the join keeps, and ``lift``, theirs onto the
+    result's.  A literal joins the first group whose axes hold its own, and
+    costs no cells there.  Tuples are built from lists, for the reason given
+    above ``geometry._scaled``."""
+
+    __slots__ = ("lits", "into", "groups", "axis", "transposes", "rest", "lift")
+
+    def __init__(self, lits: tuple, ax: int, k: int):
+        lits = sorted(lits, key=lambda lit: len(lit[1]), reverse=True)
+        into, masks, groups, union = [], [], [], 0
+        for _, pos, _ in lits:
+            mask = 0
+            for b in pos:
+                mask |= 1 << b
+            if not mask >> ax & 1:
+                into.append((-1, _lifter(tuple([b - (b > ax) for b in pos]), k)))
+                continue
+            for g, (group, axes) in enumerate(zip(masks, groups)):
+                if not mask & ~group:
+                    into.append((g, _lifter(tuple(map(axes.index, pos)), len(axes))))
+                    break
+            else:
+                into.append((len(groups), None))
+                masks.append(mask)
+                groups.append(pos)
+                union |= mask
+        self.axis = self.transposes = None
+        if len(groups) == 1:
+            self.axis, rest = groups[0].index(ax), tuple([b for b in groups[0] if b != ax])
+        elif len(groups) == 2 and masks[0] & masks[1] == 1 << ax:
+            a, b = groups
+            i, j = a.index(ax), b.index(ax)
+            self.transposes = (tuple([x for x in range(len(a)) if x != i] + [i]),
+                               tuple([j] + [x for x in range(len(b)) if x != j]))
+            rest = tuple([x for x in a if x != ax] + [x for x in b if x != ax])
         else:
-            into.append((len(groups), None))
-            groups.append((mask, pos))
-            union |= mask
-    if len(groups) == 1:
-        axes = groups[0][1]
-        how, rest = axes.index(ax), tuple([b for b in axes if b != ax])
-    elif len(groups) == 2 and groups[0][0] & groups[1][0] == 1 << ax:
-        (_, a), (_, b) = groups
-        i, j = a.index(ax), b.index(ax)
-        how = (tuple([x for x in range(len(a)) if x != i] + [i]),  # ax last in a
-               tuple([j] + [x for x in range(len(b)) if x != j]))  # ax first in b
-        rest = tuple([x for x in a if x != ax] + [x for x in b if x != ax])
-    else:
-        how = None
-        rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
-    lift = _lifter(tuple([b - (b > ax) for b in rest]), k)
-    form = branch[3] = (tuple(lits), tuple(into), tuple(groups), how, rest, lift)
-    return form
+            rest = tuple([b for b in range(union.bit_length()) if union >> b & 1 and b != ax])
+        self.lits, self.into, self.groups, self.rest = tuple(lits), tuple(into), tuple(groups), rest
+        self.lift = _lifter(tuple([b - (b > ax) for b in rest]), k)
 
 
-def _contract(form: tuple, tables: list) -> np.ndarray:
-    """exists ax over the AND of the tables of a contraction form's two or
-    more groups, with the axes the form keeps.  Two groups that share only
-    ax are one matrix product; more are a greedy einsum, whose path makes
-    no intermediate with more cells than its limit."""
-    groups, how, rest = form[2], form[3], form[4]
-    if how is not None:
-        a = tables[0].transpose(how[0]).astype(np.float32, order="C")
-        b = tables[1].transpose(how[1]).astype(np.float32, order="C")
+def _contract(ctx: _Context, join: _Join, tables: list, sizes: tuple[int, ...]) -> np.ndarray:
+    """exists ax over the AND of each group's table ``tables``, with the axes
+    the join keeps.  One group is reduced on ax; two that share only ax are
+    one matrix product; more are a greedy einsum, whose path makes no
+    intermediate with more cells than its limit."""
+    if join.axis is not None:
+        return np.logical_or.reduce(tables[0], axis=join.axis)
+    _check(ctx, [sizes[b] for b in join.rest])
+    if join.transposes is not None:
+        first, second = join.transposes
+        a = tables[0].transpose(first).astype(np.float32, order="C")
+        b = tables[1].transpose(second).astype(np.float32, order="C")
         m = b.shape[0]
         found = np.dot(a.reshape(-1, m), b.reshape(m, -1)) > 0
         return found.reshape(a.shape[:-1] + b.shape[1:])
     args = []
-    for (_, axes), table in zip(groups, tables):
+    for axes, table in zip(join.groups, tables):
         args += (table.astype(np.float32), list(axes))
-    return np.einsum(*args, list(rest), optimize=("greedy", MAX_CELLS)) > 0
+    return np.einsum(*args, list(join.rest), optimize=("greedy", MAX_CELLS)) > 0
 
 
 _LEAVES = frozenset({F.Edge, F.Leq, F.Eq, F.Label})  # atoms without children
@@ -580,11 +574,14 @@ def eval_structure(structure: Structure, phi: F.Formula,
     """Standard semantics; free variables must be covered by the assignment."""
     ctx = _context(structure)
     if not assignment and isinstance(phi, F.Formula) and not phi.free:  # a sentence
-        key = phi.key
-        table = ctx.tables.get(key)
-        return bool(_run(ctx, key, (), key) if table is None else table)
-    values = assignment or {}
-    for v, e in values.items():
+        table = ctx.tables.get(phi.key)
+        return bool(_table(ctx, phi.key) if table is None else table)
+    values = {}
+    for v, e in (assignment or {}).items():
+        try:
+            values[v] = e = operator.index(e)  # numpy integers too, and never a float
+        except TypeError:
+            raise EvalError(f"assignment {v.name} -> {e!r} is not an integer") from None
         if not 0 <= e < ctx.n:
             raise EvalError(f"assignment {v.name} -> {e} outside the domain")
     _axes(phi, tuple(values))
@@ -629,6 +626,8 @@ def _model_checker(cls: str, rep: Representation):
     built: list = []
 
     def check(phi: F.Formula) -> ModelCheckResult:
+        if not isinstance(phi, F.Formula):
+            raise EvalError(f"not a formula: {phi!r}")
         if phi.free:
             raise EvalError("model checking needs a sentence")
         F.check_signature(phi, F.GRAPH)

@@ -63,7 +63,14 @@ class GeometryError(GeomfoError):
 
 
 def rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` as an exact Fraction, as ``Fraction(x)`` reads it: a finite
+    float converts exactly.  What Fraction refuses raises GeometryError."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise GeometryError(f"not a finite rational: {x!r}") from None
 
 
 def parse_rat(text: str) -> Fraction:
@@ -739,11 +746,11 @@ def visibility_graph(w: Polygon) -> LabeledGraph:
     """Visibility graph in boundary order u..v; boundary neighbours always adjacent.
     Built on the first call and held by the polygon for every later one."""
     if w._graph is None:
-        n = w.n
+        n, grid = w.n, w._grid
         rows = [0] * n
         for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1) or sees(w, i, j):
+            for j in range(i + 1, n):  # in range, so not through the checked ``sees``
+                if j == i + 1 or (i == 0 and j == n - 1) or _sight_line(grid, i, grid[j], j):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         object.__setattr__(w, "_graph", LabeledGraph(n, rows=rows))

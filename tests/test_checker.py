@@ -169,6 +169,22 @@ def test_model_check_names_class_and_sentence_on_disagreement(monkeypatch):
         model_check("interval", rep, phi)
 
 
+def test_assignment_values_must_be_integers():
+    g = LabeledGraph(3, {(0, 1)})
+    x, y = Var("x"), Var("y")
+    for bad in (1.5, "a"):
+        with pytest.raises(EvalError, match=f"^assignment x -> {bad!r} is not an integer$"):
+            eval_structure(g, F.Edge(x, y), {x: bad, y: 0})
+    assert eval_structure(g, F.Edge(x, y), {x: np.int64(1), y: np.uint8(0)})
+    assert not eval_structure(g, F.Edge(x, y), {x: np.int64(2), y: 0})
+
+
+def test_model_check_requires_a_formula():
+    rep = Representation("interval", (Interval(Fr(1), Fr(3)),))
+    with pytest.raises(EvalError, match=r"^not a formula: 'exists x\. x=x'$"):
+        model_check("interval", rep, "exists x. x=x")
+
+
 def test_model_check_requires_sentence():
     rep = Representation("interval", (Interval(Fr(1), Fr(3)),))
     with pytest.raises(EvalError):
@@ -316,21 +332,37 @@ def _structures(draw, signature, min_n=0):
                            {"red": red, "D": set(range(n)) - red})
 
 
-@pytest.mark.parametrize("small_cells", [0, checker._SMALL_CELLS])
+def _tables_both_ways(s, phi, first):
+    """The tables of ``phi`` with ``_SMALL_CELLS`` at ``first`` and then at
+    the other of 0 and its value, each on a fresh copy of ``s``, and their
+    axes.  The copies share ``phi``'s keys, so each quantifier's plan makes
+    the broadcast lifts under one setting and the join under the other: with
+    no small bodies every quantifier joins (any, matrix product or einsum)."""
+    free = F.free_vars(phi)
+    axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
+    tables = []
+    for small_cells in (first, checker._SMALL_CELLS if first == 0 else 0):
+        with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
+            tables.append(truth_table(type(s)(s.n, labels=s.labels, rows=s.rows), phi, axes))
+    return tables, axes
+
+
+def _assert_matches_slow(s, phi, tables, axes):
+    for point in itertools.product(range(s.n), repeat=len(axes)):
+        want = eval_slow(s, phi, dict(zip(axes, point)))
+        assert [bool(table[point]) for table in tables] == [want] * len(tables)
+
+
+# each example runs both settings; the parameter is the one that runs first
+@pytest.mark.parametrize("first", [0, checker._SMALL_CELLS])
 @pytest.mark.parametrize("signature", [GRAPH, POSET])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_contraction_matches_slow_evaluator(signature, small_cells, data):
-    """Every entry of the table against the direct evaluator; with no small
-    bodies every quantifier takes the join plan (any, tensordot or einsum)."""
+def test_contraction_matches_slow_evaluator(signature, first, data):
+    """Every entry of both tables against the direct evaluator."""
     s = data.draw(_structures(signature))
     phi = data.draw(_quantified_formulas(signature))
-    free = F.free_vars(phi)
-    axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
-    with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
-        table = truth_table(s, phi, axes)
-    for point in itertools.product(range(s.n), repeat=len(axes)):
-        assert bool(table[point]) == eval_slow(s, phi, dict(zip(axes, point)))
+    _assert_matches_slow(s, phi, *_tables_both_ways(s, phi, first))
 
 
 # unary literals to guard a quantified variable with, as functions of it: labels
@@ -380,24 +412,19 @@ def _guarded_formulas(signature):
     return extend(st.recursive(_quantified_formulas(signature), extend, max_leaves=3))
 
 
-@pytest.mark.parametrize("small_cells", [0, checker._SMALL_CELLS])
+@pytest.mark.parametrize("first", [0, checker._SMALL_CELLS])
 @pytest.mark.parametrize("signature", [GRAPH, POSET])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_guarded_quantifiers_match_slow_evaluator(signature, small_cells, data):
+def test_guarded_quantifiers_match_slow_evaluator(signature, first, data):
     """A quantified variable ranges over its guards' domain; every entry of
-    the table against the direct evaluator."""
+    both tables against the direct evaluator."""
     s = data.draw(_structures(signature, min_n=2))  # below two, no guard restricts
     labels = {**s.labels, "low": set(range(s.n // 2)), "none": set(), "all": set(range(s.n))}
     s = (LabeledGraph(s.n, s.edges, labels) if signature == GRAPH
          else LabeledPoset(s.n, s.pairs(), labels))
     phi = data.draw(_guarded_formulas(signature))
-    free = F.free_vars(phi)
-    axes = [v for v in _VARS if v in free] + [v for v in _VARS if v not in free][:1]
-    with mock.patch.object(checker, "_SMALL_CELLS", small_cells):
-        table = truth_table(s, phi, axes)
-    for point in itertools.product(range(s.n), repeat=len(axes)):
-        assert bool(table[point]) == eval_slow(s, phi, dict(zip(axes, point)))
+    _assert_matches_slow(s, phi, *_tables_both_ways(s, phi, first))
 
 
 def test_order_matrix_matches_rows():

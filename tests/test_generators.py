@@ -256,15 +256,16 @@ def test_terfan_op_builds_one_visibility_graph(monkeypatch):
     """One terfan op, then the graph, the report and the interpretation again
     as a caller would: every visibility pair of every polygon is decided at
     most once, and those of the accepted polygon are decided."""
-    decided, polygons = [], []
-    real_sees = geometry.sees
+    decided, grids = [], []
+    real_sight_line = geometry._sight_line
 
-    def counting_sees(poly, i, j):
-        polygons.append(poly)  # kept alive, so ids stay unique
-        decided.append((id(poly), i, j))
-        return real_sees(poly, i, j)
+    def counting_sight_line(grid, i, q, j):
+        if j is not None:  # a vertex pair, not a foot on the closing edge
+            grids.append(grid)  # kept alive, so ids stay unique
+            decided.append((id(grid), i, j))
+        return real_sight_line(grid, i, q, j)
 
-    monkeypatch.setattr(geometry, "sees", counting_sees)
+    monkeypatch.setattr(geometry, "_sight_line", counting_sight_line)
     for h in (LabeledGraph(2, {(0, 1)}), LabeledGraph(3, {(0, 1), (1, 2)})):
         decided.clear()
         inst = terfan_polygon(h)
@@ -275,7 +276,7 @@ def test_terfan_op_builds_one_visibility_graph(monkeypatch):
         assert len(decided) == len(set(decided))
         n = poly.n
         inner = {(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)}
-        assert {(i, j) for key, i, j in decided if key == id(poly)} == inner
+        assert {(i, j) for key, i, j in decided if key == id(poly._grid)} == inner
         assert g is poly._graph
 
 

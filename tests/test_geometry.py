@@ -184,6 +184,20 @@ def test_polygon_validation():
         Polygon(((0, 0), (0, 3), (4, 3), (4, 0), (1, 0), (1, 1), (3, 1), (3, 0)))
 
 
+def test_coordinates_fraction_refuses_raise_geometry_error():
+    """A coordinate that Fraction cannot read exactly raises GeometryError
+    naming it; finite floats and rational text still convert exactly."""
+    bad = [(lambda: Interval(float("nan"), 1), "nan"),
+           (lambda: Interval(float("inf"), 1), "inf"),
+           (lambda: Arc(None, 0.5), "None"),
+           (lambda: Polygon([(0, 0), (1, 0), (float("nan"), 1)]), "nan")]
+    for make, name in bad:
+        with pytest.raises(GeometryError, match=f"^not a finite rational: {name}$"):
+            make()
+    assert Interval(0.1, "1/2") == Interval(Fr(0.1), Fr(1, 2))
+    assert Interval(0.1, 1).lo == Fr(3602879701896397, 36028797018963968)
+
+
 def test_polygon_validation_matches_pairwise_edge_test():
     """Random vertex orders on a 7 x 7 grid: among those that pass the
     vertex and orientation checks, the boundary scan rejects exactly the
