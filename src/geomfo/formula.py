@@ -762,9 +762,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            at = len(text) - len(text[pos:].lstrip())
+            if at == len(text):
                 break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
         if m.group("ident"):
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .checker import truth_table
 from .formula import (And, Defined, Edge, Eq, Exists, Forall, Formula, Implies,
                       Label, Not, Or, Var, X, Y, big_and, complement_edges, exists_many,
                       map_atoms)
@@ -254,8 +255,6 @@ def graph_interpretation(structure: LabeledGraph | LabeledPoset, nu: Formula, ps
     """The graph that (nu(x), psi(x, y)) interprets in a graph or a poset:
     its vertices are the elements satisfying nu, in ascending order, and
     vertices u != v are adjacent iff psi(u, v) or psi(v, u) holds."""
-    from .checker import truth_table
-
     vs = np.flatnonzero(truth_table(structure, nu, (X,)))
     rel = truth_table(structure, psi, (X, Y))[np.ix_(vs, vs)]
     return vs.tolist(), LabeledGraph(len(vs), rows=symmetric_rows(rel))
@@ -675,8 +674,8 @@ def _sqrt_bracket(value: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return Fr(s, 1 << bits), Fr(s + 2, 1 << bits)
 
 
-def _build_terfan(h: LabeledGraph, eta: Fraction, eta2: Fraction,
-                  tau: Fraction, gamma_frac: Fraction) -> TerfanInstance:
+def _build_terfan(h: LabeledGraph, offset: Fraction) -> TerfanInstance:
+    """The construction with every tiny offset (lifts, spike width, gap) at ``offset``."""
     n = h.n
     c = 2 * n + 5
     c1 = lambda x: (x + 1) ** 2
@@ -710,19 +709,19 @@ def _build_terfan(h: LabeledGraph, eta: Fraction, eta2: Fraction,
         d_lo = slot_lo + (j - 1) * width
         s1x = d_lo + width / 4
         s1 = (s1x, c2(s1x))
-        ptilde = (Fr(j), Fr(c1(Fr(j))) + eta)
+        ptilde = (Fr(j), Fr(c1(Fr(j))) + offset)
         rho = (s1[1] - ptilde[1]) / (s1[0] - ptilde[0])
-        s2x = s1x + tau * width
+        s2x = s1x + offset * width
         s2 = (s2x, ptilde[1] + rho * (s2x - ptilde[0]))
         s3 = (s2x, c2(s2x))
         if not s2[1] > s3[1]:
-            raise GeometryError("gadget spike collapsed; shrink tau/eta")
+            raise GeometryError("gadget spike collapsed; shrink the offset")
         gadgets.append((s1, s2, s3, i, j))
     gadgets.sort(key=lambda g: g[0][0])
 
     # the supporting line r3 from slightly above p_{n+1}, missing the curve
-    yp = Fr(c1(n + 1)) + eta2
-    disc2 = Fr(4 * n + 12) - eta2
+    yp = Fr(c1(n + 1)) + offset
+    disc2 = Fr(4 * n + 12) - offset
     slo, shi = _sqrt_bracket(disc2, 24)
     s3_slope = Fr(-2 * (n + 4)) + 2 * slo - 2 * (shi - slo) - Fr(1, 1 << 20)
     line_disc = (2 * c + s3_slope) ** 2 - 4 * (c * c + s3_slope * (n + 1) - yp)
@@ -763,7 +762,7 @@ def _build_terfan(h: LabeledGraph, eta: Fraction, eta2: Fraction,
     hline = min(x_pt_y, u2[1])
     hline = Fr(math.floor(hline) - 1)
     x_h = Fr(n + 1) + (hline - yp) / s3_slope
-    gamma = (x_h - xw2) * gamma_frac
+    gamma = (x_h - xw2) * offset
     v = (x_h - gamma, hline)
     v2 = (x_h - gamma, r3(x_h - gamma))
     u = (Fr(0), hline)
@@ -863,7 +862,7 @@ MAX_TERFAN_VERTICES = 6  # terfan_polygon's H
 def terfan_polygon(h: LabeledGraph) -> TerfanInstance:
     """Terrain-and-convex-fan polygon whose visibility graph interprets H.
 
-    The tiny offsets start at 1/8 and are halved until every bullet property
+    The tiny offset starts at 1/8 and is halved until every bullet property
     of the construction holds exactly; failure past the cap raises.
     """
     if h.n < 1:
@@ -877,18 +876,18 @@ def terfan_polygon(h: LabeledGraph) -> TerfanInstance:
                             "construction (blue witness cannot exist)")
     if h.n > MAX_TERFAN_VERTICES:
         raise GeometryError(f"H on {h.n} vertices exceeds the size cap")
-    eta = eta2 = tau = gamma = Fr(1, 8)
+    offset = Fr(1, 8)
     last = "construction failed"
     for _ in range(24):
         try:
-            inst = _build_terfan(h, eta, eta2, tau, gamma)
+            inst = _build_terfan(h, offset)
             problem = _terfan_check(inst, h)
         except GeometryError as exc:
             problem = str(exc)
         if problem is None:
             return inst
         last = problem
-        eta, eta2, tau, gamma = eta / 2, eta2 / 2, tau / 2, gamma / 2
+        offset /= 2
     raise GeometryError(f"terfan construction did not converge: {last}")
 
 

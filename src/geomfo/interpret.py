@@ -19,8 +19,9 @@ pairs only for that check; ``_build``, the build ``model_check`` runs,
 rescales once for the graph and the instance together, and the check
 compares against the meeting pairs the graph was built from.
 
-Every builder writes its poset's rows closed, in one backward sweep over
-the chains it is made of, and hands them to ``LabeledPoset``; no build runs
+Every poset's rows are written closed, in one backward sweep over the
+chains it is made of; the unit-disk and visibility builders declare their
+chains and links and ``poset._chain_rows`` writes the rows.  No build runs
 a closure pass or a check of the order.  Poset elements carry no names:
 each builder documents which element ids its ends, disks, chord ends,
 vertices and copies take.
@@ -39,7 +40,7 @@ from .geometry import (GeometryError, LabeledGraph, PermSegment, Polygon, Repres
                        _grid, _pair_arrays, _permutation_ranks, _proper_parts,
                        _rank_chord_ends, _single_polygon, increasing_run_lengths,
                        polygon_report, visibility_graph)
-from .poset import LabeledPoset, _ranked_interval_poset
+from .poset import LabeledPoset, _chain_rows, _ranked_interval_poset
 
 Z = Var("z")
 
@@ -327,11 +328,13 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
 
     The poset is the disk chain in (x, index) order and one chord chain per
     kept row pair, each disk between its own ends on every chord chain that
-    holds it.  Its rows are written closed in one backward sweep over those
-    chains, with no closure pass.  Element ids: disk i is element i; then
-    each kept row pair (ri <= rj, in lexicographic order) takes two ids per
-    disk on its rows, in disk index order, the left chord end's and then
-    the right one's.
+    holds it.  ``poset._chain_rows`` writes its rows, the disk chain being
+    the main chain; its two conditions hold as the ends on a chord chain
+    follow their disks' (x, index) order, so a left end after disk d's
+    right end belongs to a disk further right.  Element ids: disk i is
+    element i; then each kept row pair (ri <= rj, in lexicographic order)
+    takes two ids per disk on its rows, in disk index order, the left chord
+    end's and then the right one's.
     """
     xs, ys = keys[::2], keys[1::2]
     rows = sorted(set(ys))
@@ -370,38 +373,8 @@ def _unit_disk_instance(scale: int, keys: Sequence[int],
                 chain.append((left_end[i] + (s > 0), i if s < 0 else -1))
             chains.append(chain)
 
-    # Disk d is below the next disk in (x, index) order and its right end on
-    # each chain; a chord end is below the next end and, a left end, its
-    # disk.  A right end before a left end on a chain means the left end's
-    # disk lies strictly further right, so sweeping the disks from the right
-    # and each chain backwards just down to the disk's right end meets only
-    # disks whose rows are complete.
-    order_rows = [0] * size
-    reached = [len(chain) for chain in chains]
-    above = [0] * len(chains)  # each chain's elements from ``reached`` on, and all above them
-
-    def sweep(c: int, stop: int) -> None:
-        chain, t, acc = chains[c], reached[c], above[c]
-        while t > stop:
-            t -= 1
-            eid, disk = chain[t]
-            if disk >= 0:
-                acc |= 1 << disk | order_rows[disk]
-            order_rows[eid] = acc
-            acc |= 1 << eid
-        reached[c], above[c] = t, acc
-
-    after = 0  # the disks after d in (x, index) order, and all above them
-    for d in reversed(order):
-        acc = after
-        for c, t in right_at[d]:
-            sweep(c, t)
-            acc |= above[c]
-        order_rows[d] = acc
-        after = acc | 1 << d
-    for c in range(len(chains)):
-        sweep(c, 0)
-    poset = LabeledPoset(size, (), labels, rows=order_rows)
+    poset = LabeledPoset(size, (), labels,
+                         rows=_chain_rows(size, order, chains, [right_at[d] for d in order]))
 
     clauses = []
     for ri, rj in kept_pairs:
@@ -477,11 +450,10 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
     ear pair, in lexicographic order, takes one id per copy, ear b's copies
     in boundary order and then ear a's.
 
-    The rows are written closed in one backward sweep down the green chain,
-    with no closure pass.  Every vertex of ear b comes after the last
-    interior vertex of ear a, so when the sweep reaches that vertex the rows
-    the pair's blue chain links down to are complete, and the chain is swept
-    backwards then; each vertex of ear a reads its copies' rows after it.
+    ``poset._chain_rows`` writes the rows, the green chain being the main
+    chain.  Its two conditions hold since the vertices of ear a, the only
+    ones linked to the pair's blue chain, come before every vertex of ear b
+    and have their copies on the chain in boundary order.
     """
     report = polygon_report(w)
     n = w.n
@@ -505,10 +477,10 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
         labels[f"L0_{t}"] = {r}
         labels[f"L1_{t}"] = set(g.neighbors(r))
 
-    copies: list[list[int]] = [[] for _ in range(n)]  # each vertex of an ear a: its copies
-    # at the last interior vertex of each ear a: the blue chains of its pairs,
-    # as (element, the vertex of ear b it copies or -1)
-    chains_at: dict[int, list[list[tuple[int, int]]]] = {}
+    # each ear pair's blue chain as (element, the vertex of ear b it copies
+    # or -1), and each vertex's copies as (chain, position)
+    chains: list[list[tuple[int, int]]] = []
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a in range(len(interiors)):
         for b in range(a + 1, len(interiors)):
             aa, ab = interiors[a], interiors[b]
@@ -527,34 +499,17 @@ def _visibility_instance(w: Polygon) -> InterpretationInstance:
             if any(t2 < t1 for t1, t2 in zip(tau, tau[1:])):
                 raise GeometryError("ear visibility staircase is not monotone")
 
-            # (place on the chain, element, the vertex of ear b it copies or
-            # -1): the copy of vi goes just before the first vertex of ear b
-            # that vi sees, and copies at one place keep boundary order
-            keyed = ([(2 * pos, size + pos, vj) for pos, vj in enumerate(ab)]
-                     + [(2 * t - 1, size + len(ab) + pos, -1) for pos, t in enumerate(tau)])
-            for pos, vi in enumerate(aa):
-                copies[vi].append(size + len(ab) + pos)
-            labels["blue"].update(range(size, size + len(keyed)))
-            size += len(keyed)
-            chains_at.setdefault(aa[-1], []).append(
-                [(eid, down) for _, eid, down in sorted(keyed)])
+            # the copy of vi goes just before the first vertex of ear b that
+            # vi sees, after the copies of the vertices before vi
+            chain = [(size + pos, vj) for pos, vj in enumerate(ab)]
+            for pos, (vi, t) in enumerate(zip(aa, tau)):
+                chain.insert(t + pos, (size + len(ab) + pos, -1))
+                links[vi].append((len(chains), t + pos))
+            labels["blue"].update(range(size, size + len(chain)))
+            size += len(chain)
+            chains.append(chain)
 
-    rows = [0] * size
-    above = 0  # the vertices after v, and all above them
-    for v in range(n - 1, -1, -1):
-        for chain in chains_at.get(v, ()):
-            acc = 0
-            for eid, down in reversed(chain):
-                if down >= 0:
-                    acc |= 1 << down | rows[down]
-                rows[eid] = acc
-                acc |= 1 << eid
-        acc = above
-        for eid in copies[v]:
-            acc |= 1 << eid | rows[eid]
-        rows[v] = acc
-        above = acc | 1 << v
-    poset = LabeledPoset(size, (), labels, rows=rows)
+    poset = LabeledPoset(size, (), labels, rows=_chain_rows(size, range(n), chains, links))
 
     psi = big_and([
         Label("green", X), Label("green", Y),

@@ -6,11 +6,11 @@ packed bit rows (the form ``LabeledGraph`` keeps its adjacency in), since
 formula evaluation queries arbitrary pairs and instances are desk-scale.
 The rows are given to the constructor, either as pairs or as the rows
 themselves, and cannot be reassigned afterwards.  Every instance poset is a
-few known chains and the links between them, so its builder writes the
-closed rows itself, in one backward sweep over the chains:
-``_ranked_interval_poset`` for the interval, circular-arc, circle,
-permutation and box instances, and ``interpret._unit_disk_instance`` and
-``interpret._visibility_instance``.  ``transitive_closure`` closes
+few known chains and the links between them, so its rows are written closed
+in one backward sweep over the chains: ``_ranked_interval_poset`` writes the
+interval, circular-arc, circle, permutation and box instances, and
+``_chain_rows`` the unit-disk and visibility instances from the chains and
+links their builders declare.  ``transitive_closure`` closes
 generating pairs in one pass over a topological order, which rejects every
 cycle; ``fileio.read_poset`` checks a poset file's relation against it.
 ``validate_poset`` checks a poset built any other way, on its bit rows.
@@ -138,6 +138,50 @@ def validate_poset(p: LabeledPoset) -> Optional[Violation]:
                 c = (missing & -missing).bit_length() - 1
                 return Violation("transitivity", (a, b, c))
     return None
+
+
+def _chain_rows(size: int, main: Sequence[int], chains: Sequence[Sequence[tuple[int, int]]],
+                links: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Closed rows on elements 0..size-1 of a main chain and side chains
+    linked to it, written in one backward sweep with no closure pass.
+
+    ``main`` and each side chain list their elements from least to greatest,
+    a side element as (element, the main element it lies below or -1);
+    ``links[t]`` lists the (chain, position) of every side element that
+    ``main[t]`` lies below.  These pairs generate the order.  At each main
+    element, from the top down, the chains it links to are swept backwards
+    just down to its links, and the rest of each chain at the end.  Every
+    row is complete when read if a side element swept at ``main[t]`` links
+    up only after ``main[t]``, and on each chain the links of ``main[t]`` lie
+    no higher than those of later main elements; each builder cites the
+    fact that gives these two conditions.
+    """
+    rows = [0] * size
+    reached = [len(chain) for chain in chains]
+    above = [0] * len(chains)  # each chain's elements from ``reached`` on, and all above them
+
+    def sweep(c: int, stop: int) -> None:
+        chain, t, acc = chains[c], reached[c], above[c]
+        while t > stop:
+            t -= 1
+            e, up = chain[t]
+            if up >= 0:
+                acc |= 1 << up | rows[up]
+            rows[e] = acc
+            acc |= 1 << e
+        reached[c], above[c] = t, acc
+
+    after = 0  # the main elements after m, and all above them
+    for m, at in zip(reversed(main), reversed(links)):
+        acc = after
+        for c, pos in at:
+            sweep(c, pos)
+            acc |= above[c]
+        rows[m] = acc
+        after = acc | 1 << m
+    for c in range(len(chains)):
+        sweep(c, 0)
+    return rows
 
 
 def _ranked_interval_poset(by_value: Sequence[int], rank: Sequence[int], parts: Sequence,

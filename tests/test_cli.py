@@ -278,6 +278,18 @@ def test_fileio_rejects_bad_integers(read, text):
         read(text)
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (fileio.read_representation, "class visibility\npolygon\npt 0\n", "bad polygon line: pt 0"),
+    (fileio.read_representation, "class blob\n", "unknown representation class 'blob'"),
+    (fileio.read_graph, "edge 0 1\n", "graph must start with 'graph <n>'"),
+    (fileio.read_graph, "graph 2\nedge 0\n", "bad graph line: edge 0"),
+    (fileio.read_poset, "poset 2\nedge 0 1\n", "bad poset line: edge 0 1"),
+])
+def test_fileio_refuses_bad_lines_and_headers(read, text, message):
+    with pytest.raises(fileio.FileFormatError, match=f"^{re.escape(message)}$"):
+        read(text)
+
+
 @pytest.mark.parametrize("text, error, fault", [
     ("poset 3\nlt 0 1\nlt 1 0\nlt 1 2\n", PosetError, "cycle"),
     ("poset 2\nlt 1 1\n", PosetError, "cycle"),
@@ -304,6 +316,29 @@ def test_cli_generate_bad_param(tmp_path, capsys, kind, param):
                  "--out", str(tmp_path / "o.rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_GENERATE_KINDS = ("consecutive", "hardness", "efo-hardness", "cliquewidth", "terfan")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["generate", "--kind", kind, "--out", "{tmp}/o.rep"] for kind in _GENERATE_KINDS),
+    ["verify", "--dir", "{tmp}/rep.txt"],
+    ["verify", "--dir", "{tmp}"],
+    ["check", "--class", "interval", "--in", "{tmp}/none.rep", "--formula", "exists x. x=x"],
+    ["interpret", "--class", "interval", "--in", "{tmp}/rep.txt",
+     "--out-poset", "{tmp}/none/p", "--out-interp", "{tmp}/i"],
+], ids=[*(f"generate-{kind}" for kind in _GENERATE_KINDS),
+        "verify-on-a-file", "verify-without-rep-files", "check-missing-input",
+        "interpret-into-a-missing-directory"])
+def test_cli_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    """A missing argument of a generate kind, a verify directory that is a
+    file or holds no ``*.rep``, a missing input and an output into a missing
+    directory each end in one error line."""
+    _write_interval_rep(tmp_path)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_generate_consecutive_over_the_order_cap_exits_2(tmp_path, capsys):

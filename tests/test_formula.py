@@ -51,9 +51,11 @@ def test_signature_rejections():
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as err:
-        parse_formula("edge(x,y) &", GRAPH)
-    assert err.value.pos == 11
+    # an unexpected character is reported where it is, not at the space before it
+    for text, pos in (("edge(x,y) &", 11), ("exists x. x = $", 14), ("exists x.   #", 12)):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, GRAPH)
+        assert err.value.pos == pos, text
 
 
 def test_precedence():

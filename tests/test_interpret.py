@@ -541,12 +541,19 @@ def test_visibility_blue_chain_staircase():
 
 
 def test_visibility_rejects_reflex_uv():
-    # distinguished edge's endpoint reflex: u is made reflex via a dent
-    poly = Polygon(((Fr(0), Fr(0)), (Fr(2), Fr(1)), (Fr(1), Fr(3)), (Fr(4), Fr(4)),
-                    (Fr(6), Fr(0))))
-    if 0 in polygon_report(poly).reflex_vertices:
-        with pytest.raises(GeometryError):
-            _instance("visibility", [poly])
+    """The class's two polygon refusals, through the instance and the check:
+    a reflex end of uv, and a polygon that fails the weak-visibility check."""
+    phi = parse_formula("exists x. x=x", GRAPH)
+    for points, message in (
+            # clockwise, with u = (2,-2) reflex
+            (((2, -2), (3, -4), (-4, -4), (-3, -1), (-4, -1), (-2, 4), (2, 3), (1, 1),
+              (1, 0), (2, 0)), "distinguished edge uv is not convex"),
+            (((-1, -6), (-1, -2), (-3, -5), (-3, -2), (4, 0)),
+             "polygon fails the weak-visibility vertexwise check")):
+        rep = Representation("visibility", (Polygon(points),))
+        for build in (make_instance, lambda c, r: model_check(c, r, phi)):
+            with pytest.raises(GeometryError, match=f"^{message}$"):
+                build("visibility", rep)
 
 
 def test_full_roundtrip_model_checks():

@@ -7,7 +7,7 @@ from geomfo.checker import eval_structure
 from geomfo.formula import Var
 from geomfo.geometry import Interval, Representation, _proper_parts
 from geomfo.interpret import interval_nu, interval_psi, interval_theta, make_instance
-from geomfo.poset import (LabeledPoset, PosetError, _ranked_interval_poset,
+from geomfo.poset import (LabeledPoset, PosetError, _chain_rows, _ranked_interval_poset,
                           transitive_closure, validate_poset)
 
 from helpers import (brute_force_width, contains, fixpoint_closure, generated_poset,
@@ -77,6 +77,54 @@ def test_closure_matches_fixpoint_on_shuffled_ids():
         assert got == fixpoint_closure(n, pairs)
         assert validate_poset(LabeledPoset(n, rows=rows)) is None
         assert generated_poset(n, pairs).rows == tuple(rows)
+
+
+def _chain_system(rng):
+    """A random main chain and side chains on shuffled ids that meet
+    ``_chain_rows``' two conditions, as its arguments, with the pairs that
+    generate the order: main successors, chain successors, links and
+    up-links."""
+    m = rng.randint(0, 8)
+    lengths = [rng.randint(1, 6) for _ in range(rng.randint(0, 4))]
+    ids = list(range(m + sum(lengths)))
+    rng.shuffle(ids)
+    main, ids = ids[:m], ids[m:]
+    chains, links = [], [[] for _ in range(m)]
+    pairs = list(zip(main, main[1:]))
+    for c, length in enumerate(lengths):
+        elems, ids = ids[:length], ids[length:]
+        pairs += zip(elems, elems[1:])
+        # links step down the chain as the sweep steps down the main chain
+        k = rng.randint(0, 3) if m else 0
+        at = list(zip(sorted(rng.choices(range(m), k=k)), sorted(rng.choices(range(length), k=k))))
+        for t, pos in at:
+            links[t].append((c, pos))
+            pairs.append((main[t], elems[pos]))
+        chain = []
+        for pos, e in enumerate(elems):
+            # an element swept at main[t] links up only after main[t]
+            swept = max((t for t, p in at if p <= pos), default=-1)
+            up = -1
+            if swept < m - 1 and rng.random() < 0.5:
+                up = main[rng.randrange(swept + 1, m)]
+                pairs.append((e, up))
+            chain.append((e, up))
+        chains.append(chain)
+    for row in links:
+        rng.shuffle(row)
+    return (m + sum(lengths), main, chains, links), pairs
+
+
+def test_chain_rows_equal_the_closure_of_their_generating_pairs():
+    rng = random.Random(28)
+    shared = unlinked = 0
+    for _ in range(2000):
+        args, pairs = _chain_system(rng)
+        assert _chain_rows(*args) == transitive_closure(args[0], pairs)
+        _, _, chains, links = args
+        shared += any(len({c for c, _ in row}) > 1 for row in links)
+        unlinked += len(chains) - len({c for row in links for c, _ in row})
+    assert shared and unlinked  # several chains linked from one main element; chains never linked
 
 
 @pytest.mark.parametrize("n, pairs", [
